@@ -17,7 +17,6 @@ from .errors import (
 from .models import (
     MINIMAL_SAMPLE_SIZE,
     POINT_DIM,
-    DataPoint,
     ModelInstance,
     ModelType,
     PointSet,
@@ -31,7 +30,6 @@ from .losses import LossFunction, LossKind
 from .engine import EngineConfig, FitReport, OUTLIER, fit, misclassification_error
 
 __all__ = [
-    "DataPoint",
     "DegenerateHomography",
     "DegenerateSample",
     "DimensionMismatch",

@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from .engine import (
     OUTLIER,
     EngineConfig,
     FitReport,
+    contingency_table,
     fit,
+    min_residual_assignment,
     misclassification_error,
 )
 from .errors import MmfitError, NoValidPose
@@ -59,8 +62,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--q-min", type=float, default=20.0)
     p.add_argument("--epsilon-t", type=float, default=0.2,
                    help="model-to-model threshold for consensus clustering")
-    p.add_argument("--tau-semantics", default="similarity",
-                   choices=["similarity", "distance"])
     p.add_argument("--confidence", type=float, default=0.99)
     p.add_argument("--batch-size", type=int, default=10)
     p.add_argument("--sampler", default="pnapsac",
@@ -70,8 +71,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--n-steps", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-proposals", type=int, default=10_000)
-    p.add_argument("--k-counts", default="samples",
-                   choices=["samples", "iterations"])
 
 
 def _config_from_args(args, model_type: ModelType) -> EngineConfig:
@@ -79,24 +78,20 @@ def _config_from_args(args, model_type: ModelType) -> EngineConfig:
                       default_dof(model_type))
     return EngineConfig(
         loss=fn, q_min=args.q_min, tau=args.epsilon_t,
-        tau_semantics=args.tau_semantics, confidence=args.confidence,
-        batch_size=args.batch_size, sampler=args.sampler,
-        r_min=args.r_min, r_max=args.r_max, n_steps=args.n_steps,
-        seed=args.seed, max_proposals=args.max_proposals,
-        k_counts=args.k_counts,
+        confidence=args.confidence, batch_size=args.batch_size,
+        sampler=args.sampler, r_min=args.r_min, r_max=args.r_max,
+        n_steps=args.n_steps, seed=args.seed,
+        max_proposals=args.max_proposals,
     )
 
 
 def _config_dict(cfg: EngineConfig) -> dict:
-    return {
-        "loss": cfg.loss.kind.value, "epsilon": cfg.loss.epsilon,
-        "dof": cfg.loss.dof, "q_min": cfg.q_min, "tau": cfg.tau,
-        "tau_semantics": cfg.tau_semantics, "confidence": cfg.confidence,
-        "batch_size": cfg.batch_size, "sampler": cfg.sampler,
-        "r_min": cfg.r_min, "r_max": cfg.r_max, "n_steps": cfg.n_steps,
-        "seed": cfg.seed, "max_proposals": cfg.max_proposals,
-        "k_counts": cfg.k_counts,
-    }
+    """Every EngineConfig field, with the loss spelled out as its kind,
+    epsilon and dof."""
+    out = {f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "loss"}
+    out.update(loss=cfg.loss.kind.value, epsilon=cfg.loss.epsilon,
+               dof=cfg.loss.dof)
+    return out
 
 
 def _sha256(path) -> str:
@@ -266,16 +261,11 @@ def cmd_eval(args) -> int:
                                np.asarray(e["params"]))
                  for e in payload["instances"]]
     eps = float(payload.get("epsilon", args.epsilon))
-    if instances:
-        rows = np.vstack([residuals(h, points.coords) for h in instances])
-        idx = np.argmin(rows, axis=0)
-        vals = rows[idx, np.arange(len(points))]
-        assignment = np.where(vals < eps, idx, OUTLIER)
-        loss_matrix = np.minimum(rows / eps, 1.0)
-    else:
-        assignment = np.full(len(points), OUTLIER)
-        loss_matrix = np.zeros((0, len(points)))
-    report = FitReport(instances, assignment, loss_matrix, 0, 0, 0, 0.0)
+    rows = np.array([residuals(h, points.coords) for h in instances]
+                    ).reshape(len(instances), len(points))
+    assignment = min_residual_assignment(rows, eps)
+    report = FitReport(instances, assignment, np.minimum(rows / eps, 1.0),
+                       0, 0, 0, 0.0)
     me = misclassification_error(report, labels)
 
     wall = None
@@ -305,15 +295,10 @@ def cmd_eval(args) -> int:
 def _precision_recall(assignment: np.ndarray, labels: np.ndarray):
     from scipy.optimize import linear_sum_assignment
 
-    inst_ids = sorted(set(assignment[assignment != OUTLIER].tolist()))
-    gt_ids = sorted(set(labels[labels != 0].tolist()))
+    inst_ids, gt_ids, table = contingency_table(assignment, labels)
     out = []
-    if not inst_ids or not gt_ids:
+    if not table.size:
         return out
-    table = np.zeros((len(inst_ids), len(gt_ids)))
-    for a, inst in enumerate(inst_ids):
-        for b, gt in enumerate(gt_ids):
-            table[a, b] = np.sum((assignment == inst) & (labels == gt))
     rows, cols = linear_sum_assignment(-table)
     matched = dict(zip(rows.tolist(), cols.tolist()))
     for a, inst in enumerate(inst_ids):

@@ -1,82 +1,20 @@
 """Clustering of instance hypotheses in the consensus space.
 
 Each instance is represented by its preference vector v with
-v_i = 1 - loss(h, p_i), stored sparsely (most points are outliers to most
-instances). Instance similarity is the Tanimoto ratio
+v_i = 1 - loss(h, p_i), one row of the dense (k, n) loss matrix the engine
+already holds. Instance similarity is the Tanimoto ratio
 <a, b> / (|a|^2 + |b|^2 - <a, b>); one minus it is a metric on
-nonnegative vectors, which makes density clustering well behaved.
+nonnegative vectors. Instances whose similarity reaches tau are linked,
+and clusters are the connected components of that graph.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.csgraph import connected_components
 
-from .losses import LossFunction
-from .models import ModelInstance, PointSet, residuals
-
-
-@dataclass(frozen=True)
-class PreferenceVector:
-    """Sparse nonnegative vector over the point set.
-
-    indices are sorted unique point indices with nonzero preference;
-    values are the matching preferences in (0, 1]. length is the full
-    point count.
-    """
-
-    indices: np.ndarray
-    values: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        self.indices.setflags(write=False)
-        self.values.setflags(write=False)
-
-    @property
-    def is_zero(self) -> bool:
-        return len(self.indices) == 0
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros(self.length)
-        out[self.indices] = self.values
-        return out
-
-    def squared_norm(self) -> float:
-        return float(self.values @ self.values)
-
-
-def preference_vector(h: ModelInstance, points: PointSet,
-                      fn: LossFunction) -> PreferenceVector:
-    """Preference vector of h: entry 1 - loss per point, sparse over the
-    points whose residual falls below the loss cutoff."""
-    prefs = 1.0 - fn.losses(residuals(h, points.coords))
-    return preference_vector_from_dense(prefs)
-
-
-def preference_vector_from_dense(prefs: np.ndarray) -> PreferenceVector:
-    idx = np.nonzero(prefs > 0.0)[0]
-    return PreferenceVector(idx.astype(int), prefs[idx].astype(float), len(prefs))
-
-
-def _sparse_dot(a: PreferenceVector, b: PreferenceVector) -> float:
-    if a.is_zero or b.is_zero:
-        return 0.0
-    short, long_ = (a, b) if len(a.indices) <= len(b.indices) else (b, a)
-    pos = np.searchsorted(long_.indices, short.indices)
-    pos = np.minimum(pos, len(long_.indices) - 1)
-    hit = long_.indices[pos] == short.indices
-    return float(short.values[hit] @ long_.values[pos[hit]])
-
-
-def tanimoto(v_a: PreferenceVector, v_b: PreferenceVector) -> float:
-    """Tanimoto similarity in [0, 1]. Undefined when both vectors are zero;
-    that case returns 0.0 (callers can detect it via `is_zero`)."""
-    dot = _sparse_dot(v_a, v_b)
-    denom = v_a.squared_norm() + v_b.squared_norm() - dot
-    if denom <= 0.0:
-        return 0.0
-    return dot / denom
+from .models import ModelInstance
 
 
 @dataclass(frozen=True)
@@ -85,77 +23,38 @@ class InstanceCluster:
     representative: int
 
 
-def _neighbor_matrix(prefs: list[PreferenceVector], tau: float,
-                     semantics: str) -> np.ndarray:
-    n = len(prefs)
-    sim = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            sim[i, j] = sim[j, i] = tanimoto(prefs[i], prefs[j])
-    if semantics == "similarity":
-        return sim >= tau
-    if semantics == "distance":
-        return (1.0 - sim) < tau
-    raise ValueError(f"unknown tau semantics {semantics!r}")
+def tanimoto_matrix(loss_rows: np.ndarray) -> np.ndarray:
+    """Pairwise Tanimoto similarity of the preference vectors 1 - loss_rows.
+    Pairs whose denominator vanishes (both vectors zero) get 0."""
+    prefs = 1.0 - np.asarray(loss_rows, dtype=float)
+    gram = prefs @ prefs.T
+    sq = np.diag(gram)
+    denom = sq[:, None] + sq[None, :] - gram
+    out = np.zeros_like(gram)
+    np.divide(gram, denom, out=out, where=denom > 0.0)
+    return out
 
 
-def cluster_instances(instances: list[ModelInstance],
-                      prefs: list[PreferenceVector],
-                      tau: float,
-                      c_min: int = 1,
-                      semantics: str = "similarity") -> list[InstanceCluster]:
-    """DBSCAN over instances in the consensus space.
-
-    Two instances are neighbors when their Tanimoto similarity reaches tau
-    (or, with distance semantics, when 1 - similarity < tau). With
-    c_min = 1 every instance is a core point, so clusters are exactly the
-    connected components of the neighbor graph and no instance is noise;
-    with larger c_min, non-core leftovers become singleton clusters so the
-    output is always a partition. Representatives are filled with the
-    lowest member index; use select_representatives for quality-based
-    choice.
+def cluster_instances(loss_rows: np.ndarray, tau: float) -> list[InstanceCluster]:
+    """Connected components of the graph linking instances whose Tanimoto
+    similarity reaches tau; every instance belongs to exactly one cluster.
+    Members are sorted, clusters are ordered by their first member, and
+    representatives are filled with the lowest member index; use
+    select_representatives for quality-based choice.
     """
-    if len(instances) != len(prefs):
-        raise ValueError("instances and preference vectors must align")
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
-    if c_min < 1:
-        raise ValueError("c_min must be >= 1")
-    n = len(instances)
-    if n == 0:
+    if len(loss_rows) == 0:
         return []
-    neighbors = _neighbor_matrix(prefs, tau, semantics)
-    core = neighbors.sum(axis=1) >= c_min  # neighbor count includes self
-    cluster_id = np.full(n, -1, dtype=int)
-    next_id = 0
-    for seed in range(n):
-        if cluster_id[seed] != -1 or not core[seed]:
-            continue
-        cluster_id[seed] = next_id
-        frontier = [seed]
-        while frontier:
-            i = frontier.pop(0)
-            if not core[i]:
-                continue
-            for j in np.nonzero(neighbors[i])[0]:
-                if cluster_id[j] == -1:
-                    cluster_id[j] = next_id
-                    if core[j]:
-                        frontier.append(int(j))
-        next_id += 1
-    for i in range(n):  # non-core leftovers become singletons
-        if cluster_id[i] == -1:
-            cluster_id[i] = next_id
-            next_id += 1
+    _, labels = connected_components(tanimoto_matrix(loss_rows) >= tau,
+                                     directed=False)
     groups: dict[int, list[int]] = {}
-    for i, cid in enumerate(cluster_id):
-        groups.setdefault(int(cid), []).append(i)
-    clusters = [
-        InstanceCluster(tuple(sorted(members)), min(members))
-        for members in groups.values()
-    ]
-    clusters.sort(key=lambda c: c.members[0])
-    return clusters
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    # labels are visited in index order, so groups come out sorted by their
+    # first member and each member list is ascending
+    return [InstanceCluster(tuple(members), members[0])
+            for members in groups.values()]
 
 
 def select_representatives(clusters: list[InstanceCluster],

@@ -12,17 +12,13 @@ matrix and a hard minimum-residual assignment.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .consensus import (
-    cluster_instances,
-    preference_vector_from_dense,
-    select_representatives,
-)
+from .consensus import cluster_instances, select_representatives
 from .errors import (
     DegenerateSample,
     DimensionMismatch,
@@ -45,7 +41,7 @@ from .models import (
     sample_cheirality_ok,
     sample_degenerate,
 )
-from .quality import ActiveSet, is_dominant, quality_f_from_losses
+from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
     CCSamplerState,
     NeighborhoodGraph,
@@ -61,13 +57,15 @@ OUTLIER = -1
 
 SAMPLERS = ("uniform", "prosac", "pnapsac", "cc")
 
+# sampler draws allowed per batch slot before an outer iteration gives up
+PROPOSAL_BUDGET_FACTOR = 50
+
 
 @dataclass(frozen=True)
 class EngineConfig:
     loss: LossFunction
     q_min: float = 20.0
     tau: float = 0.2
-    tau_semantics: str = "similarity"
     confidence: float = 0.99
     batch_size: int = 10
     max_irls_iters: int = 25
@@ -78,8 +76,6 @@ class EngineConfig:
     n_steps: int = 5
     seed: int = 0
     max_proposals: int = 10_000
-    k_counts: str = "samples"          # or "iterations"
-    proposal_budget_factor: int = 50   # sampler draws allowed per batch slot
 
     def __post_init__(self):
         if self.q_min <= 0:
@@ -96,8 +92,13 @@ class EngineConfig:
             raise InvalidConfig(f"sampler must be one of {SAMPLERS}")
         if self.max_proposals < 1:
             raise InvalidConfig("max_proposals must be >= 1")
-        if self.k_counts not in ("samples", "iterations"):
-            raise InvalidConfig("k_counts must be 'samples' or 'iterations'")
+        if self.r_max <= 0:
+            raise InvalidConfig("r_max must be positive")
+        if self.sampler == "cc":
+            if not 0 < self.r_min <= self.r_max:
+                raise InvalidConfig("the cc sampler needs 0 < r_min <= r_max")
+            if self.n_steps < 1:
+                raise InvalidConfig("the cc sampler needs n_steps >= 1")
 
 
 def default_config(model_type: ModelType, epsilon: float,
@@ -173,16 +174,15 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
     the input); a degenerate weighted system returns the input unchanged
     with the `degenerate` flag raised in the info dict.
     """
-    def loss_sum(inst: ModelInstance) -> float:
-        return float(np.sum(fn.losses(residuals(inst, points.coords))))
-
+    r = residuals(h, points.coords)
+    total = float(np.sum(fn.losses(r)))
     info = {"iterations": 0, "degenerate": False, "converged": False,
-            "loss_trace": [loss_sum(h)]}
+            "loss_trace": [total]}
     n = len(points)
-    best, best_q = h, n - info["loss_trace"][0]
+    best, best_q = h, n - total
     current = h
     for it in range(cfg.max_irls_iters):
-        w = fn.weights(residuals(current, points.coords)) * points.weights
+        w = fn.weights(r) * points.weights
         if np.count_nonzero(w > 0) < MINIMAL_SAMPLE_SIZE[h.model_type]:
             info["degenerate"] = True
             break
@@ -194,7 +194,8 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
         info["iterations"] = it + 1
         delta = _relative_change(current.params, refined.params)
         current = refined
-        total = loss_sum(current)
+        r = residuals(current, points.coords)
+        total = float(np.sum(fn.losses(r)))
         info["loss_trace"].append(total)
         if n - total > best_q:
             best, best_q = current, n - total
@@ -202,11 +203,6 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
             info["converged"] = True
             break
     return (best, info) if return_info else best
-
-
-def _termination_k(config: EngineConfig, draws: int, outer: int) -> int:
-    k = draws if config.k_counts == "samples" else outer
-    return max(k, 1)
 
 
 def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
@@ -308,10 +304,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     fn = config.loss
     eps = fn.epsilon
     cutoff = fn.cutoff
-    active = ActiveSet(n, fn)
     instances: list[ModelInstance] = []
     residual_rows = np.zeros((0, n))
     loss_rows = np.zeros((0, n))
+    min_loss = np.ones(n)   # per point, over the kept instances
     proposals_tried = 0
     outer = 0
     united = 0
@@ -319,7 +315,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     while True:
         outer += 1
         batch: list[ModelInstance] = []
-        budget = config.proposal_budget_factor * config.batch_size
+        budget = PROPOSAL_BUDGET_FACTOR * config.batch_size
         attempts = 0
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
@@ -332,8 +328,8 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                     cc_spent = True
                     break
             if not batch and proposer.draws > 0 and should_terminate(
-                    n, united, _termination_k(config, proposer.draws, outer),
-                    m, config.confidence, config.q_min):
+                    n, united, proposer.draws, m, config.confidence,
+                    config.q_min):
                 break  # nothing new this batch and the criterion already holds
             sample = proposer.draw()
             attempts += 1
@@ -342,24 +338,21 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 r = residuals(h, points.coords)
                 # sound upper bound on the quality: skip the loss evaluation
                 # for candidates that cannot reach q_min
-                bound = float(np.minimum(r < cutoff, active.min_loss).sum())
+                bound = float(np.minimum(r < cutoff, min_loss).sum())
                 if bound < config.q_min:
                     continue
-                q = quality_f_from_losses(fn.losses(r), active.min_loss)
+                q = quality_f_from_losses(fn.losses(r), min_loss)
                 if is_dominant(q, config.q_min) and not proposer.model_degenerate(h, sample):
                     batch.append(h)
 
         if batch:
-            instances = _consolidate(instances + batch, points, config)
             instances, residual_rows, loss_rows = _prune_by_quality(
-                instances, points, config)
-            active.rebuild(instances, points)
+                *_consolidate(instances + batch, points, config), config)
+            min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
 
-        united = 0
-        if len(instances):
-            united = int(np.sum(np.any(residual_rows < eps, axis=0)))
-        k = _termination_k(config, proposer.draws, outer)
-        done = should_terminate(n, united, k, m, config.confidence, config.q_min)
+        united = int(np.sum(np.any(residual_rows < eps, axis=0)))
+        done = should_terminate(n, united, proposer.draws, m,
+                                config.confidence, config.q_min)
         if cc_spent and instances:
             done = True
         if proposer.draws >= config.max_proposals:
@@ -367,15 +360,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         if done:
             break
 
-    assignment = np.full(n, OUTLIER, dtype=int)
-    if len(instances):
-        min_idx = np.argmin(residual_rows, axis=0)
-        min_val = residual_rows[min_idx, np.arange(n)]
-        assignment = np.where(min_val < eps, min_idx, OUTLIER)
     fallback = cc_state.fallback_count if cc_state is not None else 0
     return FitReport(
         instances=instances,
-        min_residual_assignment=assignment,
+        min_residual_assignment=min_residual_assignment(residual_rows, eps),
         loss_matrix=loss_rows,
         iterations=outer,
         proposals_tried=proposals_tried,
@@ -385,62 +373,55 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
 
 def _consolidate(instances: list[ModelInstance], points: PointSet,
-                 cfg: EngineConfig, max_passes: int = 50) -> list[ModelInstance]:
+                 cfg: EngineConfig, max_passes: int = 50):
     """Alternate consensus clustering and IRLS until the clustering returns
-    only singletons. The instance count never increases between passes."""
+    only singletons. The instance count never increases between passes.
+    Each pass scores its instances once; returns the final instances with
+    their (k, n) residual and loss rows."""
     fn = cfg.loss
-    current = list(instances)
-    refined_once = False
-    for _ in range(max_passes):
-        if not current:
-            return []
-        loss_rows = np.vstack([fn.losses(residuals(h, points.coords))
-                               for h in current])
-        prefs = [preference_vector_from_dense(1.0 - row) for row in loss_rows]
-        clusters = cluster_instances(current, prefs, cfg.tau, 1,
-                                     cfg.tau_semantics)
-        if refined_once and all(len(c.members) == 1 for c in clusters):
-            return current
-        qualities = _leave_cluster_out_qualities(loss_rows, clusters)
+
+    def score(hs):
+        rows = np.vstack([residuals(h, points.coords) for h in hs])
+        return rows, fn.losses(rows)
+
+    current = instances
+    residual_rows, loss_rows = score(current)
+    for n_pass in range(max_passes):
+        clusters = cluster_instances(loss_rows, cfg.tau)
+        if n_pass > 0 and len(clusters) == len(current):
+            break
+        groups = np.empty(len(current), dtype=int)
+        for g, cluster in enumerate(clusters):
+            groups[list(cluster.members)] = g
+        outside = min_loss_outside_groups(loss_rows, groups)
+        qualities = [quality_f_from_losses(row, cache)
+                     for row, cache in zip(loss_rows, outside)]
         reps = select_representatives(clusters, current, qualities)
         current = [refine_irls(h, points, fn, cfg) for h in reps]
-        refined_once = True
-    return current
+        residual_rows, loss_rows = score(current)
+    return current, residual_rows, loss_rows
 
 
-def _leave_cluster_out_qualities(loss_rows: np.ndarray, clusters) -> np.ndarray:
-    """Per-instance quality against the kept instances outside its own
-    cluster, so that near-duplicates do not suppress each other."""
-    n_inst, n_pts = loss_rows.shape
-    qualities = np.zeros(n_inst)
-    for cluster in clusters:
-        members = list(cluster.members)
-        outside = [i for i in range(n_inst) if i not in cluster.members]
-        cache = (np.min(loss_rows[outside], axis=0) if outside
-                 else np.ones(n_pts))
-        for i in members:
-            qualities[i] = quality_f_from_losses(loss_rows[i], cache)
-    return qualities
-
-
-def _prune_by_quality(instances: list[ModelInstance], points: PointSet,
-                      cfg: EngineConfig):
+def _prune_by_quality(instances: list[ModelInstance], residual_rows: np.ndarray,
+                      loss_rows: np.ndarray, cfg: EngineConfig):
     """Drop instances whose quality against all the others falls below
     q_min; evaluated simultaneously over the final set."""
-    fn = cfg.loss
-    if not instances:
-        return [], np.zeros((0, len(points))), np.zeros((0, len(points)))
-    residual_rows = np.vstack([residuals(h, points.coords) for h in instances])
-    loss_rows = np.vstack([fn.losses(row) for row in residual_rows])
-    keep = []
-    for i in range(len(instances)):
-        others = [j for j in range(len(instances)) if j != i]
-        cache = (np.min(loss_rows[others], axis=0) if others
-                 else np.ones(len(points)))
-        if is_dominant(quality_f_from_losses(loss_rows[i], cache), cfg.q_min):
-            keep.append(i)
-    kept = [instances[i] for i in keep]
-    return kept, residual_rows[keep], loss_rows[keep]
+    outside = min_loss_outside_groups(loss_rows, np.arange(len(instances)))
+    keep = [i for i in range(len(instances))
+            if is_dominant(quality_f_from_losses(loss_rows[i], outside[i]),
+                           cfg.q_min)]
+    return [instances[i] for i in keep], residual_rows[keep], loss_rows[keep]
+
+
+def min_residual_assignment(residual_rows: np.ndarray,
+                            epsilon: float) -> np.ndarray:
+    """Per point: the index of the instance with the smallest residual, or
+    OUTLIER when that residual is not below epsilon (or there is none)."""
+    k, n = residual_rows.shape
+    if k == 0:
+        return np.full(n, OUTLIER, dtype=int)
+    idx = np.argmin(residual_rows, axis=0)
+    return np.where(residual_rows[idx, np.arange(n)] < epsilon, idx, OUTLIER)
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +440,22 @@ def misclassification_error(report: FitReport, ground_truth_labels) -> float:
     n = len(labels)
     if n == 0:
         return 0.0
-    gt_ids = sorted(set(labels[labels != 0].tolist()))
-    inst_ids = sorted(set(pred[pred != OUTLIER].tolist()))
     correct = int(np.sum((pred == OUTLIER) & (labels == 0)))
-    if gt_ids and inst_ids:
-        table = np.zeros((len(inst_ids), len(gt_ids)))
-        for a, inst in enumerate(inst_ids):
-            for b, gt in enumerate(gt_ids):
-                table[a, b] = np.sum((pred == inst) & (labels == gt))
+    _, _, table = contingency_table(pred, labels)
+    if table.size:
         rows, cols = linear_sum_assignment(-table)
         correct += int(table[rows, cols].sum())
     return 1.0 - correct / n
+
+
+def contingency_table(assignment: np.ndarray, labels: np.ndarray):
+    """Point counts per (instance, ground-truth label) pair over the
+    instances that own points and the nonzero labels. Returns the sorted
+    instance ids, the sorted label ids and the (instances, labels) table."""
+    inst_ids = np.unique(assignment[assignment != OUTLIER])
+    gt_ids = np.unique(labels[labels != 0])
+    both = (assignment != OUTLIER) & (labels != 0)
+    table = np.zeros((len(inst_ids), len(gt_ids)))
+    np.add.at(table, (np.searchsorted(inst_ids, assignment[both]),
+                      np.searchsorted(gt_ids, labels[both])), 1.0)
+    return inst_ids, gt_ids, table

@@ -223,12 +223,3 @@ def default_dof(model_type) -> int:
         ModelType.FUNDAMENTAL: 1,
     }[model_type]
 
-
-def loss(fn: LossFunction, r):
-    """Functional form of LossFunction.loss."""
-    return fn.loss(r)
-
-
-def weight(fn: LossFunction, r):
-    """Functional form of LossFunction.weight."""
-    return fn.weight(r)

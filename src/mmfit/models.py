@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,23 +68,6 @@ PARAM_LEN = {
 }
 
 
-@dataclass(frozen=True)
-class DataPoint:
-    """One observation: a 2D/3D point or a 4D correspondence (u1, v1, u2, v2)."""
-
-    coords: np.ndarray
-    weight: float = 1.0
-    quality_rank: Optional[int] = None
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("point coordinates must be finite")
-        if self.weight < 0:
-            raise ValueError("point weight must be nonnegative")
-        object.__setattr__(self, "coords", coords)
-
-
 class PointSet:
     """Immutable collection of points with optional ranking and labels.
 
@@ -121,25 +103,12 @@ class PointSet:
         self.quality_rank = quality_rank
         self.labels = labels
 
-    @classmethod
-    def from_points(cls, points: Sequence[DataPoint]) -> "PointSet":
-        coords = np.array([p.coords for p in points], dtype=float)
-        weights = np.array([p.weight for p in points], dtype=float)
-        ranks = None
-        if points and all(p.quality_rank is not None for p in points):
-            ranks = np.array([p.quality_rank for p in points], dtype=int)
-        return cls(coords, weights, ranks)
-
     def __len__(self) -> int:
         return self.coords.shape[0]
 
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
-
-    def point(self, i: int) -> DataPoint:
-        rank = None if self.quality_rank is None else int(self.quality_rank[i])
-        return DataPoint(self.coords[i], float(self.weights[i]), rank)
 
     def subset(self, indices) -> "PointSet":
         idx = np.asarray(indices)
@@ -207,9 +176,7 @@ def make_instance(model_type: ModelType, params) -> ModelInstance:
 def _as_coords(sample) -> np.ndarray:
     if isinstance(sample, PointSet):
         return sample.coords
-    if isinstance(sample, np.ndarray):
-        return np.atleast_2d(sample.astype(float, copy=False))
-    return np.atleast_2d(np.array([np.asarray(getattr(p, "coords", p), dtype=float) for p in sample]))
+    return np.atleast_2d(np.asarray(sample, dtype=float))
 
 
 def _check_dim(model_type: ModelType, coords: np.ndarray):
@@ -494,7 +461,7 @@ def residuals(instance: ModelInstance, coords) -> np.ndarray:
 
 def residual(instance: ModelInstance, point) -> float:
     """Residual of a single point; see `residuals`."""
-    coords = np.asarray(getattr(point, "coords", point), dtype=float).reshape(1, -1)
+    coords = np.asarray(point, dtype=float).reshape(1, -1)
     return float(residuals(instance, coords)[0])
 
 

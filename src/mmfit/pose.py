@@ -15,9 +15,7 @@ import numpy as np
 
 from .engine import EngineConfig, fit
 from .errors import DegenerateHomography, NoValidPose, RankDeficient
-from .models import ModelInstance, ModelType, PointSet, fit_nonminimal
-
-_ROT_TOL = 1e-9
+from .models import ModelType, PointSet, fit_nonminimal
 
 
 @dataclass(frozen=True)

@@ -1,80 +1,42 @@
 """Compound model quality against the set of already-kept instances.
 
 A candidate is scored only by the support it does not share with kept
-instances. Two variants: hard inlier counting (quality_rsc) and the
-soft, loss-based score (quality_f) that the engine actually uses.
+instances: quality_f = n - sum_p max(f(h, p), 1 - min_kept f(kept, p)),
+where f is the robust loss. Under the 0/1 loss this is the count of
+inliers of h that no kept instance explains.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
-
-from .losses import LossFunction
-from .models import ModelInstance, PointSet, residuals
-
-
-class ActiveSet:
-    """Kept dominant instances plus per-point minimum loss / residual caches.
-
-    The caches hold, for every point, the minimum over all kept instances
-    of the loss (1 when the set is empty) and of the residual (+inf when
-    empty). Mutation is single-writer; reads are safe from any thread.
-    """
-
-    def __init__(self, n_points: int, fn: LossFunction):
-        self.fn = fn
-        self.instances: list[ModelInstance] = []
-        self.min_loss = np.ones(n_points)
-        self.min_residual = np.full(n_points, np.inf)
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def insert(self, instance: ModelInstance, points: PointSet) -> None:
-        r = residuals(instance, points.coords)
-        self.instances.append(instance)
-        self.min_loss = np.minimum(self.min_loss, self.fn.losses(r))
-        self.min_residual = np.minimum(self.min_residual, r)
-
-    def rebuild(self, instances: list[ModelInstance], points: PointSet) -> None:
-        """Recompute both caches from scratch for the given instances."""
-        self.instances = list(instances)
-        n = len(points)
-        self.min_loss = np.ones(n)
-        self.min_residual = np.full(n, np.inf)
-        for inst in self.instances:
-            r = residuals(inst, points.coords)
-            self.min_loss = np.minimum(self.min_loss, self.fn.losses(r))
-            self.min_residual = np.minimum(self.min_residual, r)
-
-    def remove(self, index: int, points: PointSet) -> None:
-        kept = [h for i, h in enumerate(self.instances) if i != index]
-        self.rebuild(kept, points)
-
-
-def quality_rsc(h: ModelInstance, points: PointSet, active: ActiveSet,
-                epsilon: float) -> int:
-    """Count of points within epsilon of h but not of any kept instance."""
-    r = residuals(h, points.coords)
-    return int(np.sum((r < epsilon) & (active.min_residual >= epsilon)))
-
-
-def quality_f(h: ModelInstance, points: PointSet, active: ActiveSet,
-              fn: LossFunction) -> float:
-    """Soft quality: n - sum_p max(f(h, p), 1 - f(kept, p)).
-
-    Equals quality_rsc exactly when fn is the 0/1 loss. Shared support is
-    cancelled smoothly through the active set's minimum-loss cache.
-    """
-    losses_h = fn.losses(residuals(h, points.coords))
-    return float(len(points) - np.sum(np.maximum(losses_h, 1.0 - active.min_loss)))
 
 
 def quality_f_from_losses(losses_h: np.ndarray,
                           min_loss_cache: np.ndarray) -> float:
-    """quality_f when the per-point losses are already available."""
+    """Soft quality of the instance with per-point losses losses_h against
+    the per-point minimum loss over the kept instances (1 where none)."""
     return float(len(losses_h) - np.sum(np.maximum(losses_h, 1.0 - min_loss_cache)))
+
+
+def min_loss_outside_groups(loss_rows: np.ndarray,
+                            groups: np.ndarray) -> np.ndarray:
+    """Per row and point: the minimum loss over the rows outside the row's
+    own group, 1 where no row lies outside it.
+
+    groups labels each of the k >= 1 rows with an integer in [0, n_groups),
+    every label used. Uses per-group minima and, per point, the smallest
+    and second-smallest of them: O(kn) instead of the O(k^2 n) direct loop.
+    With one group per row this is the leave-one-out minimum.
+    """
+    groups = np.asarray(groups)
+    cols = np.arange(loss_rows.shape[1])
+    per_group = np.vstack([loss_rows[groups == g].min(axis=0)
+                           for g in range(groups.max() + 1)])
+    first = np.argmin(per_group, axis=0)
+    lowest = per_group[first, cols]
+    per_group[first, cols] = np.inf
+    # losses never exceed 1, so the clamp only acts where one group is alone
+    second = np.minimum(per_group.min(axis=0), 1.0)
+    return np.where(first[None, :] == groups[:, None], second, lowest)
 
 
 def is_dominant(q: float, q_min: float) -> bool:

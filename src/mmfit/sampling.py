@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
 from .errors import ExhaustedData
@@ -86,36 +87,20 @@ def build_neighborhood(points: PointSet, r_max: float,
     return NeighborhoodGraph(points, r_max, build_edges)
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def connected_components(graph: NeighborhoodGraph, r: float) -> list[list[int]]:
     """Components of the subgraph with edges d <= r. Singletons are
     excluded; components are sorted by size descending, ties by smallest
     member; members are sorted ascending."""
-    uf = _UnionFind(graph.n_points)
     keep = graph.distances <= r
-    for i, j in zip(graph.edges_i[keep], graph.edges_j[keep]):
-        uf.union(int(i), int(j))
+    n = graph.n_points
+    adjacency = coo_matrix((np.ones(int(keep.sum())),
+                            (graph.edges_i[keep], graph.edges_j[keep])),
+                           shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
     groups: dict[int, list[int]] = {}
-    for i in range(graph.n_points):
-        groups.setdefault(uf.find(i), []).append(i)
-    comps = [sorted(g) for g in groups.values() if len(g) >= 2]
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    comps = [g for g in groups.values() if len(g) >= 2]
     comps.sort(key=lambda c: (-len(c), c[0]))
     return comps
 

@@ -5,42 +5,60 @@ from hypothesis import strategies as st
 
 from mmfit.consensus import (
     InstanceCluster,
-    PreferenceVector,
     cluster_instances,
-    preference_vector,
-    preference_vector_from_dense,
     select_representatives,
-    tanimoto,
+    tanimoto_matrix,
 )
 from mmfit.losses import LossFunction, LossKind
-from mmfit.models import ModelType, PointSet, fit_minimal, make_instance
+from mmfit.models import PointSet, residuals
 
 from conftest import line_instance
 
 
-def _pv(dense):
-    return preference_vector_from_dense(np.asarray(dense, dtype=float))
+def _loss_rows(prefs):
+    """Loss rows whose preference vectors 1 - loss are the given rows."""
+    return 1.0 - np.atleast_2d(np.asarray(prefs, dtype=float))
+
+
+def _loss_rows_of(instances, points, fn):
+    return np.vstack([fn.losses(residuals(h, points.coords)) for h in instances])
+
+
+def _tanimoto_oracle(a, b):
+    dot = float(a @ b)
+    denom = float(a @ a + b @ b - dot)
+    return dot / denom if denom > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
-# preference vectors
+# preference vectors as seen by the similarity
 
 def test_no_inliers_empty_vector(rng):
+    # a line far from every point has a zero preference vector: it is
+    # similar to nothing, itself included, and stays a singleton
     points = PointSet(rng.uniform(0, 100, size=(20, 2)) + 1000.0)
     fn = LossFunction(LossKind.MSAC, 2.0)
-    h = line_instance(0.0, 1.0, 0.0)
-    v = preference_vector(h, points, fn)
-    assert v.is_zero and v.length == 20
+    rows = _loss_rows_of([line_instance(0.0, 1.0, 0.0),
+                          line_instance(0.0, 1.0, -1050.0)], points, fn)
+    assert np.all(rows[0] == 1.0)
+    sim = tanimoto_matrix(rows)
+    assert sim[0, 0] == 0.0 and sim[0, 1] == 0.0 and sim[1, 0] == 0.0
+    assert [c.members for c in cluster_instances(rows, 0.01)] == [(0,), (1,)]
 
 
 def test_hard_loss_gives_binary_indicator(rng):
+    # under the 0/1 loss preferences are inlier indicators, so the
+    # similarity is the Jaccard index of the inlier sets
     points = PointSet(rng.uniform(0, 100, size=(50, 2)))
     fn = LossFunction(LossKind.HARD01, 10.0)
-    h = line_instance(0.0, 1.0, -50.0)
-    v = preference_vector(h, points, fn)
-    inliers = np.nonzero(np.abs(points.coords[:, 1] - 50.0) < 10.0)[0]
-    assert np.array_equal(v.indices, inliers)
-    assert np.all(v.values == 1.0)
+    lines = [line_instance(0.0, 1.0, -50.0), line_instance(0.0, 1.0, -58.0)]
+    rows = _loss_rows_of(lines, points, fn)
+    inliers = [set(np.nonzero(np.abs(points.coords[:, 1] - y) < 10.0)[0])
+               for y in (50.0, 58.0)]
+    assert set(np.nonzero(rows[0] == 0.0)[0]) == inliers[0]
+    assert set(np.unique(rows)) <= {0.0, 1.0}
+    jaccard = len(inliers[0] & inliers[1]) / len(inliers[0] | inliers[1])
+    assert tanimoto_matrix(rows)[0, 1] == pytest.approx(jaccard, abs=1e-12)
 
 
 def test_msac_entries_hand_scene():
@@ -48,26 +66,25 @@ def test_msac_entries_hand_scene():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, -2.0], [3.0, 3.0], [4.0, 5.0]])
     points = PointSet(coords)
     fn = LossFunction(LossKind.MSAC, 4.0)
-    v = preference_vector(line_instance(0.0, 1.0, 0.0), points, fn)
-    assert v.indices.tolist() == [0, 1, 2, 3]
-    assert np.allclose(v.values, [1.0, 1.0 - 1.0 / 16, 1.0 - 4.0 / 16,
-                                  1.0 - 9.0 / 16])
+    rows = _loss_rows_of([line_instance(0.0, 1.0, 0.0)], points, fn)
+    assert np.allclose(1.0 - rows[0], [1.0, 1.0 - 1.0 / 16, 1.0 - 4.0 / 16,
+                                       1.0 - 9.0 / 16, 0.0])
+    assert tanimoto_matrix(rows)[0, 0] == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
 # tanimoto
 
 def test_tanimoto_self_similarity(rng):
-    v = _pv(np.abs(rng.normal(size=30)) * (rng.random(30) < 0.4))
-    if v.is_zero:
-        pytest.skip("all-zero draw")
-    assert tanimoto(v, v) == pytest.approx(1.0)
+    prefs = np.abs(rng.normal(size=(5, 30))) * (rng.random((5, 30)) < 0.4)
+    prefs[:, 0] = 0.5        # no all-zero row
+    assert np.allclose(np.diag(tanimoto_matrix(_loss_rows(prefs))), 1.0)
 
 
 def test_tanimoto_disjoint_supports():
-    a = _pv([1.0, 0.5, 0.0, 0.0, 0.0])
-    b = _pv([0.0, 0.0, 0.3, 0.9, 0.0])
-    assert tanimoto(a, b) == 0.0
+    sim = tanimoto_matrix(_loss_rows([[1.0, 0.5, 0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 0.3, 0.9, 0.0]]))
+    assert sim[0, 1] == 0.0 and sim[1, 0] == 0.0
 
 
 def test_tanimoto_binary_half_overlap_is_one_third():
@@ -76,71 +93,60 @@ def test_tanimoto_binary_half_overlap_is_one_third():
     b = np.zeros(4 * k)
     a[:2 * k] = 1.0          # support 2k
     b[k:3 * k] = 1.0         # support 2k, shares k entries with a
-    assert tanimoto(_pv(a), _pv(b)) == pytest.approx(1.0 / 3.0)
+    assert tanimoto_matrix(_loss_rows([a, b]))[0, 1] == pytest.approx(1.0 / 3.0)
 
 
 def test_tanimoto_both_zero_flagged_as_zero():
-    a = _pv(np.zeros(5))
-    b = _pv(np.zeros(5))
-    assert a.is_zero and b.is_zero
-    assert tanimoto(a, b) == 0.0
+    sim = tanimoto_matrix(_loss_rows(np.zeros((2, 5))))
+    assert np.all(sim == 0.0)
 
 
 def test_tanimoto_matches_dense_oracle(rng):
-    for _ in range(200):
-        da = np.abs(rng.normal(size=40)) * (rng.random(40) < 0.3)
-        db = np.abs(rng.normal(size=40)) * (rng.random(40) < 0.3)
-        if not da.any() and not db.any():
-            continue
-        dot = float(da @ db)
-        denom = float(da @ da + db @ db - dot)
-        expected = dot / denom if denom > 0 else 0.0
-        assert tanimoto(_pv(da), _pv(db)) == pytest.approx(expected, abs=1e-12)
+    for _ in range(50):
+        k = int(rng.integers(1, 7))
+        prefs = rng.random((k, 40)) * (rng.random((k, 40)) < 0.3)
+        sim = tanimoto_matrix(_loss_rows(prefs))
+        for i in range(k):
+            for j in range(k):
+                assert sim[i, j] == pytest.approx(
+                    _tanimoto_oracle(prefs[i], prefs[j]), abs=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_tanimoto_metric_properties(seed):
     rng = np.random.default_rng(seed)
-    dense = [np.abs(rng.normal(size=25)) * (rng.random(25) < 0.5)
-             for _ in range(3)]
-    vs = [_pv(d) for d in dense]
-    if any(v.is_zero for v in vs):
+    prefs = rng.random((3, 25)) * (rng.random((3, 25)) < 0.5)
+    if not np.all(prefs.any(axis=1)):
         return
-    sims = {}
-    for i in range(3):
-        for j in range(3):
-            sims[i, j] = tanimoto(vs[i], vs[j])
-    for i in range(3):
-        assert sims[i, i] == pytest.approx(1.0)
-        for j in range(3):
-            assert 0.0 <= sims[i, j] <= 1.0
-            assert sims[i, j] == pytest.approx(sims[j, i], abs=1e-12)
-    d = {k: 1.0 - v for k, v in sims.items()}
+    sims = tanimoto_matrix(_loss_rows(prefs))
+    assert np.allclose(np.diag(sims), 1.0)
+    assert np.all((sims >= 0.0) & (sims <= 1.0 + 1e-12))
+    assert np.allclose(sims, sims.T, atol=1e-12)
+    d = 1.0 - sims
     assert d[0, 1] <= d[0, 2] + d[2, 1] + 1e-12
 
 
 # ---------------------------------------------------------------------------
 # clustering
 
-def _instances_and_prefs(dense_rows):
-    instances = [line_instance(0.0, 1.0, -float(i)) for i in range(len(dense_rows))]
-    prefs = [_pv(row) for row in dense_rows]
-    return instances, prefs
-
-
 def test_all_dissimilar_yield_singletons():
-    rows = np.eye(4)
-    instances, prefs = _instances_and_prefs(rows)
-    clusters = cluster_instances(instances, prefs, 0.2)
+    clusters = cluster_instances(_loss_rows(np.eye(4)), 0.2)
     assert [c.members for c in clusters] == [(0,), (1,), (2,), (3,)]
+    assert [c.representative for c in clusters] == [0, 1, 2, 3]
 
 
 def test_identical_instances_merge():
-    rows = [np.array([1.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])]
-    instances, prefs = _instances_and_prefs(rows)
-    clusters = cluster_instances(instances, prefs, 0.2)
+    clusters = cluster_instances(_loss_rows([[1.0, 1.0, 0.0],
+                                             [1.0, 1.0, 0.0]]), 0.2)
     assert len(clusters) == 1 and clusters[0].members == (0, 1)
+
+
+def test_empty_input_and_tau_range():
+    assert cluster_instances(np.zeros((0, 5)), 0.2) == []
+    for tau in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            cluster_instances(_loss_rows(np.eye(2)), tau)
 
 
 def _transitive_closure_oracle(prefs, tau):
@@ -148,7 +154,7 @@ def _transitive_closure_oracle(prefs, tau):
     adj = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(n):
-            adj[i, j] = tanimoto(prefs[i], prefs[j]) >= tau
+            adj[i, j] = i == j or _tanimoto_oracle(prefs[i], prefs[j]) >= tau
     reach = adj.copy()
     for k in range(n):
         reach |= reach[:, k][:, None] & reach[k][None, :]
@@ -176,49 +182,34 @@ def test_three_group_clustering_matches_ground_truth(rng):
             noisy[flip] = 1.0 - noisy[flip]
             rows.append(np.clip(noisy, 0, 1))
             truth.append(g)
-    instances, prefs = _instances_and_prefs(rows)
-    clusters = cluster_instances(instances, prefs, 0.2)
+    clusters = cluster_instances(_loss_rows(rows), 0.2)
     got = sorted(c.members for c in clusters)
     expected = sorted(
         tuple(i for i, t in enumerate(truth) if t == g) for g in range(3))
     assert got == expected
-    assert got == _transitive_closure_oracle(prefs, 0.2)
+    assert got == _transitive_closure_oracle(rows, 0.2)
 
 
 def test_clustering_equals_transitive_closure_randomized(rng):
     for _ in range(25):
         rows = [np.abs(rng.normal(size=30)) * (rng.random(30) < 0.4)
                 for _ in range(int(rng.integers(2, 9)))]
-        rows = [r if r.any() else np.eye(30)[0] for r in rows]
-        instances, prefs = _instances_and_prefs(rows)
-        clusters = cluster_instances(instances, prefs, 0.25)
-        assert sorted(c.members for c in clusters) == \
-            _transitive_closure_oracle(prefs, 0.25)
+        rows = [np.clip(r, 0.0, 1.0) for r in rows]
+        clusters = cluster_instances(_loss_rows(rows), 0.25)
+        assert [c.members for c in clusters] == \
+            _transitive_closure_oracle(rows, 0.25)
+        assert all(c.representative == c.members[0] for c in clusters)
 
 
 def test_partition_invariant_to_permutation(rng):
-    rows = [np.abs(rng.normal(size=20)) * (rng.random(20) < 0.5)
-            for _ in range(6)]
-    rows = [r if r.any() else np.eye(20)[1] for r in rows]
-    instances, prefs = _instances_and_prefs(rows)
-    base = {frozenset(c.members) for c in cluster_instances(instances, prefs, 0.3)}
+    rows = np.abs(rng.normal(size=(6, 20))) * (rng.random((6, 20)) < 0.5)
+    rows = np.clip(rows, 0.0, 1.0)
+    base = {frozenset(c.members) for c in cluster_instances(_loss_rows(rows), 0.3)}
     perm = rng.permutation(6)
-    permuted = cluster_instances([instances[i] for i in perm],
-                                 [prefs[i] for i in perm], 0.3)
+    permuted = cluster_instances(_loss_rows(rows[perm]), 0.3)
     # position k in the permuted input is original index perm[k]
     back = {frozenset(int(perm[m]) for m in c.members) for c in permuted}
     assert back == base
-
-
-def test_distance_semantics_option():
-    rows = [np.array([1.0, 1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0])]
-    instances, prefs = _instances_and_prefs(rows)
-    sim = tanimoto(prefs[0], prefs[1])  # 0.5
-    merged = cluster_instances(instances, prefs, 0.6, semantics="distance")
-    assert len(merged) == 1          # distance 0.5 < 0.6
-    split = cluster_instances(instances, prefs, 0.4, semantics="distance")
-    assert len(split) == 2           # distance 0.5 >= 0.4
-    assert sim == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

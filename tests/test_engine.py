@@ -3,14 +3,16 @@ import json
 import numpy as np
 import pytest
 
-from mmfit.consensus import preference_vector, tanimoto
+from mmfit.consensus import tanimoto_matrix
 from mmfit.engine import (
     OUTLIER,
     EngineConfig,
     FitReport,
     _consolidate,
+    contingency_table,
     default_config,
     fit,
+    min_residual_assignment,
     misclassification_error,
     refine_irls,
     should_terminate,
@@ -226,10 +228,9 @@ def test_fit_final_instances_pairwise_dissimilar():
     cfg = default_config(ModelType.LINE2D, 3.0, seed=9)
     report = fit(points, ModelType.LINE2D, cfg)
     assert len(report.instances) >= 2
-    prefs = [preference_vector(h, points, cfg.loss) for h in report.instances]
-    for i in range(len(prefs)):
-        for j in range(i + 1, len(prefs)):
-            assert tanimoto(prefs[i], prefs[j]) < cfg.tau
+    sim = tanimoto_matrix(report.loss_matrix)
+    off_diagonal = ~np.eye(len(report.instances), dtype=bool)
+    assert np.all(sim[off_diagonal] < cfg.tau)
 
 
 def test_fit_soft_assignment_on_crossing_lines():
@@ -287,8 +288,12 @@ def test_consolidate_merges_duplicates_monotonically(rng):
             jitter = rng.normal(0, 1e-3, size=3)
             proposals.append(make_instance(ModelType.LINE2D,
                                            g.params + jitter))
-    out = _consolidate(proposals, points, cfg)
+    out, residual_rows, loss_rows = _consolidate(proposals, points, cfg)
     assert len(out) == 2
+    # the rows returned are the scores of the returned instances
+    for h, r_row, l_row in zip(out, residual_rows, loss_rows):
+        assert np.array_equal(r_row, residuals(h, points.coords))
+        assert np.array_equal(l_row, cfg.loss.losses(r_row))
 
 
 def test_engine_config_validation():
@@ -299,5 +304,33 @@ def test_engine_config_validation():
         EngineConfig(loss=fn, tau=1.5)
     with pytest.raises(InvalidConfig):
         EngineConfig(loss=fn, sampler="magic")
-    with pytest.raises(InvalidConfig):
-        EngineConfig(loss=fn, k_counts="minutes")
+    for bad in ({"r_max": 0.0}, {"r_max": -1.0, "sampler": "uniform"},
+                {"sampler": "cc", "r_min": 0.0},
+                {"sampler": "cc", "r_min": 300.0, "r_max": 200.0},
+                {"sampler": "cc", "n_steps": 0}):
+        with pytest.raises(InvalidConfig):
+            EngineConfig(loss=fn, **bad)
+    # P-NAPSAC ignores r_min and n_steps
+    EngineConfig(loss=fn, sampler="pnapsac", r_min=0.0, n_steps=0)
+    with pytest.raises(TypeError):
+        default_config(ModelType.LINE2D, 3.0, proposal_budget_factor=0)
+
+
+def test_min_residual_assignment():
+    rows = np.array([[0.5, 4.0, 9.0, 1.0],
+                     [2.0, 1.0, 8.0, 1.0]])
+    assert min_residual_assignment(rows, 3.0).tolist() == [0, 1, OUTLIER, 0]
+    assert min_residual_assignment(np.zeros((0, 3)), 3.0).tolist() == \
+        [OUTLIER] * 3
+
+
+def test_contingency_table_matches_loop(rng):
+    for _ in range(20):
+        labels = rng.integers(0, 4, size=40)
+        pred = rng.integers(-1, 5, size=40)
+        inst_ids, gt_ids, table = contingency_table(pred, labels)
+        assert inst_ids.tolist() == sorted(set(pred.tolist()) - {OUTLIER})
+        assert gt_ids.tolist() == sorted(set(labels.tolist()) - {0})
+        for a, inst in enumerate(inst_ids):
+            for b, gt in enumerate(gt_ids):
+                assert table[a, b] == np.sum((pred == inst) & (labels == gt))
