@@ -172,12 +172,15 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
     relative parameter change drops below cfg.irls_tol or the iteration
     cap. Returns the iterate with the best soft support (never worse than
     the input); a degenerate weighted system returns the input unchanged
-    with the `degenerate` flag raised in the info dict.
+    with the `degenerate` flag raised in the info dict. The info dict also
+    carries the residual and loss rows of the returned iterate
+    (`residuals`, `losses`).
     """
     r = residuals(h, points.coords)
-    total = float(np.sum(fn.losses(r)))
+    loss = fn.losses(r)
+    total = float(np.sum(loss))
     info = {"iterations": 0, "degenerate": False, "converged": False,
-            "loss_trace": [total]}
+            "loss_trace": [total], "residuals": r, "losses": loss}
     n = len(points)
     best, best_q = h, n - total
     current = h
@@ -195,10 +198,12 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
         delta = _relative_change(current.params, refined.params)
         current = refined
         r = residuals(current, points.coords)
-        total = float(np.sum(fn.losses(r)))
+        loss = fn.losses(r)
+        total = float(np.sum(loss))
         info["loss_trace"].append(total)
         if n - total > best_q:
             best, best_q = current, n - total
+            info["residuals"], info["losses"] = r, loss
         if delta < cfg.irls_tol:
             info["converged"] = True
             break
@@ -376,16 +381,13 @@ def _consolidate(instances: list[ModelInstance], points: PointSet,
                  cfg: EngineConfig, max_passes: int = 50):
     """Alternate consensus clustering and IRLS until the clustering returns
     only singletons. The instance count never increases between passes.
-    Each pass scores its instances once; returns the final instances with
-    their (k, n) residual and loss rows."""
+    The input instances are scored once; each pass then takes the rows of
+    the refined instances from IRLS. Returns the final instances with their
+    (k, n) residual and loss rows."""
     fn = cfg.loss
-
-    def score(hs):
-        rows = np.vstack([residuals(h, points.coords) for h in hs])
-        return rows, fn.losses(rows)
-
     current = instances
-    residual_rows, loss_rows = score(current)
+    residual_rows = np.vstack([residuals(h, points.coords) for h in current])
+    loss_rows = fn.losses(residual_rows)
     for n_pass in range(max_passes):
         clusters = cluster_instances(loss_rows, cfg.tau)
         if n_pass > 0 and len(clusters) == len(current):
@@ -397,8 +399,11 @@ def _consolidate(instances: list[ModelInstance], points: PointSet,
         qualities = [quality_f_from_losses(row, cache)
                      for row, cache in zip(loss_rows, outside)]
         reps = select_representatives(clusters, current, qualities)
-        current = [refine_irls(h, points, fn, cfg) for h in reps]
-        residual_rows, loss_rows = score(current)
+        refined = [refine_irls(h, points, fn, cfg, return_info=True)
+                   for h in reps]
+        current = [h for h, _ in refined]
+        residual_rows = np.vstack([info["residuals"] for _, info in refined])
+        loss_rows = np.vstack([info["losses"] for _, info in refined])
     return current, residual_rows, loss_rows
 
 

@@ -223,7 +223,9 @@ def _homography_dlt(x1, x2, weights) -> np.ndarray:
     A[1::2, 6], A[1::2, 7], A[1::2, 8] = -vp * u, -vp * v, -vp
     sw = np.sqrt(wk)
     A *= np.repeat(sw, 2)[:, None]
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    # a system with fewer rows than columns needs the full V^T for its null
+    # vector; a taller one skips the unused U
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     if s[7] <= 1e-9 * max(s[0], 1e-300):
         raise DegenerateSample("homography system is rank deficient")
     Hn = vh[-1].reshape(3, 3)
@@ -252,7 +254,7 @@ def _fundamental_eight_point(x1, x2, weights) -> np.ndarray:
     x1n, T1 = hartley_normalization(x1k)
     x2n, T2 = hartley_normalization(x2k)
     A = _fundamental_rows(x1n, x2n) * np.sqrt(wk)[:, None]
-    _, s, vh = np.linalg.svd(A)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     if len(s) < 8 or s[7] <= 1e-9 * max(s[0], 1e-300):
         raise DegenerateSample("fundamental system is rank deficient")
     Fn = _project_rank2(vh[-1].reshape(3, 3))
@@ -429,20 +431,20 @@ def residuals(instance: ModelInstance, coords) -> np.ndarray:
         H = p.reshape(3, 3)
         x1 = np.column_stack([coords[:, 0], coords[:, 1], np.ones(len(coords))])
         x2 = np.column_stack([coords[:, 2], coords[:, 3], np.ones(len(coords))])
-        fwd = x1 @ H.T
-        e2 = np.full(len(coords), np.inf)
-        ok = np.abs(fwd[:, 2]) >= 1e-12
-        e2[ok] = ((fwd[ok, 0] / fwd[ok, 2] - coords[ok, 2]) ** 2
-                  + (fwd[ok, 1] / fwd[ok, 2] - coords[ok, 3]) ** 2)
         try:
             Hinv = np.linalg.inv(H)
         except np.linalg.LinAlgError:
             return np.full(len(coords), np.inf)
+        fwd = x1 @ H.T
         bwd = x2 @ Hinv.T
-        b2 = np.full(len(coords), np.inf)
-        okb = np.abs(bwd[:, 2]) >= 1e-12
-        b2[okb] = ((bwd[okb, 0] / bwd[okb, 2] - coords[okb, 0]) ** 2
-                   + (bwd[okb, 1] / bwd[okb, 2] - coords[okb, 1]) ** 2)
+        # a point mapped to infinity (|w| < 1e-12) either way has error inf
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            e2 = ((fwd[:, 0] / fwd[:, 2] - coords[:, 2]) ** 2
+                  + (fwd[:, 1] / fwd[:, 2] - coords[:, 3]) ** 2)
+            b2 = ((bwd[:, 0] / bwd[:, 2] - coords[:, 0]) ** 2
+                  + (bwd[:, 1] / bwd[:, 2] - coords[:, 1]) ** 2)
+        e2 = np.where(np.abs(fwd[:, 2]) >= 1e-12, e2, np.inf)
+        b2 = np.where(np.abs(bwd[:, 2]) >= 1e-12, b2, np.inf)
         return np.sqrt(0.5 * (e2 + b2))
 
     # fundamental matrix: Sampson distance
@@ -468,17 +470,20 @@ def residual(instance: ModelInstance, point) -> float:
 # ---------------------------------------------------------------------------
 # Sample and model degeneracy tests
 
-def _triangle_areas_2d(pts: np.ndarray) -> np.ndarray:
-    """Areas of all point triples of a small 2D point set."""
-    n = len(pts)
-    areas = []
-    for i in range(n - 2):
-        for j in range(i + 1, n - 1):
-            for k in range(j + 1, n):
-                v1 = pts[j] - pts[i]
-                v2 = pts[k] - pts[i]
-                areas.append(0.5 * abs(v1[0] * v2[1] - v1[1] * v2[0]))
-    return np.array(areas)
+# the 4 point triples (i, j, k), i < j < k, of a 4-correspondence sample
+_TRI_I, _TRI_J, _TRI_K = np.array([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]).T
+
+
+def _triangle_areas_2d(coords: np.ndarray) -> np.ndarray:
+    """Signed areas of the 4 point triples of a 4-correspondence sample in
+    both images, shape (triple, image): column 0 from coordinates 0-1,
+    column 1 from coordinates 2-3. A positive area is a counter-clockwise
+    triple. With no triple collinear, the 4 signs of an image fix its
+    convex hull and the hull's cyclic order."""
+    base = coords[_TRI_I]
+    v1 = coords[_TRI_J] - base
+    v2 = coords[_TRI_K] - base
+    return 0.5 * (v1[:, 0::2] * v2[:, 1::2] - v1[:, 1::2] * v2[:, 0::2])
 
 
 def sample_degenerate(model_type: ModelType, sample, area_tol: float = COLLINEAR_AREA_TOL) -> bool:
@@ -499,49 +504,24 @@ def sample_degenerate(model_type: ModelType, sample, area_tol: float = COLLINEAR
         n = np.cross(coords[1] - coords[0], coords[2] - coords[0])
         return bool(0.5 * np.linalg.norm(n) < area_tol)
     if model_type is ModelType.HOMOGRAPHY:
-        return bool(np.any(_triangle_areas_2d(coords[:, :2]) < area_tol)
-                    or np.any(_triangle_areas_2d(coords[:, 2:]) < area_tol))
+        return bool(np.any(np.abs(_triangle_areas_2d(coords)) < area_tol))
     return False
-
-
-def _hull_cycle(pts: np.ndarray, degenerate_tol: float = 1e-9):
-    """Indices of the convex hull of 4 points in CCW order, or None if any
-    triple is collinear within tolerance."""
-    if np.any(_triangle_areas_2d(pts) < degenerate_tol):
-        return None
-    order = sorted(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
-
-    def cross(o, a, b):
-        return ((pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1])
-                - (pts[a, 1] - pts[o, 1]) * (pts[b, 0] - pts[o, 0]))
-
-    lower: list[int] = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 0:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 0:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
 
 
 def sample_cheirality_ok(sample) -> bool:
     """True when the 4 correspondences traverse their convex hulls in the
-    same cyclic order in both images; degenerate hulls fail."""
+    same cyclic order in both images; degenerate hulls (a triple with area
+    below 1e-9 in either image) fail. For 4 points with no collinear
+    triple the hull and its cyclic order are fixed by the orientations of
+    the 4 triples, so this is the test that every triple has the same
+    orientation sign in both images."""
     coords = _as_coords(sample)
     if coords.shape != (4, 4):
         raise ValueError("cheirality test expects 4 correspondences")
-    h1 = _hull_cycle(coords[:, :2])
-    h2 = _hull_cycle(coords[:, 2:])
-    if h1 is None or h2 is None:
+    areas = _triangle_areas_2d(coords)
+    if np.any(np.abs(areas) < 1e-9):
         return False
-    if set(h1) != set(h2) or len(h1) != len(h2):
-        return False
-    shift = h2.index(h1[0])
-    return h2[shift:] + h2[:shift] == h1
+    return bool(np.all((areas[:, 0] > 0) == (areas[:, 1] > 0)))
 
 
 def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:

@@ -263,7 +263,7 @@ def translation_from_rotation(R: np.ndarray,
     scale = np.linalg.norm(A, axis=1).max()
     if scale < 1e-12:
         raise RankDeficient("translation is unobservable (zero baseline)")
-    _, s, Vt = np.linalg.svd(A / scale)
+    _, s, Vt = np.linalg.svd(A / scale, full_matrices=A.shape[0] < A.shape[1])
     if len(s) < 2 or s[1] <= 1e-9 * s[0]:
         raise RankDeficient("coefficient matrix has rank < 2")
     t = Vt[-1]
@@ -345,17 +345,3 @@ def translation_error_deg(t: np.ndarray, t_gt: np.ndarray) -> float:
     if na == 0 or nb == 0:
         return 0.0 if na == nb else 90.0
     return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b)))
-
-
-def average_poses(candidates: list[RelativePose]) -> RelativePose:
-    """Chordal-mean rotation and L2-mean translation, for comparison runs
-    only; selection is the primary path."""
-    if not candidates:
-        raise NoValidPose("nothing to average")
-    M = np.sum([c.rotation for c in candidates], axis=0)
-    R = _closest_rotation(M)
-    t = np.sum([c.translation for c in candidates], axis=0)
-    norm = np.linalg.norm(t)
-    if norm < 1e-12:
-        return RelativePose(R, np.zeros(3), "homography", zero_translation=True)
-    return RelativePose(R, t / norm, "homography")

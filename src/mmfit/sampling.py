@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csgraph
 from scipy.spatial import cKDTree
 
-from .errors import ExhaustedData
+from .errors import ExhaustedData, InvalidConfig
 from .models import PointSet
 
 PROSAC_GROWTH_BUDGET = 200_000
@@ -34,7 +34,7 @@ class NeighborhoodGraph:
 
     def __init__(self, points: PointSet, r_max: float, build_edges: bool = True):
         if r_max <= 0:
-            raise ValueError("r_max must be positive")
+            raise InvalidConfig("r_max must be positive")
         self.n_points = len(points)
         self.r_max = float(r_max)
         self._coords = points.coords
@@ -121,9 +121,9 @@ class CCSamplerState:
 
     def __post_init__(self):
         if self.r_min <= 0 or self.r_max < self.r_min:
-            raise ValueError("need 0 < r_min <= r_max")
+            raise InvalidConfig("need 0 < r_min <= r_max")
         if self.n_steps < 1:
-            raise ValueError("n_steps must be >= 1")
+            raise InvalidConfig("n_steps must be >= 1")
         self.r = self.r_min
 
     @property

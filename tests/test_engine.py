@@ -103,6 +103,22 @@ def test_refine_degenerate_returns_input():
     start = line_instance(0.0, 1.0, -5.0)
     out, info = refine_irls(start, points, fn, cfg, return_info=True)
     assert info["degenerate"] and out is start
+    assert np.array_equal(info["residuals"], residuals(start, points.coords))
+
+
+def test_refine_returns_rows_of_the_returned_iterate():
+    fn = LossFunction(LossKind.MAGSACPP, 3.0, dof=2)
+    cfg = default_config(ModelType.LINE2D, 3.0)
+    for case in range(20):
+        local = np.random.default_rng(case)
+        points, n_in = _line_scene(local, n_in=40, n_out=12, sigma=1.0)
+        start = fit_minimal(
+            ModelType.LINE2D,
+            points.coords[local.choice(n_in, 2, replace=False)])[0]
+        best, info = refine_irls(start, points, fn, cfg, return_info=True)
+        r = residuals(best, points.coords)
+        assert np.array_equal(info["residuals"], r)
+        assert np.array_equal(info["losses"], fn.losses(r))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmfit.errors import DegenerateSample
 from mmfit.models import (
     MINIMAL_SAMPLE_SIZE,
     ModelType,
+    _fundamental_eight_point,
+    _homography_dlt,
     fit_minimal,
     fit_nonminimal,
     fundamental_planar_degenerate,
@@ -117,6 +123,8 @@ def test_line_tls_matches_eigendecomposition_oracle():
 
 
 def test_nonminimal_reproduces_minimal_on_exact_sample(rng):
+    # 4 homography points and 8 fundamental points give 8x9 systems, whose
+    # null vector needs the full V^T of the SVD
     for model_type in ModelType:
         m = MINIMAL_SAMPLE_SIZE[model_type]
         if model_type in (ModelType.HOMOGRAPHY, ModelType.FUNDAMENTAL):
@@ -126,9 +134,11 @@ def test_nonminimal_reproduces_minimal_on_exact_sample(rng):
             dim = 3 if model_type is ModelType.PLANE3D else 2
             sample = rng.uniform(0, 100, size=(m, dim))
         if model_type is ModelType.FUNDAMENTAL:
-            # rank-2 intersection: compare by residuals instead of params
+            # 8 exact points determine F: compare with the true matrix
+            sample, F, _ = make_f_scene(seed=3, n=8)
             inst = fit_nonminimal(model_type, sample, np.ones(len(sample)))
-            assert np.all(residuals(inst, sample) < 1e-6)
+            truth = make_instance(model_type, F.ravel())
+            assert np.allclose(inst.params, truth.params, atol=1e-6)
             continue
         minimal = fit_minimal(model_type, sample[:m])
         if not minimal:
@@ -137,6 +147,26 @@ def test_nonminimal_reproduces_minimal_on_exact_sample(rng):
         diff = min(np.linalg.norm(minimal[0].params - s * nonmin.params)
                    for s in (1.0, -1.0))
         assert diff < 1e-6
+
+
+def test_tall_dlt_economy_svd_matches_full(monkeypatch, rng):
+    corr, _, _ = make_f_scene(seed=17, n=40)
+    corr = corr + rng.normal(0, 1.0, size=corr.shape)
+    w = rng.uniform(0.1, 1.0, size=len(corr))
+
+    def solve():
+        H = _homography_dlt(corr[:, :2], corr[:, 2:], w)
+        F = _fundamental_eight_point(corr[:, :2], corr[:, 2:], w)
+        return (make_instance(ModelType.HOMOGRAPHY, H.ravel()).params,
+                make_instance(ModelType.FUNDAMENTAL, F.ravel()).params)
+
+    economy = solve()
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda a, full_matrices=True, **kw: svd(a, True, **kw))
+    full = solve()
+    for got, want in zip(economy, full):
+        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
 
 
 def test_nonminimal_needs_positive_weights():
@@ -173,11 +203,17 @@ def test_sampson_distance_matches_reimplementation():
 
 
 def test_homography_point_at_infinity_residual():
-    # H maps (1, 0) to the plane at infinity
+    # H maps (1, 0) to the plane at infinity; H^-1 maps (-1, 0) there
     H = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     inst = make_instance(ModelType.HOMOGRAPHY, H.ravel())
-    r = residuals(inst, np.array([[1.0, 0.0, 5.0, 5.0]]))
-    assert np.isinf(r[0])
+    corr = np.array([[1.0, 0.0, 5.0, 5.0],    # forward at infinity
+                     [3.0, 7.0, -1.0, 0.0],   # backward at infinity
+                     [0.0, 0.0, 0.0, 0.0]])   # finite, exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = residuals(inst, corr)
+    assert np.isinf(r[0]) and np.isinf(r[1])
+    assert r[2] == 0.0
 
 
 def test_segment_residual_clamps_to_endpoints():
@@ -284,6 +320,56 @@ def test_cheirality_degenerate_hull_rejected():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [5.0, 30.0]])
     pts2 = pts1 + 1.0
     assert sample_cheirality_ok(np.column_stack([pts1, pts2])) is False
+
+
+def _hull_cycle(pts, degenerate_tol=1e-9):
+    """Indices of the convex hull of 4 points in CCW order by Andrew's
+    monotone chain, or None if any triple is collinear within tolerance."""
+    for i in range(2):
+        for j in range(i + 1, 3):
+            for k in range(j + 1, 4):
+                v1, v2 = pts[j] - pts[i], pts[k] - pts[i]
+                if 0.5 * abs(v1[0] * v2[1] - v1[1] * v2[0]) < degenerate_tol:
+                    return None
+    order = sorted(range(4), key=lambda i: (pts[i, 0], pts[i, 1]))
+
+    def cross(o, a, b):
+        return ((pts[a, 0] - pts[o, 0]) * (pts[b, 1] - pts[o, 1])
+                - (pts[a, 1] - pts[o, 1]) * (pts[b, 0] - pts[o, 0]))
+
+    lower, upper = [], []
+    for chain, seq in ((lower, order), (upper, order[::-1])):
+        for i in seq:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= 0:
+                chain.pop()
+            chain.append(i)
+    return lower[:-1] + upper[:-1]
+
+
+def _cheirality_oracle(sample):
+    """Same hull, traversed in the same cyclic order, in both images."""
+    h1, h2 = _hull_cycle(sample[:, :2]), _hull_cycle(sample[:, 2:])
+    if h1 is None or h2 is None or sorted(h1) != sorted(h2):
+        return False
+    shift = h2.index(h1[0])
+    return h2[shift:] + h2[:shift] == h1
+
+
+# coordinates within +-100 keep the rounding error of every cross product
+# far below the 1e-9 degeneracy threshold, so the two tests see the same signs
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-100.0, 100.0), min_size=16, max_size=16))
+def test_cheirality_matches_hull_cycle_oracle(values):
+    sample = np.array(values).reshape(4, 4)
+    assert sample_cheirality_ok(sample) == _cheirality_oracle(sample)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=16, max_size=16))
+def test_cheirality_matches_hull_cycle_oracle_on_grid(values):
+    # a 4x4 grid makes collinear triples and repeated points common
+    sample = np.array(values, dtype=float).reshape(4, 4)
+    assert sample_cheirality_ok(sample) == _cheirality_oracle(sample)
 
 
 # ---------------------------------------------------------------------------

