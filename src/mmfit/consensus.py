@@ -9,18 +9,8 @@ and clusters are the connected components of that graph.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.sparse.csgraph import connected_components
-
-from .models import ModelInstance
-
-
-@dataclass(frozen=True)
-class InstanceCluster:
-    members: tuple[int, ...]
-    representative: int
 
 
 def tanimoto_matrix(loss_rows: np.ndarray) -> np.ndarray:
@@ -35,12 +25,12 @@ def tanimoto_matrix(loss_rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_instances(loss_rows: np.ndarray, tau: float) -> list[InstanceCluster]:
+def cluster_instances(loss_rows: np.ndarray,
+                      tau: float) -> list[tuple[int, ...]]:
     """Connected components of the graph linking instances whose Tanimoto
-    similarity reaches tau; every instance belongs to exactly one cluster.
-    Members are sorted, clusters are ordered by their first member, and
-    representatives are filled with the lowest member index; use
-    select_representatives for quality-based choice.
+    similarity reaches tau, as tuples of row indices; every instance
+    belongs to exactly one cluster. Members are sorted and clusters are
+    ordered by their first member.
     """
     if not 0.0 < tau < 1.0:
         raise ValueError("tau must lie in (0, 1)")
@@ -53,19 +43,14 @@ def cluster_instances(loss_rows: np.ndarray, tau: float) -> list[InstanceCluster
         groups.setdefault(label, []).append(i)
     # labels are visited in index order, so groups come out sorted by their
     # first member and each member list is ascending
-    return [InstanceCluster(tuple(members), members[0])
-            for members in groups.values()]
+    return [tuple(members) for members in groups.values()]
 
 
-def select_representatives(clusters: list[InstanceCluster],
-                           instances: list[ModelInstance],
-                           qualities) -> list[ModelInstance]:
-    """One instance per cluster: the member with maximal quality, ties
-    resolved toward the lowest index. Parameters are never averaged."""
+def select_representatives(clusters: list[tuple[int, ...]],
+                           qualities) -> list[int]:
+    """The index of one instance per cluster: the member with maximal
+    quality, ties resolved toward the lowest index. Parameters are never
+    averaged."""
     qualities = np.asarray(qualities, dtype=float)
-    out = []
-    for cluster in clusters:
-        members = np.array(cluster.members)
-        best = members[int(np.argmax(qualities[members]))]
-        out.append(instances[int(best)])
-    return out
+    return [members[int(np.argmax(qualities[list(members)]))]
+            for members in clusters]

@@ -59,6 +59,10 @@ SAMPLERS = ("uniform", "prosac", "pnapsac", "cc")
 
 # sampler draws allowed per batch slot before an outer iteration gives up
 PROPOSAL_BUDGET_FACTOR = 50
+# IRLS stops after this many weighted refits, or earlier once the relative
+# parameter change drops below IRLS_TOL
+IRLS_MAX_ITERS = 25
+IRLS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -68,8 +72,6 @@ class EngineConfig:
     tau: float = 0.2
     confidence: float = 0.99
     batch_size: int = 10
-    max_irls_iters: int = 25
-    irls_tol: float = 1e-6
     sampler: str = "pnapsac"
     r_min: float = 20.0
     r_max: float = 200.0
@@ -84,10 +86,8 @@ class EngineConfig:
             raise InvalidConfig("tau must lie in (0, 1)")
         if not 0.0 < self.confidence < 1.0:
             raise InvalidConfig("confidence must lie in (0, 1)")
-        if self.batch_size < 1 or self.max_irls_iters < 1:
-            raise InvalidConfig("batch_size and max_irls_iters must be >= 1")
-        if self.irls_tol <= 0:
-            raise InvalidConfig("irls_tol must be positive")
+        if self.batch_size < 1:
+            raise InvalidConfig("batch_size must be >= 1")
         if self.sampler not in SAMPLERS:
             raise InvalidConfig(f"sampler must be one of {SAMPLERS}")
         if self.max_proposals < 1:
@@ -164,27 +164,26 @@ def should_terminate(n_points: int, united_inlier_count: int, k: int, m: int,
 # ---------------------------------------------------------------------------
 # IRLS refinement
 
-def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
-                cfg: EngineConfig, return_info: bool = False):
-    """Iteratively re-weighted least squares from the given instance.
+def refine_irls(h: ModelInstance, r: np.ndarray, loss: np.ndarray,
+                points: PointSet, cfg: EngineConfig):
+    """Iteratively re-weighted least squares from the instance h, whose
+    residual row r and loss row loss the caller holds.
 
     Alternates robust weights and a weighted non-minimal fit until the
-    relative parameter change drops below cfg.irls_tol or the iteration
-    cap. Returns the iterate with the best soft support (never worse than
-    the input); a degenerate weighted system returns the input unchanged
-    with the `degenerate` flag raised in the info dict. The info dict also
-    carries the residual and loss rows of the returned iterate
-    (`residuals`, `losses`).
+    relative parameter change drops below IRLS_TOL or IRLS_MAX_ITERS
+    refits. Returns (best, info): the iterate with the best soft support
+    (never worse than the input) and a dict whose `residuals` and `losses`
+    are the rows of that iterate. A degenerate weighted system returns the
+    input unchanged with the `degenerate` flag raised in the info dict.
     """
-    r = residuals(h, points.coords)
-    loss = fn.losses(r)
+    fn = cfg.loss
     total = float(np.sum(loss))
     info = {"iterations": 0, "degenerate": False, "converged": False,
             "loss_trace": [total], "residuals": r, "losses": loss}
     n = len(points)
     best, best_q = h, n - total
     current = h
-    for it in range(cfg.max_irls_iters):
+    for it in range(IRLS_MAX_ITERS):
         w = fn.weights(r) * points.weights
         if np.count_nonzero(w > 0) < MINIMAL_SAMPLE_SIZE[h.model_type]:
             info["degenerate"] = True
@@ -204,10 +203,10 @@ def refine_irls(h: ModelInstance, points: PointSet, fn: LossFunction,
         if n - total > best_q:
             best, best_q = current, n - total
             info["residuals"], info["losses"] = r, loss
-        if delta < cfg.irls_tol:
+        if delta < IRLS_TOL:
             info["converged"] = True
             break
-    return (best, info) if return_info else best
+    return best, info
 
 
 def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
@@ -319,7 +318,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
     while True:
         outer += 1
-        batch: list[ModelInstance] = []
+        batch = []   # (instance, residual row, loss row) per accepted candidate
         budget = PROPOSAL_BUDGET_FACTOR * config.batch_size
         attempts = 0
         cc_spent = False
@@ -346,13 +345,17 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 bound = float(np.minimum(r < cutoff, min_loss).sum())
                 if bound < config.q_min:
                     continue
-                q = quality_f_from_losses(fn.losses(r), min_loss)
+                loss = fn.losses(r)
+                q = quality_f_from_losses(loss, min_loss)
                 if is_dominant(q, config.q_min) and not proposer.model_degenerate(h, sample):
-                    batch.append(h)
+                    batch.append((h, r, loss))
 
         if batch:
+            new, new_r, new_loss = zip(*batch)
             instances, residual_rows, loss_rows = _prune_by_quality(
-                *_consolidate(instances + batch, points, config), config)
+                *_consolidate(instances + list(new), [residual_rows, *new_r],
+                              [loss_rows, *new_loss], points, config),
+                config)
             min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
@@ -377,30 +380,33 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     )
 
 
-def _consolidate(instances: list[ModelInstance], points: PointSet,
-                 cfg: EngineConfig, max_passes: int = 50):
+def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
+                 points: PointSet, cfg: EngineConfig, max_passes: int = 50):
     """Alternate consensus clustering and IRLS until the clustering returns
     only singletons. The instance count never increases between passes.
-    The input instances are scored once; each pass then takes the rows of
-    the refined instances from IRLS. Returns the final instances with their
-    (k, n) residual and loss rows."""
-    fn = cfg.loss
+    residual_rows and loss_rows are sequences of rows or row blocks in
+    instance order; they are stacked here rather than by the caller, so
+    that the stacked copies do not outlive the first pass. Each pass hands
+    IRLS the rows of its representatives and takes the rows of the refined
+    instances from it. Returns the final instances with their (k, n)
+    residual and loss rows."""
     current = instances
-    residual_rows = np.vstack([residuals(h, points.coords) for h in current])
-    loss_rows = fn.losses(residual_rows)
+    residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
     for n_pass in range(max_passes):
         clusters = cluster_instances(loss_rows, cfg.tau)
         if n_pass > 0 and len(clusters) == len(current):
             break
         groups = np.empty(len(current), dtype=int)
-        for g, cluster in enumerate(clusters):
-            groups[list(cluster.members)] = g
+        for g, members in enumerate(clusters):
+            groups[list(members)] = g
         outside = min_loss_outside_groups(loss_rows, groups)
         qualities = [quality_f_from_losses(row, cache)
                      for row, cache in zip(loss_rows, outside)]
-        reps = select_representatives(clusters, current, qualities)
-        refined = [refine_irls(h, points, fn, cfg, return_info=True)
-                   for h in reps]
+        # copies, not views: IRLS returns the start rows of an instance it
+        # cannot improve, and a view would keep this pass's matrices alive
+        refined = [refine_irls(current[i], residual_rows[i].copy(),
+                               loss_rows[i].copy(), points, cfg)
+                   for i in select_representatives(clusters, qualities)]
         current = [h for h, _ in refined]
         residual_rows = np.vstack([info["residuals"] for _, info in refined])
         loss_rows = np.vstack([info["losses"] for _, info in refined])

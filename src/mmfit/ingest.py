@@ -186,11 +186,7 @@ def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM into a float array normalized
     to [0, 1] by the declared maximum value."""
     data = Path(path).read_bytes()
-    try:
-        header = _parse_pgm_header(data)
-    except ParseError:
-        raise
-    magic, width, height, maxval, offset = header
+    magic, width, height, maxval, offset = _parse_pgm_header(data)
     if magic == b"P2":
         try:
             values = np.array(data[offset:].split(), dtype=float)
@@ -230,14 +226,6 @@ def _parse_pgm_header(data: bytes):
     return magic, width, height, maxval, pos
 
 
-def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
-    """Write a [0, 1] float image as binary P5."""
-    img = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
-    quant = np.round(img * maxval).astype(">u2" if maxval > 255 else np.uint8)
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode()
-    Path(path).write_bytes(header + quant.tobytes())
-
-
 def blur_kernel_to_points(image, threshold: float = DEFAULT_KERNEL_THRESHOLD) -> PointSet:
     """Threshold a blur-kernel image into weighted 2D points.
 
@@ -259,27 +247,6 @@ def blur_kernel_to_points(image, threshold: float = DEFAULT_KERNEL_THRESHOLD) ->
     ranks = np.empty(len(weights), dtype=int)
     ranks[np.argsort(-weights, kind="stable")] = np.arange(len(weights))
     return PointSet(coords, weights=weights, quality_rank=ranks)
-
-
-def render_segments(segments, shape: tuple[int, int], stroke: float = 1.0,
-                    background: float = 0.0) -> np.ndarray:
-    """Rasterize line segments into a [0, 1] float image: pixels whose
-    center lies within `stroke` of a segment get intensity 1."""
-    h, w = shape
-    img = np.full((h, w), background)
-    ys, xs = np.mgrid[0:h, 0:w]
-    centers = np.column_stack([(xs + 0.5).ravel(), (ys + 0.5).ravel()])
-    near = np.zeros(h * w, dtype=bool)
-    for (p0, p1) in segments:
-        p0 = np.asarray(p0, dtype=float)
-        p1 = np.asarray(p1, dtype=float)
-        d = p1 - p0
-        length2 = max(float(d @ d), 1e-300)
-        t = np.clip(((centers - p0) @ d) / length2, 0.0, 1.0)
-        closest = p0 + t[:, None] * d
-        near |= np.linalg.norm(centers - closest, axis=1) <= stroke
-    img.ravel()[near] = 1.0
-    return img
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,9 @@ class LossFunction:
 
     # -- loss ---------------------------------------------------------------
 
-    def loss(self, r) -> np.ndarray | float:
-        scalar = np.isscalar(r)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = self._loss_array(r)
-        return float(out[0]) if scalar else out
-
-    def _loss_array(self, r: np.ndarray) -> np.ndarray:
+    def losses(self, r) -> np.ndarray:
+        """Per-residual loss, same shape as r."""
+        r = np.asarray(r, dtype=float)
         eps = self.epsilon
         if self.kind is LossKind.HARD01:
             return np.where(r < eps, 0.0, 1.0)
@@ -158,17 +154,11 @@ class LossFunction:
 
     # -- IRLS weight --------------------------------------------------------
 
-    def weight(self, r) -> np.ndarray | float:
-        scalar = np.isscalar(r)
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        out = self._weight_array(r)
-        return float(out[0]) if scalar else out
-
-    def _weight_array(self, r: np.ndarray) -> np.ndarray:
+    def weights(self, r) -> np.ndarray:
+        """Per-residual IRLS weight, same shape as r."""
+        r = np.asarray(r, dtype=float)
         eps = self.epsilon
-        if self.kind is LossKind.HARD01:
-            return np.where(r < eps, 1.0, 0.0)
-        if self.kind is LossKind.MSAC:
+        if self.kind in (LossKind.HARD01, LossKind.MSAC):
             return np.where(r < eps, 1.0, 0.0)
         if self.kind is LossKind.TUKEY_BISQUARE:
             x = r / eps
@@ -201,13 +191,6 @@ class LossFunction:
         else:
             out[inside] = (_upper_gamma(a, y) - gu_a_k) / w0
         return np.maximum(out, 0.0)
-
-    # convenience aliases used by the engine
-    def losses(self, r: np.ndarray) -> np.ndarray:
-        return self._loss_array(np.asarray(r, dtype=float))
-
-    def weights(self, r: np.ndarray) -> np.ndarray:
-        return self._weight_array(np.asarray(r, dtype=float))
 
 
 def default_dof(model_type) -> int:

@@ -9,7 +9,6 @@ to PROSAC over all points.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -114,7 +113,6 @@ class CCSamplerState:
     n_steps: int
     r: float = field(init=False)
     pending: list[list[int]] = field(init=False, default_factory=list)
-    consumed: set[tuple[int, ...]] = field(init=False, default_factory=set)
     initialized: bool = field(init=False, default=False)
     exhausted: bool = field(init=False, default=False)
     fallback_count: int = field(init=False, default=0)
@@ -131,56 +129,56 @@ class CCSamplerState:
         return (self.r_max - self.r_min) / self.n_steps
 
 
-def ensure_components(state: CCSamplerState, graph: NeighborhoodGraph) -> None:
-    """Advance the densification schedule until components are pending or
-    the radius is spent; sets state.exhausted in the latter case."""
+def _pending_points(state: CCSamplerState) -> int:
+    return sum(len(c) for c in state.pending)
+
+
+def ensure_components(state: CCSamplerState, graph: NeighborhoodGraph,
+                      m: int) -> None:
+    """Advance the densification schedule until the pending components hold
+    at least m points in total or the radius is spent; sets state.exhausted
+    in the latter case."""
     if not state.initialized:
         state.initialized = True
-        state.r = state.r_min
-        state.pending = [c for c in connected_components(graph, state.r)
-                         if tuple(c) not in state.consumed]
+        state.pending = connected_components(graph, state.r)
     rounds = 0
-    while not state.pending and state.r <= state.r_max and rounds <= state.n_steps + 1:
+    while (_pending_points(state) < m and state.r <= state.r_max
+           and rounds <= state.n_steps + 1):
         state.r = state.r + state.step if state.step > 0 else state.r_max + 1.0
-        state.consumed.clear()
         state.pending = connected_components(graph, min(state.r, graph.r_max))
         rounds += 1
-    if not state.pending and state.r > state.r_max:
+    if _pending_points(state) < m and state.r > state.r_max:
         state.exhausted = True
 
 
 def cc_can_sample(state: CCSamplerState, graph: NeighborhoodGraph, m: int) -> bool:
     """True when the next call to next_sample_cc will serve a component
     sample rather than falling back to PROSAC."""
-    ensure_components(state, graph)
-    return sum(len(c) for c in state.pending) >= m
+    ensure_components(state, graph, m)
+    return _pending_points(state) >= m
 
 
 def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
                    points: PointSet, m: int,
-                   rng: np.random.Generator | None = None) -> list[int]:
+                   rng: np.random.Generator) -> list[int]:
     """Next sample of the connected-component schedule.
 
-    Returns the largest unconsumed component at the current radius; if the
+    Returns the largest pending component at the current radius; if the
     largest is smaller than m, pops further components and returns their
-    union. While nothing of size >= m is available and the radius has not
-    passed r_max, the radius grows by (r_max - r_min) / n_steps and the
-    component list is rebuilt (previously consumed components are offered
-    again once grown). Once the radius is spent, falls back to a PROSAC
-    minimal sample over all points.
+    union. While the pending components hold fewer than m points in total
+    and the radius has not passed r_max, the radius grows by
+    (r_max - r_min) / n_steps and the component list is rebuilt (components
+    served at a smaller radius are offered again once grown). Once the
+    radius is spent, falls back to a PROSAC minimal sample over all points.
     """
     if len(points) < m:
         raise ExhaustedData(f"need at least {m} points")
-    if rng is None:
-        rng = np.random.default_rng(0)
 
-    ensure_components(state, graph)
+    ensure_components(state, graph, m)
 
     sample: list[int] = []
     while state.pending and len(sample) < m:
-        comp = state.pending.pop(0)
-        state.consumed.add(tuple(comp))
-        sample.extend(comp)
+        sample.extend(state.pending.pop(0))
 
     if not state.pending and state.r > state.r_max:
         state.exhausted = True
@@ -221,16 +219,14 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
     """PROSAC sample of size m at the given 1-based iteration.
 
     The distinguished point of the growth schedule comes first in the
-    returned list. Unranked point sets fall back to uniform sampling with
-    a warning. After the growth budget the distribution is uniform.
+    returned list. Unranked point sets are sampled uniformly, as is every
+    draw after the growth budget.
     """
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
     order = _ranked_order(points)
     if order is None:
-        warnings.warn("points carry no quality ranking; sampling uniformly",
-                      stacklevel=2)
         return [int(i) for i in rng.choice(n, size=m, replace=False)]
     thresholds = _prosac_schedule(n, m, budget)
     if iteration > thresholds[-1]:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfit.consensus import (
-    InstanceCluster,
     cluster_instances,
     select_representatives,
     tanimoto_matrix,
@@ -43,7 +42,7 @@ def test_no_inliers_empty_vector(rng):
     assert np.all(rows[0] == 1.0)
     sim = tanimoto_matrix(rows)
     assert sim[0, 0] == 0.0 and sim[0, 1] == 0.0 and sim[1, 0] == 0.0
-    assert [c.members for c in cluster_instances(rows, 0.01)] == [(0,), (1,)]
+    assert cluster_instances(rows, 0.01) == [(0,), (1,)]
 
 
 def test_hard_loss_gives_binary_indicator(rng):
@@ -132,14 +131,13 @@ def test_tanimoto_metric_properties(seed):
 
 def test_all_dissimilar_yield_singletons():
     clusters = cluster_instances(_loss_rows(np.eye(4)), 0.2)
-    assert [c.members for c in clusters] == [(0,), (1,), (2,), (3,)]
-    assert [c.representative for c in clusters] == [0, 1, 2, 3]
+    assert clusters == [(0,), (1,), (2,), (3,)]
 
 
 def test_identical_instances_merge():
     clusters = cluster_instances(_loss_rows([[1.0, 1.0, 0.0],
                                              [1.0, 1.0, 0.0]]), 0.2)
-    assert len(clusters) == 1 and clusters[0].members == (0, 1)
+    assert clusters == [(0, 1)]
 
 
 def test_empty_input_and_tau_range():
@@ -183,7 +181,7 @@ def test_three_group_clustering_matches_ground_truth(rng):
             rows.append(np.clip(noisy, 0, 1))
             truth.append(g)
     clusters = cluster_instances(_loss_rows(rows), 0.2)
-    got = sorted(c.members for c in clusters)
+    got = sorted(clusters)
     expected = sorted(
         tuple(i for i, t in enumerate(truth) if t == g) for g in range(3))
     assert got == expected
@@ -196,19 +194,17 @@ def test_clustering_equals_transitive_closure_randomized(rng):
                 for _ in range(int(rng.integers(2, 9)))]
         rows = [np.clip(r, 0.0, 1.0) for r in rows]
         clusters = cluster_instances(_loss_rows(rows), 0.25)
-        assert [c.members for c in clusters] == \
-            _transitive_closure_oracle(rows, 0.25)
-        assert all(c.representative == c.members[0] for c in clusters)
+        assert clusters == _transitive_closure_oracle(rows, 0.25)
 
 
 def test_partition_invariant_to_permutation(rng):
     rows = np.abs(rng.normal(size=(6, 20))) * (rng.random((6, 20)) < 0.5)
     rows = np.clip(rows, 0.0, 1.0)
-    base = {frozenset(c.members) for c in cluster_instances(_loss_rows(rows), 0.3)}
+    base = {frozenset(c) for c in cluster_instances(_loss_rows(rows), 0.3)}
     perm = rng.permutation(6)
     permuted = cluster_instances(_loss_rows(rows[perm]), 0.3)
     # position k in the permuted input is original index perm[k]
-    back = {frozenset(int(perm[m]) for m in c.members) for c in permuted}
+    back = {frozenset(int(perm[m]) for m in c) for c in permuted}
     assert back == base
 
 
@@ -216,24 +212,20 @@ def test_partition_invariant_to_permutation(rng):
 # representatives
 
 def test_singleton_representative():
-    inst = [line_instance(0.0, 1.0, 0.0)]
-    out = select_representatives([InstanceCluster((0,), 0)], inst, [5.0])
-    assert out == [inst[0]]
+    assert select_representatives([(0,)], [5.0]) == [0]
 
 
 def test_two_member_quality_argmax():
-    inst = [line_instance(0.0, 1.0, 0.0), line_instance(0.0, 1.0, -1.0)]
-    out = select_representatives([InstanceCluster((0, 1), 0)], inst, [20.0, 30.0])
-    assert out == [inst[1]]
+    assert select_representatives([(0, 1)], [20.0, 30.0]) == [1]
 
 
 def test_representatives_match_argmax_oracle(rng):
-    instances = [line_instance(0.0, 1.0, -float(i)) for i in range(12)]
     qualities = rng.uniform(0, 50, size=12)
+    # integer qualities force ties, which go to the lowest index
+    tied = np.floor(qualities / 10.0)
     members = np.array_split(rng.permutation(12), 4)
-    clusters = [InstanceCluster(tuple(sorted(int(i) for i in m)), min(m))
-                for m in members]
-    out = select_representatives(clusters, instances, qualities)
-    for cluster, rep in zip(clusters, out):
-        best = max(cluster.members, key=lambda i: (qualities[i], -i))
-        assert rep is instances[best]
+    clusters = [tuple(sorted(int(i) for i in m)) for m in members]
+    for q in (qualities, tied):
+        out = select_representatives(clusters, q)
+        for cluster, rep in zip(clusters, out):
+            assert rep == max(cluster, key=lambda i: (q[i], -i))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mmfit import engine
 from mmfit.consensus import tanimoto_matrix
 from mmfit.engine import (
     OUTLIER,
@@ -53,13 +54,19 @@ def _line_scene(rng, n_in=60, n_out=0, sigma=0.0, gross=300.0):
     return PointSet(coords), n_in
 
 
+def _rows(h, points, fn):
+    """The residual and loss rows that refine_irls starts from."""
+    r = residuals(h, points.coords)
+    return r, fn.losses(r)
+
+
 def test_refine_exact_inliers_converges_fast(rng):
     points, n_in = _line_scene(rng)
     fn = LossFunction(LossKind.MSAC, 2.0)
     cfg = default_config(ModelType.LINE2D, 2.0, LossKind.MSAC)
     start = fit_minimal(ModelType.LINE2D,
                         points.coords[[0, n_in - 1]])[0]
-    refined, info = refine_irls(start, points, fn, cfg, return_info=True)
+    refined, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
     assert info["iterations"] <= 2 and info["converged"]
     oracle = fit_nonminimal(ModelType.LINE2D, points.coords, np.ones(n_in))
     ang, off = line_angle_offset(refined, oracle)
@@ -73,7 +80,7 @@ def test_refine_drops_gross_outliers(rng):
     start = fit_minimal(ModelType.LINE2D, points.coords[[0, 40]])[0]
     w1 = fn.weights(residuals(start, points.coords))
     assert np.all(w1[n_in:] == 0.0)  # outliers zeroed on the first pass
-    refined = refine_irls(start, points, fn, cfg)
+    refined, _ = refine_irls(start, *_rows(start, points, fn), points, cfg)
     oracle = fit_nonminimal(ModelType.LINE2D, points.coords[:n_in],
                             np.ones(n_in))
     diff = min(np.linalg.norm(refined.params - s * oracle.params)
@@ -90,7 +97,7 @@ def test_refine_loss_sums_non_increasing(rng):
         start = fit_minimal(
             ModelType.LINE2D,
             points.coords[local.choice(n_in, 2, replace=False)])[0]
-        _, info = refine_irls(start, points, fn, cfg, return_info=True)
+        _, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
         trace = np.array(info["loss_trace"])
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -101,7 +108,7 @@ def test_refine_degenerate_returns_input():
     fn = LossFunction(LossKind.MSAC, 2.0)
     cfg = default_config(ModelType.LINE2D, 2.0, LossKind.MSAC)
     start = line_instance(0.0, 1.0, -5.0)
-    out, info = refine_irls(start, points, fn, cfg, return_info=True)
+    out, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
     assert info["degenerate"] and out is start
     assert np.array_equal(info["residuals"], residuals(start, points.coords))
 
@@ -115,7 +122,7 @@ def test_refine_returns_rows_of_the_returned_iterate():
         start = fit_minimal(
             ModelType.LINE2D,
             points.coords[local.choice(n_in, 2, replace=False)])[0]
-        best, info = refine_irls(start, points, fn, cfg, return_info=True)
+        best, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
         r = residuals(best, points.coords)
         assert np.array_equal(info["residuals"], r)
         assert np.array_equal(info["losses"], fn.losses(r))
@@ -304,12 +311,44 @@ def test_consolidate_merges_duplicates_monotonically(rng):
             jitter = rng.normal(0, 1e-3, size=3)
             proposals.append(make_instance(ModelType.LINE2D,
                                            g.params + jitter))
-    out, residual_rows, loss_rows = _consolidate(proposals, points, cfg)
+    rows = [residuals(h, points.coords) for h in proposals]
+    out, residual_rows, loss_rows = _consolidate(
+        proposals, rows, [cfg.loss.losses(r) for r in rows], points, cfg)
     assert len(out) == 2
     # the rows returned are the scores of the returned instances
     for h, r_row, l_row in zip(out, residual_rows, loss_rows):
         assert np.array_equal(r_row, residuals(h, points.coords))
         assert np.array_equal(l_row, cfg.loss.losses(r_row))
+
+
+@pytest.mark.parametrize("spec, sampler", [
+    (SyntheticSpec(ModelType.LINE2D, 3, 80, 100, 1.0, 1000.0, seed=5),
+     "pnapsac"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
+                   clustered=True), "cc"),
+], ids=["lines-pnapsac", "segments-cc"])
+def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
+    # residual rows are built only for a new candidate and for a new IRLS
+    # iterate; consolidation and IRLS reuse the rows the caller holds
+    calls = []
+    irls_iterations = []
+
+    def counted_residuals(*args, **kwargs):
+        calls.append(1)
+        return residuals(*args, **kwargs)
+
+    def recorded_refine(*args, **kwargs):
+        best, info = refine_irls(*args, **kwargs)
+        irls_iterations.append(info["iterations"])
+        return best, info
+
+    monkeypatch.setattr(engine, "residuals", counted_residuals)
+    monkeypatch.setattr(engine, "refine_irls", recorded_refine)
+    points, _, _ = synthesize(spec)
+    cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=3)
+    report = fit(points, spec.model_type, cfg)
+    assert len(report.instances) >= 2 and len(irls_iterations) >= 2
+    assert len(calls) == report.proposals_tried + sum(irls_iterations)
 
 
 def test_engine_config_validation():
@@ -328,8 +367,9 @@ def test_engine_config_validation():
             EngineConfig(loss=fn, **bad)
     # P-NAPSAC ignores r_min and n_steps
     EngineConfig(loss=fn, sampler="pnapsac", r_min=0.0, n_steps=0)
-    with pytest.raises(TypeError):
-        default_config(ModelType.LINE2D, 3.0, proposal_budget_factor=0)
+    for removed in ("proposal_budget_factor", "max_irls_iters", "irls_tol"):
+        with pytest.raises(TypeError):
+            default_config(ModelType.LINE2D, 3.0, **{removed: 5})
 
 
 def test_min_residual_assignment():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,13 +10,40 @@ from mmfit.ingest import (
     blur_kernel_to_points,
     load_scene,
     read_pgm,
-    render_segments,
     save_scene,
     synthesize,
     synthesize_two_view,
-    write_pgm,
 )
 from mmfit.models import ModelType, PointSet, residuals
+
+
+def write_pgm(path, image: np.ndarray, maxval: int = 255) -> None:
+    """Write a [0, 1] float image as binary P5 (the inverse of read_pgm)."""
+    img = np.clip(np.asarray(image, dtype=float), 0.0, 1.0)
+    quant = np.round(img * maxval).astype(">u2" if maxval > 255 else np.uint8)
+    header = f"P5\n{img.shape[1]} {img.shape[0]}\n{maxval}\n".encode()
+    Path(path).write_bytes(header + quant.tobytes())
+
+
+def render_segments(segments, shape: tuple[int, int], stroke: float = 1.0,
+                    background: float = 0.0) -> np.ndarray:
+    """Rasterize line segments into a [0, 1] float image: pixels whose
+    center lies within `stroke` of a segment get intensity 1."""
+    h, w = shape
+    img = np.full((h, w), background)
+    ys, xs = np.mgrid[0:h, 0:w]
+    centers = np.column_stack([(xs + 0.5).ravel(), (ys + 0.5).ravel()])
+    near = np.zeros(h * w, dtype=bool)
+    for (p0, p1) in segments:
+        p0 = np.asarray(p0, dtype=float)
+        p1 = np.asarray(p1, dtype=float)
+        d = p1 - p0
+        length2 = max(float(d @ d), 1e-300)
+        t = np.clip(((centers - p0) @ d) / length2, 0.0, 1.0)
+        closest = p0 + t[:, None] * d
+        near |= np.linalg.norm(centers - closest, axis=1) <= stroke
+    img.ravel()[near] = 1.0
+    return img
 
 
 # ---------------------------------------------------------------------------

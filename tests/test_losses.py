@@ -13,18 +13,17 @@ ALL_KINDS = list(LossKind)
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_loss_zero_at_zero(kind):
     fn = LossFunction(kind, 2.0)
-    assert fn.loss(0.0) == pytest.approx(0.0, abs=1e-12)
+    assert fn.losses([0.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_msac_quarter():
     fn = LossFunction(LossKind.MSAC, 2.0)
-    assert fn.loss(1.0) == pytest.approx(0.25)
+    assert fn.losses([1.0])[0] == pytest.approx(0.25)
 
 
 def test_hard01_weight_examples():
     fn = LossFunction(LossKind.HARD01, 2.0)
-    assert fn.weight(1.0) == 1.0
-    assert fn.weight(3.0) == 0.0
+    assert fn.weights([1.0, 3.0]).tolist() == [1.0, 0.0]
 
 
 def test_tukey_weight_identity():
@@ -33,7 +32,7 @@ def test_tukey_weight_identity():
     grid = np.linspace(0.0, eps * 0.999, 40)
     expected = (1.0 - (grid / eps) ** 2) ** 2
     w = fn.weights(grid)
-    assert np.allclose(w / fn.weight(0.0), expected, atol=1e-12)
+    assert np.allclose(w / fn.weights([0.0])[0], expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -125,7 +124,7 @@ def test_magsac_loss_matches_quadrature_oracle(dof):
         num, _ = integrate.quad(
             lambda s: s * _marginal_weight(s, eps, dof, k, C), 0.0, r,
             limit=400)
-        assert fn.loss(r) == pytest.approx(num / denom, abs=1e-6)
+        assert fn.losses([r])[0] == pytest.approx(num / denom, abs=1e-6)
 
 
 @pytest.mark.parametrize("dof", [1, 2, 4])
@@ -134,8 +133,7 @@ def test_magsac_weight_matches_loss_derivative(dof):
     fn = LossFunction(LossKind.MAGSACPP, eps, dof)
     h = 1e-6 * eps
     grid = np.linspace(0.15 * eps, 0.95 * fn.cutoff, 15)
-    fd = np.array([(fn.loss(r + h) - fn.loss(r - h)) / (2.0 * h) / r
-                   for r in grid])
+    fd = (fn.losses(grid + h) - fn.losses(grid - h)) / (2.0 * h) / grid
     w = fn.weights(grid)
     # weights are proportional to loss'(r) / r; compare normalized shapes
     assert np.allclose(w / w[0], fd / fd[0], atol=1e-4)

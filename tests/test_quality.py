@@ -104,8 +104,7 @@ def test_quality_f_direct_summation_oracle(rng):
     total = 0.0
     for i in range(len(points)):
         p = points.coords[i]
-        f_h = fn.loss(residual(h, p))
-        f_kept = fn.loss(residual(kept, p))
+        f_h, f_kept = fn.losses([residual(h, p), residual(kept, p)])
         total += max(f_h, 1.0 - f_kept)
     assert _quality_f(h, points, [kept], fn) == pytest.approx(
         len(points) - total, abs=1e-12)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import chisquare
@@ -176,6 +178,19 @@ def test_cc_unions_small_components(rng):
     assert len(sample) == 6 and state.fallback_count == 0
 
 
+def test_cc_grows_radius_until_pending_holds_m_points():
+    # at r = 5 only the pair {0, 1} is connected: 2 pending points for m = 3
+    points = PointSet(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
+                                [100.0, 0.0, 0.0], [108.0, 0.0, 0.0],
+                                [116.0, 0.0, 0.0]]))
+    g = build_neighborhood(points, 20.0)
+    state = CCSamplerState(5.0, 20.0, 3)
+    assert cc_can_sample(state, g, 3)
+    assert state.r == 10.0
+    assert next_sample_cc(state, g, points, 3, np.random.default_rng(0)) == [2, 3, 4]
+    assert state.fallback_count == 0
+
+
 def test_cc_deterministic_sequences(rng):
     points = _two_cluster_scene(rng)
     g = build_neighborhood(points, 200.0)
@@ -258,11 +273,14 @@ def test_prosac_converges_to_uniform():
     assert chisquare(observed).pvalue > 1e-4
 
 
-def test_prosac_unranked_warns_and_uniform(rng):
+def test_prosac_unranked_uniform(rng):
     points = PointSet(rng.uniform(0, 100, size=(20, 2)))
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sample = next_sample_prosac(points, 2, 1, np.random.default_rng(0))
     assert len(set(sample)) == 2
+    # the draw is the plain uniform choice of the same generator
+    assert sample == np.random.default_rng(0).choice(20, 2, replace=False).tolist()
 
 
 def test_prosac_exhausted(rng):
