@@ -15,8 +15,6 @@ from .errors import (
     RankDeficient,
 )
 from .models import (
-    MINIMAL_SAMPLE_SIZE,
-    POINT_DIM,
     ModelInstance,
     ModelType,
     PointSet,
@@ -40,13 +38,11 @@ __all__ = [
     "LabelMismatch",
     "LossFunction",
     "LossKind",
-    "MINIMAL_SAMPLE_SIZE",
     "MmfitError",
     "ModelInstance",
     "ModelType",
     "NoValidPose",
     "OUTLIER",
-    "POINT_DIM",
     "ParseError",
     "PointSet",
     "RankDeficient",

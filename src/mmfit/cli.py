@@ -38,8 +38,14 @@ from .ingest import (
     save_scene,
     synthesize,
 )
-from .losses import LossFunction, LossKind, default_dof
-from .models import ModelType, PointSet, residuals, segment_endpoints
+from .losses import LossFunction, LossKind
+from .models import (
+    ModelType,
+    PointSet,
+    make_instance,
+    residuals,
+    segment_endpoints,
+)
 from .pose import (
     pose_from_multi_h,
     rotation_error_deg,
@@ -75,7 +81,7 @@ def _common_flags(p: argparse.ArgumentParser):
 
 def _config_from_args(args, model_type: ModelType) -> EngineConfig:
     fn = LossFunction(LossKind.from_string(args.loss), args.epsilon,
-                      default_dof(model_type))
+                      model_type.dof)
     return EngineConfig(
         loss=fn, q_min=args.q_min, tau=args.epsilon_t,
         confidence=args.confidence, batch_size=args.batch_size,
@@ -255,12 +261,12 @@ def cmd_eval(args) -> int:
         return 1
     with open(args.instances) as fh:
         payload = json.load(fh)
-    from .models import make_instance
-
     instances = [make_instance(ModelType.from_string(payload["model_type"]),
                                np.asarray(e["params"]))
                  for e in payload["instances"]]
-    eps = float(payload.get("epsilon", args.epsilon))
+    # a ground-truth file stores no epsilon: score it at --epsilon
+    eps = payload.get("epsilon")
+    eps = float(args.epsilon if eps is None else eps)
     rows = np.array([residuals(h, points.coords) for h in instances]
                     ).reshape(len(instances), len(points))
     assignment = min_residual_assignment(rows, eps)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -26,10 +25,8 @@ from .errors import (
     InvalidConfig,
     LabelMismatch,
 )
-from .losses import LossFunction, LossKind, default_dof
+from .losses import LossFunction, LossKind
 from .models import (
-    MINIMAL_SAMPLE_SIZE,
-    POINT_DIM,
     ModelInstance,
     ModelType,
     PointSet,
@@ -38,13 +35,11 @@ from .models import (
     fundamental_planar_degenerate,
     oriented_epipolar_ok,
     residuals,
-    sample_cheirality_ok,
     sample_degenerate,
 )
 from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
     CCSamplerState,
-    NeighborhoodGraph,
     build_neighborhood,
     cc_can_sample,
     next_sample_cc,
@@ -63,6 +58,8 @@ PROPOSAL_BUDGET_FACTOR = 50
 # parameter change drops below IRLS_TOL
 IRLS_MAX_ITERS = 25
 IRLS_TOL = 1e-6
+# consolidation passes (clustering plus IRLS) allowed per outer iteration
+CONSOLIDATION_MAX_PASSES = 50
 
 
 @dataclass(frozen=True)
@@ -104,7 +101,7 @@ class EngineConfig:
 def default_config(model_type: ModelType, epsilon: float,
                    kind: LossKind = LossKind.MAGSACPP, **overrides) -> EngineConfig:
     """EngineConfig with the loss dof matched to the model family."""
-    fn = LossFunction(kind, epsilon, default_dof(model_type))
+    fn = LossFunction(kind, epsilon, model_type.dof)
     return EngineConfig(loss=fn, **overrides)
 
 
@@ -185,7 +182,7 @@ def refine_irls(h: ModelInstance, r: np.ndarray, loss: np.ndarray,
     current = h
     for it in range(IRLS_MAX_ITERS):
         w = fn.weights(r) * points.weights
-        if np.count_nonzero(w > 0) < MINIMAL_SAMPLE_SIZE[h.model_type]:
+        if np.count_nonzero(w > 0) < h.model_type.m:
             info["degenerate"] = True
             break
         try:
@@ -219,64 +216,23 @@ def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # Main loop
 
-class _Proposer:
-    """Sample, fit, and screen one candidate batch entry."""
-
-    def __init__(self, points: PointSet, model_type: ModelType,
-                 cfg: EngineConfig, rng: np.random.Generator,
-                 graph: Optional[NeighborhoodGraph],
-                 cc_state: Optional[CCSamplerState]):
-        self.points = points
-        self.model_type = model_type
-        self.cfg = cfg
-        self.rng = rng
-        self.graph = graph
-        self.cc_state = cc_state
-        self.m = MINIMAL_SAMPLE_SIZE[model_type]
-        self.draws = 0
-
-    def draw(self) -> list[int]:
-        self.draws += 1
-        if self.cfg.sampler == "cc":
-            return next_sample_cc(self.cc_state, self.graph, self.points,
-                                  self.m, self.rng)
-        if self.cfg.sampler == "prosac":
-            return next_sample_prosac(self.points, self.m, self.draws, self.rng)
-        if self.cfg.sampler == "pnapsac":
-            return next_sample_pnapsac(self.points, self.m, self.draws,
-                                       self.graph, self.rng)
-        return next_sample_uniform(self.points, self.m, self.rng)
-
-    def candidates(self, sample: list[int]) -> list[ModelInstance]:
-        coords = self.points.coords[sample]
-        minimal = len(sample) == self.m
-        if minimal:
-            if sample_degenerate(self.model_type, coords):
-                return []
-            if (self.model_type is ModelType.HOMOGRAPHY
-                    and not sample_cheirality_ok(coords)):
-                return []
-            try:
-                fitted = fit_minimal(self.model_type, coords)
-            except DegenerateSample:
-                return []
-        else:
-            try:
-                fitted = [fit_nonminimal(self.model_type,
-                                         self.points.subset(sample),
-                                         self.points.weights[sample])]
-            except DegenerateSample:
-                return []
-        if self.model_type is ModelType.FUNDAMENTAL and minimal:
-            fitted = [f for f in fitted if oriented_epipolar_ok(f, coords)]
-        return fitted
-
-    def model_degenerate(self, h: ModelInstance, sample: list[int]) -> bool:
-        """Post-quality model degeneracy: dominant-plane test for F."""
-        if self.model_type is not ModelType.FUNDAMENTAL or len(sample) != self.m:
-            return False
-        return fundamental_planar_degenerate(h, self.points.coords[sample],
-                                             self.cfg.loss.epsilon)
+def _candidates(points: PointSet, model_type: ModelType,
+                sample: list[int]) -> list[ModelInstance]:
+    """Screen and solve one sample. A minimal sample passes the sample
+    screen, the minimal solver and, for F, the oriented epipolar test; a
+    larger one (a connected component) is fitted by least squares."""
+    coords = points.coords[sample]
+    try:
+        if len(sample) > model_type.m:
+            return [fit_nonminimal(model_type, coords, points.weights[sample])]
+        if sample_degenerate(model_type, coords):
+            return []
+        fitted = fit_minimal(model_type, coords)
+    except DegenerateSample:
+        return []
+    if model_type is ModelType.FUNDAMENTAL:
+        fitted = [f for f in fitted if oriented_epipolar_ok(f, coords)]
+    return fitted
 
 
 def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitReport:
@@ -286,13 +242,13 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     config.seed. An empty instance list is a valid outcome, not an error.
     """
     start = time.perf_counter()
-    m = MINIMAL_SAMPLE_SIZE[model_type]
+    m = model_type.m
     n = len(points)
     if n < m:
         raise ExhaustedData(f"{model_type.value} needs at least {m} points")
-    if points.dim != POINT_DIM[model_type]:
+    if points.dim != model_type.dim:
         raise DimensionMismatch(
-            f"{model_type.value} expects dimension {POINT_DIM[model_type]}, "
+            f"{model_type.value} expects dimension {model_type.dim}, "
             f"got {points.dim}")
 
     rng = np.random.default_rng(config.seed)
@@ -303,7 +259,6 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                                    build_edges=config.sampler == "cc")
     if config.sampler == "cc":
         cc_state = CCSamplerState(config.r_min, config.r_max, config.n_steps)
-    proposer = _Proposer(points, model_type, config, rng, graph, cc_state)
 
     fn = config.loss
     eps = fn.epsilon
@@ -313,6 +268,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     loss_rows = np.zeros((0, n))
     min_loss = np.ones(n)   # per point, over the kept instances
     proposals_tried = 0
+    draws = 0
     outer = 0
     united = 0
 
@@ -323,7 +279,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         attempts = 0
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
-               and proposer.draws < config.max_proposals):
+               and draws < config.max_proposals):
             if cc_state is not None and not cc_can_sample(cc_state, graph, m):
                 # the deterministic component stream is finished; keep the
                 # PROSAC fallback only as a safeguard when nothing at all
@@ -331,13 +287,20 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 if instances or batch:
                     cc_spent = True
                     break
-            if not batch and proposer.draws > 0 and should_terminate(
-                    n, united, proposer.draws, m, config.confidence,
-                    config.q_min):
+            if not batch and draws > 0 and should_terminate(
+                    n, united, draws, m, config.confidence, config.q_min):
                 break  # nothing new this batch and the criterion already holds
-            sample = proposer.draw()
+            draws += 1
             attempts += 1
-            for h in proposer.candidates(sample):
+            if cc_state is not None:
+                sample = next_sample_cc(cc_state, graph, points, m, rng)
+            elif config.sampler == "prosac":
+                sample = next_sample_prosac(points, m, draws, rng)
+            elif config.sampler == "pnapsac":
+                sample = next_sample_pnapsac(points, m, draws, graph, rng)
+            else:
+                sample = next_sample_uniform(points, m, rng)
+            for h in _candidates(points, model_type, sample):
                 proposals_tried += 1
                 r = residuals(h, points.coords)
                 # sound upper bound on the quality: skip the loss evaluation
@@ -347,7 +310,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                     continue
                 loss = fn.losses(r)
                 q = quality_f_from_losses(loss, min_loss)
-                if is_dominant(q, config.q_min) and not proposer.model_degenerate(h, sample):
+                if is_dominant(q, config.q_min) and not (
+                        model_type is ModelType.FUNDAMENTAL
+                        and fundamental_planar_degenerate(
+                            h, points.coords[sample], eps)):
                     batch.append((h, r, loss))
 
         if batch:
@@ -359,11 +325,11 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
-        done = should_terminate(n, united, proposer.draws, m,
-                                config.confidence, config.q_min)
+        done = should_terminate(n, united, draws, m, config.confidence,
+                                config.q_min)
         if cc_spent and instances:
             done = True
-        if proposer.draws >= config.max_proposals:
+        if draws >= config.max_proposals:
             done = True
         if done:
             break
@@ -381,7 +347,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
 
 def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
-                 points: PointSet, cfg: EngineConfig, max_passes: int = 50):
+                 points: PointSet, cfg: EngineConfig):
     """Alternate consensus clustering and IRLS until the clustering returns
     only singletons. The instance count never increases between passes.
     residual_rows and loss_rows are sequences of rows or row blocks in
@@ -392,7 +358,7 @@ def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
     residual and loss rows."""
     current = instances
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
-    for n_pass in range(max_passes):
+    for n_pass in range(CONSOLIDATION_MAX_PASSES):
         clusters = cluster_instances(loss_rows, cfg.tau)
         if n_pass > 0 and len(clusters) == len(current):
             break

@@ -20,7 +20,6 @@ from scipy.spatial.transform import Rotation
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError
 from .models import (
-    POINT_DIM,
     ModelInstance,
     ModelType,
     PointSet,
@@ -71,9 +70,9 @@ def _parse_header(line: str, base_dir: Path):
     for tok in tokens[2:]:
         if tok.startswith("intrinsics="):
             intrinsics = load_intrinsics(base_dir / tok.split("=", 1)[1])
-    if dim != POINT_DIM[model_type]:
+    if dim != model_type.dim:
         raise ParseError(
-            f"{model_type.value} uses dimension {POINT_DIM[model_type]}, "
+            f"{model_type.value} uses dimension {model_type.dim}, "
             f"header says {dim}", line=1)
     return model_type, dim, labeled, scored, intrinsics
 
@@ -140,10 +139,10 @@ def _load_scene_json(path: Path):
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad scene json: {exc}")
     if coords.size == 0:
-        coords = coords.reshape(0, POINT_DIM[model_type])
-    if coords.ndim != 2 or coords.shape[1] != POINT_DIM[model_type]:
+        coords = coords.reshape(0, model_type.dim)
+    if coords.ndim != 2 or coords.shape[1] != model_type.dim:
         raise DimensionMismatch(
-            f"{model_type.value} uses dimension {POINT_DIM[model_type]}")
+            f"{model_type.value} uses dimension {model_type.dim}")
     labels = payload.get("labels")
     labels = None if labels is None else np.asarray(labels, dtype=int)
     scores = payload.get("scores")
@@ -163,7 +162,7 @@ def save_scene(path, model_type: ModelType, points: PointSet,
     """Write a scene CSV in canonical formatting: shortest round-trip float
     representation, one point per row."""
     path = Path(path)
-    header = [model_type.value, str(POINT_DIM[model_type])]
+    header = [model_type.value, str(model_type.dim)]
     if labels is not None:
         header.append("labeled")
     if scores is not None:

@@ -192,17 +192,3 @@ class LossFunction:
             out[inside] = (_upper_gamma(a, y) - gu_a_k) / w0
         return np.maximum(out, 0.0)
 
-
-def default_dof(model_type) -> int:
-    """Residual degrees of freedom per model family: 2 for point-to-line or
-    point-to-plane distances, 4 for homography transfer, 1 for Sampson."""
-    from .models import ModelType
-
-    return {
-        ModelType.LINE2D: 2,
-        ModelType.SEGMENT2D: 2,
-        ModelType.PLANE3D: 2,
-        ModelType.HOMOGRAPHY: 4,
-        ModelType.FUNDAMENTAL: 1,
-    }[model_type]
-

@@ -22,18 +22,27 @@ import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch
 
-_UNIT_TOL = 1e-9
-_RANK2_RATIO = 1e-7
 COLLINEAR_AREA_TOL = 1.0       # px^2, triangle-area threshold for degeneracy tests
 COINCIDENT_POINT_TOL = 1e-9
 
 
 class ModelType(Enum):
-    LINE2D = "line2d"
-    SEGMENT2D = "segment2d"
-    PLANE3D = "plane3d"
-    HOMOGRAPHY = "homography"
-    FUNDAMENTAL = "fundamental"
+    """Model family with its facts: minimal sample size m, point dimension
+    dim, parameter count n_params and residual degrees of freedom dof (2 for
+    point-to-line or point-to-plane distances, 4 for homography transfer, 1
+    for Sampson). The value is the family's name."""
+
+    LINE2D = ("line2d", 2, 2, 3, 2)
+    SEGMENT2D = ("segment2d", 2, 2, 5, 2)
+    PLANE3D = ("plane3d", 3, 3, 4, 2)
+    HOMOGRAPHY = ("homography", 4, 4, 9, 4)
+    FUNDAMENTAL = ("fundamental", 7, 4, 9, 1)
+
+    def __new__(cls, value: str, m: int, dim: int, n_params: int, dof: int):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.m, member.dim, member.n_params, member.dof = m, dim, n_params, dof
+        return member
 
     @classmethod
     def from_string(cls, name: str) -> "ModelType":
@@ -41,31 +50,6 @@ class ModelType(Enum):
             if member.value == name.lower():
                 return member
         raise ValueError(f"unknown model type {name!r}")
-
-
-MINIMAL_SAMPLE_SIZE = {
-    ModelType.LINE2D: 2,
-    ModelType.SEGMENT2D: 2,
-    ModelType.PLANE3D: 3,
-    ModelType.HOMOGRAPHY: 4,
-    ModelType.FUNDAMENTAL: 7,
-}
-
-POINT_DIM = {
-    ModelType.LINE2D: 2,
-    ModelType.SEGMENT2D: 2,
-    ModelType.PLANE3D: 3,
-    ModelType.HOMOGRAPHY: 4,
-    ModelType.FUNDAMENTAL: 4,
-}
-
-PARAM_LEN = {
-    ModelType.LINE2D: 3,
-    ModelType.SEGMENT2D: 5,
-    ModelType.PLANE3D: 4,
-    ModelType.HOMOGRAPHY: 9,
-    ModelType.FUNDAMENTAL: 9,
-}
 
 
 class PointSet:
@@ -110,15 +94,6 @@ class PointSet:
     def dim(self) -> int:
         return self.coords.shape[1]
 
-    def subset(self, indices) -> "PointSet":
-        idx = np.asarray(indices)
-        return PointSet(
-            self.coords[idx],
-            self.weights[idx],
-            None if self.quality_rank is None else self.quality_rank[idx],
-            None if self.labels is None else self.labels[idx],
-        )
-
 
 @dataclass(frozen=True)
 class ModelInstance:
@@ -129,9 +104,9 @@ class ModelInstance:
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
-        if params.shape != (PARAM_LEN[self.model_type],):
+        if params.shape != (self.model_type.n_params,):
             raise ValueError(
-                f"{self.model_type.value} needs {PARAM_LEN[self.model_type]} parameters"
+                f"{self.model_type.value} needs {self.model_type.n_params} parameters"
             )
         params.setflags(write=False)
         object.__setattr__(self, "params", params)
@@ -180,9 +155,9 @@ def _as_coords(sample) -> np.ndarray:
 
 
 def _check_dim(model_type: ModelType, coords: np.ndarray):
-    if coords.shape[1] != POINT_DIM[model_type]:
+    if coords.shape[1] != model_type.dim:
         raise DimensionMismatch(
-            f"{model_type.value} expects dimension {POINT_DIM[model_type]}, "
+            f"{model_type.value} expects dimension {model_type.dim}, "
             f"got {coords.shape[1]}"
         )
 
@@ -303,7 +278,7 @@ def fit_minimal(model_type: ModelType, sample) -> list[ModelInstance]:
     to 3 real roots; the other solvers yield 0 or 1)."""
     coords = _as_coords(sample)
     _check_dim(model_type, coords)
-    m = MINIMAL_SAMPLE_SIZE[model_type]
+    m = model_type.m
     if coords.shape[0] != m:
         raise ValueError(f"minimal sample for {model_type.value} has {m} points")
 
@@ -353,14 +328,13 @@ def fit_nonminimal(model_type: ModelType, points, weights) -> ModelInstance:
         raise ValueError("weights must match point count")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
-    m = MINIMAL_SAMPLE_SIZE[model_type]
+    m = model_type.m
     if coords.shape[0] < m:
         raise ValueError(f"need at least {m} points")
     if np.count_nonzero(w > 0) < m:
         raise DegenerateSample("fewer positive-weight points than the minimal sample size")
 
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D):
-        dim = POINT_DIM[model_type]
         wsum = w.sum()
         centroid = (w[:, None] * coords).sum(axis=0) / wsum
         centered = coords - centroid
@@ -486,42 +460,30 @@ def _triangle_areas_2d(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (v1[:, 0::2] * v2[:, 1::2] - v1[:, 1::2] * v2[:, 0::2])
 
 
-def sample_degenerate(model_type: ModelType, sample, area_tol: float = COLLINEAR_AREA_TOL) -> bool:
+def sample_degenerate(model_type: ModelType, sample) -> bool:
     """True when a minimal sample cannot produce a usable model.
 
-    Homography: any 3 of the 4 points nearly collinear in either image.
-    Plane: the 3 points nearly collinear. Lines/segments: coincident points.
-    Fundamental matrices are never flagged here.
+    Homography: any 3 of the 4 points nearly collinear in either image, or
+    a triple whose orientation flips between the images, i.e. the convex
+    hulls differ or are traversed in different cyclic orders (cheirality).
+    Plane: the 3 points nearly collinear. Lines/segments: coincident
+    points. Fundamental matrices are never flagged here.
     """
     coords = _as_coords(sample)
     _check_dim(model_type, coords)
-    if coords.shape[0] != MINIMAL_SAMPLE_SIZE[model_type]:
+    if coords.shape[0] != model_type.m:
         raise ValueError("degeneracy test expects a minimal sample")
 
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         return bool(np.linalg.norm(coords[1] - coords[0]) < COINCIDENT_POINT_TOL)
     if model_type is ModelType.PLANE3D:
         n = np.cross(coords[1] - coords[0], coords[2] - coords[0])
-        return bool(0.5 * np.linalg.norm(n) < area_tol)
+        return bool(0.5 * np.linalg.norm(n) < COLLINEAR_AREA_TOL)
     if model_type is ModelType.HOMOGRAPHY:
-        return bool(np.any(np.abs(_triangle_areas_2d(coords)) < area_tol))
+        areas = _triangle_areas_2d(coords)
+        return bool(np.any(np.abs(areas) < COLLINEAR_AREA_TOL)
+                    or np.any((areas[:, 0] > 0) != (areas[:, 1] > 0)))
     return False
-
-
-def sample_cheirality_ok(sample) -> bool:
-    """True when the 4 correspondences traverse their convex hulls in the
-    same cyclic order in both images; degenerate hulls (a triple with area
-    below 1e-9 in either image) fail. For 4 points with no collinear
-    triple the hull and its cyclic order are fixed by the orientations of
-    the 4 triples, so this is the test that every triple has the same
-    orientation sign in both images."""
-    coords = _as_coords(sample)
-    if coords.shape != (4, 4):
-        raise ValueError("cheirality test expects 4 correspondences")
-    areas = _triangle_areas_2d(coords)
-    if np.any(np.abs(areas) < 1e-9):
-        return False
-    return bool(np.all((areas[:, 0] > 0) == (areas[:, 1] > 0)))
 
 
 def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:
@@ -557,7 +519,9 @@ def fundamental_planar_degenerate(instance: ModelInstance, sample,
         return False
     for quad in ((0, 1, 2, 3), (3, 4, 5, 6), (0, 2, 4, 6)):
         pts = coords[list(quad)]
-        if sample_degenerate(ModelType.HOMOGRAPHY, pts):
+        # collinearity only: the quads are not screened for orientation
+        # flips, so this test rejects the same F samples as it always has
+        if np.any(np.abs(_triangle_areas_2d(pts)) < COLLINEAR_AREA_TOL):
             continue
         try:
             h = fit_minimal(ModelType.HOMOGRAPHY, pts)

@@ -14,8 +14,17 @@ from typing import Optional
 import numpy as np
 
 from .engine import EngineConfig, fit
-from .errors import DegenerateHomography, NoValidPose, RankDeficient
+from .errors import (
+    DegenerateHomography,
+    DegenerateSample,
+    NoValidPose,
+    RankDeficient,
+)
 from .models import ModelType, PointSet, fit_nonminimal
+
+# singular-value spread of the calibrated homography below which it is
+# taken for a pure rotation
+EQUAL_SV_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,8 @@ def _polish_decomposition(Hn, R, t, n, iters: int = 3):
     return R, t, n
 
 
-def decompose_homography(H: np.ndarray, K1: np.ndarray, K2: np.ndarray,
-                         equal_sv_tol: float = 1e-6) -> list[HomographyDecomposition]:
+def decompose_homography(H: np.ndarray, K1: np.ndarray,
+                         K2: np.ndarray) -> list[HomographyDecomposition]:
     """Analytic decomposition of a homography into (R, t, n) candidates.
 
     The calibrated homography K2^-1 H K1 is normalized by its middle
@@ -101,7 +110,7 @@ def decompose_homography(H: np.ndarray, K1: np.ndarray, K2: np.ndarray,
         Hn = -Hn
     s1, _, s3 = s / s[1]
 
-    if (s1 - s3) < equal_sv_tol:
+    if (s1 - s3) < EQUAL_SV_TOL:
         R = _closest_rotation(Hn)
         pose = RelativePose(R, np.zeros(3), "homography", zero_translation=True)
         return [HomographyDecomposition(pose, np.zeros(3), np.zeros(3))]
@@ -291,7 +300,7 @@ def essential_from_inliers(correspondences: np.ndarray, K1: np.ndarray,
     try:
         f_inst = fit_nonminimal(ModelType.FUNDAMENTAL, correspondences,
                                 np.ones(len(correspondences)))
-    except Exception:
+    except DegenerateSample:
         return None
     E = K2.T @ f_inst.matrix() @ K1
     U, s, Vt = np.linalg.svd(E)

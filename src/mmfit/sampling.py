@@ -20,6 +20,8 @@ from .errors import ExhaustedData, InvalidConfig
 from .models import PointSet
 
 PROSAC_GROWTH_BUDGET = 200_000
+# draws per extra neighbor in the P-NAPSAC neighborhood
+PNAPSAC_GROWTH_RATE = 10
 
 
 class NeighborhoodGraph:
@@ -106,15 +108,14 @@ def connected_components(graph: NeighborhoodGraph, r: float) -> list[list[int]]:
 
 @dataclass
 class CCSamplerState:
-    """Mutable state of the connected-component sampler for one fit."""
+    """Mutable state of the connected-component sampler for one fit.
+    pending is None until the first component list is built."""
 
     r_min: float
     r_max: float
     n_steps: int
     r: float = field(init=False)
-    pending: list[list[int]] = field(init=False, default_factory=list)
-    initialized: bool = field(init=False, default=False)
-    exhausted: bool = field(init=False, default=False)
+    pending: list[list[int]] | None = field(init=False, default=None)
     fallback_count: int = field(init=False, default=0)
 
     def __post_init__(self):
@@ -124,38 +125,23 @@ class CCSamplerState:
             raise InvalidConfig("n_steps must be >= 1")
         self.r = self.r_min
 
-    @property
-    def step(self) -> float:
-        return (self.r_max - self.r_min) / self.n_steps
-
-
-def _pending_points(state: CCSamplerState) -> int:
-    return sum(len(c) for c in state.pending)
-
-
-def ensure_components(state: CCSamplerState, graph: NeighborhoodGraph,
-                      m: int) -> None:
-    """Advance the densification schedule until the pending components hold
-    at least m points in total or the radius is spent; sets state.exhausted
-    in the latter case."""
-    if not state.initialized:
-        state.initialized = True
-        state.pending = connected_components(graph, state.r)
-    rounds = 0
-    while (_pending_points(state) < m and state.r <= state.r_max
-           and rounds <= state.n_steps + 1):
-        state.r = state.r + state.step if state.step > 0 else state.r_max + 1.0
-        state.pending = connected_components(graph, min(state.r, graph.r_max))
-        rounds += 1
-    if _pending_points(state) < m and state.r > state.r_max:
-        state.exhausted = True
-
 
 def cc_can_sample(state: CCSamplerState, graph: NeighborhoodGraph, m: int) -> bool:
-    """True when the next call to next_sample_cc will serve a component
-    sample rather than falling back to PROSAC."""
-    ensure_components(state, graph, m)
-    return _pending_points(state) >= m
+    """Advance the densification schedule until the pending components hold
+    at least m points in total or the radius is spent (at most n_steps + 2
+    rounds). True when they hold m points, i.e. when the next call to
+    next_sample_cc serves a component sample rather than falling back to
+    PROSAC."""
+    if state.pending is None:
+        state.pending = connected_components(graph, state.r)
+    step = (state.r_max - state.r_min) / state.n_steps
+    rounds = 0
+    while (sum(map(len, state.pending)) < m and state.r <= state.r_max
+           and rounds <= state.n_steps + 1):
+        state.r = state.r + step if step > 0 else state.r_max + 1.0
+        state.pending = connected_components(graph, min(state.r, graph.r_max))
+        rounds += 1
+    return sum(map(len, state.pending)) >= m
 
 
 def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
@@ -173,19 +159,12 @@ def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
     """
     if len(points) < m:
         raise ExhaustedData(f"need at least {m} points")
-
-    ensure_components(state, graph, m)
-
-    sample: list[int] = []
-    while state.pending and len(sample) < m:
-        sample.extend(state.pending.pop(0))
-
-    if not state.pending and state.r > state.r_max:
-        state.exhausted = True
-
-    if len(sample) < m:
+    if not cc_can_sample(state, graph, m):
         state.fallback_count += 1
         return next_sample_prosac(points, m, state.fallback_count, rng)
+    sample: list[int] = []
+    while len(sample) < m:
+        sample.extend(state.pending.pop(0))
     return sorted(sample)
 
 
@@ -193,9 +172,9 @@ def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
 # PROSAC
 
 @lru_cache(maxsize=None)
-def _prosac_schedule(n_points: int, m: int, budget: int) -> tuple:
+def _prosac_schedule(n_points: int, m: int) -> tuple:
     """T'_n thresholds of the PROSAC growth function for n = m..n_points."""
-    t_n = budget
+    t_n = PROSAC_GROWTH_BUDGET
     for i in range(m):
         t_n *= (m - i) / (n_points - i)
     thresholds = [1.0]  # T'_m = 1
@@ -214,8 +193,7 @@ def _ranked_order(points: PointSet) -> np.ndarray | None:
 
 
 def next_sample_prosac(points: PointSet, m: int, iteration: int,
-                       rng: np.random.Generator,
-                       budget: int = PROSAC_GROWTH_BUDGET) -> list[int]:
+                       rng: np.random.Generator) -> list[int]:
     """PROSAC sample of size m at the given 1-based iteration.
 
     The distinguished point of the growth schedule comes first in the
@@ -227,10 +205,10 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
         raise ExhaustedData(f"need at least {m} points")
     order = _ranked_order(points)
     if order is None:
-        return [int(i) for i in rng.choice(n, size=m, replace=False)]
-    thresholds = _prosac_schedule(n, m, budget)
+        return next_sample_uniform(points, m, rng)
+    thresholds = _prosac_schedule(n, m)
     if iteration > thresholds[-1]:
-        return [int(i) for i in rng.choice(n, size=m, replace=False)]
+        return next_sample_uniform(points, m, rng)
     subset = int(np.searchsorted(thresholds, iteration, side="left")) + m
     subset = min(subset, n)
     pivot = order[subset - 1]
@@ -242,8 +220,7 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
 
 def next_sample_pnapsac(points: PointSet, m: int, iteration: int,
                         graph: NeighborhoodGraph,
-                        rng: np.random.Generator,
-                        growth_rate: int = 10) -> list[int]:
+                        rng: np.random.Generator) -> list[int]:
     """P-NAPSAC sample: the first point follows the PROSAC rule, the rest
     are drawn from a neighborhood of it whose size grows with the
     iteration count until sampling is effectively global."""
@@ -253,7 +230,7 @@ def next_sample_pnapsac(points: PointSet, m: int, iteration: int,
     center = next_sample_prosac(points, 1, iteration, rng)[0]
     if m == 1:
         return [center]
-    size = min(n - 1, m - 1 + iteration // growth_rate)
+    size = min(n - 1, m - 1 + iteration // PNAPSAC_GROWTH_RATE)
     pool = graph.nearest(center, size)
     picked = rng.choice(len(pool), size=m - 1, replace=False)
     return [center] + [int(pool[i]) for i in picked]

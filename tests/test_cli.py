@@ -5,6 +5,8 @@ import jsonschema
 import pytest
 
 from mmfit.cli import main
+from mmfit.ingest import save_scene, synthesize_two_view
+from mmfit.models import ModelType
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -89,3 +91,55 @@ def test_removed_flags_rejected(tmp_path, capsys, flag, value):
         main(["fit", str(tmp_path / "scene.csv"), flag, value])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eval_of_truth_file_uses_epsilon_flag(tmp_path, capsys):
+    # synth writes "epsilon": null into the truth file
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "3",
+                   "--points", "80", "--outliers", "60")
+    code, out, err = _run(capsys, "eval", scene,
+                          scene.with_suffix(".truth.json"), "--json")
+    assert code == 0, err
+    result = json.loads(out.strip().splitlines()[-1])
+    jsonschema.validate(result, _schema("eval"))
+    assert result["me_percent"] < 5.0
+
+
+def _two_view_scene(tmp_path):
+    s = synthesize_two_view(2, 60, 20, 1.0, seed=3)
+    scene = tmp_path / "pair.csv"
+    save_scene(scene, ModelType.HOMOGRAPHY, s.points, labels=s.labels)
+    return scene, s
+
+
+def test_pose_roundtrip_matches_schema(tmp_path, capsys):
+    scene, s = _two_view_scene(tmp_path)
+    intrinsics = tmp_path / "K.json"
+    intrinsics.write_text(json.dumps({"K1": s.K1.tolist()}))
+    gt = tmp_path / "gt.json"
+    gt.write_text(json.dumps({"R": s.rotation.tolist(),
+                              "t": s.translation.tolist()}))
+    code, out, err = _run(capsys, "pose", scene, "--intrinsics", intrinsics,
+                          "--gt", gt, "--json", "--max-proposals", "500")
+    assert code == 0, err
+    result = json.loads(out.strip().splitlines()[-1])
+    jsonschema.validate(result, _schema("pose"))
+    assert result["rotation_error_deg"] < 1.0
+    assert result["translation_error_deg"] < 1.0
+
+
+def test_pose_without_intrinsics_exits_1(tmp_path, capsys):
+    scene, _ = _two_view_scene(tmp_path)
+    code, _, err = _run(capsys, "pose", scene, "--max-proposals", "50")
+    assert code == 1
+    assert err.startswith("error:")
+
+
+def test_fit_svg_draws_every_point(tmp_path, capsys):
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
+                   "--points", "40", "--outliers", "20")
+    svg = tmp_path / "fig" / "scene.svg"
+    code, _, _ = _run(capsys, "fit", scene, "--out", tmp_path / "fit",
+                      "--svg", svg)
+    assert code == 0
+    assert svg.read_text().count("<circle") == 100

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mmfit.errors import DegenerateSample
 from mmfit.models import (
-    MINIMAL_SAMPLE_SIZE,
+    COLLINEAR_AREA_TOL,
     ModelType,
     _fundamental_eight_point,
     _homography_dlt,
@@ -18,7 +18,6 @@ from mmfit.models import (
     oriented_epipolar_ok,
     residual,
     residuals,
-    sample_cheirality_ok,
     sample_degenerate,
     segment_endpoints,
 )
@@ -68,7 +67,7 @@ def test_seven_point_epipolar_oracle():
 @pytest.mark.parametrize("model_type", list(ModelType))
 def test_minimal_fit_interpolates_sample(model_type, rng):
     for trial in range(20):
-        m = MINIMAL_SAMPLE_SIZE[model_type]
+        m = model_type.m
         if model_type in (ModelType.HOMOGRAPHY, ModelType.FUNDAMENTAL):
             corr, _, _ = make_f_scene(seed=100 + 7 * trial, n=m)
             sample = corr
@@ -126,7 +125,7 @@ def test_nonminimal_reproduces_minimal_on_exact_sample(rng):
     # 4 homography points and 8 fundamental points give 8x9 systems, whose
     # null vector needs the full V^T of the SVD
     for model_type in ModelType:
-        m = MINIMAL_SAMPLE_SIZE[model_type]
+        m = model_type.m
         if model_type in (ModelType.HOMOGRAPHY, ModelType.FUNDAMENTAL):
             sample, _, _ = make_f_scene(seed=3, n=max(m, 8))
             sample = sample[:max(m, 8)]
@@ -283,12 +282,15 @@ def test_coincident_plane_points_degenerate():
     assert sample_degenerate(ModelType.PLANE3D, pts) is True
 
 
+def _h_degenerate(pts1, pts2):
+    return sample_degenerate(ModelType.HOMOGRAPHY, np.column_stack([pts1, pts2]))
+
+
 def test_cheirality_identity_and_reflection():
     square = np.array([[0.0, 0.0], [50.0, 0.0], [50.0, 50.0], [0.0, 50.0]])
-    same = np.column_stack([square, square])
-    assert sample_cheirality_ok(same) is True
+    assert _h_degenerate(square, square) is False
     reflected = square * np.array([-1.0, 1.0])
-    assert sample_cheirality_ok(np.column_stack([square, reflected])) is False
+    assert _h_degenerate(square, reflected) is True
 
 
 def test_cheirality_mild_projective_warp():
@@ -296,35 +298,35 @@ def test_cheirality_mild_projective_warp():
     H = np.array([[1.1, 0.05, 3.0], [-0.04, 0.95, -2.0], [1e-4, -5e-5, 1.0]])
     warped_h = (np.column_stack([square, np.ones(4)]) @ H.T)
     warped = warped_h[:, :2] / warped_h[:, 2:3]
-    assert sample_cheirality_ok(np.column_stack([square, warped])) is True
+    assert _h_degenerate(square, warped) is False
 
 
 def test_cheirality_invariant_to_similarity(rng):
+    # the collinearity threshold is an absolute area, so the verdict may
+    # change with the scale of an image but not with its rotation or shift
     for _ in range(25):
         pts1 = rng.uniform(0, 100, size=(4, 2))
         pts2 = rng.uniform(0, 100, size=(4, 2))
-        base = sample_cheirality_ok(np.column_stack([pts1, pts2]))
-        theta = rng.uniform(0, 2 * np.pi)
         s = rng.uniform(0.5, 2.0)
+        base = _h_degenerate(pts1, s * pts2)
+        theta = rng.uniform(0, 2 * np.pi)
         Rm = s * np.array([[np.cos(theta), -np.sin(theta)],
                            [np.sin(theta), np.cos(theta)]])
         moved = pts2 @ Rm.T + rng.uniform(-10, 10, size=2)
-        assert sample_cheirality_ok(np.column_stack([pts1, moved])) == base
+        assert _h_degenerate(pts1, moved) == base
         mirrored = moved * np.array([-1.0, 1.0])
-        if base:
-            assert sample_cheirality_ok(
-                np.column_stack([pts1, mirrored])) is False
+        if not base:
+            assert _h_degenerate(pts1, mirrored) is True
 
 
 def test_cheirality_degenerate_hull_rejected():
     pts1 = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [5.0, 30.0]])
-    pts2 = pts1 + 1.0
-    assert sample_cheirality_ok(np.column_stack([pts1, pts2])) is False
+    assert _h_degenerate(pts1, pts1 + 1.0) is True
 
 
-def _hull_cycle(pts, degenerate_tol=1e-9):
+def _hull_cycle(pts, degenerate_tol):
     """Indices of the convex hull of 4 points in CCW order by Andrew's
-    monotone chain, or None if any triple is collinear within tolerance."""
+    monotone chain, or None if any triple has an area below degenerate_tol."""
     for i in range(2):
         for j in range(i + 1, 3):
             for k in range(j + 1, 4):
@@ -346,9 +348,11 @@ def _hull_cycle(pts, degenerate_tol=1e-9):
     return lower[:-1] + upper[:-1]
 
 
-def _cheirality_oracle(sample):
-    """Same hull, traversed in the same cyclic order, in both images."""
-    h1, h2 = _hull_cycle(sample[:, :2]), _hull_cycle(sample[:, 2:])
+def _homography_sample_ok_oracle(sample):
+    """Every triple area at least COLLINEAR_AREA_TOL in both images, and the
+    same hull, traversed in the same cyclic order, in both images."""
+    h1 = _hull_cycle(sample[:, :2], COLLINEAR_AREA_TOL)
+    h2 = _hull_cycle(sample[:, 2:], COLLINEAR_AREA_TOL)
     if h1 is None or h2 is None or sorted(h1) != sorted(h2):
         return False
     shift = h2.index(h1[0])
@@ -356,12 +360,13 @@ def _cheirality_oracle(sample):
 
 
 # coordinates within +-100 keep the rounding error of every cross product
-# far below the 1e-9 degeneracy threshold, so the two tests see the same signs
+# far below the area threshold, so the two tests see the same verdicts
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(-100.0, 100.0), min_size=16, max_size=16))
 def test_cheirality_matches_hull_cycle_oracle(values):
     sample = np.array(values).reshape(4, 4)
-    assert sample_cheirality_ok(sample) == _cheirality_oracle(sample)
+    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample)
+            != _homography_sample_ok_oracle(sample))
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,7 +374,8 @@ def test_cheirality_matches_hull_cycle_oracle(values):
 def test_cheirality_matches_hull_cycle_oracle_on_grid(values):
     # a 4x4 grid makes collinear triples and repeated points common
     sample = np.array(values, dtype=float).reshape(4, 4)
-    assert sample_cheirality_ok(sample) == _cheirality_oracle(sample)
+    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample)
+            != _homography_sample_ok_oracle(sample))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,12 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from mmfit.engine import default_config
-from mmfit.errors import DegenerateHomography, NoValidPose, RankDeficient
+from mmfit.errors import (
+    DegenerateHomography,
+    DimensionMismatch,
+    NoValidPose,
+    RankDeficient,
+)
 from mmfit.ingest import synthesize_two_view
 from mmfit.models import ModelType
 from mmfit.pose import (
@@ -11,6 +16,7 @@ from mmfit.pose import (
     _closest_rotation,
     decompose_essential,
     decompose_homography,
+    essential_from_inliers,
     pose_from_multi_h,
     pose_support,
     rotation_error_deg,
@@ -277,6 +283,17 @@ def test_decompose_essential_contains_truth():
     best = min(rotation_error_deg(p.rotation, R)
                + translation_error_deg(p.translation, t) for p in poses)
     assert best < 1e-9
+
+
+def test_essential_from_repeated_correspondence_is_none():
+    corr = np.tile([[10.0, 20.0, 15.0, 22.0]], (8, 1))
+    assert essential_from_inliers(corr, np.eye(3), np.eye(3)) is None
+
+
+def test_essential_from_wrong_dimension_raises():
+    corr = np.random.default_rng(0).uniform(0, 100, size=(8, 3))
+    with pytest.raises(DimensionMismatch):
+        essential_from_inliers(corr, np.eye(3), np.eye(3))
 
 
 def average_poses(candidates):
