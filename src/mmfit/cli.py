@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .engine import (
     OUTLIER,
+    SAMPLERS,
     EngineConfig,
     FitReport,
     contingency_table,
@@ -28,7 +29,7 @@ from .engine import (
     min_residual_assignment,
     misclassification_error,
 )
-from .errors import MmfitError, NoValidPose
+from .errors import MmfitError, NoValidPose, ParseError
 from .ingest import (
     DEFAULT_KERNEL_THRESHOLD,
     SyntheticSpec,
@@ -61,22 +62,23 @@ _PALETTE = ["#e6194b", "#3cb44b", "#4363d8", "#f58231", "#911eb4",
 
 
 def _common_flags(p: argparse.ArgumentParser):
+    default = {f.name: f.default for f in fields(EngineConfig)}
     p.add_argument("--epsilon", type=float, default=3.0,
                    help="inlier-outlier threshold in pixels")
     p.add_argument("--loss", default="magsacpp",
                    choices=[k.value for k in LossKind])
-    p.add_argument("--q-min", type=float, default=20.0)
-    p.add_argument("--epsilon-t", type=float, default=0.2,
+    p.add_argument("--q-min", type=float, default=default["q_min"])
+    p.add_argument("--epsilon-t", type=float, default=default["tau"],
                    help="model-to-model threshold for consensus clustering")
-    p.add_argument("--confidence", type=float, default=0.99)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--sampler", default="pnapsac",
-                   choices=["uniform", "prosac", "pnapsac", "cc"])
-    p.add_argument("--r-min", type=float, default=20.0)
-    p.add_argument("--r-max", type=float, default=200.0)
-    p.add_argument("--n-steps", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-proposals", type=int, default=10_000)
+    p.add_argument("--confidence", type=float, default=default["confidence"])
+    p.add_argument("--batch-size", type=int, default=default["batch_size"])
+    p.add_argument("--sampler", default=default["sampler"], choices=SAMPLERS)
+    p.add_argument("--r-min", type=float, default=default["r_min"])
+    p.add_argument("--r-max", type=float, default=default["r_max"])
+    p.add_argument("--n-steps", type=int, default=default["n_steps"])
+    p.add_argument("--seed", type=int, default=default["seed"])
+    p.add_argument("--max-proposals", type=int,
+                   default=default["max_proposals"])
 
 
 def _config_from_args(args, model_type: ModelType) -> EngineConfig:
@@ -261,9 +263,7 @@ def cmd_eval(args) -> int:
         return 1
     with open(args.instances) as fh:
         payload = json.load(fh)
-    instances = [make_instance(ModelType.from_string(payload["model_type"]),
-                               np.asarray(e["params"]))
-                 for e in payload["instances"]]
+    instances = _read_instances(payload, args.instances)
     # a ground-truth file stores no epsilon: score it at --epsilon
     eps = payload.get("epsilon")
     eps = float(args.epsilon if eps is None else eps)
@@ -274,10 +274,7 @@ def cmd_eval(args) -> int:
                        0, 0, 0, 0.0)
     me = misclassification_error(report, labels)
 
-    wall = None
-    manifest_path = Path(args.instances).parent / "manifest.json"
-    if manifest_path.exists():
-        wall = json.loads(manifest_path.read_text())["timing"]["wall_time"]
+    wall = _fit_wall_time(Path(args.instances))
 
     per_instance = _precision_recall(assignment, labels)
     result = {
@@ -296,6 +293,35 @@ def cmd_eval(args) -> int:
     if args.json:
         print(json.dumps(result, sort_keys=True))
     return 0
+
+
+def _read_instances(payload: dict, path) -> list:
+    """The model instances of an instances file; ParseError when its model
+    type is unknown or a key is missing, or when an entry's params are not
+    a vector of the family's length."""
+    try:
+        model_type = ModelType.from_string(payload["model_type"])
+        rows = [np.asarray(e["params"], dtype=float) for e in payload["instances"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    for i, params in enumerate(rows):
+        if params.shape != (model_type.n_params,):
+            raise ParseError(f"{path}: instance {i} has {params.size} params, "
+                             f"{model_type.value} needs {model_type.n_params}")
+    return [make_instance(model_type, params) for params in rows]
+
+
+def _fit_wall_time(instances_path: Path):
+    """The fit time that the manifest next to an instances file records,
+    or None unless that manifest is from the `fit` run that wrote it."""
+    manifest_path = instances_path.parent / "manifest.json"
+    if not manifest_path.exists():
+        return None
+    manifest = json.loads(manifest_path.read_text())
+    if (manifest.get("command") != "fit"
+            or instances_path.name not in manifest.get("outputs", [])):
+        return None
+    return manifest["timing"]["wall_time"]
 
 
 def _precision_recall(assignment: np.ndarray, labels: np.ndarray):

@@ -8,10 +8,21 @@ representative of each cluster, and re-estimate its parameters by
 iteratively re-weighted least squares. Points are never crisply assigned
 during fitting; the final report carries both the soft per-point loss
 matrix and a hard minimum-residual assignment.
+
+Proposals come from a FIFO of drawn and solved samples. When it runs dry,
+the loop draws the next SAMPLE_BLOCK samples (never past max_proposals)
+and screens, solves and orients them with one call of the stacked kernel
+models.minimal_candidates; it then takes one entry per draw, with the
+stopping checks made before every draw. A uniform, PROSAC or P-NAPSAC draw
+depends only on the rng and the draw index, so entries left when an outer
+iteration ends are the draws the next one would make, and a fit gives the
+same result as drawing and solving one sample at a time. The CC sampler,
+whose next draw depends on its own gate, refills one draw at a time.
 """
 from __future__ import annotations
 
 import time
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,12 +41,10 @@ from .models import (
     ModelInstance,
     ModelType,
     PointSet,
-    fit_minimal,
     fit_nonminimal,
     fundamental_planar_degenerate,
-    oriented_epipolar_ok,
+    minimal_candidates,
     residuals,
-    sample_degenerate,
 )
 from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
@@ -60,6 +69,9 @@ IRLS_MAX_ITERS = 25
 IRLS_TOL = 1e-6
 # consolidation passes (clustering plus IRLS) allowed per outer iteration
 CONSOLIDATION_MAX_PASSES = 50
+# samples drawn, screened and solved together when the proposal loop runs
+# out of solved samples
+SAMPLE_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -217,22 +229,31 @@ def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
 # Main loop
 
 def _candidates(points: PointSet, model_type: ModelType,
-                sample: list[int]) -> list[ModelInstance]:
-    """Screen and solve one sample. A minimal sample passes the sample
-    screen, the minimal solver and, for F, the oriented epipolar test; a
-    larger one (a connected component) is fitted by least squares."""
-    coords = points.coords[sample]
-    try:
-        if len(sample) > model_type.m:
-            return [fit_nonminimal(model_type, coords, points.weights[sample])]
-        if sample_degenerate(model_type, coords):
-            return []
-        fitted = fit_minimal(model_type, coords)
-    except DegenerateSample:
-        return []
-    if model_type is ModelType.FUNDAMENTAL:
-        fitted = [f for f in fitted if oriented_epipolar_ok(f, coords)]
-    return fitted
+                samples: list[list[int]]) -> list[list[ModelInstance]]:
+    """Screen and solve a block of samples; per sample, its candidates.
+    Minimal samples go through one call of the stacked kernel
+    minimal_candidates (sample screen, minimal solver and, for F, the
+    oriented epipolar test). A larger sample, a connected component, comes
+    in a block of its own and is fitted by least squares."""
+    if len(samples[0]) > model_type.m:
+        (sample,) = samples
+        try:
+            return [[fit_nonminimal(model_type, points.coords[sample],
+                                    points.weights[sample])]]
+        except DegenerateSample:
+            return [[]]
+    return minimal_candidates(model_type, points.coords[np.array(samples)])
+
+
+def _draw(sampler: str, points: PointSet, m: int, iteration: int, graph,
+          rng: np.random.Generator) -> list[int]:
+    """The minimal sample of the uniform, PROSAC or P-NAPSAC sampler at the
+    given 1-based iteration."""
+    if sampler == "prosac":
+        return next_sample_prosac(points, m, iteration, rng)
+    if sampler == "pnapsac":
+        return next_sample_pnapsac(points, m, iteration, graph, rng)
+    return next_sample_uniform(points, m, rng)
 
 
 def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitReport:
@@ -263,6 +284,8 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     fn = config.loss
     eps = fn.epsilon
     cutoff = fn.cutoff
+    # drawn and solved samples the loop has not taken yet, oldest first
+    solved: deque[tuple[list[int], list[ModelInstance]]] = deque()
     instances: list[ModelInstance] = []
     residual_rows = np.zeros((0, n))
     loss_rows = np.zeros((0, n))
@@ -290,17 +313,20 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             if not batch and draws > 0 and should_terminate(
                     n, united, draws, m, config.confidence, config.q_min):
                 break  # nothing new this batch and the criterion already holds
+            if not solved:
+                # samples drawn ahead are the ones this loop, or the next
+                # outer iteration, would draw (see the module docstring)
+                if cc_state is not None:
+                    block = [next_sample_cc(cc_state, graph, points, m, rng)]
+                else:
+                    stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
+                    block = [_draw(config.sampler, points, m, i, graph, rng)
+                             for i in range(draws + 1, stop + 1)]
+                solved.extend(zip(block, _candidates(points, model_type, block)))
             draws += 1
             attempts += 1
-            if cc_state is not None:
-                sample = next_sample_cc(cc_state, graph, points, m, rng)
-            elif config.sampler == "prosac":
-                sample = next_sample_prosac(points, m, draws, rng)
-            elif config.sampler == "pnapsac":
-                sample = next_sample_pnapsac(points, m, draws, graph, rng)
-            else:
-                sample = next_sample_uniform(points, m, rng)
-            for h in _candidates(points, model_type, sample):
+            sample, fitted = solved.popleft()
+            for h in fitted:
                 proposals_tried += 1
                 r = residuals(h, points.coords)
                 # sound upper bound on the quality: skip the loss evaluation

@@ -1,10 +1,12 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from mmfit.cli import main
+from mmfit.cli import build_parser, main
+from mmfit.engine import EngineConfig
 from mmfit.ingest import save_scene, synthesize_two_view
 from mmfit.models import ModelType
 
@@ -56,6 +58,8 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
     jsonschema.validate(result, _schema("eval"))
     assert result["me_percent"] < 10.0
     assert len(result["per_instance"]) == 3
+    assert result["wall_time"] == manifest["timing"]["wall_time"]
+    assert "fit wall time" in out
 
 
 def test_fit_pure_outlier_scene_exits_2(tmp_path, capsys):
@@ -103,6 +107,45 @@ def test_eval_of_truth_file_uses_epsilon_flag(tmp_path, capsys):
     result = json.loads(out.strip().splitlines()[-1])
     jsonschema.validate(result, _schema("eval"))
     assert result["me_percent"] < 5.0
+
+
+def test_eval_of_truth_file_reports_no_fit_time(tmp_path, capsys):
+    # the manifest next to the truth file is synth's, not a fit's
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
+                   "--points", "40")
+    code, out, err = _run(capsys, "eval", scene,
+                          scene.with_suffix(".truth.json"), "--json")
+    assert code == 0, err
+    assert json.loads(out.strip().splitlines()[-1])["wall_time"] is None
+    assert "fit wall time" not in out
+
+
+@pytest.mark.parametrize("edit", [
+    lambda payload: payload["instances"][0].update(params=[0.0, 1.0]),
+    lambda payload: payload["instances"][0].update(params=["a", 1.0, 2.0]),
+    lambda payload: payload["instances"][0].pop("params"),
+    lambda payload: payload.update(model_type="circle"),
+], ids=["short-params", "text-params", "no-params", "unknown-model-type"])
+def test_eval_of_malformed_instances_exits_1(tmp_path, capsys, edit):
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
+                   "--points", "40")
+    payload = json.loads(scene.with_suffix(".truth.json").read_text())
+    edit(payload)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = _run(capsys, "eval", scene, bad)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "pose"])
+def test_engine_flag_defaults_are_engine_config_defaults(command):
+    args = build_parser().parse_args([command, "scene.csv"])
+    flag_of = {"tau": "epsilon_t"}
+    for f in fields(EngineConfig):
+        if f.name != "loss":
+            assert getattr(args, flag_of.get(f.name, f.name)) == f.default, f.name
 
 
 def _two_view_scene(tmp_path):

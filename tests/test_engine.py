@@ -19,6 +19,7 @@ from mmfit.engine import (
     should_terminate,
 )
 from mmfit.errors import (
+    DegenerateSample,
     DimensionMismatch,
     ExhaustedData,
     InvalidConfig,
@@ -30,10 +31,23 @@ from mmfit.models import (
     PointSet,
     fit_minimal,
     fit_nonminimal,
+    fundamental_planar_degenerate,
     make_instance,
+    oriented_epipolar_ok,
     residuals,
+    sample_degenerate,
 )
 from mmfit.ingest import SyntheticSpec, synthesize
+from mmfit.quality import is_dominant, quality_f_from_losses
+from mmfit.sampling import (
+    CCSamplerState,
+    build_neighborhood,
+    cc_can_sample,
+    next_sample_cc,
+    next_sample_pnapsac,
+    next_sample_prosac,
+    next_sample_uniform,
+)
 
 from conftest import line_angle_offset, line_instance
 
@@ -349,6 +363,143 @@ def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
     report = fit(points, spec.model_type, cfg)
     assert len(report.instances) >= 2 and len(irls_iterations) >= 2
     assert len(calls) == report.proposals_tried + sum(irls_iterations)
+
+
+def _one_sample_candidates(points, model_type, sample):
+    """Screen and solve one sample through the B = 1 model calls."""
+    coords = points.coords[sample]
+    try:
+        if len(sample) > model_type.m:
+            return [fit_nonminimal(model_type, coords, points.weights[sample])]
+        if sample_degenerate(model_type, coords):
+            return []
+        fitted = fit_minimal(model_type, coords)
+    except DegenerateSample:
+        return []
+    if model_type is ModelType.FUNDAMENTAL:
+        fitted = [f for f in fitted if oriented_epipolar_ok(f, coords)]
+    return fitted
+
+
+def _fit_per_draw(points, model_type, config):
+    """Oracle of fit: the proposal loop that draws, screens and solves one
+    sample at a time. Returns the report and the draw count at the end of
+    each outer iteration."""
+    m, n = model_type.m, len(points)
+    rng = np.random.default_rng(config.seed)
+    graph = cc_state = None
+    if config.sampler in ("cc", "pnapsac"):
+        graph = build_neighborhood(points, config.r_max,
+                                   build_edges=config.sampler == "cc")
+    if config.sampler == "cc":
+        cc_state = CCSamplerState(config.r_min, config.r_max, config.n_steps)
+    fn, eps = config.loss, config.loss.epsilon
+    instances = []
+    residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
+    min_loss = np.ones(n)
+    proposals_tried = draws = outer = united = 0
+    ends = []
+    while True:
+        outer += 1
+        batch = []
+        budget = engine.PROPOSAL_BUDGET_FACTOR * config.batch_size
+        attempts = 0
+        cc_spent = False
+        while (len(batch) < config.batch_size and attempts < budget
+               and draws < config.max_proposals):
+            if cc_state is not None and not cc_can_sample(cc_state, graph, m):
+                if instances or batch:
+                    cc_spent = True
+                    break
+            if not batch and draws > 0 and should_terminate(
+                    n, united, draws, m, config.confidence, config.q_min):
+                break
+            draws += 1
+            attempts += 1
+            if cc_state is not None:
+                sample = next_sample_cc(cc_state, graph, points, m, rng)
+            elif config.sampler == "prosac":
+                sample = next_sample_prosac(points, m, draws, rng)
+            elif config.sampler == "pnapsac":
+                sample = next_sample_pnapsac(points, m, draws, graph, rng)
+            else:
+                sample = next_sample_uniform(points, m, rng)
+            for h in _one_sample_candidates(points, model_type, sample):
+                proposals_tried += 1
+                r = residuals(h, points.coords)
+                if float(np.minimum(r < fn.cutoff, min_loss).sum()) < config.q_min:
+                    continue
+                loss = fn.losses(r)
+                if is_dominant(quality_f_from_losses(loss, min_loss),
+                               config.q_min) and not (
+                        model_type is ModelType.FUNDAMENTAL
+                        and fundamental_planar_degenerate(
+                            h, points.coords[sample], eps)):
+                    batch.append((h, r, loss))
+        if batch:
+            new, new_r, new_loss = zip(*batch)
+            instances, residual_rows, loss_rows = engine._prune_by_quality(
+                *_consolidate(instances + list(new), [residual_rows, *new_r],
+                              [loss_rows, *new_loss], points, config),
+                config)
+            min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
+        united = int(np.sum(np.any(residual_rows < eps, axis=0)))
+        ends.append(draws)
+        if (should_terminate(n, united, draws, m, config.confidence,
+                             config.q_min)
+                or (cc_spent and instances) or draws >= config.max_proposals):
+            break
+    fallback = cc_state.fallback_count if cc_state is not None else 0
+    report = FitReport(instances, min_residual_assignment(residual_rows, eps),
+                       loss_rows, outer, proposals_tried, fallback, 0.0)
+    return report, ends
+
+
+def _ranked(points):
+    """The point set with a quality ranking, so that PROSAC grows its pool."""
+    rank = np.random.default_rng(0).permutation(len(points))
+    return PointSet(points.coords, quality_rank=rank)
+
+
+@pytest.mark.parametrize("spec, sampler, max_proposals, stop", [
+    (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac",
+     10_000, "criterion"),
+    (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=6), "uniform",
+     45, "cap"),
+    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=7), "prosac",
+     100, "criterion"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
+                   clustered=True), "cc", 10_000, "cc"),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=8), "pnapsac",
+     150, "cap"),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=13), "prosac",
+     250, "criterion"),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=10), "uniform",
+     200, "cap"),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=11), "pnapsac",
+     300, "cap"),
+], ids=["lines-pnapsac", "lines-uniform", "planes-prosac", "segments-cc",
+        "homography-pnapsac", "homography-prosac", "fundamental-uniform",
+        "fundamental-pnapsac"])
+def test_fit_matches_per_draw_oracle(spec, sampler, max_proposals, stop):
+    points, _, _ = synthesize(spec)
+    if sampler == "prosac":
+        points = _ranked(points)
+    cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
+                         batch_size=2, max_proposals=max_proposals)
+    want, ends = _fit_per_draw(points, spec.model_type, cfg)
+    got = fit(points, spec.model_type, cfg)
+    assert got.to_dict() == want.to_dict()
+    block = engine.SAMPLE_BLOCK
+    assert max_proposals % block != 0
+    # an outer iteration ended inside a block, so the next one took the
+    # samples drawn ahead
+    assert len(ends) >= 2 and any(e % block for e in ends[:-1])
+    if stop == "cap":
+        assert ends[-1] == max_proposals
+    elif stop == "criterion":
+        # the stopping rule fired inside a block
+        assert ends[-1] < max_proposals and ends[-1] % block != 0
 
 
 def test_engine_config_validation():

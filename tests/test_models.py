@@ -11,10 +11,12 @@ from mmfit.models import (
     ModelType,
     _fundamental_eight_point,
     _homography_dlt,
+    _real_cubic_roots,
     fit_minimal,
     fit_nonminimal,
     fundamental_planar_degenerate,
     make_instance,
+    minimal_candidates,
     oriented_epipolar_ok,
     residual,
     residuals,
@@ -86,6 +88,92 @@ def test_minimal_coincident_points_degenerate():
 
 
 # ---------------------------------------------------------------------------
+# stacked minimal path
+
+def _one_at_a_time(model_type, sample):
+    """The candidates of one sample through the B = 1 public calls."""
+    if sample_degenerate(model_type, sample):
+        return []
+    try:
+        fitted = fit_minimal(model_type, sample)
+    except DegenerateSample:
+        return []
+    if model_type is ModelType.FUNDAMENTAL:
+        fitted = [f for f in fitted if oriented_epipolar_ok(f, sample)]
+    return fitted
+
+
+def _stack_row(model_type, kind, rng):
+    """One minimal sample of the given kind: "good" (well spread, for H and
+    F with image 2 a noisy similar copy of image 1), "coincident" (point 1
+    repeats point 0; for F, points 4-6 repeat points 0-2, a rank-deficient
+    seven-point system) or "collinear" (point 2 on the line through points 0
+    and 1; for H and F in both images)."""
+    m, dim = model_type.m, model_type.dim
+    if dim == 4:
+        x1 = rng.uniform(0, 1000, size=(m, 2))
+        x2 = (x1 @ np.array([[0.9, 0.1], [-0.1, 0.9]]) + rng.uniform(-50, 50, 2)
+              + rng.normal(0, 5.0, size=(m, 2)))
+        sample = np.column_stack([x1, x2])
+    else:
+        sample = rng.uniform(0, 1000, size=(m, dim))
+    if kind == "coincident":
+        if model_type is ModelType.FUNDAMENTAL:
+            sample[4:] = sample[:3]
+        else:
+            sample[1] = sample[0]
+    elif kind == "collinear" and m > 2:
+        sample[2] = sample[0] + rng.uniform(-2, 3) * (sample[1] - sample[0])
+    return sample
+
+
+@pytest.mark.parametrize("model_type", list(ModelType))
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["good", "coincident", "collinear"]),
+                      min_size=1, max_size=12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_candidates_match_one_at_a_time(model_type, kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
+    got = minimal_candidates(model_type, stack)
+    assert len(got) == len(stack)
+    for sample, row in zip(stack, got):
+        want = _one_at_a_time(model_type, sample)
+        assert len(row) == len(want)
+        for a, b in zip(row, want):
+            assert np.array_equal(a.params, b.params)
+
+
+def _real_roots_oracle(coeffs):
+    """Real roots of one cubic, as the seven-point solver took them: scale
+    to a largest magnitude of 1, drop leading coefficients of at most
+    1e-12, np.roots, keep the roots with a negligible imaginary part."""
+    scale = np.max(np.abs(coeffs))
+    if scale < 1e-300:
+        return []
+    coeffs = coeffs / scale
+    nz = np.nonzero(np.abs(coeffs) > 1e-12)[0]
+    return [float(r.real) for r in np.roots(coeffs[nz[0]:])
+            if not abs(r.imag) > 1e-8 * (1.0 + abs(r.real))]
+
+
+_coefficient = st.one_of(st.floats(-10.0, 10.0), st.just(0.0),
+                         st.floats(-1e-12, 1e-12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_coefficient, min_size=4, max_size=4),
+                min_size=1, max_size=8))
+def test_real_cubic_roots_match_np_roots(rows):
+    # rows with a vanishing leading or trailing coefficient take np.roots'
+    # degree reduction; the others go through the stacked eigenvalues
+    coeffs = np.array(rows)
+    which, roots = _real_cubic_roots(coeffs)
+    for i, row in enumerate(coeffs):
+        assert np.array_equal(roots[which == i], _real_roots_oracle(row))
+
+
+# ---------------------------------------------------------------------------
 # non-minimal solvers
 
 def test_plane_exact_points_unit_weights():
@@ -154,7 +242,7 @@ def test_tall_dlt_economy_svd_matches_full(monkeypatch, rng):
     w = rng.uniform(0.1, 1.0, size=len(corr))
 
     def solve():
-        H = _homography_dlt(corr[:, :2], corr[:, 2:], w)
+        H, _ = _homography_dlt(corr[:, :2], corr[:, 2:], w)
         F = _fundamental_eight_point(corr[:, :2], corr[:, 2:], w)
         return (make_instance(ModelType.HOMOGRAPHY, H.ravel()).params,
                 make_instance(ModelType.FUNDAMENTAL, F.ravel()).params)

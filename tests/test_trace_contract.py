@@ -13,8 +13,11 @@ from mmfit.losses import LossFunction
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
-# names the tracer still lists although the package retired them
-RETIRED = {"preference_vector_from_dense", "sample_cheirality_ok"}
+# names the tracer still lists although the engine no longer binds them:
+# the engine screens, solves and orients minimal samples in blocks through
+# models.minimal_candidates
+RETIRED = {"preference_vector_from_dense", "sample_cheirality_ok",
+           "sample_degenerate", "fit_minimal", "oriented_epipolar_ok"}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
