@@ -82,15 +82,14 @@ def _common_flags(p: argparse.ArgumentParser):
 
 
 def _config_from_args(args, model_type: ModelType) -> EngineConfig:
+    """EngineConfig from the flags of _common_flags; each field's flag is
+    its name, except that --epsilon-t sets tau."""
     fn = LossFunction(LossKind.from_string(args.loss), args.epsilon,
                       model_type.dof)
-    return EngineConfig(
-        loss=fn, q_min=args.q_min, tau=args.epsilon_t,
-        confidence=args.confidence, batch_size=args.batch_size,
-        sampler=args.sampler, r_min=args.r_min, r_max=args.r_max,
-        n_steps=args.n_steps, seed=args.seed,
-        max_proposals=args.max_proposals,
-    )
+    flag = {"tau": "epsilon_t"}
+    return EngineConfig(loss=fn, **{
+        f.name: getattr(args, flag.get(f.name, f.name))
+        for f in fields(EngineConfig) if f.name != "loss"})
 
 
 def _config_dict(cfg: EngineConfig) -> dict:

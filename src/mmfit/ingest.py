@@ -118,13 +118,15 @@ def _load_scene_csv(path: Path):
         if scored:
             scores.append(values[cursor])
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, dim))
-    ranks = None
-    if scored and rows:
-        ranks = np.empty(len(scores), dtype=int)
-        ranks[np.argsort(-np.asarray(scores), kind="stable")] = np.arange(len(scores))
-    points = PointSet(coords, quality_rank=ranks)
+    points = PointSet(coords, quality_rank=_ranks(scores) if scored and rows else None)
     label_arr = np.array(labels, dtype=int) if labeled else None
     return model_type, points, label_arr, intrinsics
+
+
+def _ranks(scores) -> np.ndarray:
+    """Quality ranks of scored points: 0 for the highest score, ties in
+    point order (the inverse of the stable best-first permutation)."""
+    return np.argsort(np.argsort(-np.asarray(scores, dtype=float), kind="stable"))
 
 
 def _load_scene_json(path: Path):
@@ -146,11 +148,7 @@ def _load_scene_json(path: Path):
     labels = payload.get("labels")
     labels = None if labels is None else np.asarray(labels, dtype=int)
     scores = payload.get("scores")
-    ranks = None
-    if scores is not None and len(scores):
-        scores = np.asarray(scores, dtype=float)
-        ranks = np.empty(len(scores), dtype=int)
-        ranks[np.argsort(-scores, kind="stable")] = np.arange(len(scores))
+    ranks = _ranks(scores) if scores is not None and len(scores) else None
     intrinsics = payload.get("intrinsics")
     if intrinsics is not None:
         intrinsics = Intrinsics.from_json_dict(intrinsics)
@@ -243,9 +241,7 @@ def blur_kernel_to_points(image, threshold: float = DEFAULT_KERNEL_THRESHOLD) ->
     ys, xs = np.nonzero(norm >= threshold)
     weights = norm[ys, xs]
     coords = np.column_stack([xs + 0.5, ys + 0.5]).astype(float)
-    ranks = np.empty(len(weights), dtype=int)
-    ranks[np.argsort(-weights, kind="stable")] = np.arange(len(weights))
-    return PointSet(coords, weights=weights, quality_rank=ranks)
+    return PointSet(coords, weights=weights, quality_rank=_ranks(weights))
 
 
 # ---------------------------------------------------------------------------
@@ -378,42 +374,44 @@ class TwoViewScene:
     K2: np.ndarray
     rotation: np.ndarray        # x2 = R x1 + t
     translation: np.ndarray
-    plane_normals: list[np.ndarray]
 
 
 def synthesize_two_view(n_planes: int, points_per_plane: int,
                         outlier_count: int = 0, sigma: float = 0.0,
-                        extent: float = 1000.0, seed: int = 0,
-                        max_rotation_deg: float = 10.0) -> TwoViewScene:
-    """Two cameras observing n_planes fronto-ish planes.
+                        extent: float = 1000.0, seed: int = 0) -> TwoViewScene:
+    """Two cameras, the second rotated by up to 10 degrees, observing
+    n_planes fronto-ish planes.
 
-    Image-1 pixels are uniform in the field; their plane intersections are
-    projected into image 2 (rejection-sampled to stay inside the field).
-    Noise sigma/sqrt(2) per axis goes on the image-2 pixels so the
-    symmetric transfer residual has RMS sigma.
+    Each plane's correspondences come from _sample_correspondences with
+    the image-1 rays cut by the plane. Noise sigma/sqrt(2) per axis goes on
+    the image-2 pixels so the symmetric transfer residual has RMS sigma.
     """
     rng = np.random.default_rng(seed)
     f = extent
     K = np.array([[f, 0.0, extent / 2], [0.0, f, extent / 2], [0.0, 0.0, 1.0]])
-    angle = np.radians(max_rotation_deg)
     rotvec = rng.normal(size=3)
-    rotvec *= rng.uniform(0.3, 1.0) * angle / np.linalg.norm(rotvec)
+    rotvec *= rng.uniform(0.3, 1.0) * np.radians(10.0) / np.linalg.norm(rotvec)
     R = Rotation.from_rotvec(rotvec).as_matrix()
     t = rng.normal(size=3)
     t *= 0.5 / np.linalg.norm(t)
 
-    coords, labels, instances, normals = [], [], [], []
+    coords, labels, instances = [], [], []
     Kinv = np.linalg.inv(K)
     for idx in range(1, n_planes + 1):
         for _ in range(200):  # plane retry
             normal = rng.normal(size=3) + np.array([0.0, 0.0, 3.0])
             normal /= np.linalg.norm(normal)
             depth = rng.uniform(2.0, 5.0)
-            # plane: normal . X = depth, in front of camera 1
-            H_metric = R + np.outer(t, normal) / depth
-            H = K @ H_metric @ Kinv
-            pts = _sample_plane_correspondences(
-                H, normal, depth, K, R, t, points_per_plane, extent, rng)
+
+            def on_plane(ray):
+                # plane: normal . X = depth, in front of camera 1
+                denom = normal @ ray
+                if abs(denom) < 1e-9 or depth / denom <= 0.1:
+                    return None
+                return depth / denom * ray
+
+            pts = _sample_correspondences(on_plane, K, R, t, points_per_plane,
+                                          extent, rng)
             if pts is not None:
                 break
         else:
@@ -422,33 +420,30 @@ def synthesize_two_view(n_planes: int, points_per_plane: int,
             pts[:, 2:] += rng.normal(0, sigma / np.sqrt(2.0), size=(len(pts), 2))
         coords.append(pts)
         labels.extend([idx] * len(pts))
+        H = K @ (R + np.outer(t, normal) / depth) @ Kinv
         instances.append(make_instance(ModelType.HOMOGRAPHY, H.ravel()))
-        normals.append(normal)
     if outlier_count:
         coords.append(rng.uniform(0, extent, size=(outlier_count, 4)))
         labels.extend([0] * outlier_count)
     coords = np.vstack(coords) if coords else np.zeros((0, 4))
     return TwoViewScene(PointSet(coords), np.array(labels, dtype=int),
-                        instances, K.copy(), K.copy(), R, t, normals)
+                        instances, K.copy(), K.copy(), R, t)
 
 
-def _sample_plane_correspondences(H, normal, depth, K, R, t, count, extent, rng):
-    """Uniform image-1 pixels whose plane points project inside image 2 and
-    in front of both cameras; None when the acceptance rate is too low."""
+def _sample_correspondences(point_on_ray, K, R, t, count, extent, rng):
+    """Rejection sampler of count correspondences: uniform image-1 pixels
+    whose scene point, point_on_ray(ray) for the pixel's ray (None to
+    reject), lies in front of camera 2 and projects inside image 2. None
+    when fewer than count of 50 * count draws pass."""
     Kinv = np.linalg.inv(K)
     out = []
     attempts = 0
     while len(out) < count and attempts < 50 * max(count, 1):
         attempts += 1
         p1 = rng.uniform(0.05 * extent, 0.95 * extent, size=2)
-        ray = Kinv @ np.array([p1[0], p1[1], 1.0])
-        denom = normal @ ray
-        if abs(denom) < 1e-9:
+        X = point_on_ray(Kinv @ np.array([p1[0], p1[1], 1.0]))
+        if X is None:
             continue
-        lam = depth / denom
-        if lam <= 0.1:
-            continue
-        X = lam * ray
         X2 = R @ X + t
         if X2[2] <= 0.1:
             continue
@@ -476,8 +471,9 @@ def _synthesize_fundamental(spec: SyntheticSpec, rng):
             R = Rotation.from_rotvec(rotvec).as_matrix()
             t = rng.normal(size=3)
             t *= rng.uniform(0.3, 0.8) / np.linalg.norm(t)
-            pts = _sample_motion_correspondences(K, R, t, spec.points_per_instance,
-                                                 extent, rng)
+            pts = _sample_correspondences(
+                lambda ray: ray * rng.uniform(2.0, 6.0) / ray[2], K, R, t,
+                spec.points_per_instance, extent, rng)
             if pts is not None:
                 break
         else:
@@ -497,25 +493,3 @@ def _synthesize_fundamental(spec: SyntheticSpec, rng):
         labels.extend([0] * spec.outlier_count)
     coords = np.vstack(coords) if coords else np.zeros((0, 4))
     return PointSet(coords), np.array(labels, dtype=int), instances
-
-
-def _sample_motion_correspondences(K, R, t, count, extent, rng):
-    out = []
-    attempts = 0
-    Kinv = np.linalg.inv(K)
-    while len(out) < count and attempts < 50 * max(count, 1):
-        attempts += 1
-        p1 = rng.uniform(0.05 * extent, 0.95 * extent, size=2)
-        ray = Kinv @ np.array([p1[0], p1[1], 1.0])
-        X = ray * rng.uniform(2.0, 6.0) / ray[2]
-        X2 = R @ X + t
-        if X2[2] <= 0.1:
-            continue
-        proj = K @ X2
-        p2 = proj[:2] / proj[2]
-        if not (0 <= p2[0] <= extent and 0 <= p2[1] <= extent):
-            continue
-        out.append([p1[0], p1[1], p2[0], p2[1]])
-    if len(out) < count:
-        return None
-    return np.array(out)

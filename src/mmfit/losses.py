@@ -48,11 +48,11 @@ class LossKind(Enum):
     MAGSACPP = "magsacpp"
 
     @classmethod
-    def from_string(cls, name: str) -> "LossKind":
-        for member in cls:
-            if member.value == name.lower():
-                return member
-        raise ValueError(f"unknown loss kind {name!r}")
+    def from_string(cls, name) -> "LossKind":
+        try:
+            return cls(name.lower())
+        except (AttributeError, ValueError):
+            raise ValueError(f"unknown loss kind {name!r}") from None
 
 
 def _upper_gamma(a: float, x):

@@ -55,21 +55,23 @@ class ModelType(Enum):
         return member
 
     @classmethod
-    def from_string(cls, name: str) -> "ModelType":
-        for member in cls:
-            if member.value == name.lower():
-                return member
-        raise ValueError(f"unknown model type {name!r}")
+    def from_string(cls, name) -> "ModelType":
+        try:
+            return cls(name.lower())
+        except (AttributeError, ValueError):
+            raise ValueError(f"unknown model type {name!r}") from None
 
 
 class PointSet:
-    """Immutable collection of points with optional ranking and labels.
+    """Immutable collection of points with optional ranking.
 
-    coords is (n, d); weights is (n,); quality_rank and labels are (n,)
-    integer arrays or None. Lower quality_rank means better.
+    coords is (n, d); weights is (n,); quality_rank is an (n,) integer
+    array or None, lower meaning better. ranked_order, the points' stable
+    best-first order argsort(quality_rank), is computed once here (None
+    when unranked) for the PROSAC and P-NAPSAC draws.
     """
 
-    def __init__(self, coords, weights=None, quality_rank=None, labels=None):
+    def __init__(self, coords, weights=None, quality_rank=None):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
         if coords.size == 0:
             coords = coords.reshape(0, coords.shape[1] if coords.ndim == 2 and coords.shape[1] else 2)
@@ -81,21 +83,19 @@ class PointSet:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (n,) or np.any(weights < 0):
             raise ValueError("weights must be (n,) nonnegative")
+        ranked_order = None
         if quality_rank is not None:
             quality_rank = np.asarray(quality_rank, dtype=int)
             if quality_rank.shape != (n,):
                 raise ValueError("quality_rank must be (n,)")
-        if labels is not None:
-            labels = np.asarray(labels, dtype=int)
-            if labels.shape != (n,):
-                raise ValueError("labels must be (n,)")
-        for arr in (coords, weights, quality_rank, labels):
+            ranked_order = np.argsort(quality_rank, kind="stable")
+        for arr in (coords, weights, quality_rank, ranked_order):
             if arr is not None:
                 arr.setflags(write=False)
         self.coords = coords
         self.weights = weights
         self.quality_rank = quality_rank
-        self.labels = labels
+        self.ranked_order = ranked_order
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -464,14 +464,11 @@ def residuals(instance: ModelInstance, coords) -> np.ndarray:
 
     if t is ModelType.SEGMENT2D:
         a, b, c = p[0], p[1], p[2]
-        nrm2 = a * a + b * b
-        lo, hi = (p[3], p[4]) if p[3] <= p[4] else (p[4], p[3])
+        lo, hi = sorted(p[3:5])
         tp = -b * coords[:, 0] + a * coords[:, 1]
-        line_dist = np.abs(coords @ p[:2] + c) / np.sqrt(nrm2)
-        end_lo = np.array([(-c * a - lo * b) / nrm2, (-c * b + lo * a) / nrm2])
-        end_hi = np.array([(-c * a - hi * b) / nrm2, (-c * b + hi * a) / nrm2])
-        d_lo = np.linalg.norm(coords - end_lo, axis=1)
-        d_hi = np.linalg.norm(coords - end_hi, axis=1)
+        line_dist = np.abs(coords @ p[:2] + c) / np.sqrt(a * a + b * b)
+        d_lo, d_hi = (np.linalg.norm(coords - end, axis=1)
+                      for end in segment_endpoints(instance))
         return np.where(tp < lo, d_lo, np.where(tp > hi, d_hi, line_dist))
 
     if t is ModelType.PLANE3D:
@@ -603,17 +600,15 @@ def _oriented_epipolar(F: np.ndarray, samples: np.ndarray) -> np.ndarray:
 def fundamental_planar_degenerate(instance: ModelInstance, sample,
                                   epsilon: float) -> bool:
     """Dominant-plane check for a fundamental matrix fitted from 7 points:
-    if a homography fitted to 4 of the sample points explains >= 5 of the 7
-    at threshold epsilon, the epipolar geometry is plane-degenerate."""
+    if a homography fitted to one of three 4-point subsets that pass the
+    homography sample screen explains >= 5 of the 7 at threshold epsilon,
+    the epipolar geometry is plane-degenerate."""
     coords = _as_coords(sample)
     if coords.shape[0] != 7:
         return False
     quads = coords[[(0, 1, 2, 3), (3, 4, 5, 6), (0, 2, 4, 6)]]
-    # collinearity only: the quads are not screened for orientation flips,
-    # so this test rejects the same F samples as it always has
-    spread = ~np.any(np.abs(_triangle_areas_2d(quads)) < COLLINEAR_AREA_TOL,
-                     axis=(1, 2))
-    homographies, _, _ = _solve_minimal(ModelType.HOMOGRAPHY, quads[spread])
+    quads = quads[~_degenerate(ModelType.HOMOGRAPHY, quads)]
+    homographies, _, _ = _solve_minimal(ModelType.HOMOGRAPHY, quads)
     return any(int(np.sum(residuals(ModelInstance(ModelType.HOMOGRAPHY, p),
                                     coords) < epsilon)) >= 5
                for p in homographies)

@@ -1,11 +1,13 @@
 """Minimal-sample proposal: uniform, PROSAC, P-NAPSAC, and the
 deterministic connected-component sampler.
 
-The connected-component sampler builds a radius graph once at r_max over
-the joint coordinate space (4D for correspondences) and serves connected
-components of progressively densified subgraphs as samples, largest first.
-When no component of sufficient size remains at any radius, it falls back
-to PROSAC over all points.
+PROSAC and P-NAPSAC grow their pools along PointSet.ranked_order, the
+best-first order the point set fixes once. The connected-component sampler
+builds a radius graph once at r_max over the joint coordinate space (4D
+for correspondences) and walks the radii r_min .. r_max of its schedule
+once, serving the connected components at each radius as samples, largest
+first. When no component of sufficient size remains at r_max, it falls
+back to PROSAC over all points.
 """
 from __future__ import annotations
 
@@ -108,13 +110,17 @@ def connected_components(graph: NeighborhoodGraph, r: float) -> list[list[int]]:
 
 @dataclass
 class CCSamplerState:
-    """Mutable state of the connected-component sampler for one fit.
-    pending is None until the first component list is built."""
+    """Mutable state of the connected-component sampler for one fit: the
+    radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps, ending
+    exactly at r_max (one radius when r_min = r_max), the index step of the
+    radius r in force, and the components pending at r (None until the
+    first list is built)."""
 
     r_min: float
     r_max: float
     n_steps: int
-    r: float = field(init=False)
+    radii: tuple[float, ...] = field(init=False)
+    step: int = field(init=False, default=0)
     pending: list[list[int]] | None = field(init=False, default=None)
     fallback_count: int = field(init=False, default=0)
 
@@ -123,24 +129,25 @@ class CCSamplerState:
             raise InvalidConfig("need 0 < r_min <= r_max")
         if self.n_steps < 1:
             raise InvalidConfig("n_steps must be >= 1")
-        self.r = self.r_min
+        self.radii = tuple(np.unique(np.linspace(self.r_min, self.r_max,
+                                                 self.n_steps + 1)).tolist())
+
+    @property
+    def r(self) -> float:
+        return self.radii[self.step]
 
 
 def cc_can_sample(state: CCSamplerState, graph: NeighborhoodGraph, m: int) -> bool:
-    """Advance the densification schedule until the pending components hold
-    at least m points in total or the radius is spent (at most n_steps + 2
-    rounds). True when they hold m points, i.e. when the next call to
-    next_sample_cc serves a component sample rather than falling back to
-    PROSAC."""
+    """Step through the radius schedule, building the components at each
+    radius once, until the pending components hold at least m points in
+    total or the last radius is spent. True when they hold m points, i.e.
+    when the next call to next_sample_cc serves a component sample rather
+    than falling back to PROSAC."""
     if state.pending is None:
         state.pending = connected_components(graph, state.r)
-    step = (state.r_max - state.r_min) / state.n_steps
-    rounds = 0
-    while (sum(map(len, state.pending)) < m and state.r <= state.r_max
-           and rounds <= state.n_steps + 1):
-        state.r = state.r + step if step > 0 else state.r_max + 1.0
-        state.pending = connected_components(graph, min(state.r, graph.r_max))
-        rounds += 1
+    while sum(map(len, state.pending)) < m and state.step + 1 < len(state.radii):
+        state.step += 1
+        state.pending = connected_components(graph, state.r)
     return sum(map(len, state.pending)) >= m
 
 
@@ -151,11 +158,11 @@ def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
 
     Returns the largest pending component at the current radius; if the
     largest is smaller than m, pops further components and returns their
-    union. While the pending components hold fewer than m points in total
-    and the radius has not passed r_max, the radius grows by
-    (r_max - r_min) / n_steps and the component list is rebuilt (components
-    served at a smaller radius are offered again once grown). Once the
-    radius is spent, falls back to a PROSAC minimal sample over all points.
+    union. While the pending components hold fewer than m points in total,
+    cc_can_sample moves to the next radius of the schedule and rebuilds the
+    component list (components served at a smaller radius are offered again
+    once grown). Once the last radius, r_max, is spent, falls back to a
+    PROSAC minimal sample over all points.
     """
     if len(points) < m:
         raise ExhaustedData(f"need at least {m} points")
@@ -186,12 +193,6 @@ def _prosac_schedule(n_points: int, m: int) -> tuple:
     return tuple(thresholds)
 
 
-def _ranked_order(points: PointSet) -> np.ndarray | None:
-    if points.quality_rank is None:
-        return None
-    return np.argsort(points.quality_rank, kind="stable")
-
-
 def next_sample_prosac(points: PointSet, m: int, iteration: int,
                        rng: np.random.Generator) -> list[int]:
     """PROSAC sample of size m at the given 1-based iteration.
@@ -203,7 +204,7 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    order = _ranked_order(points)
+    order = points.ranked_order
     if order is None:
         return next_sample_uniform(points, m, rng)
     thresholds = _prosac_schedule(n, m)

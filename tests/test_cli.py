@@ -125,7 +125,9 @@ def test_eval_of_truth_file_reports_no_fit_time(tmp_path, capsys):
     lambda payload: payload["instances"][0].update(params=["a", 1.0, 2.0]),
     lambda payload: payload["instances"][0].pop("params"),
     lambda payload: payload.update(model_type="circle"),
-], ids=["short-params", "text-params", "no-params", "unknown-model-type"])
+    lambda payload: payload.update(model_type=None),
+], ids=["short-params", "text-params", "no-params", "unknown-model-type",
+        "null-model-type"])
 def test_eval_of_malformed_instances_exits_1(tmp_path, capsys, edit):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
                    "--points", "40")
@@ -134,6 +136,18 @@ def test_eval_of_malformed_instances_exits_1(tmp_path, capsys, edit):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
     code, _, err = _run(capsys, "eval", scene, bad)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("model_type", [7, None, ["line2d"], "circle"])
+def test_fit_of_json_scene_with_bad_model_type_exits_1(tmp_path, capsys,
+                                                       model_type):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"model_type": model_type,
+                                 "points": [[0.0, 0.0], [1.0, 1.0]]}))
+    code, _, err = _run(capsys, "fit", scene, "--out", tmp_path / "fit")
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err

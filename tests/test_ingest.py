@@ -103,6 +103,21 @@ def test_scored_column_becomes_quality_rank(tmp_path):
     assert points.quality_rank.tolist() == [2, 0, 1]  # best score first
 
 
+def test_json_and_csv_scores_rank_alike(tmp_path):
+    scores = [0.2, 0.9, 0.5, 0.9]
+    csv = tmp_path / "scored.csv"
+    csv.write_text("line2d,2,scored\n" + "".join(
+        f"{i}.0,0.0,{s}\n" for i, s in enumerate(scores)))
+    js = tmp_path / "scored.json"
+    js.write_text(json.dumps({"model_type": "line2d", "scores": scores,
+                              "points": [[float(i), 0.0] for i in range(4)]}))
+    for path in (csv, js):
+        _, points, _, _ = load_scene(path)
+        # best score first, ties in point order
+        assert points.quality_rank.tolist() == [3, 0, 2, 1]
+        assert points.ranked_order.tolist() == [1, 3, 2, 0]
+
+
 def test_json_scene_with_intrinsics(tmp_path):
     payload = {
         "model_type": "homography",

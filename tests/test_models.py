@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfit.errors import DegenerateSample
+from mmfit.losses import LossKind
 from mmfit.models import (
     COLLINEAR_AREA_TOL,
     ModelType,
@@ -36,6 +37,15 @@ from conftest import (
 
 # ---------------------------------------------------------------------------
 # minimal solvers
+
+@pytest.mark.parametrize("enum", [ModelType, LossKind])
+def test_from_string_is_a_value_lookup(enum):
+    for member in enum:
+        assert enum.from_string(member.value.upper()) is member
+    for name in ("circle", "", None, 7, 2.5, ["line2d"], b"msac"):
+        with pytest.raises(ValueError):
+            enum.from_string(name)
+
 
 def test_line_through_axis_points():
     inst = fit_minimal(ModelType.LINE2D, np.array([[0.0, 0.0], [1.0, 0.0]]))[0]

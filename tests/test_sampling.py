@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from mmfit import sampling
 from mmfit.errors import ExhaustedData, InvalidConfig
 from mmfit.models import PointSet
 from mmfit.sampling import (
@@ -238,8 +239,33 @@ def test_cc_radius_never_decreases(rng):
         if not cc_can_sample(state, g, 2):
             break
     assert all(b >= a for a, b in zip(radii, radii[1:]))
-    # densification rounds bounded by n_steps + 1
-    assert len(set(radii)) <= 5 + 2
+    # the schedule holds n_steps + 1 radii
+    assert len(set(radii)) <= 5 + 1
+
+
+@pytest.mark.parametrize("r_min, r_max, n_steps", [
+    (7.0, 30.0, 3), (10.0, 100.0, 5), (0.3, 1.0, 7), (12.5, 12.5, 4)])
+def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
+                                             n_steps):
+    built = []
+
+    def recorded(graph, r):
+        built.append(r)
+        return connected_components(graph, r)
+
+    monkeypatch.setattr(sampling, "connected_components", recorded)
+    points = PointSet(np.random.default_rng(1).uniform(0, 40, size=(30, 2)))
+    g = build_neighborhood(points, r_max)
+    state = CCSamplerState(r_min, r_max, n_steps)
+    # more points than the set holds: the whole schedule gets spent
+    assert not cc_can_sample(state, g, 31)
+    assert not cc_can_sample(state, g, 31)
+    step = (r_max - r_min) / n_steps
+    if r_min == r_max:
+        assert built == [r_max]
+    else:
+        assert built == [r_min + k * step for k in range(n_steps)] + [r_max]
+    assert built.count(r_max) == 1 and state.r == r_max
 
 
 def test_cc_exhausted_data():
@@ -280,6 +306,50 @@ def test_prosac_unranked_uniform(rng):
     assert len(set(sample)) == 2
     # the draw is the plain uniform choice of the same generator
     assert sample == np.random.default_rng(0).choice(20, 2, replace=False).tolist()
+
+
+def _prosac_oracle(points, m, iteration, rng):
+    """PROSAC with the ranked order sorted anew on every draw."""
+    n = len(points)
+    order = np.argsort(points.quality_rank, kind="stable")
+    thresholds = sampling._prosac_schedule(n, m)
+    if iteration > thresholds[-1]:
+        return next_sample_uniform(points, m, rng)
+    subset = min(int(np.searchsorted(thresholds, iteration, side="left")) + m, n)
+    rest = rng.choice(subset - 1, size=m - 1, replace=False)
+    return [int(order[subset - 1])] + [int(order[i]) for i in rest]
+
+
+def _pnapsac_oracle(points, m, iteration, graph, rng):
+    center = _prosac_oracle(points, 1, iteration, rng)[0]
+    size = min(len(points) - 1,
+               m - 1 + iteration // sampling.PNAPSAC_GROWTH_RATE)
+    pool = graph.nearest(center, size)
+    picked = rng.choice(len(pool), size=m - 1, replace=False)
+    return [center] + [int(pool[i]) for i in picked]
+
+
+def test_ranked_order_is_fixed_once(rng):
+    # ranks with ties, so that only a stable order matches
+    rank = rng.integers(0, 8, size=40)
+    points = PointSet(rng.uniform(0, 100, size=(40, 2)), quality_rank=rank)
+    assert np.array_equal(points.ranked_order, np.argsort(rank, kind="stable"))
+    with pytest.raises(ValueError):
+        points.ranked_order[0] = 1
+    assert PointSet(points.coords).ranked_order is None
+    g = build_neighborhood(points, 30.0, build_edges=False)
+    iterations = [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]
+    for m in (1, 2, 4):
+        for it in iterations:
+            got = next_sample_prosac(points, m, it, np.random.default_rng(it))
+            want = _prosac_oracle(points, m, it, np.random.default_rng(it))
+            assert got == want
+    for m in (2, 4):
+        for it in iterations:
+            got = next_sample_pnapsac(points, m, it, g,
+                                      np.random.default_rng(it))
+            want = _pnapsac_oracle(points, m, it, g, np.random.default_rng(it))
+            assert got == want
 
 
 def test_prosac_exhausted(rng):
