@@ -150,6 +150,7 @@ def cmd_fit(args) -> int:
         "iterations": report.iterations,
         "proposals_tried": report.proposals_tried,
         "fallback_samples": report.fallback_samples,
+        "stop_reason": report.stop_reason,
     }
     _dump_json(out_dir / "instances.json", instances_payload)
     _write_assignment_csv(out_dir / "assignment.csv", report)

@@ -126,6 +126,10 @@ class FitReport:
     proposals_tried: int
     fallback_samples: int
     wall_time: float
+    # why the fit's outer loop ended: "criterion" (the stopping rule fired),
+    # "cc_spent" (the cc sampler's component stream ran out) or
+    # "max_proposals" (the draw cap); None for a report not made by fit
+    stop_reason: str | None = None
 
     def to_dict(self, include_timing: bool = False) -> dict:
         """JSON-ready dict. Timing is excluded by default so that repeated
@@ -140,6 +144,7 @@ class FitReport:
             "iterations": self.iterations,
             "proposals_tried": self.proposals_tried,
             "fallback_samples": self.fallback_samples,
+            "stop_reason": self.stop_reason,
         }
         if include_timing:
             out["wall_time"] = self.wall_time
@@ -294,8 +299,9 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     draws = 0
     outer = 0
     united = 0
+    stop_reason = None
 
-    while True:
+    while stop_reason is None:
         outer += 1
         batch = []   # (instance, residual row, loss row) per accepted candidate
         budget = PROPOSAL_BUDGET_FACTOR * config.batch_size
@@ -351,14 +357,13 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
-        done = should_terminate(n, united, draws, m, config.confidence,
-                                config.q_min)
-        if cc_spent and instances:
-            done = True
-        if draws >= config.max_proposals:
-            done = True
-        if done:
-            break
+        if should_terminate(n, united, draws, m, config.confidence,
+                            config.q_min):
+            stop_reason = "criterion"
+        elif cc_spent and instances:
+            stop_reason = "cc_spent"
+        elif draws >= config.max_proposals:
+            stop_reason = "max_proposals"
 
     fallback = cc_state.fallback_count if cc_state is not None else 0
     return FitReport(
@@ -369,6 +374,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         proposals_tried=proposals_tried,
         fallback_samples=fallback,
         wall_time=time.perf_counter() - start,
+        stop_reason=stop_reason,
     )
 
 

@@ -108,19 +108,34 @@ def _load_scene_csv(path: Path):
                 f"expected {expected} fields, got {len(fields)}", line=lineno)
         try:
             values = [float(f) for f in fields]
-        except ValueError:
+            if labeled:
+                labels.append(int(values[dim]))
+        except (ValueError, OverflowError):
             raise ParseError(f"non-numeric field in {stripped!r}", line=lineno)
         rows.append(values[:dim])
-        cursor = dim
-        if labeled:
-            labels.append(int(values[cursor]))
-            cursor += 1
         if scored:
-            scores.append(values[cursor])
+            scores.append(values[-1])
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, dim))
-    points = PointSet(coords, quality_rank=_ranks(scores) if scored and rows else None)
-    label_arr = np.array(labels, dtype=int) if labeled else None
-    return model_type, points, label_arr, intrinsics
+    points, labels = _checked_scene(coords, labels if labeled else None,
+                                    scores if scored else None)
+    return model_type, points, labels, intrinsics
+
+
+def _checked_scene(coords, labels, scores):
+    """The PointSet and label array of a loaded scene. Non-finite
+    coordinates, labels or scores that are not numbers, and label or score
+    lists whose length is not the point count raise ParseError, before
+    anything is fitted or written."""
+    try:
+        ranks = None if scores is None else _ranks(scores)
+        points = PointSet(coords, quality_rank=ranks)
+        labels = None if labels is None else np.asarray(labels, dtype=int)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad scene: {exc}") from None
+    if labels is not None and labels.shape != (len(points),):
+        raise ParseError(f"bad scene: labels must be one integer per point, "
+                         f"got shape {labels.shape} for {len(points)} points")
+    return points, labels
 
 
 def _ranks(scores) -> np.ndarray:
@@ -145,14 +160,13 @@ def _load_scene_json(path: Path):
     if coords.ndim != 2 or coords.shape[1] != model_type.dim:
         raise DimensionMismatch(
             f"{model_type.value} uses dimension {model_type.dim}")
-    labels = payload.get("labels")
-    labels = None if labels is None else np.asarray(labels, dtype=int)
-    scores = payload.get("scores")
-    ranks = _ranks(scores) if scores is not None and len(scores) else None
+    # an empty score list means an unranked scene
+    points, labels = _checked_scene(coords, payload.get("labels"),
+                                    payload.get("scores") or None)
     intrinsics = payload.get("intrinsics")
     if intrinsics is not None:
         intrinsics = Intrinsics.from_json_dict(intrinsics)
-    return model_type, PointSet(coords, quality_rank=ranks), labels, intrinsics
+    return model_type, points, labels, intrinsics
 
 
 def save_scene(path, model_type: ModelType, points: PointSet,

@@ -20,11 +20,23 @@ chi distribution with `dof` degrees of freedom, truncated at its 0.99
 quantile k(dof)*sigma. Marginalizing the truncated density over
 sigma ~ U(0, epsilon] gives the weight
 
-    w(r)  propto  Gu(a, r^2/(2 eps^2)) - Gu(a, k^2/2),   a = (dof - 1)/2,
+    w(r)  propto  Gu(a, y) - Gu(a, k^2/2),   y = r^2 / (2 eps^2),
 
-with Gu the upper incomplete gamma function, and the loss is the
-weight-consistent integral loss(r) = C * integral_0^r s w(s) ds normalized
-to saturate at 1. Both have closed forms in incomplete gamma functions.
+with a = (dof - 1)/2 and Gu the upper incomplete gamma function. The loss
+is the weight-consistent integral loss(r) = C * integral_0^r s w(s) ds,
+normalized to saturate at 1. Integrating by parts with Gu(a+1, y) =
+a Gu(a, y) + y^a e^-y leaves one incomplete gamma value per residual:
+
+    integral_0^r s w(s) ds  propto  (y - a) Gu(a, y) - y^a e^-y + Gamma(a+1)
+                                    - y Gu(a, k^2/2).
+
+Since dof is a positive integer, a is a whole or half-whole number, and
+Gu(a, x) is elementary:
+
+    Gu(0, x)   = E1(x)                 (dof 1, the exponential integral)
+    Gu(1/2, x) = sqrt(pi) erfc(sqrt(x))
+    Gu(1, x)   = e^-x
+    Gu(s+1, x) = s Gu(s, x) + x^s e^-x (upward, all terms positive)
 """
 from __future__ import annotations
 
@@ -56,10 +68,23 @@ class LossKind(Enum):
 
 
 def _upper_gamma(a: float, x):
-    """Unregularized upper incomplete gamma, valid for a >= 0."""
+    """Unregularized upper incomplete gamma Gu(a, x) for a whole or
+    half-whole a >= 0, by the upward recurrence from Gu(1/2, x) or Gu(1, x)
+    (see the module docstring)."""
     if a == 0.0:
         return special.exp1(x)
-    return special.gammaincc(a, x) * _gamma_fn(a)
+    e = np.exp(-x)
+    if a % 1.0:
+        root = np.sqrt(x)
+        g, term, s = np.sqrt(np.pi) * special.erfc(root), root * e, 0.5
+    else:
+        g, term, s = e, x * e, 1.0
+    # invariant: g = Gu(s, x) and term = x^s e^-x
+    while s < a:
+        g = s * g + term
+        term = term * x
+        s += 1.0
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -145,8 +170,8 @@ class LossFunction:
         # the floor keeps y * Gu(0, y) from evaluating as 0 * inf at r = 0
         y = np.maximum(ri * ri / (2.0 * eps * eps), 1e-300)
         # integral_0^r s * [Gu(a, s^2/(2 eps^2)) - Gu(a, k^2/2)] ds
-        term = eps * eps * (y * _upper_gamma(a, y)
-                            - _upper_gamma(a + 1.0, y)
+        term = eps * eps * ((y - a) * _upper_gamma(a, y)
+                            - y ** a * np.exp(-y)
                             + _gamma_fn(a + 1.0))
         raw = term - 0.5 * ri * ri * gu_a_k
         out[inside] = np.clip(raw / norm, 0.0, 1.0)

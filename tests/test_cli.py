@@ -45,6 +45,7 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
     assert printed == written
     jsonschema.validate(written, _schema("instances"))
     assert len(written["instances"]) == 3
+    assert written["stop_reason"] == "criterion"
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 1
@@ -151,6 +152,34 @@ def test_fit_of_json_scene_with_bad_model_type_exits_1(tmp_path, capsys,
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+_POINTS = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
+
+
+@pytest.mark.parametrize("name, text", [
+    ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
+                               "scores": ["x", 1, 2]})),
+    ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
+                               "scores": [0.5, 1.0]})),
+    ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
+                               "labels": [1, "a", 0]})),
+    ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
+                               "labels": [1, 1]})),
+    ("scene.csv", "line2d,2\n0.0,0.0\nnan,1.0\n2.0,2.0\n"),
+    ("scene.csv", "line2d,2,labeled\n0.0,0.0,1\n1.0,1.0,inf\n"),
+], ids=["text-scores", "short-scores", "text-labels", "short-labels",
+        "nan-coordinate", "inf-label"])
+def test_fit_of_malformed_scene_exits_1_before_writing(tmp_path, capsys, name,
+                                                       text):
+    scene = tmp_path / name
+    scene.write_text(text)
+    out_dir = tmp_path / "fit"
+    code, _, err = _run(capsys, "fit", scene, "--out", out_dir)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "pose"])

@@ -259,6 +259,26 @@ def test_fit_deterministic_given_seed():
         json.dumps(b.to_dict(), sort_keys=True)
 
 
+@pytest.mark.parametrize("spec, overrides, reason", [
+    (SyntheticSpec(ModelType.LINE2D, 2, 50, 20, 1.0, seed=5),
+     {"sampler": "uniform"}, "criterion"),
+    (SyntheticSpec(ModelType.LINE2D, 2, 50, 200, 1.0, seed=5),
+     {"sampler": "uniform", "max_proposals": 20}, "max_proposals"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 2, 40, 200, 1.0, seed=2,
+                   clustered=True), {"sampler": "cc"}, "cc_spent"),
+], ids=["criterion", "max-proposals", "cc-spent"])
+def test_fit_reports_stop_reason(spec, overrides, reason):
+    points, _, _ = synthesize(spec)
+    cfg = default_config(spec.model_type, 3.0, seed=1, **overrides)
+    report = fit(points, spec.model_type, cfg)
+    assert report.stop_reason == reason
+    assert report.to_dict()["stop_reason"] == reason
+    assert report.instances
+    if reason == "max_proposals":
+        # one candidate per line draw, so the draws reached the cap
+        assert report.proposals_tried == cfg.max_proposals
+
+
 def test_fit_final_instances_pairwise_dissimilar():
     spec = SyntheticSpec(ModelType.LINE2D, 4, 80, 150, 1.0, 1000.0, seed=9)
     points, labels, gt = synthesize(spec)
@@ -445,13 +465,20 @@ def _fit_per_draw(points, model_type, config):
             min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
         ends.append(draws)
-        if (should_terminate(n, united, draws, m, config.confidence,
-                             config.q_min)
-                or (cc_spent and instances) or draws >= config.max_proposals):
-            break
+        if should_terminate(n, united, draws, m, config.confidence,
+                            config.q_min):
+            stop_reason = "criterion"
+        elif cc_spent and instances:
+            stop_reason = "cc_spent"
+        elif draws >= config.max_proposals:
+            stop_reason = "max_proposals"
+        else:
+            continue
+        break
     fallback = cc_state.fallback_count if cc_state is not None else 0
     report = FitReport(instances, min_residual_assignment(residual_rows, eps),
-                       loss_rows, outer, proposals_tried, fallback, 0.0)
+                       loss_rows, outer, proposals_tried, fallback, 0.0,
+                       stop_reason)
     return report, ends
 
 

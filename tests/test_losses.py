@@ -1,11 +1,17 @@
+import warnings
+from math import gamma
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
+from mmfit import losses
 from mmfit.errors import InvalidConfig
-from mmfit.losses import LossFunction, LossKind
+from mmfit.losses import LossFunction, LossKind, _upper_gamma
+from mmfit.models import ModelType
 
 ALL_KINDS = list(LossKind)
 
@@ -106,11 +112,9 @@ def _marginal_weight(r, eps, dof, k, C):
     return val / eps
 
 
-@pytest.mark.parametrize("dof", [2, 4])
+@pytest.mark.parametrize("dof", [1, 2, 3, 4])
 def test_magsac_loss_matches_quadrature_oracle(dof):
     eps = 2.0
-    from math import gamma
-
     k = float(np.sqrt(stats.chi2.ppf(0.99, dof)))
     C = 1.0 / (2.0 ** (dof / 2.0) * gamma(dof / 2.0))
     cutoff = k * eps
@@ -137,3 +141,80 @@ def test_magsac_weight_matches_loss_derivative(dof):
     w = fn.weights(grid)
     # weights are proportional to loss'(r) / r; compare normalized shapes
     assert np.allclose(w / w[0], fd / fd[0], atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the elementary incomplete gamma kernel
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+def test_upper_gamma_matches_mpmath(a):
+    x = np.concatenate([np.geomspace(1e-12, 1.0, 60), np.linspace(1.0, 12.0, 60)])
+    want = np.array([float(mpmath.gammainc(a, float(v))) for v in x])
+    got = np.asarray(_upper_gamma(a, x))
+    assert np.max(np.abs(got - want) / want) <= 1e-12
+    # a scalar argument gives the same value as an array element
+    assert float(_upper_gamma(a, x[7])) == got[7]
+
+
+def _scipy_magsac(eps, dof, r):
+    """Oracle: the MAGSAC++ loss and weight through scipy's regularized
+    incomplete gamma functions, each Gu evaluated separately."""
+    def gu(s, x):
+        return special.exp1(x) if s == 0.0 else special.gammaincc(s, x) * gamma(s)
+
+    a = (dof - 1) / 2.0
+    k = float(np.sqrt(stats.chi2.ppf(0.99, dof)))
+    gu_k = gu(a, k * k / 2.0)
+    norm = eps ** 2 * gamma(a + 1.0) * special.gammainc(a + 1.0, k * k / 2.0)
+    inside = r < k * eps
+    ri = r[inside]
+    loss, weight = np.ones_like(r), np.zeros_like(r)
+    y = np.maximum(ri * ri / (2.0 * eps * eps), 1e-300)
+    raw = (eps * eps * (y * gu(a, y) - gu(a + 1.0, y) + gamma(a + 1.0))
+           - 0.5 * ri * ri * gu_k)
+    loss[inside] = np.clip(raw / norm, 0.0, 1.0)
+    y = ri * ri / (2.0 * eps * eps)
+    if a == 0.0:
+        weight[inside] = gu(a, np.maximum(y, 1e-15)) - gu_k
+    else:
+        weight[inside] = (gu(a, y) - gu_k) / (gamma(a) - gu_k)
+    return loss, np.maximum(weight, 0.0)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 6])
+def test_magsac_matches_scipy_incomplete_gamma_oracle(dof):
+    eps = 2.5
+    fn = LossFunction(LossKind.MAGSACPP, eps, dof)
+    r = np.concatenate([[0.0, 1e-9, fn.cutoff],
+                        np.linspace(0.0, 1.2 * fn.cutoff, 2001)])
+    want_loss, want_weight = _scipy_magsac(eps, dof, r)
+    assert np.max(np.abs(fn.losses(r) - want_loss)) <= 1e-12
+    assert np.max(np.abs(fn.weights(r) - want_weight)) <= 1e-12
+
+
+@pytest.mark.parametrize("dof", [2, 4])
+def test_magsac_needs_no_regularized_gamma(monkeypatch, dof):
+    # the elementary kernel must not fall back to scipy's gammaincc; an
+    # epsilon no other test uses makes _magsac_constants, which is cached
+    # per (epsilon, dof), run under the patch too
+    def refuse(*args, **kwargs):
+        raise AssertionError("gammaincc called")
+
+    monkeypatch.setattr(losses.special, "gammaincc", refuse)
+    fn = LossFunction(LossKind.MAGSACPP, 1.2345, dof)
+    r = np.linspace(0.0, 1.2 * fn.cutoff, 50)
+    assert np.all(np.isfinite(fn.losses(r)))
+    assert np.all(np.isfinite(fn.weights(r)))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dof", sorted({t.dof for t in ModelType}))
+def test_losses_and_weights_warn_nowhere(kind, dof):
+    fn = LossFunction(kind, 2.0, dof)
+    r = np.concatenate([[0.0, 1e-300, 1e-12, fn.epsilon, fn.cutoff],
+                        np.linspace(0.0, 2.0 * fn.cutoff, 401)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = fn.losses(r)
+        weight = fn.weights(r)
+    assert np.all(np.isfinite(loss)) and np.all(np.isfinite(weight))
