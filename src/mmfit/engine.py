@@ -18,6 +18,14 @@ depends only on the rng and the draw index, so entries left when an outer
 iteration ends are the draws the next one would make, and a fit gives the
 same result as drawing and solving one sample at a time. The CC sampler,
 whose next draw depends on its own gate, refills one draw at a time.
+
+Each consolidation pass refines all its cluster representatives in one
+refine_irls call. An IRLS iteration computes the weights, the weighted
+non-minimal fits, the residuals and the losses of every row still active
+with one call of each stacked kernel (models._fit_weighted and
+models._residuals); a row leaves the stack when it converges or its
+weighted system is degenerate. Each row's arithmetic is that of refining
+its instance alone.
 """
 from __future__ import annotations
 
@@ -41,6 +49,8 @@ from .models import (
     ModelInstance,
     ModelType,
     PointSet,
+    _fit_weighted,
+    _residuals,
     fit_nonminimal,
     fundamental_planar_degenerate,
     minimal_candidates,
@@ -178,56 +188,72 @@ def should_terminate(n_points: int, united_inlier_count: int, k: int, m: int,
 # ---------------------------------------------------------------------------
 # IRLS refinement
 
-def refine_irls(h: ModelInstance, r: np.ndarray, loss: np.ndarray,
-                points: PointSet, cfg: EngineConfig):
-    """Iteratively re-weighted least squares from the instance h, whose
-    residual row r and loss row loss the caller holds.
+def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
+                loss_rows: np.ndarray, points: PointSet, cfg: EngineConfig):
+    """Iteratively re-weighted least squares from each of K >= 1 instances
+    of one family, whose (K, n) residual and loss rows the caller holds.
 
-    Alternates robust weights and a weighted non-minimal fit until the
-    relative parameter change drops below IRLS_TOL or IRLS_MAX_ITERS
-    refits. Returns (best, info): the iterate with the best soft support
-    (never worse than the input) and a dict whose `residuals` and `losses`
-    are the rows of that iterate. A degenerate weighted system returns the
-    input unchanged with the `degenerate` flag raised in the info dict.
+    Each iteration refits the rows still active with one call of each
+    stacked kernel: robust weights, weighted non-minimal fit, residuals and
+    losses. A row leaves the stack when its weighted system is degenerate,
+    when its relative parameter change drops below IRLS_TOL, or after
+    IRLS_MAX_ITERS refits; a row's result does not depend on the others.
+    Returns (best, residual_rows, loss_rows, info): per row the iterate
+    with the best soft support (never worse than the input, and the input
+    object itself when no refit improves it), the input row arrays with the
+    rows of each improved instance overwritten by those of its iterate, and
+    a list of per-row dicts with `iterations`, `converged`, `degenerate` and
+    `loss_trace` (the loss sums of the input and of every refit).
     """
     fn = cfg.loss
-    total = float(np.sum(loss))
-    info = {"iterations": 0, "degenerate": False, "converged": False,
-            "loss_trace": [total], "residuals": r, "losses": loss}
+    model_type = instances[0].model_type
     n = len(points)
-    best, best_q = h, n - total
-    current = h
+    best = list(instances)
+    totals = loss_rows.sum(axis=1)
+    best_q = n - totals
+    info = [{"iterations": 0, "degenerate": False, "converged": False,
+             "loss_trace": [total]} for total in totals.tolist()]
+    active = np.arange(len(best))
+    params = np.stack([h.params for h in instances])
+    r = residual_rows
     for it in range(IRLS_MAX_ITERS):
-        w = fn.weights(r) * points.weights
-        if np.count_nonzero(w > 0) < h.model_type.m:
-            info["degenerate"] = True
+        refined, ok = _fit_weighted(model_type, points.coords,
+                                    fn.weights(r) * points.weights)
+        for i in active[~ok].tolist():
+            info[i]["degenerate"] = True
+        active, params, refined = active[ok], params[ok], refined[ok]
+        if not len(active):
             break
-        try:
-            refined = fit_nonminimal(h.model_type, points, w)
-        except DegenerateSample:
-            info["degenerate"] = True
-            break
-        info["iterations"] = it + 1
-        delta = _relative_change(current.params, refined.params)
-        current = refined
-        r = residuals(current, points.coords)
+        delta = _relative_change(params, refined)
+        params = refined
+        r = _residuals(model_type, params, points.coords)
         loss = fn.losses(r)
-        total = float(np.sum(loss))
-        info["loss_trace"].append(total)
-        if n - total > best_q:
-            best, best_q = current, n - total
-            info["residuals"], info["losses"] = r, loss
-        if delta < IRLS_TOL:
-            info["converged"] = True
+        totals = loss.sum(axis=1)
+        for i, total in zip(active.tolist(), totals.tolist()):
+            info[i]["iterations"] = it + 1
+            info[i]["loss_trace"].append(total)
+        better = np.flatnonzero(n - totals > best_q[active])
+        rows = active[better]
+        best_q[rows] = n - totals[better]
+        residual_rows[rows], loss_rows[rows] = r[better], loss[better]
+        for j, i in zip(better.tolist(), rows.tolist()):
+            best[i] = ModelInstance(model_type, params[j])
+        moving = ~(delta < IRLS_TOL)
+        for i in active[~moving].tolist():
+            info[i]["converged"] = True
+        active, params, r = active[moving], params[moving], r[moving]
+        if not len(active):
             break
-    return best, info
+    return best, residual_rows, loss_rows, info
 
 
-def _relative_change(old: np.ndarray, new: np.ndarray) -> float:
-    if old @ new < 0:
-        new = -new
-    denom = max(float(np.linalg.norm(old)), 1e-300)
-    return float(np.linalg.norm(new - old)) / denom
+def _relative_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """|new - old| / |old| per row of two (K, p) parameter stacks, with a
+    row of new negated where it points away from old."""
+    new = np.where((np.vecdot(old, new) < 0)[:, None], -new, new)
+    diff = new - old
+    return (np.sqrt(np.vecdot(diff, diff))
+            / np.maximum(np.sqrt(np.vecdot(old, old)), 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +411,9 @@ def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
     residual_rows and loss_rows are sequences of rows or row blocks in
     instance order; they are stacked here rather than by the caller, so
     that the stacked copies do not outlive the first pass. Each pass hands
-    IRLS the rows of its representatives and takes the rows of the refined
-    instances from it. Returns the final instances with their (k, n)
-    residual and loss rows."""
+    all its representatives, with their rows, to one refine_irls call and
+    takes the rows of the refined instances from it. Returns the final
+    instances with their (k, n) residual and loss rows."""
     current = instances
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
     for n_pass in range(CONSOLIDATION_MAX_PASSES):
@@ -397,17 +423,13 @@ def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
         groups = np.empty(len(current), dtype=int)
         for g, members in enumerate(clusters):
             groups[list(members)] = g
-        outside = min_loss_outside_groups(loss_rows, groups)
-        qualities = [quality_f_from_losses(row, cache)
-                     for row, cache in zip(loss_rows, outside)]
-        # copies, not views: IRLS returns the start rows of an instance it
-        # cannot improve, and a view would keep this pass's matrices alive
-        refined = [refine_irls(current[i], residual_rows[i].copy(),
-                               loss_rows[i].copy(), points, cfg)
-                   for i in select_representatives(clusters, qualities)]
-        current = [h for h, _ in refined]
-        residual_rows = np.vstack([info["residuals"] for _, info in refined])
-        loss_rows = np.vstack([info["losses"] for _, info in refined])
+        qualities = [quality_f_from_losses(row, cache) for row, cache in
+                     zip(loss_rows, min_loss_outside_groups(loss_rows, groups))]
+        reps = select_representatives(clusters, qualities)
+        # this pass's matrices are released before IRLS allocates its own
+        residual_rows, loss_rows = residual_rows[reps], loss_rows[reps]
+        current, residual_rows, loss_rows, _ = refine_irls(
+            [current[i] for i in reps], residual_rows, loss_rows, points, cfg)
     return current, residual_rows, loss_rows
 
 

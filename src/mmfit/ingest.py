@@ -37,10 +37,19 @@ class Intrinsics:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "Intrinsics":
-        K1 = np.asarray(payload["K1"], dtype=float)
-        K2 = np.asarray(payload.get("K2", payload["K1"]), dtype=float)
+        """From {"K1": 3x3, "K2": 3x3}; K2 defaults to K1. A missing K1
+        or an entry that is not a finite number raises ParseError."""
+        try:
+            K1 = np.asarray(payload["K1"], dtype=float)
+            K2 = np.asarray(payload.get("K2", payload["K1"]), dtype=float)
+        except KeyError:
+            raise ParseError("intrinsics need a K1 matrix") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"bad intrinsics: {exc}") from None
         if K1.shape != (3, 3) or K2.shape != (3, 3):
             raise ParseError("intrinsics must be 3x3 matrices")
+        if not (np.all(np.isfinite(K1)) and np.all(np.isfinite(K2))):
+            raise ParseError("intrinsics must be finite")
         return cls(K1, K2)
 
 

@@ -22,6 +22,14 @@ not depend on the stack it comes in. minimal_candidates runs a whole block
 of samples through screen, solver and orientation test; sample_degenerate,
 fit_minimal, oriented_epipolar_ok and make_instance are its B = 1 calls. A
 degenerate sample in a stack has no solution and raises nothing.
+
+The non-minimal path and the residuals are written over stacks too, of K
+parameter or weight rows on the same points: _fit_weighted fits a (K, n)
+stack of weights (batched total least squares for lines, segments and
+planes; the weighted DLT or eight-point solve row by row for homographies
+and fundamental matrices) and _residuals scores a (K, n_params) stack into
+a (K, n) matrix. fit_nonminimal, residuals and segment_endpoints are their
+K = 1 calls, and a row's result does not depend on the stack it comes in.
 """
 from __future__ import annotations
 
@@ -233,18 +241,17 @@ def _project_rank2(F: np.ndarray) -> np.ndarray:
     return (U * s[..., None, :]) @ Vt
 
 
-def _fundamental_eight_point(x1, x2, weights) -> np.ndarray:
-    """Weighted normalized eight-point estimate with rank-2 projection."""
-    keep = weights > 0
-    x1k, x2k, wk = x1[keep], x2[keep], weights[keep]
-    x1n, T1 = hartley_normalization(x1k)
-    x2n, T2 = hartley_normalization(x2k)
-    A = _fundamental_rows(x1n, x2n) * np.sqrt(wk)[:, None]
+def _fundamental_eight_point(x1, x2, weights):
+    """Weighted normalized eight-point estimate with rank-2 projection over
+    (n, 2) correspondences with positive weights (n,). Returns F, image1 ->
+    image2, and whether the system has rank 8."""
+    x1n, T1 = hartley_normalization(x1)
+    x2n, T2 = hartley_normalization(x2)
+    A = _fundamental_rows(x1n, x2n) * np.sqrt(weights)[:, None]
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    if len(s) < 8 or s[7] <= 1e-9 * max(s[0], 1e-300):
-        raise DegenerateSample("fundamental system is rank deficient")
+    full_rank = len(s) >= 8 and s[7] > 1e-9 * max(s[0], 1e-300)
     Fn = _project_rank2(vh[-1].reshape(3, 3))
-    return T2.T @ Fn @ T1
+    return T2.T @ Fn @ T1, full_rank
 
 
 # det(a F1 + (1 - a) F2) is cubic in a; it is fitted through these 4 values
@@ -388,12 +395,10 @@ def minimal_candidates(model_type: ModelType, samples) -> list[list[ModelInstanc
 
 
 def fit_nonminimal(model_type: ModelType, points, weights) -> ModelInstance:
-    """Weighted algebraic least-squares fit over >= m points.
-
-    Lines and planes use weighted total least squares; homographies and
-    fundamental matrices use the weighted normalized DLT (with rank-2
-    projection for F). Zero-weight points are equivalent to excluding them.
-    """
+    """Weighted algebraic least-squares fit over >= m points: the K = 1
+    call of _fit_weighted. Zero-weight points are equivalent to excluding
+    them. Raises DegenerateSample when fewer than m weights are positive or
+    the weighted system is degenerate."""
     coords = _as_coords(points)
     _check_dim(model_type, coords)
     w = np.asarray(weights, dtype=float)
@@ -404,49 +409,75 @@ def fit_nonminimal(model_type: ModelType, points, weights) -> ModelInstance:
     m = model_type.m
     if coords.shape[0] < m:
         raise ValueError(f"need at least {m} points")
-    if np.count_nonzero(w > 0) < m:
-        raise DegenerateSample("fewer positive-weight points than the minimal sample size")
+    params, ok = _fit_weighted(model_type, coords, w[None])
+    if not ok[0]:
+        raise DegenerateSample(
+            f"degenerate weighted system for {model_type.value}")
+    return ModelInstance(model_type, params[0])
 
+
+def _fit_weighted(model_type: ModelType, coords: np.ndarray, W: np.ndarray):
+    """Weighted non-minimal fit over the rows of a (K, n) stack of
+    nonnegative weights on the same (n, dim) coords. Lines, segments and
+    planes use batched weighted total least squares: weighted centroids,
+    one batched matmul for the scatter matrices and one batched eigh.
+    Homographies and fundamental matrices solve the weighted normalized DLT
+    (eight-point with rank-2 projection for F) row by row over the row's
+    positive-weight points. Returns the normalized (K, n_params) parameters
+    and a (K,) mask ok; a row with fewer than m positive weights or a
+    degenerate system (coincident or collinear points, a rank-deficient
+    DLT) is not ok and raises nothing."""
+    pos = W > 0
+    ok = np.count_nonzero(pos, axis=1) >= model_type.m
+    rows = np.flatnonzero(ok)
+    raw = np.zeros((len(W), model_type.n_params))
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D):
-        wsum = w.sum()
-        centroid = (w[:, None] * coords).sum(axis=0) / wsum
-        centered = coords - centroid
-        scatter = (centered * w[:, None]).T @ centered
+        # point-major (n, rows, dim) buffers, filled one coordinate at a
+        # time: the [:, i] slice of a row is the (n, dim) array of a single
+        # fit, so its centroid sums run over the points in order and its
+        # scatter matrix is the same matrix product as for one row
+        wT = np.ascontiguousarray(W[rows].T)
+        dim = model_type.dim
+        weighted = np.empty((len(coords), len(rows), dim))
+        centered = np.empty_like(weighted)
+        for j in range(dim):
+            np.multiply(wT, coords[:, j, None], out=weighted[..., j])
+        centroid = weighted.sum(axis=0) / W.sum(axis=1)[rows, None]
+        for j in range(dim):
+            np.subtract(coords[:, j, None], centroid[:, j], out=centered[..., j])
+            np.multiply(centered[..., j], wT, out=weighted[..., j])
+        scatter = weighted.transpose(1, 2, 0) @ centered.transpose(1, 0, 2)
         eigvals, eigvecs = np.linalg.eigh(scatter)
-        if model_type is ModelType.PLANE3D:
-            normal = eigvecs[:, 0]
-            if eigvals[1] <= 1e-12 * max(eigvals[-1], 1e-300):
-                raise DegenerateSample("points are collinear")
-        else:
-            normal = eigvecs[:, 0]
-            if eigvals[-1] <= 1e-300:
-                raise DegenerateSample("points coincide")
-        offset = -normal @ centroid
-        params = [*normal, offset]
+        normal = eigvecs[..., 0]
+        if model_type is ModelType.PLANE3D:     # not collinear
+            ok[rows] = eigvals[:, 1] > 1e-12 * np.maximum(eigvals[:, -1], 1e-300)
+        else:                                   # not coincident
+            ok[rows] = eigvals[:, -1] > 1e-300
+        raw[rows, :dim] = normal
+        raw[rows, dim] = np.vecdot(-normal, centroid)
         if model_type is ModelType.SEGMENT2D:
-            a, b = normal
-            t = -b * coords[:, 0] + a * coords[:, 1]
-            t = t[w > 0]
-            params = [a, b, offset, t.min(), t.max()]
-        return make_instance(model_type, params)
-
-    if model_type is ModelType.HOMOGRAPHY:
-        keep = w > 0
-        H, full_rank = _homography_dlt(coords[:, :2][keep], coords[:, 2:][keep],
-                                       w[keep])
-        if not full_rank:
-            raise DegenerateSample("homography system is rank deficient")
-        return make_instance(model_type, H.ravel())
-
-    F = _fundamental_eight_point(coords[:, :2], coords[:, 2:], w)
-    return make_instance(model_type, F.ravel())
+            # endpoint parameters t = -b*x + a*y over the positive weights
+            t = (-normal[:, 1, None] * coords[:, 0]
+                 + normal[:, 0, None] * coords[:, 1])
+            raw[rows, 3] = np.where(pos[rows], t, np.inf).min(axis=1)
+            raw[rows, 4] = np.where(pos[rows], t, -np.inf).max(axis=1)
+    else:
+        solve = (_homography_dlt if model_type is ModelType.HOMOGRAPHY
+                 else _fundamental_eight_point)
+        for i in rows:
+            keep = pos[i]
+            M, ok[i] = solve(coords[keep, :2], coords[keep, 2:], W[i, keep])
+            raw[i] = M.ravel()
+    params, valid = _normalized(model_type, raw)
+    return params, ok & valid
 
 
 # ---------------------------------------------------------------------------
 # Residuals
 
 def residuals(instance: ModelInstance, coords) -> np.ndarray:
-    """Vector of nonnegative residuals of the instance over (n, d) coords.
+    """Vector of nonnegative residuals of the instance over (n, d) coords:
+    the K = 1 call of _residuals.
 
     Line/segment: perpendicular distance (clamped to the nearest endpoint
     for segments). Plane: point-to-plane distance. Homography: symmetric
@@ -455,58 +486,70 @@ def residuals(instance: ModelInstance, coords) -> np.ndarray:
     """
     coords = _as_coords(coords)
     _check_dim(instance.model_type, coords)
-    p = instance.params
-    t = instance.model_type
+    return _residuals(instance.model_type, instance.params[None], coords)[0]
 
-    if t is ModelType.LINE2D:
-        norm = np.hypot(p[0], p[1])
-        return np.abs(coords @ p[:2] + p[2]) / norm
 
-    if t is ModelType.SEGMENT2D:
-        a, b, c = p[0], p[1], p[2]
-        lo, hi = sorted(p[3:5])
-        tp = -b * coords[:, 0] + a * coords[:, 1]
-        line_dist = np.abs(coords @ p[:2] + c) / np.sqrt(a * a + b * b)
-        d_lo, d_hi = (np.linalg.norm(coords - end, axis=1)
-                      for end in segment_endpoints(instance))
+def _residuals(model_type: ModelType, P: np.ndarray,
+               coords: np.ndarray) -> np.ndarray:
+    """residuals of the rows of a (K, n_params) parameter stack over the
+    same (n, dim) coords; a (K, n) matrix. A projection onto the line or
+    plane normal is one matrix-vector product per row (vector @ coords.T),
+    the same product as for one instance."""
+    if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
+        a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
+        dot = (P[:, None, :2] @ coords.T)[:, 0]
+        if model_type is ModelType.LINE2D:
+            return np.abs(dot + c) / np.hypot(a, b)
+        line_dist = np.abs(dot + c) / np.sqrt(a * a + b * b)
+        lo = np.minimum(P[:, 3], P[:, 4])[:, None]
+        hi = np.maximum(P[:, 3], P[:, 4])[:, None]
+        x, y = coords[:, 0], coords[:, 1]
+        tp = -b * x + a * y
+        ends = _segment_endpoints(P)[..., None]
+        d_lo = np.sqrt((x - ends[:, 0, 0]) ** 2 + (y - ends[:, 0, 1]) ** 2)
+        d_hi = np.sqrt((x - ends[:, 1, 0]) ** 2 + (y - ends[:, 1, 1]) ** 2)
         return np.where(tp < lo, d_lo, np.where(tp > hi, d_hi, line_dist))
 
-    if t is ModelType.PLANE3D:
-        norm = np.linalg.norm(p[:3])
-        return np.abs(coords @ p[:3] + p[3]) / norm
+    if model_type is ModelType.PLANE3D:
+        norm = np.sqrt(np.vecdot(P[:, :3], P[:, :3]))[:, None]
+        return np.abs((P[:, None, :3] @ coords.T)[:, 0] + P[:, 3, None]) / norm
 
-    if t is ModelType.HOMOGRAPHY:
-        H = p.reshape(3, 3)
-        x1 = np.column_stack([coords[:, 0], coords[:, 1], np.ones(len(coords))])
-        x2 = np.column_stack([coords[:, 2], coords[:, 3], np.ones(len(coords))])
-        try:
-            Hinv = np.linalg.inv(H)
-        except np.linalg.LinAlgError:
-            return np.full(len(coords), np.inf)
-        fwd = x1 @ H.T
-        bwd = x2 @ Hinv.T
+    M = P.reshape(-1, 3, 3)
+    ones = np.ones(len(coords))
+    x1 = np.column_stack([coords[:, 0], coords[:, 1], ones])
+    x2 = np.column_stack([coords[:, 2], coords[:, 3], ones])
+    if model_type is ModelType.HOMOGRAPHY:
+        # a singular H has an all-NaN inverse, so every error is inf
+        fwd = x1 @ np.swapaxes(M, -1, -2)
+        bwd = x2 @ np.swapaxes(_inverse(M), -1, -2)
         # a point mapped to infinity (|w| < 1e-12) either way has error inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e2 = ((fwd[:, 0] / fwd[:, 2] - coords[:, 2]) ** 2
-                  + (fwd[:, 1] / fwd[:, 2] - coords[:, 3]) ** 2)
-            b2 = ((bwd[:, 0] / bwd[:, 2] - coords[:, 0]) ** 2
-                  + (bwd[:, 1] / bwd[:, 2] - coords[:, 1]) ** 2)
-        e2 = np.where(np.abs(fwd[:, 2]) >= 1e-12, e2, np.inf)
-        b2 = np.where(np.abs(bwd[:, 2]) >= 1e-12, b2, np.inf)
+            e2 = ((fwd[..., 0] / fwd[..., 2] - coords[:, 2]) ** 2
+                  + (fwd[..., 1] / fwd[..., 2] - coords[:, 3]) ** 2)
+            b2 = ((bwd[..., 0] / bwd[..., 2] - coords[:, 0]) ** 2
+                  + (bwd[..., 1] / bwd[..., 2] - coords[:, 1]) ** 2)
+        e2 = np.where(np.abs(fwd[..., 2]) >= 1e-12, e2, np.inf)
+        b2 = np.where(np.abs(bwd[..., 2]) >= 1e-12, b2, np.inf)
         return np.sqrt(0.5 * (e2 + b2))
 
     # fundamental matrix: Sampson distance
-    F = p.reshape(3, 3)
-    x1 = np.column_stack([coords[:, 0], coords[:, 1], np.ones(len(coords))])
-    x2 = np.column_stack([coords[:, 2], coords[:, 3], np.ones(len(coords))])
-    Fx1 = x1 @ F.T
-    Ftx2 = x2 @ F
-    num = np.abs(np.sum(x2 * Fx1, axis=1))
-    den = np.sqrt(Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2 + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2)
-    out = np.full(len(coords), np.inf)
-    ok = den > 1e-300
-    out[ok] = num[ok] / den[ok]
-    return out
+    Fx1 = x1 @ np.swapaxes(M, -1, -2)
+    Ftx2 = x2 @ M
+    num = np.abs(np.sum(x2 * Fx1, axis=-1))
+    den = np.sqrt(Fx1[..., 0] ** 2 + Fx1[..., 1] ** 2
+                  + Ftx2[..., 0] ** 2 + Ftx2[..., 1] ** 2)
+    return np.divide(num, den, out=np.full(num.shape, np.inf),
+                     where=den > 1e-300)
+
+
+def _inverse(M: np.ndarray) -> np.ndarray:
+    """Inverses of a (K, 3, 3) stack; all NaN for a singular matrix."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        if len(M) == 1:
+            return np.full_like(M, np.nan)
+        return np.concatenate([_inverse(M[i:i + 1]) for i in range(len(M))])
 
 
 def residual(instance: ModelInstance, point) -> float:
@@ -609,9 +652,9 @@ def fundamental_planar_degenerate(instance: ModelInstance, sample,
     quads = coords[[(0, 1, 2, 3), (3, 4, 5, 6), (0, 2, 4, 6)]]
     quads = quads[~_degenerate(ModelType.HOMOGRAPHY, quads)]
     homographies, _, _ = _solve_minimal(ModelType.HOMOGRAPHY, quads)
-    return any(int(np.sum(residuals(ModelInstance(ModelType.HOMOGRAPHY, p),
-                                    coords) < epsilon)) >= 5
-               for p in homographies)
+    explained = np.sum(_residuals(ModelType.HOMOGRAPHY, homographies, coords)
+                       < epsilon, axis=1)
+    return bool(np.any(explained >= 5))
 
 
 # ---------------------------------------------------------------------------
@@ -621,11 +664,14 @@ def segment_endpoints(instance: ModelInstance) -> np.ndarray:
     """(2, 2) array with the two endpoint coordinates of a segment."""
     if instance.model_type is not ModelType.SEGMENT2D:
         raise ValueError("expects a segment")
-    a, b, c, lo, hi = instance.params
+    return _segment_endpoints(instance.params[None])[0]
+
+
+def _segment_endpoints(P: np.ndarray) -> np.ndarray:
+    """segment_endpoints of a (K, 5) parameter stack; (K, 2, 2), the
+    endpoint of the smaller t first."""
+    a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
+    t = np.sort(P[:, 3:5], axis=1)
     nrm2 = a * a + b * b
-    if lo > hi:
-        lo, hi = hi, lo
-    return np.array([
-        [(-c * a - lo * b) / nrm2, (-c * b + lo * a) / nrm2],
-        [(-c * a - hi * b) / nrm2, (-c * b + hi * a) / nrm2],
-    ])
+    return np.stack([(-c * a - t * b) / nrm2, (-c * b + t * a) / nrm2],
+                    axis=-1)

@@ -221,6 +221,64 @@ def test_pose_without_intrinsics_exits_1(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+_K = [[800.0, 0.0, 320.0], [0.0, 800.0, 240.0], [0.0, 0.0, 1.0]]
+_BAD_INTRINSICS = {
+    "no-K1": {"K2": _K},
+    "text-entry": {"K1": [[800.0, "a", 320.0], *_K[1:]]},
+    "null-entry": {"K1": [[800.0, None, 320.0], *_K[1:]]},
+    "nan-entry": {"K1": [[float("nan"), 0.0, 320.0], *_K[1:]]},
+    "inf-in-K2": {"K1": _K, "K2": [[float("inf"), 0.0, 320.0], *_K[1:]]},
+    "not-an-object": [_K],
+}
+_CORRESPONDENCES = [[0.0, 0.0, 1.0, 1.0], [10.0, 0.0, 11.0, 1.0],
+                    [0.0, 10.0, 1.0, 11.0], [10.0, 10.0, 11.0, 11.0],
+                    [5.0, 3.0, 6.0, 4.0]]
+
+
+def _assert_error_exit(code, out, err):
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("intrinsics", _BAD_INTRINSICS.values(),
+                         ids=_BAD_INTRINSICS.keys())
+def test_fit_of_json_scene_with_bad_intrinsics_exits_1(tmp_path, capsys,
+                                                       intrinsics):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"model_type": "homography",
+                                 "points": _CORRESPONDENCES,
+                                 "intrinsics": intrinsics}))
+    out_dir = tmp_path / "fit"
+    _assert_error_exit(*_run(capsys, "fit", scene, "--out", out_dir))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("intrinsics", _BAD_INTRINSICS.values(),
+                         ids=_BAD_INTRINSICS.keys())
+def test_fit_of_csv_scene_with_bad_intrinsics_file_exits_1(tmp_path, capsys,
+                                                           intrinsics):
+    (tmp_path / "K.json").write_text(json.dumps(intrinsics))
+    scene = tmp_path / "scene.csv"
+    scene.write_text("homography,4,intrinsics=K.json\n" + "".join(
+        ",".join(map(str, row)) + "\n" for row in _CORRESPONDENCES))
+    out_dir = tmp_path / "fit"
+    _assert_error_exit(*_run(capsys, "fit", scene, "--out", out_dir))
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("intrinsics", _BAD_INTRINSICS.values(),
+                         ids=_BAD_INTRINSICS.keys())
+def test_pose_with_bad_intrinsics_file_exits_1(tmp_path, capsys, intrinsics):
+    scene, _ = _two_view_scene(tmp_path)
+    path = tmp_path / "K.json"
+    path.write_text(json.dumps(intrinsics))
+    code, out, err = _run(capsys, "pose", scene, "--intrinsics", path,
+                          "--json", "--max-proposals", "50")
+    _assert_error_exit(code, out, err)
+    assert out == ""
+
+
 def test_fit_svg_draws_every_point(tmp_path, capsys):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
                    "--points", "40", "--outliers", "20")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmfit import engine
+from mmfit import engine, models
 from mmfit.consensus import tanimoto_matrix
 from mmfit.engine import (
     OUTLIER,
@@ -33,6 +33,7 @@ from mmfit.models import (
     fit_nonminimal,
     fundamental_planar_degenerate,
     make_instance,
+    minimal_candidates,
     oriented_epipolar_ok,
     residuals,
     sample_degenerate,
@@ -68,19 +69,21 @@ def _line_scene(rng, n_in=60, n_out=0, sigma=0.0, gross=300.0):
     return PointSet(coords), n_in
 
 
-def _rows(h, points, fn):
-    """The residual and loss rows that refine_irls starts from."""
+def _refine_one(h, points, cfg):
+    """refine_irls on a stack of one instance: the refined instance, its
+    residual and loss rows and its info."""
     r = residuals(h, points.coords)
-    return r, fn.losses(r)
+    (best,), (best_r,), (best_loss,), (info,) = refine_irls(
+        [h], r[None], cfg.loss.losses(r)[None], points, cfg)
+    return best, best_r, best_loss, info
 
 
 def test_refine_exact_inliers_converges_fast(rng):
     points, n_in = _line_scene(rng)
-    fn = LossFunction(LossKind.MSAC, 2.0)
     cfg = default_config(ModelType.LINE2D, 2.0, LossKind.MSAC)
     start = fit_minimal(ModelType.LINE2D,
                         points.coords[[0, n_in - 1]])[0]
-    refined, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
+    refined, _, _, info = _refine_one(start, points, cfg)
     assert info["iterations"] <= 2 and info["converged"]
     oracle = fit_nonminimal(ModelType.LINE2D, points.coords, np.ones(n_in))
     ang, off = line_angle_offset(refined, oracle)
@@ -89,12 +92,11 @@ def test_refine_exact_inliers_converges_fast(rng):
 
 def test_refine_drops_gross_outliers(rng):
     points, n_in = _line_scene(rng, n_in=70, n_out=30, sigma=0.2)
-    fn = LossFunction(LossKind.MSAC, 3.0)
     cfg = default_config(ModelType.LINE2D, 3.0, LossKind.MSAC)
     start = fit_minimal(ModelType.LINE2D, points.coords[[0, 40]])[0]
-    w1 = fn.weights(residuals(start, points.coords))
+    w1 = cfg.loss.weights(residuals(start, points.coords))
     assert np.all(w1[n_in:] == 0.0)  # outliers zeroed on the first pass
-    refined, _ = refine_irls(start, *_rows(start, points, fn), points, cfg)
+    refined, _, _, _ = _refine_one(start, points, cfg)
     oracle = fit_nonminimal(ModelType.LINE2D, points.coords[:n_in],
                             np.ones(n_in))
     diff = min(np.linalg.norm(refined.params - s * oracle.params)
@@ -103,7 +105,6 @@ def test_refine_drops_gross_outliers(rng):
 
 
 def test_refine_loss_sums_non_increasing(rng):
-    fn = LossFunction(LossKind.MAGSACPP, 3.0, dof=2)
     cfg = default_config(ModelType.LINE2D, 3.0)
     for case in range(100):
         local = np.random.default_rng(case)
@@ -111,7 +112,7 @@ def test_refine_loss_sums_non_increasing(rng):
         start = fit_minimal(
             ModelType.LINE2D,
             points.coords[local.choice(n_in, 2, replace=False)])[0]
-        _, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
+        _, _, _, info = _refine_one(start, points, cfg)
         trace = np.array(info["loss_trace"])
         assert np.all(np.diff(trace) <= 1e-12)
 
@@ -119,16 +120,14 @@ def test_refine_loss_sums_non_increasing(rng):
 def test_refine_degenerate_returns_input():
     # all points coincide: every weighted refit is rank deficient
     points = PointSet(np.tile([[5.0, 5.0]], (10, 1)))
-    fn = LossFunction(LossKind.MSAC, 2.0)
     cfg = default_config(ModelType.LINE2D, 2.0, LossKind.MSAC)
     start = line_instance(0.0, 1.0, -5.0)
-    out, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
+    out, out_r, _, info = _refine_one(start, points, cfg)
     assert info["degenerate"] and out is start
-    assert np.array_equal(info["residuals"], residuals(start, points.coords))
+    assert np.array_equal(out_r, residuals(start, points.coords))
 
 
 def test_refine_returns_rows_of_the_returned_iterate():
-    fn = LossFunction(LossKind.MAGSACPP, 3.0, dof=2)
     cfg = default_config(ModelType.LINE2D, 3.0)
     for case in range(20):
         local = np.random.default_rng(case)
@@ -136,10 +135,95 @@ def test_refine_returns_rows_of_the_returned_iterate():
         start = fit_minimal(
             ModelType.LINE2D,
             points.coords[local.choice(n_in, 2, replace=False)])[0]
-        best, info = refine_irls(start, *_rows(start, points, fn), points, cfg)
+        best, best_r, best_loss, _ = _refine_one(start, points, cfg)
         r = residuals(best, points.coords)
-        assert np.array_equal(info["residuals"], r)
-        assert np.array_equal(info["losses"], fn.losses(r))
+        assert np.array_equal(best_r, r)
+        assert np.array_equal(best_loss, cfg.loss.losses(r))
+
+
+def _refine_irls_per_instance(h, r, loss, points, cfg):
+    """Oracle of refine_irls: IRLS from one instance at a time, through the
+    K = 1 calls fit_nonminimal and residuals. Returns the best iterate and
+    an info dict that also holds the best iterate's rows."""
+    fn = cfg.loss
+    total = float(np.sum(loss))
+    info = {"iterations": 0, "degenerate": False, "converged": False,
+            "loss_trace": [total], "residuals": r, "losses": loss}
+    n = len(points)
+    best, best_q = h, n - total
+    current = h
+    for it in range(engine.IRLS_MAX_ITERS):
+        w = fn.weights(r) * points.weights
+        try:
+            refined = fit_nonminimal(h.model_type, points, w)
+        except DegenerateSample:
+            info["degenerate"] = True
+            break
+        info["iterations"] = it + 1
+        old, new = current.params, refined.params
+        if old @ new < 0:
+            new = -new
+        delta = float(np.linalg.norm(new - old)) / max(
+            float(np.linalg.norm(old)), 1e-300)
+        current = refined
+        r = residuals(current, points.coords)
+        loss = fn.losses(r)
+        total = float(np.sum(loss))
+        info["loss_trace"].append(total)
+        if n - total > best_q:
+            best, best_q = current, n - total
+            info["residuals"], info["losses"] = r, loss
+        if delta < engine.IRLS_TOL:
+            info["converged"] = True
+            break
+    return best, info
+
+
+# per family, an instance that explains no point of the synthetic scenes:
+# every IRLS weight is zero, so its first refit is degenerate
+_FAR_AWAY = {
+    ModelType.LINE2D: [0.0, 1.0, -1e6],
+    ModelType.SEGMENT2D: [0.0, 1.0, -1e6, 0.0, 1.0],
+    ModelType.PLANE3D: [0.0, 0.0, 1.0, -1e6],
+    ModelType.HOMOGRAPHY: [1.0, 0.0, 1e6, 0.0, 1.0, 1e6, 0.0, 0.0, 1.0],
+    ModelType.FUNDAMENTAL: [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 1e6],
+}
+
+
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+def test_stacked_refine_matches_per_instance_oracle(model_type):
+    spec = SyntheticSpec(model_type, 3, 50, 40, 1.0, seed=4)
+    points, labels, _ = synthesize(spec)
+    cfg = default_config(model_type, 3.0)
+    local = np.random.default_rng(4)
+    samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
+                            replace=False)
+               for k in (1, 2, 3) for _ in range(3)]
+    starts = [h for fitted in minimal_candidates(model_type,
+                                                 points.coords[samples])
+              for h in fitted]
+    far = make_instance(model_type, _FAR_AWAY[model_type])
+    i_far = len(starts) // 2
+    starts.insert(i_far, far)
+    R = np.stack([residuals(h, points.coords) for h in starts])
+    L = cfg.loss.losses(R)
+    R_io, L_io = R.copy(), L.copy()
+    best, best_r, best_loss, info = refine_irls(starts, R_io, L_io, points, cfg)
+    assert best_r is R_io and best_loss is L_io     # rows updated in place
+    for i, h in enumerate(starts):
+        want, want_info = _refine_irls_per_instance(h, R[i].copy(),
+                                                    L[i].copy(), points, cfg)
+        assert (best[i] is h) == (want is h)
+        assert np.array_equal(best[i].params, want.params)
+        assert np.array_equal(best_r[i], want_info.pop("residuals"))
+        assert np.array_equal(best_loss[i], want_info.pop("losses"))
+        assert info[i] == want_info
+    # the stack mixes rows that leave it at different iterations with a
+    # degenerate row that returns its input
+    assert info[i_far]["degenerate"] and best[i_far] is far
+    live = [d["iterations"] for d in info if not d["degenerate"]]
+    assert len(set(live)) > 1
+    assert any(d["converged"] for d in info)
 
 
 # ---------------------------------------------------------------------------
@@ -364,25 +448,29 @@ def test_consolidate_merges_duplicates_monotonically(rng):
 def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
     # residual rows are built only for a new candidate and for a new IRLS
     # iterate; consolidation and IRLS reuse the rows the caller holds
-    calls = []
+    rows = []
     irls_iterations = []
+    stacked = models._residuals
 
-    def counted_residuals(*args, **kwargs):
-        calls.append(1)
-        return residuals(*args, **kwargs)
+    def counted_residuals(model_type, P, coords):
+        rows.append(len(P))
+        return stacked(model_type, P, coords)
 
     def recorded_refine(*args, **kwargs):
-        best, info = refine_irls(*args, **kwargs)
-        irls_iterations.append(info["iterations"])
-        return best, info
+        out = refine_irls(*args, **kwargs)
+        irls_iterations.extend(d["iterations"] for d in out[-1])
+        return out
 
-    monkeypatch.setattr(engine, "residuals", counted_residuals)
+    # residuals (the proposal loop) reaches the kernel through models,
+    # refine_irls through the name engine binds
+    monkeypatch.setattr(models, "_residuals", counted_residuals)
+    monkeypatch.setattr(engine, "_residuals", counted_residuals)
     monkeypatch.setattr(engine, "refine_irls", recorded_refine)
     points, _, _ = synthesize(spec)
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=3)
     report = fit(points, spec.model_type, cfg)
     assert len(report.instances) >= 2 and len(irls_iterations) >= 2
-    assert len(calls) == report.proposals_tried + sum(irls_iterations)
+    assert sum(rows) == report.proposals_tried + sum(irls_iterations)
 
 
 def _one_sample_candidates(points, model_type, sample):

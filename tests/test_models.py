@@ -6,13 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfit.errors import DegenerateSample
+from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.losses import LossKind
 from mmfit.models import (
     COLLINEAR_AREA_TOL,
+    ModelInstance,
     ModelType,
+    _fit_weighted,
     _fundamental_eight_point,
     _homography_dlt,
     _real_cubic_roots,
+    _residuals,
     fit_minimal,
     fit_nonminimal,
     fundamental_planar_degenerate,
@@ -253,7 +257,7 @@ def test_tall_dlt_economy_svd_matches_full(monkeypatch, rng):
 
     def solve():
         H, _ = _homography_dlt(corr[:, :2], corr[:, 2:], w)
-        F = _fundamental_eight_point(corr[:, :2], corr[:, 2:], w)
+        F, _ = _fundamental_eight_point(corr[:, :2], corr[:, 2:], w)
         return (make_instance(ModelType.HOMOGRAPHY, H.ravel()).params,
                 make_instance(ModelType.FUNDAMENTAL, F.ravel()).params)
 
@@ -270,6 +274,58 @@ def test_nonminimal_needs_positive_weights():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegenerateSample):
         fit_nonminimal(ModelType.LINE2D, pts, np.array([1.0, 0.0, 0.0]))
+
+
+def _weight_stack(model_type, seed):
+    """Coordinates of a small synthetic scene plus 9 copies of the point
+    (5, ..., 5), and a (K, n) weight stack over them: row 0 has m - 1
+    positive weights, row 1 weights only the copies (a rank-deficient
+    system; their weighted centroid is exact), row 2 one structure, the
+    other rows random weights with about half zeros."""
+    points, labels, _ = synthesize(SyntheticSpec(model_type, 2, 30, 20, 1.0,
+                                                 seed=seed))
+    coords = np.vstack([points.coords, np.full((9, model_type.dim), 5.0)])
+    labels = np.concatenate([labels, np.full(9, -1)])
+    rng = np.random.default_rng(seed)
+    n, m = len(coords), model_type.m
+    W = rng.uniform(0.0, 1.0, (8, n)) * (rng.uniform(size=(8, n)) < 0.5)
+    W[0] = 0.0
+    W[0, rng.choice(n - 9, m - 1, replace=False)] = 1.0
+    W[1] = np.where(labels == -1, 1.0, 0.0)
+    W[2] = np.where(labels == 1, rng.uniform(0.2, 1.0, n), 0.0)
+    return coords, W
+
+
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_weighted_fit_rows_equal_single_fits(model_type, seed):
+    coords, W = _weight_stack(model_type, seed)
+    params, ok = _fit_weighted(model_type, coords, W)
+    assert params.shape == (len(W), model_type.n_params)
+    assert not ok[0] and not ok[1] and ok[2:].all()
+    for i, w in enumerate(W):
+        if ok[i]:
+            assert np.array_equal(params[i],
+                                  fit_nonminimal(model_type, coords, w).params)
+        else:
+            with pytest.raises(DegenerateSample):
+                fit_nonminimal(model_type, coords, w)
+
+
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stacked_residual_rows_equal_single_rows(model_type, seed):
+    coords, W = _weight_stack(model_type, seed)
+    params, ok = _fit_weighted(model_type, coords, W)
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(4, model_type.n_params))
+    P = np.vstack([params[ok], [make_instance(model_type, p).params
+                                for p in raw]])
+    R = _residuals(model_type, P, coords)
+    assert R.shape == (len(P), len(coords))
+    for i, p in enumerate(P):
+        assert np.array_equal(
+            R[i], residuals(ModelInstance(model_type, p), coords))
 
 
 # ---------------------------------------------------------------------------
