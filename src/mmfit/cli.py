@@ -24,8 +24,8 @@ from .engine import (
     SAMPLERS,
     EngineConfig,
     FitReport,
-    contingency_table,
     fit,
+    label_matching,
     min_residual_assignment,
     misclassification_error,
 )
@@ -264,19 +264,19 @@ def cmd_eval(args) -> int:
     with open(args.instances) as fh:
         payload = json.load(fh)
     instances = _read_instances(payload, args.instances)
-    # a ground-truth file stores no epsilon: score it at --epsilon
-    eps = payload.get("epsilon")
-    eps = float(args.epsilon if eps is None else eps)
+    eps = _eval_epsilon(payload, args.epsilon)
     rows = np.array([residuals(h, points.coords) for h in instances]
                     ).reshape(len(instances), len(points))
     assignment = min_residual_assignment(rows, eps)
-    report = FitReport(instances, assignment, np.minimum(rows / eps, 1.0),
-                       0, 0, 0, 0.0)
-    me = misclassification_error(report, labels)
+    me, matched = label_matching(assignment, labels)
 
     wall = _fit_wall_time(Path(args.instances))
 
-    per_instance = _precision_recall(assignment, labels)
+    per_instance = [
+        {"instance": inst, "matched_label": gt,
+         "precision": hit / np.sum(assignment == inst),
+         "recall": 0.0 if gt is None else hit / np.sum(labels == gt)}
+        for inst, (gt, hit) in matched.items()]
     result = {
         "schema": EVAL_SCHEMA,
         "me_percent": round(me * 100.0, 10),
@@ -311,43 +311,39 @@ def _read_instances(payload: dict, path) -> list:
     return [make_instance(model_type, params) for params in rows]
 
 
+def _eval_epsilon(payload: dict, flag: float) -> float:
+    """The epsilon an instances file was fitted at or, for a ground-truth
+    file, which stores none, the --epsilon flag; ParseError unless it is a
+    positive finite number."""
+    value = payload.get("epsilon")
+    value = flag if value is None else value
+    try:
+        eps = float(value)
+    except (TypeError, ValueError):
+        eps = np.nan
+    if not 0 < eps < np.inf:
+        raise ParseError(
+            f"epsilon must be a positive finite number, got {value!r}")
+    return eps
+
+
 def _fit_wall_time(instances_path: Path):
     """The fit time that the manifest next to an instances file records,
-    or None unless that manifest is from the `fit` run that wrote it."""
+    or None unless that manifest is an object from the `fit` run that
+    wrote it, with a finite number as timing.wall_time."""
     manifest_path = instances_path.parent / "manifest.json"
     if not manifest_path.exists():
         return None
-    manifest = json.loads(manifest_path.read_text())
-    if (manifest.get("command") != "fit"
-            or instances_path.name not in manifest.get("outputs", [])):
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        wall = manifest["timing"]["wall_time"]
+        written = (manifest["command"] == "fit"
+                   and instances_path.name in manifest["outputs"])
+    except (ValueError, KeyError, TypeError):   # not a manifest fit wrote
         return None
-    return manifest["timing"]["wall_time"]
-
-
-def _precision_recall(assignment: np.ndarray, labels: np.ndarray):
-    from scipy.optimize import linear_sum_assignment
-
-    inst_ids, gt_ids, table = contingency_table(assignment, labels)
-    out = []
-    if not table.size:
-        return out
-    rows, cols = linear_sum_assignment(-table)
-    matched = dict(zip(rows.tolist(), cols.tolist()))
-    for a, inst in enumerate(inst_ids):
-        if a in matched:
-            gt = gt_ids[matched[a]]
-            hit = table[a, matched[a]]
-            n_pred = int(np.sum(assignment == inst))
-            n_gt = int(np.sum(labels == gt))
-            out.append({
-                "instance": int(inst), "matched_label": int(gt),
-                "precision": hit / n_pred if n_pred else 0.0,
-                "recall": hit / n_gt if n_gt else 0.0,
-            })
-        else:
-            out.append({"instance": int(inst), "matched_label": None,
-                        "precision": 0.0, "recall": 0.0})
-    return out
+    if not written or type(wall) not in (int, float) or not np.isfinite(wall):
+        return None
+    return wall
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,16 @@ during fitting; the final report carries both the soft per-point loss
 matrix and a hard minimum-residual assignment.
 
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
-the loop draws the next SAMPLE_BLOCK samples (never past max_proposals)
-and screens, solves and orients them with one call of the stacked kernel
-models.minimal_candidates; it then takes one entry per draw, with the
-stopping checks made before every draw. A uniform, PROSAC or P-NAPSAC draw
-depends only on the rng and the draw index, so entries left when an outer
-iteration ends are the draws the next one would make, and a fit gives the
-same result as drawing and solving one sample at a time. The CC sampler,
-whose next draw depends on its own gate, refills one draw at a time.
+the loop draws the next SAMPLE_BLOCK samples (never past max_proposals,
+nor across the end of the CC schedule) and solves them with one call of
+each stacked kernel: models.minimal_candidates screens, solves and orients
+the minimal samples, models._fit_weighted fits the larger connected
+components. It then takes one entry per draw, with the stopping checks
+made before every draw. A draw depends only on the rng and the draw index
+(the CC schedule is decided from the radius graph once per fit), so
+entries left when an outer iteration ends are the draws the next one
+would make, and a fit gives the same result as drawing and solving one
+sample at a time.
 
 Each consolidation pass refines all its cluster representatives in one
 refine_irls call. An IRLS iteration computes the weights, the weighted
@@ -38,7 +40,6 @@ from scipy.optimize import linear_sum_assignment
 
 from .consensus import cluster_instances, select_representatives
 from .errors import (
-    DegenerateSample,
     DimensionMismatch,
     ExhaustedData,
     InvalidConfig,
@@ -51,17 +52,14 @@ from .models import (
     PointSet,
     _fit_weighted,
     _residuals,
-    fit_nonminimal,
     fundamental_planar_degenerate,
     minimal_candidates,
     residuals,
 )
 from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
-    CCSamplerState,
     build_neighborhood,
-    cc_can_sample,
-    next_sample_cc,
+    cc_schedule,
     next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
@@ -99,8 +97,8 @@ class EngineConfig:
     max_proposals: int = 10_000
 
     def __post_init__(self):
-        if self.q_min <= 0:
-            raise InvalidConfig("q_min must be positive")
+        if not 0 < self.q_min < np.inf:
+            raise InvalidConfig("q_min must be positive and finite")
         if not 0.0 < self.tau < 1.0:
             raise InvalidConfig("tau must lie in (0, 1)")
         if not 0.0 < self.confidence < 1.0:
@@ -111,8 +109,8 @@ class EngineConfig:
             raise InvalidConfig(f"sampler must be one of {SAMPLERS}")
         if self.max_proposals < 1:
             raise InvalidConfig("max_proposals must be >= 1")
-        if self.r_max <= 0:
-            raise InvalidConfig("r_max must be positive")
+        if not 0 < self.r_max < np.inf:
+            raise InvalidConfig("r_max must be positive and finite")
         if self.sampler == "cc":
             if not 0 < self.r_min <= self.r_max:
                 raise InvalidConfig("the cc sampler needs 0 < r_min <= r_max")
@@ -262,26 +260,38 @@ def _relative_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 def _candidates(points: PointSet, model_type: ModelType,
                 samples: list[list[int]]) -> list[list[ModelInstance]]:
     """Screen and solve a block of samples; per sample, its candidates.
-    Minimal samples go through one call of the stacked kernel
+    The samples of m points go through one call of the stacked kernel
     minimal_candidates (sample screen, minimal solver and, for F, the
-    oriented epipolar test). A larger sample, a connected component, comes
-    in a block of its own and is fitted by least squares."""
-    if len(samples[0]) > model_type.m:
-        (sample,) = samples
-        try:
-            return [[fit_nonminimal(model_type, points.coords[sample],
-                                    points.weights[sample])]]
-        except DegenerateSample:
-            return [[]]
-    return minimal_candidates(model_type, points.coords[np.array(samples)])
+    oriented epipolar test). The larger ones, connected components, are
+    fitted by least squares with one call of models._fit_weighted, each
+    on a row of point weights that is zero outside its component."""
+    m = model_type.m
+    out: list[list[ModelInstance]] = [[] for _ in samples]
+    minimal = [i for i, s in enumerate(samples) if len(s) == m]
+    larger = [i for i, s in enumerate(samples) if len(s) > m]
+    if minimal:
+        stack = points.coords[np.array([samples[i] for i in minimal])]
+        for i, fitted in zip(minimal, minimal_candidates(model_type, stack)):
+            out[i] = fitted
+    if larger:
+        W = np.zeros((len(larger), len(points)))
+        for row, i in enumerate(larger):
+            W[row, samples[i]] = points.weights[samples[i]]
+        params, ok = _fit_weighted(model_type, points.coords, W)
+        for i, p in zip(np.array(larger)[ok].tolist(), params[ok]):
+            out[i] = [ModelInstance(model_type, p)]
+    return out
 
 
 def _draw(sampler: str, points: PointSet, m: int, iteration: int, graph,
-          rng: np.random.Generator) -> list[int]:
-    """The minimal sample of the uniform, PROSAC or P-NAPSAC sampler at the
-    given 1-based iteration."""
-    if sampler == "prosac":
-        return next_sample_prosac(points, m, iteration, rng)
+          schedule: list[list[int]], rng: np.random.Generator) -> list[int]:
+    """The sample at the given 1-based iteration: entry iteration of the
+    CC schedule while it lasts, then a PROSAC draw for the CC sampler, or
+    the draw of the uniform, PROSAC or P-NAPSAC sampler."""
+    if iteration <= len(schedule):
+        return schedule[iteration - 1]
+    if sampler in ("prosac", "cc"):
+        return next_sample_prosac(points, m, iteration - len(schedule), rng)
     if sampler == "pnapsac":
         return next_sample_pnapsac(points, m, iteration, graph, rng)
     return next_sample_uniform(points, m, rng)
@@ -305,12 +315,13 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
     rng = np.random.default_rng(config.seed)
     graph = None
-    cc_state = None
-    if config.sampler in ("cc", "pnapsac"):
-        graph = build_neighborhood(points, config.r_max,
-                                   build_edges=config.sampler == "cc")
-    if config.sampler == "cc":
-        cc_state = CCSamplerState(config.r_min, config.r_max, config.n_steps)
+    schedule: list[list[int]] = []
+    cc = config.sampler == "cc"
+    if cc or config.sampler == "pnapsac":
+        graph = build_neighborhood(points, config.r_max, build_edges=cc)
+    if cc:
+        schedule = cc_schedule(graph, m, config.r_min, config.r_max,
+                               config.n_steps)
 
     fn = config.loss
     eps = fn.epsilon
@@ -335,25 +346,22 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
                and draws < config.max_proposals):
-            if cc_state is not None and not cc_can_sample(cc_state, graph, m):
-                # the deterministic component stream is finished; keep the
-                # PROSAC fallback only as a safeguard when nothing at all
-                # has been found yet
-                if instances or batch:
-                    cc_spent = True
-                    break
+            if cc and draws >= len(schedule) and (instances or batch):
+                # the component schedule is spent; its PROSAC fallback is
+                # only a safeguard for when nothing at all has been found
+                cc_spent = True
+                break
             if not batch and draws > 0 and should_terminate(
                     n, united, draws, m, config.confidence, config.q_min):
                 break  # nothing new this batch and the criterion already holds
             if not solved:
                 # samples drawn ahead are the ones this loop, or the next
                 # outer iteration, would draw (see the module docstring)
-                if cc_state is not None:
-                    block = [next_sample_cc(cc_state, graph, points, m, rng)]
-                else:
-                    stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
-                    block = [_draw(config.sampler, points, m, i, graph, rng)
-                             for i in range(draws + 1, stop + 1)]
+                stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
+                if draws < len(schedule):   # no block straddles its end
+                    stop = min(stop, len(schedule))
+                block = [_draw(config.sampler, points, m, i, graph, schedule,
+                               rng) for i in range(draws + 1, stop + 1)]
                 solved.extend(zip(block, _candidates(points, model_type, block)))
             draws += 1
             attempts += 1
@@ -391,14 +399,13 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         elif draws >= config.max_proposals:
             stop_reason = "max_proposals"
 
-    fallback = cc_state.fallback_count if cc_state is not None else 0
     return FitReport(
         instances=instances,
         min_residual_assignment=min_residual_assignment(residual_rows, eps),
         loss_matrix=loss_rows,
         iterations=outer,
         proposals_tried=proposals_tried,
-        fallback_samples=fallback,
+        fallback_samples=max(draws - len(schedule), 0) if cc else 0,
         wall_time=time.perf_counter() - start,
         stop_reason=stop_reason,
     )
@@ -468,15 +475,28 @@ def misclassification_error(report: FitReport, ground_truth_labels) -> float:
     pred = report.min_residual_assignment
     if labels.shape != pred.shape:
         raise LabelMismatch("label vector does not match the point count")
+    return label_matching(pred, labels)[0]
+
+
+def label_matching(assignment: np.ndarray, labels: np.ndarray):
+    """The optimal one-to-one matching between the instances that own
+    points and the nonzero labels, which maximises the points they share.
+    Returns the misclassification error of the assignment (see
+    misclassification_error) and a dict from each instance id that owns
+    points, ascending, to its matched label (None when unmatched) and the
+    points the two share."""
     n = len(labels)
     if n == 0:
-        return 0.0
-    correct = int(np.sum((pred == OUTLIER) & (labels == 0)))
-    _, _, table = contingency_table(pred, labels)
+        return 0.0, {}
+    correct = int(np.sum((assignment == OUTLIER) & (labels == 0)))
+    inst_ids, gt_ids, table = contingency_table(assignment, labels)
+    matched = dict.fromkeys(inst_ids.tolist(), (None, 0.0))
     if table.size:
         rows, cols = linear_sum_assignment(-table)
         correct += int(table[rows, cols].sum())
-    return 1.0 - correct / n
+        for a, b in zip(rows.tolist(), cols.tolist()):
+            matched[inst_ids[a].item()] = (gt_ids[b].item(), table[a, b])
+    return 1.0 - correct / n, matched
 
 
 def contingency_table(assignment: np.ndarray, labels: np.ndarray):

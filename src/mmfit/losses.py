@@ -109,8 +109,8 @@ class LossFunction:
     dof: int = 2
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidConfig("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise InvalidConfig("epsilon must be positive and finite")
         if self.dof < 1:
             raise InvalidConfig("dof must be a positive integer")
 

@@ -89,8 +89,9 @@ class PointSet:
         if weights is None:
             weights = np.ones(n)
         weights = np.asarray(weights, dtype=float)
-        if weights.shape != (n,) or np.any(weights < 0):
-            raise ValueError("weights must be (n,) nonnegative")
+        if weights.shape != (n,) or not np.all(
+                (weights >= 0) & np.isfinite(weights)):
+            raise ValueError("weights must be (n,) nonnegative and finite")
         ranked_order = None
         if quality_rank is not None:
             quality_rank = np.asarray(quality_rank, dtype=int)

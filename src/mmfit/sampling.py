@@ -1,17 +1,16 @@
 """Minimal-sample proposal: uniform, PROSAC, P-NAPSAC, and the
-deterministic connected-component sampler.
+connected-component (CC) sampler.
 
 PROSAC and P-NAPSAC grow their pools along PointSet.ranked_order, the
-best-first order the point set fixes once. The connected-component sampler
-builds a radius graph once at r_max over the joint coordinate space (4D
-for correspondences) and walks the radii r_min .. r_max of its schedule
-once, serving the connected components at each radius as samples, largest
-first. When no component of sufficient size remains at r_max, it falls
-back to PROSAC over all points.
+best-first order the point set fixes once. The CC sampler builds a radius
+graph once at r_max over the joint coordinate space (4D for
+correspondences). Its samples, the connected components at each radius
+r_min .. r_max of its schedule, largest first, depend on that graph alone,
+so cc_schedule lists them all once per fit. After the last of them the
+engine draws PROSAC samples over all points.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -108,71 +107,34 @@ def connected_components(graph: NeighborhoodGraph, r: float) -> list[list[int]]:
     return comps
 
 
-@dataclass
-class CCSamplerState:
-    """Mutable state of the connected-component sampler for one fit: the
-    radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps, ending
-    exactly at r_max (one radius when r_min = r_max), the index step of the
-    radius r in force, and the components pending at r (None until the
-    first list is built)."""
+def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
+                n_steps: int) -> list[list[int]]:
+    """Every sample of the connected-component sampler, in serving order.
 
-    r_min: float
-    r_max: float
-    n_steps: int
-    radii: tuple[float, ...] = field(init=False)
-    step: int = field(init=False, default=0)
-    pending: list[list[int]] | None = field(init=False, default=None)
-    fallback_count: int = field(init=False, default=0)
-
-    def __post_init__(self):
-        if self.r_min <= 0 or self.r_max < self.r_min:
-            raise InvalidConfig("need 0 < r_min <= r_max")
-        if self.n_steps < 1:
-            raise InvalidConfig("n_steps must be >= 1")
-        self.radii = tuple(np.unique(np.linspace(self.r_min, self.r_max,
-                                                 self.n_steps + 1)).tolist())
-
-    @property
-    def r(self) -> float:
-        return self.radii[self.step]
-
-
-def cc_can_sample(state: CCSamplerState, graph: NeighborhoodGraph, m: int) -> bool:
-    """Step through the radius schedule, building the components at each
-    radius once, until the pending components hold at least m points in
-    total or the last radius is spent. True when they hold m points, i.e.
-    when the next call to next_sample_cc serves a component sample rather
-    than falling back to PROSAC."""
-    if state.pending is None:
-        state.pending = connected_components(graph, state.r)
-    while sum(map(len, state.pending)) < m and state.step + 1 < len(state.radii):
-        state.step += 1
-        state.pending = connected_components(graph, state.r)
-    return sum(map(len, state.pending)) >= m
-
-
-def next_sample_cc(state: CCSamplerState, graph: NeighborhoodGraph,
-                   points: PointSet, m: int,
-                   rng: np.random.Generator) -> list[int]:
-    """Next sample of the connected-component schedule.
-
-    Returns the largest pending component at the current radius; if the
-    largest is smaller than m, pops further components and returns their
-    union. While the pending components hold fewer than m points in total,
-    cc_can_sample moves to the next radius of the schedule and rebuilds the
-    component list (components served at a smaller radius are offered again
-    once grown). Once the last radius, r_max, is spent, falls back to a
-    PROSAC minimal sample over all points.
+    Walks the radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps
+    (one radius when r_min = r_max), building the components at each
+    radius once. At a radius it pops components, largest first, until a
+    sample holds m points (a union when the largest is smaller than m), and
+    keeps doing so while the components left hold m points; then it moves
+    to the next radius, where components served at a smaller radius are
+    offered again once grown. The schedule depends on the graph alone, so
+    it is decided once per fit.
     """
-    if len(points) < m:
-        raise ExhaustedData(f"need at least {m} points")
-    if not cc_can_sample(state, graph, m):
-        state.fallback_count += 1
-        return next_sample_prosac(points, m, state.fallback_count, rng)
-    sample: list[int] = []
-    while len(sample) < m:
-        sample.extend(state.pending.pop(0))
-    return sorted(sample)
+    if r_min <= 0 or r_max < r_min:
+        raise InvalidConfig("need 0 < r_min <= r_max")
+    if n_steps < 1:
+        raise InvalidConfig("n_steps must be >= 1")
+    samples: list[list[int]] = []
+    for r in np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist():
+        pending = connected_components(graph, r)
+        left = sum(map(len, pending))
+        while left >= m:
+            sample: list[int] = []
+            while len(sample) < m:
+                sample.extend(pending.pop(0))
+            left -= len(sample)
+            samples.append(sorted(sample))
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,17 @@ from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from mmfit.cli import build_parser, main
-from mmfit.engine import EngineConfig
-from mmfit.ingest import save_scene, synthesize_two_view
+from mmfit.engine import (
+    EngineConfig,
+    default_config,
+    fit,
+    misclassification_error,
+)
+from mmfit.ingest import load_scene, save_scene, synthesize_two_view
 from mmfit.models import ModelType
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -61,6 +67,17 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
     assert len(result["per_instance"]) == 3
     assert result["wall_time"] == manifest["timing"]["wall_time"]
     assert "fit wall time" in out
+    # the library's fit of the same scene and seed scores the same
+    model_type, points, labels, _ = load_scene(scene)
+    report = fit(points, model_type, default_config(model_type, 3.0, seed=1))
+    me = misclassification_error(report, labels)
+    assert result["me_percent"] == round(me * 100.0, 10)
+    pred = report.min_residual_assignment
+    for row in result["per_instance"]:
+        assert row["matched_label"] is not None
+        hit = np.sum((pred == row["instance"]) & (labels == row["matched_label"]))
+        assert row["precision"] == hit / np.sum(pred == row["instance"])
+        assert row["recall"] == hit / np.sum(labels == row["matched_label"])
 
 
 def test_fit_pure_outlier_scene_exits_2(tmp_path, capsys):
@@ -78,6 +95,11 @@ def test_fit_pure_outlier_scene_exits_2(tmp_path, capsys):
     ["--sampler", "cc", "--r-min", "0"],
     ["--r-max", "0"],
     ["--sampler", "cc", "--n-steps", "0"],
+    ["--epsilon", "nan"],
+    ["--epsilon", "inf"],
+    ["--q-min", "nan"],
+    ["--sampler", "cc", "--r-max", "inf"],
+    ["--r-max", "nan"],
 ])
 def test_fit_bad_sampler_radii_exit_1(tmp_path, capsys, flags):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "1",
@@ -121,25 +143,58 @@ def test_eval_of_truth_file_reports_no_fit_time(tmp_path, capsys):
     assert "fit wall time" not in out
 
 
-@pytest.mark.parametrize("edit", [
-    lambda payload: payload["instances"][0].update(params=[0.0, 1.0]),
-    lambda payload: payload["instances"][0].update(params=["a", 1.0, 2.0]),
-    lambda payload: payload["instances"][0].pop("params"),
-    lambda payload: payload.update(model_type="circle"),
-    lambda payload: payload.update(model_type=None),
+@pytest.mark.parametrize("edit, flags", [
+    (lambda payload: payload["instances"][0].update(params=[0.0, 1.0]), []),
+    (lambda payload: payload["instances"][0].update(params=["a", 1.0, 2.0]),
+     []),
+    (lambda payload: payload["instances"][0].pop("params"), []),
+    (lambda payload: payload.update(model_type="circle"), []),
+    (lambda payload: payload.update(model_type=None), []),
+    (lambda payload: payload.update(epsilon="abc"), []),
+    (lambda payload: payload.update(epsilon=float("nan")), []),
+    (lambda payload: payload.update(epsilon=-1.0), []),
+    (lambda payload: payload.update(epsilon=[3.0]), []),
+    (lambda payload: None, ["--epsilon", "nan"]),
+    (lambda payload: None, ["--epsilon", "inf"]),
+    (lambda payload: None, ["--epsilon", "0"]),
 ], ids=["short-params", "text-params", "no-params", "unknown-model-type",
-        "null-model-type"])
-def test_eval_of_malformed_instances_exits_1(tmp_path, capsys, edit):
+        "null-model-type", "text-epsilon", "nan-epsilon", "negative-epsilon",
+        "list-epsilon", "nan-epsilon-flag", "inf-epsilon-flag",
+        "zero-epsilon-flag"])
+def test_eval_of_malformed_instances_exits_1(tmp_path, capsys, edit, flags):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
                    "--points", "40")
     payload = json.loads(scene.with_suffix(".truth.json").read_text())
     edit(payload)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(payload))
-    code, _, err = _run(capsys, "eval", scene, bad)
+    code, _, err = _run(capsys, "eval", scene, bad, *flags)
     assert code == 1
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest", [
+    "[]", "not json", '{"command": "fit", "outputs": ["instances.json"]}',
+    '{"command": "fit", "outputs": ["instances.json"], "timing": []}',
+    '{"command": "fit", "outputs": ["instances.json"],'
+    ' "timing": {"wall_time": "fast"}}',
+    '{"command": "fit", "outputs": 7, "timing": {"wall_time": 1.5}}',
+], ids=["list", "text", "no-timing", "list-timing", "text-wall-time",
+        "number-outputs"])
+def test_eval_with_malformed_manifest_reports_no_fit_time(tmp_path, capsys,
+                                                          manifest):
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
+                   "--points", "40")
+    out_dir = tmp_path / "fit"
+    code, _, _ = _run(capsys, "fit", scene, "--out", out_dir)
+    assert code == 0
+    (out_dir / "manifest.json").write_text(manifest)
+    code, out, err = _run(capsys, "eval", scene, out_dir / "instances.json",
+                          "--json")
+    assert code == 0, err
+    assert json.loads(out.strip().splitlines()[-1])["wall_time"] is None
+    assert "fit wall time" not in out
 
 
 @pytest.mark.parametrize("model_type", [7, None, ["line2d"], "circle"])

@@ -41,10 +41,8 @@ from mmfit.models import (
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.quality import is_dominant, quality_f_from_losses
 from mmfit.sampling import (
-    CCSamplerState,
     build_neighborhood,
-    cc_can_sample,
-    next_sample_cc,
+    cc_schedule,
     next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
@@ -491,16 +489,16 @@ def _one_sample_candidates(points, model_type, sample):
 
 def _fit_per_draw(points, model_type, config):
     """Oracle of fit: the proposal loop that draws, screens and solves one
-    sample at a time. Returns the report and the draw count at the end of
-    each outer iteration."""
+    sample at a time, each connected component alone. Returns the report
+    and the draw count at the end of each outer iteration."""
     m, n = model_type.m, len(points)
     rng = np.random.default_rng(config.seed)
-    graph = cc_state = None
+    graph, schedule, cc = None, [], config.sampler == "cc"
     if config.sampler in ("cc", "pnapsac"):
-        graph = build_neighborhood(points, config.r_max,
-                                   build_edges=config.sampler == "cc")
-    if config.sampler == "cc":
-        cc_state = CCSamplerState(config.r_min, config.r_max, config.n_steps)
+        graph = build_neighborhood(points, config.r_max, build_edges=cc)
+    if cc:
+        schedule = cc_schedule(graph, m, config.r_min, config.r_max,
+                               config.n_steps)
     fn, eps = config.loss, config.loss.epsilon
     instances = []
     residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
@@ -515,19 +513,19 @@ def _fit_per_draw(points, model_type, config):
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
                and draws < config.max_proposals):
-            if cc_state is not None and not cc_can_sample(cc_state, graph, m):
-                if instances or batch:
-                    cc_spent = True
-                    break
+            if cc and draws >= len(schedule) and (instances or batch):
+                cc_spent = True
+                break
             if not batch and draws > 0 and should_terminate(
                     n, united, draws, m, config.confidence, config.q_min):
                 break
             draws += 1
             attempts += 1
-            if cc_state is not None:
-                sample = next_sample_cc(cc_state, graph, points, m, rng)
-            elif config.sampler == "prosac":
-                sample = next_sample_prosac(points, m, draws, rng)
+            if draws <= len(schedule):
+                sample = schedule[draws - 1]
+            elif config.sampler in ("cc", "prosac"):
+                sample = next_sample_prosac(points, m, draws - len(schedule),
+                                            rng)
             elif config.sampler == "pnapsac":
                 sample = next_sample_pnapsac(points, m, draws, graph, rng)
             else:
@@ -563,7 +561,7 @@ def _fit_per_draw(points, model_type, config):
         else:
             continue
         break
-    fallback = cc_state.fallback_count if cc_state is not None else 0
+    fallback = max(draws - len(schedule), 0) if cc else 0
     report = FitReport(instances, min_residual_assignment(residual_rows, eps),
                        loss_rows, outer, proposals_tried, fallback, 0.0,
                        stop_reason)
@@ -585,6 +583,13 @@ def _ranked(points):
      100, "criterion"),
     (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
                    clustered=True), "cc", 10_000, "cc"),
+    # radii so small that the schedule holds 2 samples and the fit goes on
+    # with PROSAC draws until it finds the first line
+    (SyntheticSpec(ModelType.LINE2D, 2, 30, 400, 1.0, seed=8),
+     ("cc", 0.1, 0.3), 1000, "fallback"),
+    # components of exactly m = 4 points and larger ones share blocks
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 3, 60, 30, 1.0, seed=8), "cc",
+     300, "mixed"),
     (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=8), "pnapsac",
      150, "cap"),
     (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=13), "prosac",
@@ -594,15 +599,27 @@ def _ranked(points):
     (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=11), "pnapsac",
      300, "cap"),
 ], ids=["lines-pnapsac", "lines-uniform", "planes-prosac", "segments-cc",
-        "homography-pnapsac", "homography-prosac", "fundamental-uniform",
-        "fundamental-pnapsac"])
-def test_fit_matches_per_draw_oracle(spec, sampler, max_proposals, stop):
+        "lines-cc-fallback", "homography-cc-mixed", "homography-pnapsac",
+        "homography-prosac", "fundamental-uniform", "fundamental-pnapsac"])
+def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
+                                     max_proposals, stop):
     points, _, _ = synthesize(spec)
     if sampler == "prosac":
         points = _ranked(points)
+    radii = {}
+    if isinstance(sampler, tuple):
+        sampler, radii["r_min"], radii["r_max"] = sampler
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
-                         batch_size=2, max_proposals=max_proposals)
+                         batch_size=2, max_proposals=max_proposals, **radii)
     want, ends = _fit_per_draw(points, spec.model_type, cfg)
+    blocks = []
+    solve_block = engine._candidates
+
+    def recorded(points, model_type, samples):
+        blocks.append([len(s) for s in samples])
+        return solve_block(points, model_type, samples)
+
+    monkeypatch.setattr(engine, "_candidates", recorded)
     got = fit(points, spec.model_type, cfg)
     assert got.to_dict() == want.to_dict()
     block = engine.SAMPLE_BLOCK
@@ -615,6 +632,11 @@ def test_fit_matches_per_draw_oracle(spec, sampler, max_proposals, stop):
     elif stop == "criterion":
         # the stopping rule fired inside a block
         assert ends[-1] < max_proposals and ends[-1] % block != 0
+    elif stop == "fallback":
+        assert want.fallback_samples > 0 and blocks[0] == [2, 2]
+    elif stop == "mixed":
+        m = spec.model_type.m
+        assert any(m in sizes and max(sizes) > m for sizes in blocks)
 
 
 def test_engine_config_validation():
@@ -628,7 +650,9 @@ def test_engine_config_validation():
     for bad in ({"r_max": 0.0}, {"r_max": -1.0, "sampler": "uniform"},
                 {"sampler": "cc", "r_min": 0.0},
                 {"sampler": "cc", "r_min": 300.0, "r_max": 200.0},
-                {"sampler": "cc", "n_steps": 0}):
+                {"sampler": "cc", "n_steps": 0}, {"q_min": np.nan},
+                {"q_min": np.inf}, {"r_max": np.nan},
+                {"sampler": "cc", "r_max": np.inf}):
         with pytest.raises(InvalidConfig):
             EngineConfig(loss=fn, **bad)
     # P-NAPSAC ignores r_min and n_steps

@@ -92,6 +92,10 @@ def test_invalid_epsilon_rejected():
         LossFunction(LossKind.MAGSACPP, -1.0)
     with pytest.raises(InvalidConfig):
         LossFunction(LossKind.MAGSACPP, 1.0, dof=0)
+    for eps in (np.nan, np.inf):
+        for kind in LossKind:
+            with pytest.raises(InvalidConfig):
+                LossFunction(kind, eps)
 
 
 # ---------------------------------------------------------------------------

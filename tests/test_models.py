@@ -12,6 +12,7 @@ from mmfit.models import (
     COLLINEAR_AREA_TOL,
     ModelInstance,
     ModelType,
+    PointSet,
     _fit_weighted,
     _fundamental_eight_point,
     _homography_dlt,
@@ -268,6 +269,12 @@ def test_tall_dlt_economy_svd_matches_full(monkeypatch, rng):
     full = solve()
     for got, want in zip(economy, full):
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, -1.0])
+def test_point_set_rejects_bad_weights(weight):
+    with pytest.raises(ValueError):
+        PointSet(np.zeros((3, 2)), weights=[1.0, weight, 1.0])
 
 
 def test_nonminimal_needs_positive_weights():

@@ -5,15 +5,14 @@ import pytest
 from scipy.stats import chisquare
 
 from mmfit import sampling
+from mmfit.engine import _draw
 from mmfit.errors import ExhaustedData, InvalidConfig
 from mmfit.models import PointSet
 from mmfit.sampling import (
-    CCSamplerState,
     NeighborhoodGraph,
     build_neighborhood,
-    cc_can_sample,
+    cc_schedule,
     connected_components,
-    next_sample_cc,
     next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
@@ -37,8 +36,9 @@ def test_graph_rejects_nonpositive_radius(r_max):
 @pytest.mark.parametrize("r_min, r_max, n_steps",
                          [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0)])
 def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
+    g = build_neighborhood(PointSet(np.zeros((3, 2))), 10.0)
     with pytest.raises(InvalidConfig):
-        CCSamplerState(r_min, r_max, n_steps)
+        cc_schedule(g, 2, r_min, r_max, n_steps)
 
 
 def test_collinear_points_single_edge():
@@ -135,37 +135,62 @@ def _two_cluster_scene(rng, n1=40, n2=25):
     return PointSet(np.vstack([a, b]))
 
 
-def test_cc_returns_clusters_largest_first(rng):
+def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
+    """The schedule, the radius each sample was served at and the radii
+    whose components were built. A sample is served at the first radius,
+    no smaller than its predecessor's, at which it is a union of whole
+    components not served before at that radius."""
+    built = []
+
+    def recorded(graph, r):
+        comps = connected_components(graph, r)
+        built.append((r, [set(c) for c in comps]))
+        return comps
+
+    monkeypatch.setattr(sampling, "connected_components", recorded)
+    schedule = cc_schedule(graph, m, r_min, r_max, n_steps)
+    radii, j, served = [], 0, set()
+    for sample in schedule:
+        members = set(sample)
+        while True:
+            parts = {k for k, c in enumerate(built[j][1])
+                     if c <= members and k not in served}
+            if parts and members == set().union(
+                    *[built[j][1][k] for k in parts]):
+                break
+            j, served = j + 1, set()
+        served |= parts
+        radii.append(built[j][0])
+    return schedule, radii, [r for r, _ in built]
+
+
+def test_cc_returns_clusters_largest_first(rng, monkeypatch):
     points = _two_cluster_scene(rng)
     g = build_neighborhood(points, 200.0)
-    state = CCSamplerState(20.0, 200.0, 5)
-    gen = np.random.default_rng(0)
-    first = next_sample_cc(state, g, points, 2, gen)
-    second = next_sample_cc(state, g, points, 2, gen)
-    assert sorted(first) == list(range(40))
-    assert sorted(second) == list(range(40, 65))
-    r_before = state.r
-    next_sample_cc(state, g, points, 2, gen)
-    assert state.r > r_before  # densification kicked in
+    schedule, radii, _ = _served(monkeypatch, g, 2, 20.0, 200.0, 5)
+    assert schedule[0] == list(range(40))
+    assert schedule[1] == list(range(40, 65))
+    assert radii[2] > radii[1]  # densification kicked in
 
 
 def test_cc_single_cluster_of_exactly_m(rng):
     coords = np.array([[0.0, 0.0], [5.0, 0.0]])
     points = PointSet(coords)
     g = build_neighborhood(points, 50.0)
-    state = CCSamplerState(10.0, 50.0, 3)
-    assert next_sample_cc(state, g, points, 2, np.random.default_rng(0)) == [0, 1]
+    assert cc_schedule(g, 2, 10.0, 50.0, 3)[0] == [0, 1]
 
 
 def test_cc_falls_back_to_prosac_when_no_components():
     coords = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 500.0], [500.0, 500.0]])
     points = PointSet(coords, quality_rank=np.arange(4))
     g = build_neighborhood(points, 50.0)
-    state = CCSamplerState(10.0, 50.0, 4)
-    sample = next_sample_cc(state, g, points, 2, np.random.default_rng(0))
-    assert len(sample) == 2
-    assert state.fallback_count == 1
-    assert not cc_can_sample(state, g, 2)
+    assert cc_schedule(g, 2, 10.0, 50.0, 4) == []
+    # after the schedule, draw i is the PROSAC draw i - len(schedule)
+    for schedule in ([], [[0, 1], [2, 3]]):
+        got = _draw("cc", points, 2, len(schedule) + 3, g, schedule,
+                    np.random.default_rng(0))
+        want = next_sample_prosac(points, 2, 3, np.random.default_rng(0))
+        assert got == want
 
 
 def test_cc_unions_small_components(rng):
@@ -173,46 +198,33 @@ def test_cc_unions_small_components(rng):
     coords = np.array([[0, 0], [1, 0], [50, 50], [51, 50], [100, 0], [101, 0.0]])
     points = PointSet(coords, quality_rank=np.arange(6))
     g = build_neighborhood(points, 200.0)
-    state = CCSamplerState(5.0, 10.0, 2)
-    sample = next_sample_cc(state, g, points, 5, np.random.default_rng(0))
-    assert len(sample) == 6 and state.fallback_count == 0
+    assert cc_schedule(g, 5, 5.0, 10.0, 2)[0] == list(range(6))
 
 
-def test_cc_grows_radius_until_pending_holds_m_points():
+def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
     # at r = 5 only the pair {0, 1} is connected: 2 pending points for m = 3
     points = PointSet(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
                                 [100.0, 0.0, 0.0], [108.0, 0.0, 0.0],
                                 [116.0, 0.0, 0.0]]))
     g = build_neighborhood(points, 20.0)
-    state = CCSamplerState(5.0, 20.0, 3)
-    assert cc_can_sample(state, g, 3)
-    assert state.r == 10.0
-    assert next_sample_cc(state, g, points, 3, np.random.default_rng(0)) == [2, 3, 4]
-    assert state.fallback_count == 0
+    schedule, radii, built = _served(monkeypatch, g, 3, 5.0, 20.0, 3)
+    assert built[:2] == [5.0, 10.0]
+    assert schedule[0] == [2, 3, 4] and radii[0] == 10.0
 
 
 def test_cc_deterministic_sequences(rng):
     points = _two_cluster_scene(rng)
-    g = build_neighborhood(points, 200.0)
-    seqs = []
-    for _ in range(2):
-        state = CCSamplerState(20.0, 200.0, 5)
-        gen = np.random.default_rng(7)
-        seqs.append([next_sample_cc(state, g, points, 2, gen)
-                     for _ in range(6)])
-    assert seqs[0] == seqs[1]
+    seqs = [cc_schedule(build_neighborhood(points, 200.0), 2, 20.0, 200.0, 5)
+            for _ in range(2)]
+    assert len(seqs[0]) >= 6 and seqs[0] == seqs[1]
 
 
-def test_cc_components_connected_at_current_radius(rng):
+def test_cc_components_connected_at_current_radius(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 300, size=(60, 2)))
     g = build_neighborhood(points, 120.0)
-    state = CCSamplerState(15.0, 120.0, 4)
-    gen = np.random.default_rng(3)
-    for _ in range(8):
-        if not cc_can_sample(state, g, 2):
-            break
-        r_now = state.r
-        sample = next_sample_cc(state, g, points, 2, gen)
+    schedule, radii, _ = _served(monkeypatch, g, 2, 15.0, 120.0, 4)
+    assert len(schedule) >= 8
+    for sample, r_now in zip(schedule[:8], radii):
         # BFS oracle on the sampled points at the radius in force
         coords = points.coords[sample]
         adj = np.linalg.norm(coords[:, None] - coords[None, :], axis=2) <= r_now
@@ -227,17 +239,11 @@ def test_cc_components_connected_at_current_radius(rng):
         assert len(seen) == len(sample)
 
 
-def test_cc_radius_never_decreases(rng):
+def test_cc_radius_never_decreases(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 500, size=(50, 2)))
     g = build_neighborhood(points, 100.0)
-    state = CCSamplerState(10.0, 100.0, 5)
-    gen = np.random.default_rng(0)
-    radii = []
-    for _ in range(30):
-        next_sample_cc(state, g, points, 2, gen)
-        radii.append(state.r)
-        if not cc_can_sample(state, g, 2):
-            break
+    _, radii, _ = _served(monkeypatch, g, 2, 10.0, 100.0, 5)
+    assert len(set(radii)) >= 2
     assert all(b >= a for a, b in zip(radii, radii[1:]))
     # the schedule holds n_steps + 1 radii
     assert len(set(radii)) <= 5 + 1
@@ -247,33 +253,25 @@ def test_cc_radius_never_decreases(rng):
     (7.0, 30.0, 3), (10.0, 100.0, 5), (0.3, 1.0, 7), (12.5, 12.5, 4)])
 def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
                                              n_steps):
-    built = []
-
-    def recorded(graph, r):
-        built.append(r)
-        return connected_components(graph, r)
-
-    monkeypatch.setattr(sampling, "connected_components", recorded)
     points = PointSet(np.random.default_rng(1).uniform(0, 40, size=(30, 2)))
     g = build_neighborhood(points, r_max)
-    state = CCSamplerState(r_min, r_max, n_steps)
     # more points than the set holds: the whole schedule gets spent
-    assert not cc_can_sample(state, g, 31)
-    assert not cc_can_sample(state, g, 31)
+    schedule, _, built = _served(monkeypatch, g, 31, r_min, r_max, n_steps)
+    assert schedule == []
     step = (r_max - r_min) / n_steps
     if r_min == r_max:
         assert built == [r_max]
     else:
         assert built == [r_min + k * step for k in range(n_steps)] + [r_max]
-    assert built.count(r_max) == 1 and state.r == r_max
+    assert built.count(r_max) == 1
 
 
 def test_cc_exhausted_data():
     points = PointSet(np.array([[0.0, 0.0]]))
     g = build_neighborhood(points, 10.0)
-    state = CCSamplerState(5.0, 10.0, 2)
+    assert cc_schedule(g, 2, 5.0, 10.0, 2) == []
     with pytest.raises(ExhaustedData):
-        next_sample_cc(state, g, points, 2, np.random.default_rng(0))
+        _draw("cc", points, 2, 1, g, [], np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,35 @@ from mmfit.losses import LossFunction
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 
-# names the tracer still lists although the engine no longer binds them:
-# the engine screens, solves and orients minimal samples in blocks through
-# models.minimal_candidates
-RETIRED = {"preference_vector_from_dense", "sample_cheirality_ok",
-           "sample_degenerate", "fit_minimal", "oriented_epipolar_ok"}
+# (module, name) pairs the tracer still lists although the module no
+# longer binds the name: the engine screens, solves and orients minimal
+# samples in blocks through models.minimal_candidates, fits connected
+# components in blocks through models._fit_weighted and serves the CC
+# samples from sampling.cc_schedule
+RETIRED = {(engine, name) for name in (
+    "preference_vector_from_dense", "sample_cheirality_ok",
+    "sample_degenerate", "fit_minimal", "oriented_epipolar_ok",
+    "fit_nonminimal", "cc_can_sample", "next_sample_cc")}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
                                            (pose, spans.POSE_CALLS)])
 def test_traced_names_resolve_in_their_layer(module, calls):
     for layer, name in calls:
-        if name in RETIRED:
+        if (module, name) in RETIRED:
             continue
         fn = getattr(module, name, None)
         assert callable(fn), f"{module.__name__}.{name} is gone"
         assert fn.__module__ == f"mmfit.{layer}", (
             f"{module.__name__}.{name} lives in {fn.__module__}, "
             f"traced as layer {layer}")
+
+
+@pytest.mark.parametrize("module, name", sorted(
+    RETIRED, key=lambda pair: (pair[0].__name__, pair[1])))
+def test_retired_names_are_absent(module, name):
+    assert not hasattr(module, name), (
+        f"{module.__name__}.{name} is bound again: take it off RETIRED")
 
 
 def test_traced_loss_methods_exist():
