@@ -394,6 +394,7 @@ def cmd_pose(args) -> int:
     if intr is None:
         print("error: no intrinsics given", file=sys.stderr)
         return 1
+    gt = _read_gt_pose(args.gt) if args.gt else None
     cfg = _config_from_args(args, ModelType.HOMOGRAPHY)
     pose = pose_from_multi_h(points.coords, intr.K1, intr.K2, cfg,
                              reproj_eps=args.reproj_eps)
@@ -407,17 +408,31 @@ def cmd_pose(args) -> int:
     print(f"pose from {pose.source} candidates, support {pose.support}")
     print("R =", np.array_str(pose.rotation, precision=6))
     print("t =", np.array_str(pose.translation, precision=6))
-    if args.gt:
-        with open(args.gt) as fh:
-            gt = json.load(fh)
-        err_r = rotation_error_deg(pose.rotation, np.asarray(gt["R"]))
-        err_t = translation_error_deg(pose.translation, np.asarray(gt["t"]))
+    if gt is not None:
+        err_r = rotation_error_deg(pose.rotation, gt[0])
+        err_t = translation_error_deg(pose.translation, gt[1])
         result["rotation_error_deg"] = err_r
         result["translation_error_deg"] = err_t
         print(f"rotation error {err_r:.6f} deg, translation error {err_t:.6f} deg")
     if args.json:
         print(json.dumps(result, sort_keys=True))
     return 0
+
+
+def _read_gt_pose(path):
+    """(R, t) of a ground-truth pose file; ParseError unless it is an
+    object with a finite 3x3 R and a finite 3-vector t."""
+    payload = json.loads(Path(path).read_text())
+    try:
+        R = np.asarray(payload["R"], dtype=float)
+        t = np.asarray(payload["t"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path}: {type(exc).__name__}: {exc}") from None
+    if (R.shape != (3, 3) or t.shape != (3,)
+            or not (np.all(np.isfinite(R)) and np.all(np.isfinite(t)))):
+        raise ParseError(
+            f"{path}: ground truth needs a finite 3x3 R and a finite 3-vector t")
+    return R, t
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ forms, the homography DLT, the seven-point solver, the rank-2 projection,
 parameter normalization and the oriented epipolar test. Each works row by
 row with the same arithmetic as for one sample, so a sample's result does
 not depend on the stack it comes in. minimal_candidates runs a whole block
-of samples through screen, solver and orientation test; sample_degenerate,
-fit_minimal, oriented_epipolar_ok and make_instance are its B = 1 calls. A
-degenerate sample in a stack has no solution and raises nothing.
+of samples through screen, solver and orientation test; fit_minimal and
+make_instance are its B = 1 calls. A degenerate sample in a stack has no
+solution and raises nothing.
 
 The non-minimal path and the residuals are written over stacks too, of K
 parameter or weight rows on the same points: _fit_weighted fits a (K, n)
@@ -378,10 +378,10 @@ def fit_minimal(model_type: ModelType, sample) -> list[ModelInstance]:
 def minimal_candidates(model_type: ModelType, samples) -> list[list[ModelInstance]]:
     """Screen, solve and orient a (B, m, dim) stack of minimal samples in
     one pass. Per sample, the list of its candidate instances: empty when
-    sample_degenerate rejects it or the solver cannot handle it, otherwise
-    what fit_minimal returns, for fundamental matrices only the solutions
-    that pass oriented_epipolar_ok. Each sample's result does not depend on
-    the others in the stack."""
+    _degenerate flags it or the solver cannot handle it, otherwise what
+    fit_minimal returns, for fundamental matrices only the solutions that
+    pass _oriented_epipolar. Each sample's result does not depend on the
+    others in the stack."""
     samples = np.asarray(samples, dtype=float)
     screened = np.flatnonzero(~_degenerate(model_type, samples))
     params, rows, _ = _solve_minimal(model_type, samples[screened])
@@ -579,24 +579,13 @@ def _triangle_areas_2d(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (v1[..., 0::2] * v2[..., 1::2] - v1[..., 1::2] * v2[..., 0::2])
 
 
-def sample_degenerate(model_type: ModelType, sample) -> bool:
-    """True when a minimal sample cannot produce a usable model.
-
-    Homography: any 3 of the 4 points nearly collinear in either image, or
-    a triple whose orientation flips between the images, i.e. the convex
-    hulls differ or are traversed in different cyclic orders (cheirality).
-    Plane: the 3 points nearly collinear. Lines/segments: coincident
-    points. Fundamental matrices are never flagged here.
-    """
-    coords = _as_coords(sample)
-    _check_dim(model_type, coords)
-    if coords.shape[0] != model_type.m:
-        raise ValueError("degeneracy test expects a minimal sample")
-    return bool(_degenerate(model_type, coords[None])[0])
-
-
 def _degenerate(model_type: ModelType, samples: np.ndarray) -> np.ndarray:
-    """sample_degenerate over a (B, m, dim) stack; a (B,) mask."""
+    """Which minimal samples of a (B, m, dim) stack cannot give a usable
+    model; a (B,) mask. Homography: any 3 of the 4 points nearly collinear
+    in either image, or a triple whose orientation flips between the images
+    (cheirality: the convex hulls differ or are traversed in different
+    cyclic orders). Plane: the 3 points nearly collinear. Lines/segments:
+    coincident points. Fundamental matrices are never flagged here."""
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         d = samples[:, 1] - samples[:, 0]
         return np.sqrt(np.vecdot(d, d)) < COINCIDENT_POINT_TOL
@@ -610,20 +599,10 @@ def _degenerate(model_type: ModelType, samples: np.ndarray) -> np.ndarray:
     return np.zeros(len(samples), dtype=bool)
 
 
-def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:
-    """Oriented epipolar constraint: every sample correspondence must give
-    the same sign of (e2 x p2) . (F p1), where e2 is the epipole in the
-    second image. A single inconsistent or vanishing sign rejects."""
-    if instance.model_type is not ModelType.FUNDAMENTAL:
-        raise ValueError("oriented epipolar test applies to fundamental matrices")
-    coords = _as_coords(sample)
-    _check_dim(ModelType.FUNDAMENTAL, coords)
-    return bool(_oriented_epipolar(instance.matrix()[None], coords[None])[0])
-
-
 def _oriented_epipolar(F: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """oriented_epipolar_ok over K fundamental matrices (K, 3, 3), each with
-    its sample (K, n, 4); a (K,) mask."""
+    """Oriented epipolar constraint over K fundamental matrices (K, 3, 3)
+    and their samples (K, n, 4); a (K,) mask. A sample passes when every
+    (e2 x p2) . (F p1), e2 the epipole in image 2, has the same nonzero sign."""
     U, _, _ = np.linalg.svd(F)
     e = U[:, None, :, 2]          # epipole in image 2, (K, 1, 3)
     ones = np.ones(samples.shape[:2] + (1,))

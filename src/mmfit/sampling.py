@@ -3,11 +3,12 @@ connected-component (CC) sampler.
 
 PROSAC and P-NAPSAC grow their pools along PointSet.ranked_order, the
 best-first order the point set fixes once. The CC sampler builds a radius
-graph once at r_max over the joint coordinate space (4D for
-correspondences). Its samples, the connected components at each radius
-r_min .. r_max of its schedule, largest first, depend on that graph alone,
-so cc_schedule lists them all once per fit. After the last of them the
-engine draws PROSAC samples over all points.
+graph, an unsorted edge list, once at r_max over the joint coordinate space
+(4D for correspondences). Its samples, the connected components at each
+radius r_min .. r_max of its schedule, largest first, depend on that graph
+alone, so cc_schedule lists them all once per fit, growing the components
+from one radius to the next. After the last of them the engine draws
+PROSAC samples over all points.
 """
 from __future__ import annotations
 
@@ -29,37 +30,25 @@ class NeighborhoodGraph:
     """Immutable radius-annotated edge list over a point set.
 
     Edges (i, j, d) with i < j hold every pair at Euclidean distance
-    d <= r_max; subgraphs at any smaller radius are obtained by filtering.
-    Pass build_edges=False for samplers that only need nearest-neighbor
-    queries.
+    d <= r_max, in no particular order; the subgraph at a smaller radius is
+    the edges with d <= r. Pass build_edges=False for samplers that only
+    need nearest-neighbor queries.
     """
 
     def __init__(self, points: PointSet, r_max: float, build_edges: bool = True):
-        if r_max <= 0:
-            raise InvalidConfig("r_max must be positive")
+        if not 0 < r_max < np.inf:
+            raise InvalidConfig("r_max must be positive and finite")
         self.n_points = len(points)
-        self.r_max = float(r_max)
         self._coords = points.coords
         self._neighbor_order: dict[int, np.ndarray] = {}
-        if build_edges and self.n_points >= 2:
-            tree = cKDTree(points.coords)
-            pairs = tree.query_pairs(self.r_max, output_type="ndarray")
-            if len(pairs):
-                pairs = np.sort(pairs, axis=1)
-                order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-                pairs = pairs[order]
-                d = np.linalg.norm(
-                    points.coords[pairs[:, 0]] - points.coords[pairs[:, 1]], axis=1
-                )
-            else:
-                pairs = np.zeros((0, 2), dtype=int)
-                d = np.zeros(0)
-        else:
-            pairs = np.zeros((0, 2), dtype=int)
-            d = np.zeros(0)
+        pairs = np.zeros((0, 2), dtype=int)
+        if build_edges:
+            pairs = cKDTree(points.coords).query_pairs(
+                r_max, output_type="ndarray")
         self.edges_i = pairs[:, 0]
         self.edges_j = pairs[:, 1]
-        self.distances = d
+        self.distances = np.linalg.norm(
+            points.coords[self.edges_i] - points.coords[self.edges_j], axis=1)
         for arr in (self.edges_i, self.edges_j, self.distances):
             arr.setflags(write=False)
 
@@ -89,22 +78,31 @@ def build_neighborhood(points: PointSet, r_max: float,
     return NeighborhoodGraph(points, r_max, build_edges)
 
 
-def connected_components(graph: NeighborhoodGraph, r: float) -> list[list[int]]:
-    """Components of the subgraph with edges d <= r. Singletons are
-    excluded; components are sorted by size descending, ties by smallest
-    member; members are sorted ascending."""
-    keep = graph.distances <= r
+def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
+    """(r, the components of the subgraph with edges d <= r) for each r of
+    the ascending radii: no singletons, size descending, ties by smallest
+    member, members ascending. Components are nested across radii (single
+    linkage), so each edge is bucketed once by the first radius it joins at
+    and merges the labels carried over from the radius before."""
     n = graph.n_points
-    adjacency = coo_matrix((np.ones(int(keep.sum())),
-                            (graph.edges_i[keep], graph.edges_j[keep])),
-                           shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    comps = [g for g in groups.values() if len(g) >= 2]
-    comps.sort(key=lambda c: (-len(c), c[0]))
-    return comps
+    labels = np.arange(n)
+    step = np.searchsorted(radii, graph.distances, side="left")
+    for k, r in enumerate(radii):
+        joined = step == k
+        a, b = labels[graph.edges_i[joined]], labels[graph.edges_j[joined]]
+        cross = a != b
+        if cross.any():
+            adjacency = coo_matrix((np.ones(int(cross.sum())),
+                                    (a[cross], b[cross])), shape=(n, n))
+            labels = csgraph.connected_components(adjacency,
+                                                  directed=False)[1][labels]
+        order = np.argsort(labels, kind="stable")   # members ascending
+        sizes = np.bincount(labels, minlength=n)
+        starts = np.cumsum(sizes) - sizes
+        comps = np.flatnonzero(sizes >= 2)
+        comps = comps[np.lexsort((order[starts[comps]], -sizes[comps]))]
+        yield r, [order[starts[c]:starts[c] + sizes[c]].tolist()
+                  for c in comps.tolist()]
 
 
 def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
@@ -112,21 +110,20 @@ def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
     """Every sample of the connected-component sampler, in serving order.
 
     Walks the radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps
-    (one radius when r_min = r_max), building the components at each
-    radius once. At a radius it pops components, largest first, until a
+    (one radius when r_min = r_max), growing the components from one radius
+    to the next. At a radius it pops components, largest first, until a
     sample holds m points (a union when the largest is smaller than m), and
     keeps doing so while the components left hold m points; then it moves
     to the next radius, where components served at a smaller radius are
-    offered again once grown. The schedule depends on the graph alone, so
-    it is decided once per fit.
+    offered again once grown.
     """
-    if r_min <= 0 or r_max < r_min:
-        raise InvalidConfig("need 0 < r_min <= r_max")
+    if not 0 < r_min <= r_max < np.inf:
+        raise InvalidConfig("need 0 < r_min <= r_max < inf")
     if n_steps < 1:
         raise InvalidConfig("n_steps must be >= 1")
+    radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     samples: list[list[int]] = []
-    for r in np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist():
-        pending = connected_components(graph, r)
+    for _, pending in _growing_components(graph, radii):
         left = sum(map(len, pending))
         while left >= m:
             sample: list[int] = []
@@ -177,7 +174,7 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
     pivot = order[subset - 1]
     if m == 1:
         return [int(pivot)]
-    rest = rng.choice(subset - 1, size=m - 1, replace=False)
+    rest = _distinct(rng, subset - 1, m - 1)
     return [int(pivot)] + [int(order[i]) for i in rest]
 
 
@@ -195,7 +192,7 @@ def next_sample_pnapsac(points: PointSet, m: int, iteration: int,
         return [center]
     size = min(n - 1, m - 1 + iteration // PNAPSAC_GROWTH_RATE)
     pool = graph.nearest(center, size)
-    picked = rng.choice(len(pool), size=m - 1, replace=False)
+    picked = _distinct(rng, len(pool), m - 1)
     return [center] + [int(pool[i]) for i in picked]
 
 
@@ -204,4 +201,12 @@ def next_sample_uniform(points: PointSet, m: int,
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    return [int(i) for i in rng.choice(n, size=m, replace=False)]
+    return _distinct(rng, n, m)
+
+
+def _distinct(rng: np.random.Generator, k: int, size: int) -> list[int]:
+    """size distinct values of range(k) as rng.choice(k, size, replace=False)
+    draws them; one value from rng.integers(k), same value and rng state."""
+    if size == 1:
+        return [int(rng.integers(k))]
+    return rng.choice(k, size=size, replace=False).tolist()

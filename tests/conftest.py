@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from mmfit.models import ModelType, make_instance
+from mmfit.models import (
+    ModelInstance,
+    ModelType,
+    _degenerate,
+    _oriented_epipolar,
+    make_instance,
+)
 
 
 def make_camera_pair(rng, max_rotation_deg=15.0):
@@ -63,6 +69,17 @@ def make_f_scene(seed=0, n=7):
     p1, p2, z1, z2 = project_points(K, R, t, X)
     corr = np.column_stack([p1, p2])
     return corr, fundamental_from_cameras(K, R, t), (K, R, t, X)
+
+
+def sample_degenerate(model_type: ModelType, sample) -> bool:
+    """models._degenerate on one minimal sample."""
+    return bool(_degenerate(model_type, np.asarray(sample, dtype=float)[None])[0])
+
+
+def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:
+    """models._oriented_epipolar on one fundamental matrix and its sample."""
+    return bool(_oriented_epipolar(instance.matrix()[None],
+                                   np.asarray(sample, dtype=float)[None])[0])
 
 
 def line_instance(a, b, c):

@@ -334,6 +334,27 @@ def test_pose_with_bad_intrinsics_file_exits_1(tmp_path, capsys, intrinsics):
     assert out == ""
 
 
+_BAD_GT = {
+    "no-R": {"t": [0.0, 0.0, 1.0]},
+    "2x2-R": {"R": [[1.0, 0.0], [0.0, 1.0]], "t": [0.0, 0.0, 1.0]},
+    "not-an-object": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    "nan-in-t": {"R": np.eye(3).tolist(), "t": [0.0, float("nan"), 1.0]},
+}
+
+
+@pytest.mark.parametrize("gt", _BAD_GT.values(), ids=_BAD_GT.keys())
+def test_pose_with_bad_gt_file_exits_1(tmp_path, capsys, gt):
+    scene, s = _two_view_scene(tmp_path)
+    intrinsics = tmp_path / "K.json"
+    intrinsics.write_text(json.dumps({"K1": s.K1.tolist()}))
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(gt))
+    code, out, err = _run(capsys, "pose", scene, "--intrinsics", intrinsics,
+                          "--gt", path, "--json", "--max-proposals", "50")
+    _assert_error_exit(code, out, err)
+    assert out == ""
+
+
 def test_fit_svg_draws_every_point(tmp_path, capsys):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
                    "--points", "40", "--outliers", "20")

@@ -34,9 +34,7 @@ from mmfit.models import (
     fundamental_planar_degenerate,
     make_instance,
     minimal_candidates,
-    oriented_epipolar_ok,
     residuals,
-    sample_degenerate,
 )
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.quality import is_dominant, quality_f_from_losses
@@ -48,7 +46,12 @@ from mmfit.sampling import (
     next_sample_uniform,
 )
 
-from conftest import line_angle_offset, line_instance
+from conftest import (
+    line_angle_offset,
+    line_instance,
+    oriented_epipolar_ok,
+    sample_degenerate,
+)
 
 
 # ---------------------------------------------------------------------------

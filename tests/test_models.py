@@ -23,10 +23,8 @@ from mmfit.models import (
     fundamental_planar_degenerate,
     make_instance,
     minimal_candidates,
-    oriented_epipolar_ok,
     residual,
     residuals,
-    sample_degenerate,
     segment_endpoints,
 )
 
@@ -35,7 +33,9 @@ from conftest import (
     line_angle_offset,
     make_camera_pair,
     make_f_scene,
+    oriented_epipolar_ok,
     project_points,
+    sample_degenerate,
     visible_cloud,
 )
 

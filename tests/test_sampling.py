@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix, csgraph
 from scipy.stats import chisquare
 
 from mmfit import sampling
@@ -12,7 +13,6 @@ from mmfit.sampling import (
     NeighborhoodGraph,
     build_neighborhood,
     cc_schedule,
-    connected_components,
     next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
@@ -27,14 +27,16 @@ def _ranked(coords):
 # ---------------------------------------------------------------------------
 # neighborhood graph
 
-@pytest.mark.parametrize("r_max", [0.0, -1.0])
+@pytest.mark.parametrize("r_max", [0.0, -1.0, np.nan, np.inf])
 def test_graph_rejects_nonpositive_radius(r_max):
     with pytest.raises(InvalidConfig):
         NeighborhoodGraph(PointSet(np.zeros((3, 2))), r_max)
 
 
 @pytest.mark.parametrize("r_min, r_max, n_steps",
-                         [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0)])
+                         [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0),
+                          (np.nan, 30.0, 3), (5.0, np.inf, 3),
+                          (5.0, np.nan, 3), (np.inf, np.inf, 3)])
 def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
     g = build_neighborhood(PointSet(np.zeros((3, 2))), 10.0)
     with pytest.raises(InvalidConfig):
@@ -98,6 +100,24 @@ def _oracle_components(coords, r):
     return comps
 
 
+def connected_components(graph, r):
+    """Components of the subgraph with edges d <= r, built from scratch at
+    one radius. Singletons are excluded; components are sorted by size
+    descending, ties by smallest member; members are sorted ascending."""
+    keep = graph.distances <= r
+    n = graph.n_points
+    adjacency = coo_matrix((np.ones(int(keep.sum())),
+                            (graph.edges_i[keep], graph.edges_j[keep])),
+                           shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, directed=False)
+    groups = {}
+    for i, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(i)
+    comps = [g for g in groups.values() if len(g) >= 2]
+    comps.sort(key=lambda c: (-len(c), c[0]))
+    return comps
+
+
 def test_components_trivial_cases():
     pts = PointSet(np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]))
     g = build_neighborhood(pts, 30.0)
@@ -110,8 +130,11 @@ def test_components_match_union_find_oracle(rng):
     b = rng.normal([80, 80], 3.0, size=(20, 2))
     coords = np.vstack([a, b])
     g = build_neighborhood(PointSet(coords), 60.0)
-    for r in (5.0, 12.0, 30.0, 60.0):
+    radii = [5.0, 12.0, 30.0, 60.0]
+    for r in radii:
         assert connected_components(g, r) == _oracle_components(coords, r)
+    for r, comps in sampling._growing_components(g, radii):
+        assert comps == _oracle_components(coords, r)
 
 
 def test_components_sorted_largest_first(rng):
@@ -141,13 +164,14 @@ def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
     no smaller than its predecessor's, at which it is a union of whole
     components not served before at that radius."""
     built = []
+    grow = sampling._growing_components
 
-    def recorded(graph, r):
-        comps = connected_components(graph, r)
-        built.append((r, [set(c) for c in comps]))
-        return comps
+    def recorded(graph, radii):
+        for r, comps in grow(graph, radii):
+            built.append((r, [set(c) for c in comps]))
+            yield r, comps
 
-    monkeypatch.setattr(sampling, "connected_components", recorded)
+    monkeypatch.setattr(sampling, "_growing_components", recorded)
     schedule = cc_schedule(graph, m, r_min, r_max, n_steps)
     radii, j, served = [], 0, set()
     for sample in schedule:
@@ -274,6 +298,68 @@ def test_cc_exhausted_data():
         _draw("cc", points, 2, 1, g, [], np.random.default_rng(0))
 
 
+def _cc_schedule_oracle(graph, m, r_min, r_max, n_steps):
+    """cc_schedule with the components built from scratch at each radius."""
+    samples = []
+    for r in np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist():
+        pending = connected_components(graph, r)
+        left = sum(map(len, pending))
+        while left >= m:
+            sample = []
+            while len(sample) < m:
+                sample.extend(pending.pop(0))
+            left -= len(sample)
+            samples.append(sorted(sample))
+    return samples
+
+
+def _clusters(dim, n_clusters=6, size=15, spread=4.0, extent=200.0, seed=3):
+    rng = np.random.default_rng(seed + dim)
+    centres = rng.uniform(0, extent, size=(n_clusters, dim))
+    clustered = (centres[:, None] + rng.normal(0, spread, (n_clusters, size, dim))
+                 ).reshape(-1, dim)
+    return np.vstack([clustered, rng.uniform(0, extent, size=(40, dim))])
+
+
+def _with_duplicates():
+    coords = _clusters(2, n_clusters=3, size=6)
+    return np.vstack([coords, coords[::4], coords[:3]])
+
+
+_SCHEDULE_CASES = {
+    "2d-m2": (_clusters(2), 2, 5.0, 60.0, 5),
+    "3d-m3": (_clusters(3), 3, 6.0, 50.0, 4),
+    "4d-m7": (_clusters(4), 7, 8.0, 80.0, 6),
+    "2d-m7-one-radius": (_clusters(2), 7, 12.0, 12.0, 3),
+    "duplicates-m2": (_with_duplicates(), 2, 2.0, 30.0, 3),
+    "duplicates-m3": (_with_duplicates(), 3, 0.5, 0.5, 2),
+}
+
+
+@pytest.mark.parametrize("coords, m, r_min, r_max, n_steps",
+                         _SCHEDULE_CASES.values(), ids=_SCHEDULE_CASES.keys())
+def test_cc_schedule_matches_per_radius_oracle(coords, m, r_min, r_max,
+                                               n_steps):
+    g = build_neighborhood(PointSet(coords), r_max)
+    schedule = cc_schedule(g, m, r_min, r_max, n_steps)
+    assert schedule
+    assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
+
+
+def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
+    # a 5 x 5 grid of spacing 5 beside a far pair: every grid edge sits
+    # exactly at the schedule radius 5.0 and must join there
+    grid = 5.0 * np.stack(np.meshgrid(np.arange(5), np.arange(5)), -1)
+    coords = np.vstack([grid.reshape(-1, 2), [[500.0, 500.0], [502.0, 500.0]]])
+    g = build_neighborhood(PointSet(coords), 10.0)
+    assert np.count_nonzero(g.distances == 5.0) == 40
+    schedule, radii, built = _served(monkeypatch, g, 2, 2.5, 10.0, 3)
+    assert built == [2.5, 5.0, 7.5, 10.0]
+    assert schedule[:2] == [[25, 26], list(range(25))]
+    assert radii[:2] == [2.5, 5.0]
+    assert schedule == _cc_schedule_oracle(g, 2, 2.5, 10.0, 3)
+
+
 # ---------------------------------------------------------------------------
 # PROSAC
 
@@ -348,6 +434,43 @@ def test_ranked_order_is_fixed_once(rng):
                                       np.random.default_rng(it))
             want = _pnapsac_oracle(points, m, it, g, np.random.default_rng(it))
             assert got == want
+
+
+def _choice(rng, k, size):
+    return [int(i) for i in rng.choice(k, size=size, replace=False)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 7])
+def test_draws_match_choice_oracle(m):
+    # single draws come from rng.integers: the values and the generator
+    # state must be those of rng.choice
+    coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
+    ranked, unranked = _ranked(coords), PointSet(coords)
+    g = build_neighborhood(unranked, 30.0, build_edges=False)
+    got, want = np.random.default_rng(m), np.random.default_rng(m)
+    order = ranked.ranked_order
+    thresholds = sampling._prosac_schedule(40, m)
+    for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7] * 3:
+        assert next_sample_uniform(unranked, m, got) == _choice(want, 40, m)
+
+        center = _choice(want, 40, 1)[0]
+        expected = [center]
+        if m > 1:
+            size = min(39, m - 1 + it // sampling.PNAPSAC_GROWTH_RATE)
+            pool = g.nearest(center, size)
+            expected += [int(pool[i]) for i in _choice(want, size, m - 1)]
+        assert next_sample_pnapsac(unranked, m, it, g, got) == expected
+
+        if it > thresholds[-1]:
+            expected = _choice(want, 40, m)
+        else:
+            subset = int(np.searchsorted(thresholds, it, side="left")) + m
+            expected = [int(order[subset - 1])]
+            if m > 1:
+                expected += [int(order[i])
+                             for i in _choice(want, subset - 1, m - 1)]
+        assert next_sample_prosac(ranked, m, it, got) == expected
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_prosac_exhausted(rng):
