@@ -36,7 +36,8 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .consensus import cluster_instances, select_representatives
 from .errors import (
@@ -109,6 +110,8 @@ class EngineConfig:
             raise InvalidConfig(f"sampler must be one of {SAMPLERS}")
         if self.max_proposals < 1:
             raise InvalidConfig("max_proposals must be >= 1")
+        if self.seed < 0:
+            raise InvalidConfig("seed must be >= 0")
         if not 0 < self.r_max < np.inf:
             raise InvalidConfig("r_max must be positive and finite")
         if self.sampler == "cc":
@@ -480,11 +483,12 @@ def misclassification_error(report: FitReport, ground_truth_labels) -> float:
 
 def label_matching(assignment: np.ndarray, labels: np.ndarray):
     """The optimal one-to-one matching between the instances that own
-    points and the nonzero labels, which maximises the points they share.
-    Returns the misclassification error of the assignment (see
-    misclassification_error) and a dict from each instance id that owns
-    points, ascending, to its matched label (None when unmatched) and the
-    points the two share."""
+    points and the nonzero labels, which maximises the points they share
+    (csgraph's min_weight_full_bipartite_matching, LAPJVsp). Returns the
+    misclassification error of the assignment (see misclassification_error)
+    and a dict from each instance id that owns points, ascending, to its
+    matched label (None when unmatched) and the points the two share. Among
+    equally good matchings the solver picks one; the error is the same."""
     n = len(labels)
     if n == 0:
         return 0.0, {}
@@ -492,7 +496,8 @@ def label_matching(assignment: np.ndarray, labels: np.ndarray):
     inst_ids, gt_ids, table = contingency_table(assignment, labels)
     matched = dict.fromkeys(inst_ids.tolist(), (None, 0.0))
     if table.size:
-        rows, cols = linear_sum_assignment(-table)
+        # + 1: zero counts stay edges; every full matching gains min(M, N)
+        rows, cols = min_weight_full_bipartite_matching(csr_array(table + 1.0), maximize=True)
         correct += int(table[rows, cols].sum())
         for a, b in zip(rows.tolist(), cols.tolist()):
             matched[inst_ids[a].item()] = (gt_ids[b].item(), table[a, b])

@@ -285,8 +285,8 @@ class SyntheticSpec:
         if self.instance_count < 0 or self.points_per_instance < 0 \
                 or self.outlier_count < 0:
             raise InvalidConfig("counts must be nonnegative")
-        if self.sigma < 0 or self.extent <= 0:
-            raise InvalidConfig("sigma must be >= 0 and extent > 0")
+        if not (0 <= self.sigma < np.inf and 0 < self.extent < np.inf) or self.seed < 0:
+            raise InvalidConfig("need 0 <= sigma < inf, 0 < extent < inf and seed >= 0")
 
 
 def synthesize(spec: SyntheticSpec):
@@ -408,7 +408,10 @@ def synthesize_two_view(n_planes: int, points_per_plane: int,
     Each plane's correspondences come from _sample_correspondences with
     the image-1 rays cut by the plane. Noise sigma/sqrt(2) per axis goes on
     the image-2 pixels so the symmetric transfer residual has RMS sigma.
+    The arguments are checked as SyntheticSpec checks them.
     """
+    SyntheticSpec(ModelType.HOMOGRAPHY, n_planes, points_per_plane, outlier_count,
+                  sigma, extent, seed)
     rng = np.random.default_rng(seed)
     f = extent
     K = np.array([[f, 0.0, extent / 2], [0.0, f, extent / 2], [0.0, 0.0, 1.0]])

@@ -17,7 +17,8 @@ Kinds and cutoffs (epsilon is the single user-facing threshold):
 The magsacpp kind treats epsilon as a loose upper bound of the unknown
 noise scale sigma. Inlier residuals at scale sigma follow a sigma-scaled
 chi distribution with `dof` degrees of freedom, truncated at its 0.99
-quantile k(dof)*sigma. Marginalizing the truncated density over
+quantile k(dof)*sigma, where k^2 = 2 gammaincinv(dof/2, 0.99) (the chi^2
+quantile, by scipy.special). Marginalizing the truncated density over
 sigma ~ U(0, epsilon] gives the weight
 
     w(r)  propto  Gu(a, y) - Gu(a, k^2/2),   y = r^2 / (2 eps^2),
@@ -46,7 +47,7 @@ from functools import lru_cache
 from math import gamma as _gamma_fn
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from .errors import InvalidConfig
 
@@ -90,7 +91,7 @@ def _upper_gamma(a: float, x):
 @lru_cache(maxsize=None)
 def _magsac_constants(epsilon: float, dof: int):
     a = (dof - 1) / 2.0
-    k = float(np.sqrt(stats.chi2.ppf(0.99, dof)))
+    k = float(np.sqrt(2.0 * special.gammaincinv(dof / 2.0, 0.99)))
     k2h = k * k / 2.0          # k^2 / 2
     gu_a_k = float(_upper_gamma(a, k2h))
     # loss normalizer: raw loss value at the cutoff r = k * epsilon

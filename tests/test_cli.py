@@ -5,10 +5,13 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mmfit.cli import build_parser, main
 from mmfit.engine import (
+    OUTLIER,
     EngineConfig,
+    contingency_table,
     default_config,
     fit,
     misclassification_error,
@@ -72,7 +75,12 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
     report = fit(points, model_type, default_config(model_type, 3.0, seed=1))
     me = misclassification_error(report, labels)
     assert result["me_percent"] == round(me * 100.0, 10)
+    # and the same as scipy's dense assignment solver gives
     pred = report.min_residual_assignment
+    table = contingency_table(pred, labels)[2]
+    rows, cols = linear_sum_assignment(-table)
+    correct = table[rows, cols].sum() + np.sum((pred == OUTLIER) & (labels == 0))
+    assert result["me_percent"] == round((1.0 - correct / len(labels)) * 100.0, 10)
     for row in result["per_instance"]:
         assert row["matched_label"] is not None
         hit = np.sum((pred == row["instance"]) & (labels == row["matched_label"]))
@@ -353,6 +361,35 @@ def test_pose_with_bad_gt_file_exits_1(tmp_path, capsys, gt):
                           "--gt", path, "--json", "--max-proposals", "50")
     _assert_error_exit(code, out, err)
     assert out == ""
+
+
+_BAD_SEED_OR_SYNTHESIS = {
+    "fit-seed": ("fit", ["--seed", "-1"]),
+    "pose-seed": ("pose", ["--seed", "-1"]),
+    "synth-seed": ("synth", ["--seed", "-1"]),
+    "synth-nan-sigma": ("synth", ["--sigma", "nan"]),
+    "synth-inf-extent": ("synth", ["--extent", "inf"]),
+    "synth-nan-extent": ("synth", ["--extent", "nan"]),
+    "synth-homography-seed": ("synth", ["--model", "homography", "--seed", "-1"]),
+}
+
+
+@pytest.mark.parametrize("command, flags", _BAD_SEED_OR_SYNTHESIS.values(),
+                         ids=_BAD_SEED_OR_SYNTHESIS.keys())
+def test_bad_seed_or_synthesis_parameter_exits_1(tmp_path, capsys, command,
+                                                 flags):
+    scene, s = _two_view_scene(tmp_path)
+    intrinsics = tmp_path / "K.json"
+    intrinsics.write_text(json.dumps({"K1": s.K1.tolist()}))
+    out_path = tmp_path / "out"
+    argv = {"fit": [scene, "--out", out_path],
+            "pose": [scene, "--intrinsics", intrinsics, "--json",
+                     "--max-proposals", "50"],
+            "synth": ["--model", "line2d", "--out", out_path]}[command]
+    code, out, err = _run(capsys, command, *argv, *flags)
+    _assert_error_exit(code, out, err)
+    assert out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["K.json", "pair.csv"]
 
 
 def test_fit_svg_draws_every_point(tmp_path, capsys):

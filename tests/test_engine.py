@@ -1,7 +1,10 @@
 import json
 
+from itertools import permutations
+
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from mmfit import engine, models
 from mmfit.consensus import tanimoto_matrix
@@ -13,6 +16,7 @@ from mmfit.engine import (
     contingency_table,
     default_config,
     fit,
+    label_matching,
     min_residual_assignment,
     misclassification_error,
     refine_irls,
@@ -285,8 +289,6 @@ def test_me_single_instance_half_wrong():
 
 
 def test_me_matches_permutation_oracle(rng):
-    from itertools import permutations
-
     for _ in range(40):
         labels = rng.integers(0, 4, size=30)        # 0 = outlier
         pred = rng.integers(-1, 3, size=30)
@@ -300,6 +302,65 @@ def test_me_matches_permutation_oracle(rng):
                 correct += np.sum((pred == inst) & (labels == perm[inst]))
             best = max(best, correct)
         assert me == pytest.approx(1.0 - best / 30.0)
+
+
+def _vectors_of(table):
+    """Assignment and label vectors whose contingency table is `table`.
+    An all-zero row is an instance owning one outlier point, an all-zero
+    column a label whose one point is unassigned."""
+    pred, labels = [], []
+    for (a, b), count in np.ndenumerate(table.astype(int)):
+        pred += [a] * count
+        labels += [b + 1] * count
+    for a in np.flatnonzero(~table.any(axis=1)):
+        pred, labels = pred + [a], labels + [0]
+    for b in np.flatnonzero(~table.any(axis=0)):
+        pred, labels = pred + [OUTLIER], labels + [b + 1]
+    return np.array(pred, dtype=int), np.array(labels, dtype=int)
+
+
+def _matching_tables(rng):
+    yield np.array([[0.0]])
+    yield np.array([[5.0]])
+    yield np.zeros((3, 2))
+    yield np.full((3, 3), 2.0)
+    for _ in range(2400):
+        m, n = rng.integers(1, 6, size=2)
+        table = rng.integers(0, rng.integers(1, 6), size=(m, n)).astype(float)
+        if rng.random() < 0.3:        # an all-zero row or column
+            if rng.random() < 0.5:
+                table[rng.integers(m)] = 0.0
+            else:
+                table[:, rng.integers(n)] = 0.0
+        if rng.random() < 0.2 and m > 1:    # a deliberate tie
+            table[1] = table[0]
+        yield table
+
+
+def test_label_matching_matches_assignment_oracle(rng):
+    shapes = set()
+    for table in _matching_tables(rng):
+        m, n = table.shape
+        pred, labels = _vectors_of(table)
+        assert np.array_equal(contingency_table(pred, labels)[2], table)
+        me, matched = label_matching(pred, labels)
+        rows, cols = linear_sum_assignment(-table)
+        best = table[rows, cols].sum()
+        pairs = sorted((a, b - 1) for a, (b, _) in matched.items()
+                       if b is not None)
+        assert len(pairs) == min(m, n)
+        assert sum(table[a, b] for a, b in pairs) == best
+        assert me == 1.0 - best / len(labels)
+        # every full matching, to tell a unique optimum from a tie
+        totals = [sum(table[a, b] for a, b in
+                      (zip(p, range(n)) if m >= n else zip(range(m), p)))
+                  for p in permutations(range(max(m, n)), min(m, n))]
+        if totals.count(best) == 1:
+            assert pairs == sorted(zip(rows.tolist(), cols.tolist()))
+        shapes.add((int(np.sign(m - n)), totals.count(best) > 1,
+                    (m, n) == (1, 1)))
+    assert {(-1, False, False), (1, False, False), (0, False, True),
+            (-1, True, False), (1, True, False)} <= shapes
 
 
 def test_me_label_mismatch():
@@ -655,7 +716,7 @@ def test_engine_config_validation():
                 {"sampler": "cc", "r_min": 300.0, "r_max": 200.0},
                 {"sampler": "cc", "n_steps": 0}, {"q_min": np.nan},
                 {"q_min": np.inf}, {"r_max": np.nan},
-                {"sampler": "cc", "r_max": np.inf}):
+                {"sampler": "cc", "r_max": np.inf}, {"seed": -1}):
         with pytest.raises(InvalidConfig):
             EngineConfig(loss=fn, **bad)
     # P-NAPSAC ignores r_min and n_steps

@@ -292,3 +292,9 @@ def test_invalid_spec_rejected():
         SyntheticSpec(ModelType.LINE2D, -1, 10)
     with pytest.raises(InvalidConfig):
         SyntheticSpec(ModelType.LINE2D, 1, 10, sigma=-0.5)
+    for bad in ({"seed": -1}, {"sigma": np.nan}, {"sigma": np.inf},
+                {"extent": np.inf}, {"extent": np.nan}, {"extent": 0.0}):
+        with pytest.raises(InvalidConfig):
+            SyntheticSpec(ModelType.LINE2D, 1, 10, **bad)
+        with pytest.raises(InvalidConfig):
+            synthesize_two_view(1, 10, **bad)

@@ -196,6 +196,12 @@ def test_magsac_matches_scipy_incomplete_gamma_oracle(dof):
     assert np.max(np.abs(fn.weights(r) - want_weight)) <= 1e-12
 
 
+@pytest.mark.parametrize("dof", range(1, 9))
+def test_magsac_cutoff_is_chi_quantile(dof):
+    k = losses._magsac_constants(2.0, dof)[1]
+    assert k == np.sqrt(stats.chi2.ppf(0.99, dof))
+
+
 @pytest.mark.parametrize("dof", [2, 4])
 def test_magsac_needs_no_regularized_gamma(monkeypatch, dof):
     # the elementary kernel must not fall back to scipy's gammaincc; an
