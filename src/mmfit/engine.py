@@ -14,12 +14,14 @@ the loop draws the next SAMPLE_BLOCK samples (never past max_proposals,
 nor across the end of the CC schedule) and solves them with one call of
 each stacked kernel: models.minimal_candidates screens, solves and orients
 the minimal samples, models._fit_weighted fits the larger connected
-components. It then takes one entry per draw, with the stopping checks
-made before every draw. A draw depends only on the rng and the draw index
-(the CC schedule is decided from the radius graph once per fit), so
-entries left when an outer iteration ends are the draws the next one
-would make, and a fit gives the same result as drawing and solving one
-sample at a time.
+components, and _score scores all their candidates in one pass. The loop
+takes one entry per draw, with the stopping checks made before every
+draw. A draw depends only on the rng and the draw index (the CC schedule
+is decided from the radius graph once per fit), so entries left when an
+outer iteration ends are the draws the next one would make, and a fit
+gives the same result as drawing and solving one sample at a time. The
+loss is 1 and the IRLS weight 0 from LossFunction.cutoff on, so scoring
+and IRLS work on each row's support, its points with r < cutoff.
 
 Each consolidation pass refines all its cluster representatives in one
 refine_irls call. An IRLS iteration computes the weights, the weighted
@@ -55,7 +57,6 @@ from .models import (
     _residuals,
     fundamental_planar_degenerate,
     minimal_candidates,
-    residuals,
 )
 from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
@@ -195,9 +196,9 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
     of one family, whose (K, n) residual and loss rows the caller holds.
 
     Each iteration refits the rows still active with one call of each
-    stacked kernel: robust weights, weighted non-minimal fit, residuals and
-    losses. A row leaves the stack when its weighted system is degenerate,
-    when its relative parameter change drops below IRLS_TOL, or after
+    stacked kernel: robust weights and weighted non-minimal fit over each
+    row's support r < cutoff, then residuals and losses. A row leaves the
+    stack when its weighted system is degenerate, when its relative parameter change drops below IRLS_TOL, or after
     IRLS_MAX_ITERS refits; a row's result does not depend on the others.
     Returns (best, residual_rows, loss_rows, info): per row the iterate
     with the best soft support (never worse than the input, and the input
@@ -218,8 +219,10 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
     params = np.stack([h.params for h in instances])
     r = residual_rows
     for it in range(IRLS_MAX_ITERS):
-        refined, ok = _fit_weighted(model_type, points.coords,
-                                    fn.weights(r) * points.weights)
+        ri, pi = np.nonzero(r < fn.cutoff)
+        refined, ok = _fit_weighted(
+            model_type, points.coords, ri, pi,
+            fn.weights(r[ri, pi]) * points.weights[pi], len(r))
         for i in active[~ok].tolist():
             info[i]["degenerate"] = True
         active, params, refined = active[ok], params[ok], refined[ok]
@@ -266,8 +269,8 @@ def _candidates(points: PointSet, model_type: ModelType,
     The samples of m points go through one call of the stacked kernel
     minimal_candidates (sample screen, minimal solver and, for F, the
     oriented epipolar test). The larger ones, connected components, are
-    fitted by least squares with one call of models._fit_weighted, each
-    on a row of point weights that is zero outside its component."""
+    fitted by least squares with one call of models._fit_weighted, a row
+    of (row, point, weight) triplets per component."""
     m = model_type.m
     out: list[list[ModelInstance]] = [[] for _ in samples]
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
@@ -277,13 +280,32 @@ def _candidates(points: PointSet, model_type: ModelType,
         for i, fitted in zip(minimal, minimal_candidates(model_type, stack)):
             out[i] = fitted
     if larger:
-        W = np.zeros((len(larger), len(points)))
-        for row, i in enumerate(larger):
-            W[row, samples[i]] = points.weights[samples[i]]
-        params, ok = _fit_weighted(model_type, points.coords, W)
+        pts = np.concatenate([samples[i] for i in larger])
+        rows = np.repeat(np.arange(len(larger)),
+                         [len(samples[i]) for i in larger])
+        params, ok = _fit_weighted(model_type, points.coords, rows, pts,
+                                   points.weights[pts], len(larger))
         for i, p in zip(np.array(larger)[ok].tolist(), params[ok]):
             out[i] = [ModelInstance(model_type, p)]
     return out
+
+
+def _score(candidates: list[list[ModelInstance]], points: PointSet,
+           fn: LossFunction):
+    """Score a solved block's candidates in one pass: one _residuals call on
+    their stack, the supports r < fn.cutoff and one fn.losses call on the
+    support values. Per sample, its (instance, residual row (a view of the
+    stack), support indices, support losses) entries."""
+    flat = [h for fitted in candidates for h in fitted]
+    if not flat:
+        return candidates
+    R = _residuals(flat[0].model_type, np.stack([h.params for h in flat]),
+                   points.coords)
+    rows, support = np.nonzero(R < fn.cutoff)
+    ends = np.searchsorted(rows, np.arange(1, len(flat)))
+    entries = zip(flat, R, np.split(support, ends),
+                  np.split(fn.losses(R[rows, support]), ends))
+    return [[next(entries) for _ in fitted] for fitted in candidates]
 
 
 def _draw(sampler: str, points: PointSet, m: int, iteration: int, graph,
@@ -328,9 +350,9 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
     fn = config.loss
     eps = fn.epsilon
-    cutoff = fn.cutoff
-    # drawn and solved samples the loop has not taken yet, oldest first
-    solved: deque[tuple[list[int], list[ModelInstance]]] = deque()
+    # drawn, solved and scored samples the loop has not taken yet, oldest
+    # first: per sample, its candidates as _score returns them
+    solved: deque[tuple[list[int], list[tuple]]] = deque()
     instances: list[ModelInstance] = []
     residual_rows = np.zeros((0, n))
     loss_rows = np.zeros((0, n))
@@ -365,25 +387,27 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                     stop = min(stop, len(schedule))
                 block = [_draw(config.sampler, points, m, i, graph, schedule,
                                rng) for i in range(draws + 1, stop + 1)]
-                solved.extend(zip(block, _candidates(points, model_type, block)))
+                solved.extend(zip(block, _score(
+                    _candidates(points, model_type, block), points, fn)))
             draws += 1
             attempts += 1
-            sample, fitted = solved.popleft()
-            for h in fitted:
+            sample, scored = solved.popleft()
+            for h, r, support, loss in scored:
                 proposals_tried += 1
-                r = residuals(h, points.coords)
-                # sound upper bound on the quality: skip the loss evaluation
-                # for candidates that cannot reach q_min
-                bound = float(np.minimum(r < cutoff, min_loss).sum())
-                if bound < config.q_min:
+                # the loss is 1 off the support, so both the quality and
+                # its sound upper bound sum over the support alone
+                cache = min_loss[support]
+                if cache.sum() < config.q_min:
                     continue
-                loss = fn.losses(r)
-                q = quality_f_from_losses(loss, min_loss)
+                q = quality_f_from_losses(loss, cache)
                 if is_dominant(q, config.q_min) and not (
                         model_type is ModelType.FUNDAMENTAL
                         and fundamental_planar_degenerate(
                             h, points.coords[sample], eps)):
-                    batch.append((h, r, loss))
+                    loss_row = np.ones(n)
+                    loss_row[support] = loss
+                    # a copy, so that the block's stack is not kept alive
+                    batch.append((h, r.copy(), loss_row))
 
         if batch:
             new, new_r, new_loss = zip(*batch)

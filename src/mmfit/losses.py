@@ -117,7 +117,10 @@ class LossFunction:
 
     @property
     def cutoff(self) -> float:
-        """Residual at and beyond which the loss is exactly 1."""
+        """Residual at and beyond which the loss is exactly 1 and the IRLS
+        weight exactly 0, for every kind, epsilon and dof. The engine
+        relies on it: it scores candidates and refits instances over the
+        points with r < cutoff alone."""
         if self.kind is LossKind.MAGSACPP:
             _, k, *_ = _magsac_constants(self.epsilon, self.dof)
             return k * self.epsilon

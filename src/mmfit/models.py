@@ -24,10 +24,11 @@ make_instance are its B = 1 calls. A degenerate sample in a stack has no
 solution and raises nothing.
 
 The non-minimal path and the residuals are written over stacks too, of K
-parameter or weight rows on the same points: _fit_weighted fits a (K, n)
-stack of weights (batched total least squares for lines, segments and
+weight or parameter rows on the same points: _fit_weighted fits K rows of
+point weights given as (row, point, weight) triplets, so that a fit costs
+its support and not n (batched total least squares for lines, segments and
 planes; the weighted DLT or eight-point solve row by row for homographies
-and fundamental matrices) and _residuals scores a (K, n_params) stack into
+and fundamental matrices), and _residuals scores a (K, n_params) stack into
 a (K, n) matrix. fit_nonminimal, residuals and segment_endpoints are their
 K = 1 calls, and a row's result does not depend on the stack it comes in.
 """
@@ -398,76 +399,89 @@ def minimal_candidates(model_type: ModelType, samples) -> list[list[ModelInstanc
 def fit_nonminimal(model_type: ModelType, points, weights) -> ModelInstance:
     """Weighted algebraic least-squares fit over >= m points: the K = 1
     call of _fit_weighted. Zero-weight points are equivalent to excluding
-    them. Raises DegenerateSample when fewer than m weights are positive or
-    the weighted system is degenerate."""
+    them. Raises ValueError for non-finite coordinates or weights and
+    DegenerateSample when fewer than m weights are positive or the weighted
+    system is degenerate."""
     coords = _as_coords(points)
     _check_dim(model_type, coords)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (coords.shape[0],):
+    n = coords.shape[0]
+    if w.shape != (n,):
         raise ValueError("weights must match point count")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates must be finite")
+    if not np.all((w >= 0) & np.isfinite(w)):
+        raise ValueError("weights must be nonnegative and finite")
     m = model_type.m
-    if coords.shape[0] < m:
+    if n < m:
         raise ValueError(f"need at least {m} points")
-    params, ok = _fit_weighted(model_type, coords, w[None])
+    params, ok = _fit_weighted(model_type, coords, np.zeros(n, dtype=int),
+                               np.arange(n), w, 1)
     if not ok[0]:
         raise DegenerateSample(
             f"degenerate weighted system for {model_type.value}")
     return ModelInstance(model_type, params[0])
 
 
-def _fit_weighted(model_type: ModelType, coords: np.ndarray, W: np.ndarray):
-    """Weighted non-minimal fit over the rows of a (K, n) stack of
-    nonnegative weights on the same (n, dim) coords. Lines, segments and
-    planes use batched weighted total least squares: weighted centroids,
-    one batched matmul for the scatter matrices and one batched eigh.
-    Homographies and fundamental matrices solve the weighted normalized DLT
-    (eight-point with rank-2 projection for F) row by row over the row's
-    positive-weight points. Returns the normalized (K, n_params) parameters
-    and a (K,) mask ok; a row with fewer than m positive weights or a
-    degenerate system (coincident or collinear points, a rank-deficient
-    DLT) is not ok and raises nothing."""
-    pos = W > 0
-    ok = np.count_nonzero(pos, axis=1) >= model_type.m
-    rows = np.flatnonzero(ok)
-    raw = np.zeros((len(W), model_type.n_params))
+def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
+                  pts: np.ndarray, w: np.ndarray, k: int):
+    """Weighted non-minimal fit of k rows of point weights on the same
+    (n, dim) coords, given as (row, point, weight) triplets: row-major, the
+    points ascending within a row; weights <= 0 are dropped. Lines,
+    segments and planes: weighted total least squares from per-row centroid
+    and scatter sums by np.bincount, one batched eigh, and segment
+    endpoints from the row's extremes of t = -b*x + a*y. Homographies and
+    fundamental matrices: the weighted normalized DLT (eight-point with
+    rank-2 projection for F) over each row's slice. A row's sums run over
+    its own points in order, so its result does not depend on the other
+    rows. Returns the normalized (k, n_params) parameters and a (k,) mask
+    ok; a row with fewer than m positive weights or a degenerate system
+    (coincident or collinear points, a rank-deficient DLT) is not ok and
+    raises nothing."""
+    keep = w > 0
+    rows, pts, w = rows[keep], pts[keep], w[keep]
+    ok = np.bincount(rows, minlength=k) >= model_type.m
+    keep = ok[rows]
+    rows, pts, w = rows[keep], pts[keep], w[keep]
+    fitted = np.flatnonzero(ok)
+    raw = np.zeros((k, model_type.n_params))
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D):
-        # point-major (n, rows, dim) buffers, filled one coordinate at a
-        # time: the [:, i] slice of a row is the (n, dim) array of a single
-        # fit, so its centroid sums run over the points in order and its
-        # scatter matrix is the same matrix product as for one row
-        wT = np.ascontiguousarray(W[rows].T)
         dim = model_type.dim
-        weighted = np.empty((len(coords), len(rows), dim))
-        centered = np.empty_like(weighted)
-        for j in range(dim):
-            np.multiply(wT, coords[:, j, None], out=weighted[..., j])
-        centroid = weighted.sum(axis=0) / W.sum(axis=1)[rows, None]
-        for j in range(dim):
-            np.subtract(coords[:, j, None], centroid[:, j], out=centered[..., j])
-            np.multiply(centered[..., j], wT, out=weighted[..., j])
-        scatter = weighted.transpose(1, 2, 0) @ centered.transpose(1, 0, 2)
+        row = (np.cumsum(ok) - 1)[rows]   # index among the fitted rows
+
+        def sums(v):
+            return np.bincount(row, v, len(fitted))
+
+        X = coords[pts]
+        centroid = np.column_stack([sums(w * X[:, j]) for j in range(dim)]
+                                   ) / sums(w)[:, None]
+        centered = X - centroid[row]
+        weighted = centered * w[:, None]
+        scatter = np.empty((len(fitted), dim, dim))
+        for a in range(dim):
+            for b in range(a, dim):
+                scatter[:, a, b] = scatter[:, b, a] = sums(
+                    weighted[:, a] * centered[:, b])
         eigvals, eigvecs = np.linalg.eigh(scatter)
         normal = eigvecs[..., 0]
         if model_type is ModelType.PLANE3D:     # not collinear
-            ok[rows] = eigvals[:, 1] > 1e-12 * np.maximum(eigvals[:, -1], 1e-300)
+            ok[fitted] = eigvals[:, 1] > 1e-12 * np.maximum(eigvals[:, -1], 1e-300)
         else:                                   # not coincident
-            ok[rows] = eigvals[:, -1] > 1e-300
-        raw[rows, :dim] = normal
-        raw[rows, dim] = np.vecdot(-normal, centroid)
-        if model_type is ModelType.SEGMENT2D:
-            # endpoint parameters t = -b*x + a*y over the positive weights
-            t = (-normal[:, 1, None] * coords[:, 0]
-                 + normal[:, 0, None] * coords[:, 1])
-            raw[rows, 3] = np.where(pos[rows], t, np.inf).min(axis=1)
-            raw[rows, 4] = np.where(pos[rows], t, -np.inf).max(axis=1)
+            ok[fitted] = eigvals[:, -1] > 1e-300
+        raw[fitted, :dim] = normal
+        raw[fitted, dim] = np.vecdot(-normal, centroid)
+        if model_type is ModelType.SEGMENT2D and len(fitted):
+            t = -normal[row, 1] * X[:, 0] + normal[row, 0] * X[:, 1]
+            starts = np.searchsorted(row, np.arange(len(fitted)))
+            raw[fitted, 3] = np.minimum.reduceat(t, starts)
+            raw[fitted, 4] = np.maximum.reduceat(t, starts)
     else:
         solve = (_homography_dlt if model_type is ModelType.HOMOGRAPHY
                  else _fundamental_eight_point)
-        for i in rows:
-            keep = pos[i]
-            M, ok[i] = solve(coords[keep, :2], coords[keep, 2:], W[i, keep])
+        bounds = np.searchsorted(rows, np.arange(k + 1))
+        for i in fitted.tolist():
+            s = slice(bounds[i], bounds[i + 1])
+            M, ok[i] = solve(coords[pts[s], :2], coords[pts[s], 2:], w[s])
             raw[i] = M.ravel()
     params, valid = _normalized(model_type, raw)
     return params, ok & valid
@@ -495,12 +509,17 @@ def _residuals(model_type: ModelType, P: np.ndarray,
     """residuals of the rows of a (K, n_params) parameter stack over the
     same (n, dim) coords; a (K, n) matrix. A projection onto the line or
     plane normal is one matrix-vector product per row (vector @ coords.T),
-    the same product as for one instance."""
+    the same product as for one instance. The line distance is finished in
+    place: a fresh (K, n) temporary per step costs more than its arithmetic
+    for a block of candidates."""
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
         dot = (P[:, None, :2] @ coords.T)[:, 0]
         if model_type is ModelType.LINE2D:
-            return np.abs(dot + c) / np.hypot(a, b)
+            dot += c
+            np.abs(dot, out=dot)
+            dot /= np.hypot(a, b)
+            return dot
         line_dist = np.abs(dot + c) / np.sqrt(a * a + b * b)
         lo = np.minimum(P[:, 3], P[:, 4])[:, None]
         hi = np.maximum(P[:, 3], P[:, 4])[:, None]

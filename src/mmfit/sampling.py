@@ -39,7 +39,8 @@ class NeighborhoodGraph:
         if not 0 < r_max < np.inf:
             raise InvalidConfig("r_max must be positive and finite")
         self.n_points = len(points)
-        self._coords = points.coords
+        # one contiguous row per coordinate, for the distance pass of nearest
+        self._columns = np.ascontiguousarray(points.coords.T)
         self._neighbor_order: dict[int, np.ndarray] = {}
         pairs = np.zeros((0, 2), dtype=int)
         if build_edges:
@@ -62,8 +63,10 @@ class NeighborhoodGraph:
         k = min(k, self.n_points - 1)
         order = self._neighbor_order.get(index)
         if order is None or len(order) < k:
-            diff = self._coords - self._coords[index]
-            d = np.einsum("ij,ij->i", diff, diff)
+            d = np.zeros(self.n_points)
+            for column in self._columns:
+                diff = column - column[index]
+                d += diff * diff
             d[index] = np.inf
             want = min(self.n_points - 1, max(2 * k, 16))
             top = np.argpartition(d, want - 1)[:want]

@@ -6,6 +6,7 @@ from mmfit.models import (
     ModelInstance,
     ModelType,
     _degenerate,
+    _normalized,
     _oriented_epipolar,
     make_instance,
 )
@@ -80,6 +81,44 @@ def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:
     """models._oriented_epipolar on one fundamental matrix and its sample."""
     return bool(_oriented_epipolar(instance.matrix()[None],
                                    np.asarray(sample, dtype=float)[None])[0])
+
+
+def dense_fit_weighted(model_type: ModelType, coords, W):
+    """Reference of models._fit_weighted for lines, segments and planes over
+    a dense (K, n) weight stack: weighted centroids summed over all n
+    points, one batched matmul for the scatter matrices and one batched
+    eigh. Returns the normalized (K, n_params) parameters and a (K,) mask
+    ok, as the kernel does."""
+    pos = W > 0
+    ok = np.count_nonzero(pos, axis=1) >= model_type.m
+    rows = np.flatnonzero(ok)
+    raw = np.zeros((len(W), model_type.n_params))
+    wT = np.ascontiguousarray(W[rows].T)
+    dim = model_type.dim
+    weighted = np.empty((len(coords), len(rows), dim))
+    centered = np.empty_like(weighted)
+    for j in range(dim):
+        np.multiply(wT, coords[:, j, None], out=weighted[..., j])
+    centroid = weighted.sum(axis=0) / W.sum(axis=1)[rows, None]
+    for j in range(dim):
+        np.subtract(coords[:, j, None], centroid[:, j], out=centered[..., j])
+        np.multiply(centered[..., j], wT, out=weighted[..., j])
+    scatter = weighted.transpose(1, 2, 0) @ centered.transpose(1, 0, 2)
+    eigvals, eigvecs = np.linalg.eigh(scatter)
+    normal = eigvecs[..., 0]
+    if model_type is ModelType.PLANE3D:
+        ok[rows] = eigvals[:, 1] > 1e-12 * np.maximum(eigvals[:, -1], 1e-300)
+    else:
+        ok[rows] = eigvals[:, -1] > 1e-300
+    raw[rows, :dim] = normal
+    raw[rows, dim] = np.vecdot(-normal, centroid)
+    if model_type is ModelType.SEGMENT2D:
+        t = (-normal[:, 1, None] * coords[:, 0]
+             + normal[:, 0, None] * coords[:, 1])
+        raw[rows, 3] = np.where(pos[rows], t, np.inf).min(axis=1)
+        raw[rows, 4] = np.where(pos[rows], t, -np.inf).max(axis=1)
+    params, valid = _normalized(model_type, raw)
+    return params, ok & valid
 
 
 def line_instance(a, b, c):

@@ -508,31 +508,42 @@ def test_consolidate_merges_duplicates_monotonically(rng):
                    clustered=True), "cc"),
 ], ids=["lines-pnapsac", "segments-cc"])
 def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
-    # residual rows are built only for a new candidate and for a new IRLS
-    # iterate; consolidation and IRLS reuse the rows the caller holds
+    # residual rows are built only for a solved candidate, whether or not
+    # the loop takes it, and for a new IRLS iterate; consolidation and IRLS
+    # reuse the rows the caller holds
     rows = []
+    solved = []     # candidates per solved block
     irls_iterations = []
     stacked = models._residuals
+    candidates = engine._candidates
 
     def counted_residuals(model_type, P, coords):
         rows.append(len(P))
         return stacked(model_type, P, coords)
+
+    def counted_candidates(*args):
+        out = candidates(*args)
+        solved.append(sum(map(len, out)))
+        return out
 
     def recorded_refine(*args, **kwargs):
         out = refine_irls(*args, **kwargs)
         irls_iterations.extend(d["iterations"] for d in out[-1])
         return out
 
-    # residuals (the proposal loop) reaches the kernel through models,
-    # refine_irls through the name engine binds
+    # the engine reaches the kernel through the name it binds, a K = 1
+    # models.residuals call through models
     monkeypatch.setattr(models, "_residuals", counted_residuals)
     monkeypatch.setattr(engine, "_residuals", counted_residuals)
+    monkeypatch.setattr(engine, "_candidates", counted_candidates)
     monkeypatch.setattr(engine, "refine_irls", recorded_refine)
     points, _, _ = synthesize(spec)
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=3)
     report = fit(points, spec.model_type, cfg)
     assert len(report.instances) >= 2 and len(irls_iterations) >= 2
-    assert sum(rows) == report.proposals_tried + sum(irls_iterations)
+    assert sum(rows) == sum(solved) + sum(irls_iterations)
+    # the candidates never taken are at most those of the last block solved
+    assert 0 <= sum(solved) - report.proposals_tried <= solved[-1]
 
 
 def _one_sample_candidates(points, model_type, sample):
@@ -701,6 +712,31 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     elif stop == "mixed":
         m = spec.model_type.m
         assert any(m in sizes and max(sizes) > m for sizes in blocks)
+
+
+# line-family scenes outside the benchmark, at its 2000-draw cap: instances
+# found, misclassified points out of the scene's points, stop reason
+@pytest.mark.parametrize("spec, count, wrong, n, stop", [
+    (SyntheticSpec(ModelType.LINE2D, 16, 100, 1000, 1.0, seed=2),
+     16, 157, 2600, "max_proposals"),
+    (SyntheticSpec(ModelType.LINE2D, 16, 100, 1000, 1.0, seed=3),
+     16, 263, 2600, "max_proposals"),
+    (SyntheticSpec(ModelType.PLANE3D, 4, 150, 200, 1.0, seed=1),
+     4, 10, 800, "max_proposals"),
+    (SyntheticSpec(ModelType.PLANE3D, 4, 150, 200, 1.0, seed=2),
+     4, 17, 800, "max_proposals"),
+    (SyntheticSpec(ModelType.PLANE3D, 4, 150, 200, 1.0, seed=3),
+     4, 11, 800, "max_proposals"),
+], ids=["L16-2", "L16-3", "P4-1", "P4-2", "P4-3"])
+def test_line_family_scenes_keep_their_fit(spec, count, wrong, n, stop):
+    points, labels, _ = synthesize(spec)
+    cfg = default_config(spec.model_type, 3.0, sampler="pnapsac",
+                         max_proposals=2000)
+    report = fit(points, spec.model_type, cfg)
+    assert len(labels) == n and len(report.instances) == count
+    assert misclassification_error(report, labels) == pytest.approx(
+        wrong / n, abs=1e-12)
+    assert report.stop_reason == stop
 
 
 def test_engine_config_validation():

@@ -49,6 +49,25 @@ def test_loss_saturates_at_cutoff(kind):
     assert np.all(fn.weights(beyond) == 0.0)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    dof=st.sampled_from([1, 2, 4]),
+    eps=st.floats(1e-3, 1e3),
+    factors=st.lists(st.floats(1.0, 1e6), max_size=20),
+)
+def test_loss_is_one_and_weight_zero_from_the_cutoff_on(kind, dof, eps,
+                                                        factors):
+    # the engine scores and refines a candidate on r < cutoff alone
+    fn = LossFunction(kind, eps, dof)
+    cutoff = fn.cutoff
+    r = np.array([cutoff, np.nextafter(cutoff, np.inf),
+                  *(cutoff * f for f in factors)])
+    assert np.all(r >= cutoff)
+    assert np.all(fn.losses(r) == 1.0)
+    assert np.all(fn.weights(r) == 0.0)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_loss_range_and_saturation_equivalence(kind):
     fn = LossFunction(kind, 2.5, dof=4)

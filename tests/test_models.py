@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mmfit.errors import DegenerateSample
 from mmfit.ingest import SyntheticSpec, synthesize
-from mmfit.losses import LossKind
+from mmfit.losses import LossFunction, LossKind
 from mmfit.models import (
     COLLINEAR_AREA_TOL,
     ModelInstance,
@@ -29,6 +29,7 @@ from mmfit.models import (
 )
 
 from conftest import (
+    dense_fit_weighted,
     fundamental_from_cameras,
     line_angle_offset,
     make_camera_pair,
@@ -283,6 +284,56 @@ def test_nonminimal_needs_positive_weights():
         fit_nonminimal(ModelType.LINE2D, pts, np.array([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("model_type, where, value", [
+    (ModelType.HOMOGRAPHY, "coords", np.nan),
+    (ModelType.FUNDAMENTAL, "coords", np.nan),
+    (ModelType.HOMOGRAPHY, "weights", np.inf),
+    (ModelType.FUNDAMENTAL, "weights", np.inf),
+    (ModelType.HOMOGRAPHY, "weights", np.nan),
+    (ModelType.LINE2D, "weights", np.inf),
+], ids=lambda v: getattr(v, "value", str(v)))
+def test_nonminimal_rejects_non_finite_input(model_type, where, value):
+    points, _, _ = synthesize(SyntheticSpec(model_type, 1, 20, 0, 1.0, seed=3))
+    coords, w = points.coords.copy(), np.ones(len(points))
+    (coords if where == "coords" else w)[5] = value
+    with pytest.raises(ValueError, match="finite"):
+        fit_nonminimal(model_type, coords, w)
+
+
+def fit_weight_rows(model_type, coords, W):
+    """_fit_weighted on the rows of a dense (K, n) weight stack, passed as
+    the triplets of its nonzero entries."""
+    rows, pts = np.nonzero(W)
+    return _fit_weighted(model_type, coords, rows, pts, W[rows, pts], len(W))
+
+
+@pytest.mark.parametrize("model_type", [
+    ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D],
+    ids=lambda t: t.value)
+def test_support_kernel_matches_dense_reference(model_type):
+    # 8-row stacks of MAGSAC++ weights around perturbed true structures, as
+    # IRLS builds them: the kernel sums over each row's support in point
+    # order, the dense reference over all n points by pairwise sums and
+    # matmul, so they agree to rounding, not bit for bit
+    count, per, outliers = ((4, 150, 200) if model_type is ModelType.PLANE3D
+                            else (16, 100, 1000))
+    fn = LossFunction(LossKind.MAGSACPP, 3.0, model_type.dof)
+    for seed in range(8):
+        points, _, truth = synthesize(SyntheticSpec(
+            model_type, count, per, outliers, 1.0, seed=seed))
+        rng = np.random.default_rng(seed)
+        P = np.stack([make_instance(model_type, truth[i].params + rng.normal(
+            0.0, 1e-3, model_type.n_params)).params
+            for i in rng.choice(count, 8)])
+        W = (fn.weights(_residuals(model_type, P, points.coords))
+             * rng.uniform(0.5, 1.0, len(points)))
+        got, ok = fit_weight_rows(model_type, points.coords, W)
+        want, want_ok = dense_fit_weighted(model_type, points.coords, W)
+        assert np.array_equal(ok, want_ok) and ok.all()
+        scale = np.abs(want).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
 def _weight_stack(model_type, seed):
     """Coordinates of a small synthetic scene plus 9 copies of the point
     (5, ..., 5), and a (K, n) weight stack over them: row 0 has m - 1
@@ -307,7 +358,7 @@ def _weight_stack(model_type, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_weighted_fit_rows_equal_single_fits(model_type, seed):
     coords, W = _weight_stack(model_type, seed)
-    params, ok = _fit_weighted(model_type, coords, W)
+    params, ok = fit_weight_rows(model_type, coords, W)
     assert params.shape == (len(W), model_type.n_params)
     assert not ok[0] and not ok[1] and ok[2:].all()
     for i, w in enumerate(W):
@@ -323,7 +374,7 @@ def test_stacked_weighted_fit_rows_equal_single_fits(model_type, seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_residual_rows_equal_single_rows(model_type, seed):
     coords, W = _weight_stack(model_type, seed)
-    params, ok = _fit_weighted(model_type, coords, W)
+    params, ok = fit_weight_rows(model_type, coords, W)
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(4, model_type.n_params))
     P = np.vstack([params[ok], [make_instance(model_type, p).params

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,38 @@ from mmfit.sampling import (
     next_sample_prosac,
     next_sample_uniform,
 )
+
+
+def _einsum_order(coords, index):
+    """Oracle of NeighborhoodGraph.nearest: every other point ordered by
+    its einsum squared distance to the centre, then by index."""
+    diff = coords - coords[index]
+    d = np.einsum("ij,ij->i", diff, diff)
+    others = np.delete(np.arange(len(coords)), index)
+    return others[np.lexsort((others, d[others]))]
+
+
+def _neighbor_sets():
+    """The benchmark's pinned scenes and random 2D and 4D point sets."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        for scene in workload.scenes(0):
+            yield f"{name}-{scene.seed}", scene.points.coords
+    rng = np.random.default_rng(11)
+    for dim in (2, 4):
+        yield f"random-{dim}d", rng.uniform(0.0, 1000.0, (600, dim))
+        # integer grid coordinates: many exactly tied distances
+        yield f"grid-{dim}d", rng.integers(0, 8, (400, dim)).astype(float)
+
+
+@pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
+                                    for name, coords in _neighbor_sets()])
+def test_neighbor_order_matches_einsum_oracle(coords):
+    graph = build_neighborhood(PointSet(coords), 1.0, build_edges=False)
+    for i in range(len(coords)):
+        assert np.array_equal(graph.nearest(i, len(coords) - 1),
+                              _einsum_order(coords, i)), i
 
 
 def _ranked(coords):

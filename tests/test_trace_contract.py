@@ -16,12 +16,13 @@ import spans  # noqa: E402
 # (module, name) pairs the tracer still lists although the module no
 # longer binds the name: the engine screens, solves and orients minimal
 # samples in blocks through models.minimal_candidates, fits connected
-# components in blocks through models._fit_weighted and serves the CC
-# samples from sampling.cc_schedule
+# components in blocks through models._fit_weighted, scores each solved
+# block with one models._residuals call and serves the CC samples from
+# sampling.cc_schedule
 RETIRED = {(engine, name) for name in (
     "preference_vector_from_dense", "sample_cheirality_ok",
     "sample_degenerate", "fit_minimal", "oriented_epipolar_ok",
-    "fit_nonminimal", "cc_can_sample", "next_sample_cc")}
+    "fit_nonminimal", "residuals", "cc_can_sample", "next_sample_cc")}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
