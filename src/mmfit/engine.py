@@ -197,9 +197,11 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
 
     Each iteration refits the rows still active with one call of each
     stacked kernel: robust weights and weighted non-minimal fit over each
-    row's support r < cutoff, then residuals and losses. A row leaves the
-    stack when its weighted system is degenerate, when its relative parameter change drops below IRLS_TOL, or after
-    IRLS_MAX_ITERS refits; a row's result does not depend on the others.
+    row's support r < cutoff, then residuals, the new supports and the
+    losses on them (every loss beyond the support is 1). A row leaves the
+    stack when its weighted system is degenerate, when its relative
+    parameter change drops below IRLS_TOL, or after IRLS_MAX_ITERS refits;
+    a row's result does not depend on the others.
     Returns (best, residual_rows, loss_rows, info): per row the iterate
     with the best soft support (never worse than the input, and the input
     object itself when no refit improves it), the input row arrays with the
@@ -218,8 +220,8 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
     active = np.arange(len(best))
     params = np.stack([h.params for h in instances])
     r = residual_rows
+    ri, pi = np.nonzero(r < fn.cutoff)
     for it in range(IRLS_MAX_ITERS):
-        ri, pi = np.nonzero(r < fn.cutoff)
         refined, ok = _fit_weighted(
             model_type, points.coords, ri, pi,
             fn.weights(r[ri, pi]) * points.weights[pi], len(r))
@@ -231,7 +233,9 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
         delta = _relative_change(params, refined)
         params = refined
         r = _residuals(model_type, params, points.coords)
-        loss = fn.losses(r)
+        ri, pi = np.nonzero(r < fn.cutoff)
+        loss = np.ones_like(r)
+        loss[ri, pi] = fn.losses(r[ri, pi])
         totals = loss.sum(axis=1)
         for i, total in zip(active.tolist(), totals.tolist()):
             info[i]["iterations"] = it + 1
@@ -245,6 +249,8 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
         moving = ~(delta < IRLS_TOL)
         for i in active[~moving].tolist():
             info[i]["converged"] = True
+        keep = moving[ri]
+        ri, pi = (np.cumsum(moving) - 1)[ri[keep]], pi[keep]
         active, params, r = active[moving], params[moving], r[moving]
         if not len(active):
             break

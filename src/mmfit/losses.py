@@ -151,16 +151,17 @@ class LossFunction:
     def _hampel_loss(self, r: np.ndarray) -> np.ndarray:
         eps = self.epsilon
         a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
+        rc = np.minimum(r, c)   # past c the loss is 1; inf - inf stays out
         rho_a = 0.5 * a * a
         rho_b = rho_a + a * (b - a)
         rho_c = rho_b + 0.5 * a * (c - b)
         rho = np.where(
-            r <= a,
-            0.5 * r * r,
+            rc <= a,
+            0.5 * rc * rc,
             np.where(
-                r <= b,
-                rho_a + a * (r - a),
-                rho_b + a * ((c * (r - b) - 0.5 * (r * r - b * b)) / (c - b)),
+                rc <= b,
+                rho_a + a * (rc - a),
+                rho_b + a * ((c * (rc - b) - 0.5 * (rc * rc - b * b)) / (c - b)),
             ),
         )
         return np.where(r >= c, 1.0, rho / rho_c)
@@ -198,11 +199,12 @@ class LossFunction:
             return np.where(r < eps, np.minimum(1.0, knee / safe), 0.0)
         if self.kind is LossKind.HUBER_REDESCENDING:
             a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
-            safe = np.maximum(r, 1e-300)
+            rc = np.minimum(r, c)
+            safe = np.maximum(rc, 1e-300)
             psi_over_r = np.where(
-                r <= a,
+                rc <= a,
                 1.0,
-                np.where(r <= b, a / safe, a * (c - r) / ((c - b) * safe)),
+                np.where(rc <= b, a / safe, a * (c - rc) / ((c - b) * safe)),
             )
             return np.where(r < c, np.maximum(psi_over_r, 0.0), 0.0)
         return self._magsac_weight(r)

@@ -16,21 +16,22 @@ parameters t are stored in the same scale as the line coefficients).
 The minimal path is written once, over stacks of samples (B, m, dim): the
 sample screen, Hartley normalization, the line, segment and plane closed
 forms, the homography DLT, the seven-point solver, the rank-2 projection,
-parameter normalization and the oriented epipolar test. Each works row by
-row with the same arithmetic as for one sample, so a sample's result does
-not depend on the stack it comes in. minimal_candidates runs a whole block
-of samples through screen, solver and orientation test; fit_minimal and
-make_instance are its B = 1 calls. A degenerate sample in a stack has no
-solution and raises nothing.
+parameter normalization and the oriented epipolar test. Each treats a
+sample as its own batch row or segment, with the same arithmetic as for
+one sample, so a sample's result does not depend on the stack it comes in.
+minimal_candidates runs a whole block of samples through screen, solver
+and orientation test; fit_minimal and make_instance are its B = 1 calls. A
+degenerate sample in a stack has no solution and raises nothing.
 
 The non-minimal path and the residuals are written over stacks too, of K
 weight or parameter rows on the same points: _fit_weighted fits K rows of
 point weights given as (row, point, weight) triplets, so that a fit costs
 its support and not n (batched total least squares for lines, segments and
-planes; the weighted DLT or eight-point solve row by row for homographies
-and fundamental matrices), and _residuals scores a (K, n_params) stack into
-a (K, n) matrix. fit_nonminimal, residuals and segment_endpoints are their
-K = 1 calls, and a row's result does not depend on the stack it comes in.
+planes; for homographies and fundamental matrices one pass over all rows'
+segments, with one SVD of each row's own DLT or eight-point equations),
+and _residuals scores a (K, n_params) stack into a (K, n) matrix.
+fit_nonminimal, residuals and segment_endpoints are their K = 1 calls, and
+a row's result does not depend on the stack it comes in.
 """
 from __future__ import annotations
 
@@ -187,53 +188,54 @@ def _check_dim(model_type: ModelType, coords: np.ndarray):
 # ---------------------------------------------------------------------------
 # Hartley normalization and DLT solvers
 
-def hartley_normalization(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Similarity T mapping pts to centroid 0 and mean distance sqrt(2).
-
-    pts is one (n, 2) point set or a (..., n, 2) stack of them. Returns
-    the normalized points, same shape, and T, (..., 3, 3).
-    """
-    centroid = pts.mean(axis=-2, keepdims=True)
-    centered = pts - centroid
-    mean_dist = np.mean(np.linalg.norm(centered, axis=-1), axis=-1)
+def hartley_normalization(pts: np.ndarray, starts: np.ndarray):
+    """Similarities T mapping each segment of the points, the non-empty
+    runs of rows that begin at the ascending indices starts (S,), to
+    centroid 0 and mean distance sqrt(2). pts is (N, 2k), k images side by
+    side, each with its own T. A segment's sums (np.add.reduceat) run over
+    its own points alone. Returns the normalized (N, 2k) points and T,
+    (S, k, 3, 3)."""
+    counts = np.diff(starts, append=len(pts))[:, None]
+    seg = np.repeat(np.arange(len(starts)), counts[:, 0])
+    centroid = np.add.reduceat(pts, starts, axis=0) / counts
+    centered = pts - centroid[seg]
+    dist = np.sqrt(centered[:, 0::2] ** 2 + centered[:, 1::2] ** 2)
+    mean_dist = np.add.reduceat(dist, starts, axis=0) / counts
     spread = mean_dist > 1e-300
     scale = np.where(spread, np.sqrt(2.0) / np.where(spread, mean_dist, 1.0), 1.0)
     T = np.zeros(scale.shape + (3, 3))
     T[..., 0, 0] = T[..., 1, 1] = scale
-    T[..., :2, 2] = -scale[..., None] * centroid[..., 0, :]
+    T[..., 0, 2] = -scale * centroid[:, 0::2]
+    T[..., 1, 2] = -scale * centroid[:, 1::2]
     T[..., 2, 2] = 1.0
-    return centered * scale[..., None, None], T
+    return centered * np.repeat(scale, 2, axis=1)[seg], T
 
 
-def _homography_dlt(x1, x2, weights):
-    """Weighted normalized DLT over one (n, 2) correspondence set or a
-    (..., n, 2) stack, with positive weights of shape (..., n). Returns the
-    homographies (..., 3, 3), image1 -> image2, and a mask (...) of the
-    systems of full rank."""
-    x1n, T1 = hartley_normalization(x1)
-    x2n, T2 = hartley_normalization(x2)
-    n = weights.shape[-1]
-    A = np.zeros(weights.shape[:-1] + (2 * n, 9))
-    u, v = x1n[..., 0], x1n[..., 1]
-    up, vp = x2n[..., 0], x2n[..., 1]
-    A[..., 0::2, 0], A[..., 0::2, 1], A[..., 0::2, 2] = u, v, 1.0
-    A[..., 0::2, 6], A[..., 0::2, 7], A[..., 0::2, 8] = -up * u, -up * v, -up
-    A[..., 1::2, 3], A[..., 1::2, 4], A[..., 1::2, 5] = u, v, 1.0
-    A[..., 1::2, 6], A[..., 1::2, 7], A[..., 1::2, 8] = -vp * u, -vp * v, -vp
-    A *= np.repeat(np.sqrt(weights), 2, axis=-1)[..., None]
-    # a system with fewer rows than columns needs the full V^T for its null
-    # vector; a taller one skips the unused U
-    _, s, vh = np.linalg.svd(A, full_matrices=2 * n < 9)
-    full_rank = s[..., 7] > 1e-9 * np.maximum(s[..., 0], 1e-300)
-    Hn = vh[..., -1, :].reshape(weights.shape[:-1] + (3, 3))
-    return np.linalg.inv(T2) @ Hn @ T1, full_rank
+def _two_view_equations(model_type: ModelType, corr: np.ndarray,
+                        starts: np.ndarray):
+    """Hartley-normalize both images of each segment of the (N, 4)
+    correspondences (see hartley_normalization) and build their DLT
+    equations: two rows per point, interleaved, for a homography (2N, 9);
+    one eight-point row per point for a fundamental matrix (N, 9). Returns
+    the equations and the (S, 3, 3) T1 and T2."""
+    xn, T = hartley_normalization(corr, starts)
+    u, v, up, vp = xn.T
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    if model_type is ModelType.FUNDAMENTAL:
+        return (np.stack([up * u, up * v, up, vp * u, vp * v, vp, u, v, one],
+                         axis=-1), T[:, 0], T[:, 1])
+    A = np.stack([u, v, one, zero, zero, zero, -up * u, -up * v, -up,
+                  zero, zero, zero, u, v, one, -vp * u, -vp * v, -vp], axis=-1)
+    return A.reshape(-1, 9), T[:, 0], T[:, 1]
 
 
-def _fundamental_rows(x1n, x2n) -> np.ndarray:
-    u, v = x1n[..., 0], x1n[..., 1]
-    up, vp = x2n[..., 0], x2n[..., 1]
-    one = np.ones_like(u)
-    return np.stack([up * u, up * v, up, vp * u, vp * v, vp, u, v, one], axis=-1)
+def _denormalized(model_type: ModelType, M: np.ndarray, T1: np.ndarray,
+                  T2: np.ndarray) -> np.ndarray:
+    """(K, 3, 3) solutions in normalized coordinates mapped back to the
+    images: T2^-1 H T1 for homographies, T2^T F T1 for fundamental matrices."""
+    if model_type is ModelType.HOMOGRAPHY:
+        return np.linalg.inv(T2) @ M @ T1
+    return np.swapaxes(T2, -1, -2) @ M @ T1
 
 
 def _project_rank2(F: np.ndarray) -> np.ndarray:
@@ -241,19 +243,6 @@ def _project_rank2(F: np.ndarray) -> np.ndarray:
     U, s, Vt = np.linalg.svd(F)
     s[..., 2] = 0.0
     return (U * s[..., None, :]) @ Vt
-
-
-def _fundamental_eight_point(x1, x2, weights):
-    """Weighted normalized eight-point estimate with rank-2 projection over
-    (n, 2) correspondences with positive weights (n,). Returns F, image1 ->
-    image2, and whether the system has rank 8."""
-    x1n, T1 = hartley_normalization(x1)
-    x2n, T2 = hartley_normalization(x2)
-    A = _fundamental_rows(x1n, x2n) * np.sqrt(weights)[:, None]
-    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    full_rank = len(s) >= 8 and s[7] > 1e-9 * max(s[0], 1e-300)
-    Fn = _project_rank2(vh[-1].reshape(3, 3))
-    return T2.T @ Fn @ T1, full_rank
 
 
 # det(a F1 + (1 - a) F2) is cubic in a; it is fitted through these 4 values
@@ -266,9 +255,10 @@ def _fundamental_seven_point(samples: np.ndarray):
     (K, 3, 3) real solutions, up to 3 per sample, the (K,) sample index of
     each, in sample order, and a (B,) mask of the samples whose system has
     rank 7."""
-    x1n, T1 = hartley_normalization(samples[..., :2])
-    x2n, T2 = hartley_normalization(samples[..., 2:])
-    _, s, vh = np.linalg.svd(_fundamental_rows(x1n, x2n))
+    A, T1, T2 = _two_view_equations(ModelType.FUNDAMENTAL,
+                                    samples.reshape(-1, 4),
+                                    np.arange(0, 7 * len(samples), 7))
+    _, s, vh = np.linalg.svd(A.reshape(-1, 7, 9))
     full_rank = s[:, 6] > 1e-9 * np.maximum(s[:, 0], 1e-300)
     rows = np.flatnonzero(full_rank)
     F1 = vh[rows, -1].reshape(-1, 1, 3, 3)
@@ -278,9 +268,9 @@ def _fundamental_seven_point(samples: np.ndarray):
     coeffs = np.linalg.solve(_CUBIC_VANDERMONDE, dets[..., None])[..., 0]
     which, roots = _real_cubic_roots(coeffs)
     a = roots[:, None, None]
-    F = (np.swapaxes(T2[rows[which]], -1, -2)
-         @ _project_rank2(a * F1[which, 0] + (1.0 - a) * F2[which, 0])
-         @ T1[rows[which]])
+    F = _denormalized(ModelType.FUNDAMENTAL,
+                      _project_rank2(a * F1[which, 0] + (1.0 - a) * F2[which, 0]),
+                      T1[rows[which]], T2[rows[which]])
     return F, rows[which], full_rank
 
 
@@ -351,10 +341,13 @@ def _solve_minimal(model_type: ModelType, samples: np.ndarray):
         n = n[rows]
         raw = np.column_stack([n, np.vecdot(-n, samples[rows, 0])])
     elif model_type is ModelType.HOMOGRAPHY:
-        H, solvable = _homography_dlt(samples[..., :2], samples[..., 2:],
-                                      np.ones(samples.shape[:2]))
+        A, T1, T2 = _two_view_equations(model_type, samples.reshape(-1, 4),
+                                        np.arange(0, 4 * len(samples), 4))
+        _, s, vh = np.linalg.svd(A.reshape(-1, 8, 9))
+        solvable = s[:, 7] > 1e-9 * np.maximum(s[:, 0], 1e-300)
         rows = np.flatnonzero(solvable)
-        raw = H[rows].reshape(-1, 9)
+        raw = _denormalized(model_type, vh[rows, -1].reshape(-1, 3, 3),
+                            T1[rows], T2[rows]).reshape(-1, 9)
     else:
         F, rows, solvable = _fundamental_seven_point(samples)
         raw = F.reshape(-1, 9)
@@ -432,12 +425,14 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
     and scatter sums by np.bincount, one batched eigh, and segment
     endpoints from the row's extremes of t = -b*x + a*y. Homographies and
     fundamental matrices: the weighted normalized DLT (eight-point with
-    rank-2 projection for F) over each row's slice. A row's sums run over
-    its own points in order, so its result does not depend on the other
-    rows. Returns the normalized (k, n_params) parameters and a (k,) mask
-    ok; a row with fewer than m positive weights or a degenerate system
-    (coincident or collinear points, a rank-deficient DLT) is not ok and
-    raises nothing."""
+    rank-2 projection for F), each row a segment of one pass that
+    Hartley-normalizes, builds and weights the equations, projects and
+    de-normalizes all rows together; only the SVD of each row's own
+    equations runs per row. A row's sums run over its own points in order,
+    so its result does not depend on the other rows. Returns the normalized
+    (k, n_params) parameters and a (k,) mask ok; a row with fewer than m
+    positive weights or a degenerate system (coincident or collinear
+    points, a rank-deficient DLT) is not ok and raises nothing."""
     keep = w > 0
     rows, pts, w = rows[keep], pts[keep], w[keep]
     ok = np.bincount(rows, minlength=k) >= model_type.m
@@ -476,13 +471,27 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
             raw[fitted, 3] = np.minimum.reduceat(t, starts)
             raw[fitted, 4] = np.maximum.reduceat(t, starts)
     else:
-        solve = (_homography_dlt if model_type is ModelType.HOMOGRAPHY
-                 else _fundamental_eight_point)
-        bounds = np.searchsorted(rows, np.arange(k + 1))
-        for i in fitted.tolist():
-            s = slice(bounds[i], bounds[i + 1])
-            M, ok[i] = solve(coords[pts[s], :2], coords[pts[s], 2:], w[s])
-            raw[i] = M.ravel()
+        # one pass over all rows but the SVD, which takes each row's own
+        # contiguous equations: zero-padding the rows to one length moves
+        # the last bits of a row's solution with its stack, and the normal
+        # equations' eigenvalues err by ~1e-16 s[0]^2, too coarse for the
+        # rank test on s[7]
+        starts = np.searchsorted(rows, fitted)
+        A, T1, T2 = _two_view_equations(model_type, coords[pts], starts)
+        per = 2 if model_type is ModelType.HOMOGRAPHY else 1
+        A *= np.repeat(np.sqrt(w), per)[:, None]
+        ends = (per * np.append(starts, len(pts))).tolist()
+        null, full_rank = np.empty((len(fitted), 9)), []
+        for j, (a, b) in enumerate(zip(ends[:-1], ends[1:])):
+            # fewer equations than unknowns need the full V^T
+            _, s, vh = np.linalg.svd(A[a:b], full_matrices=b - a < 9)
+            full_rank.append(len(s) > 7 and s[7] > 1e-9 * max(s[0], 1e-300))
+            null[j] = vh[-1]
+        ok[fitted] = full_rank
+        M = null.reshape(-1, 3, 3)
+        if model_type is ModelType.FUNDAMENTAL:
+            M = _project_rank2(M)
+        raw[fitted] = _denormalized(model_type, M, T1, T2).reshape(-1, 9)
     params, valid = _normalized(model_type, raw)
     return params, ok & valid
 
@@ -536,28 +545,35 @@ def _residuals(model_type: ModelType, P: np.ndarray,
 
     M = P.reshape(-1, 3, 3)
     ones = np.ones(len(coords))
-    x1 = np.column_stack([coords[:, 0], coords[:, 1], ones])
-    x2 = np.column_stack([coords[:, 2], coords[:, 3], ones])
+    x1 = np.stack([coords[:, 0], coords[:, 1], ones])
+    x2 = np.stack([coords[:, 2], coords[:, 3], ones])
+
+    def project(M, x):
+        # M x for each of the K matrices by one (3K, 3) @ (3, n) product:
+        # each homogeneous coordinate is a contiguous (K, n) row
+        return (M.reshape(-1, 3) @ x).reshape(len(M), 3, x.shape[1])
+
     if model_type is ModelType.HOMOGRAPHY:
         # a singular H has an all-NaN inverse, so every error is inf
-        fwd = x1 @ np.swapaxes(M, -1, -2)
-        bwd = x2 @ np.swapaxes(_inverse(M), -1, -2)
+        fwd = project(M, x1)
+        bwd = project(_inverse(M), x2)
         # a point mapped to infinity (|w| < 1e-12) either way has error inf
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e2 = ((fwd[..., 0] / fwd[..., 2] - coords[:, 2]) ** 2
-                  + (fwd[..., 1] / fwd[..., 2] - coords[:, 3]) ** 2)
-            b2 = ((bwd[..., 0] / bwd[..., 2] - coords[:, 0]) ** 2
-                  + (bwd[..., 1] / bwd[..., 2] - coords[:, 1]) ** 2)
-        e2 = np.where(np.abs(fwd[..., 2]) >= 1e-12, e2, np.inf)
-        b2 = np.where(np.abs(bwd[..., 2]) >= 1e-12, b2, np.inf)
+            e2 = ((fwd[:, 0] / fwd[:, 2] - coords[:, 2]) ** 2
+                  + (fwd[:, 1] / fwd[:, 2] - coords[:, 3]) ** 2)
+            b2 = ((bwd[:, 0] / bwd[:, 2] - coords[:, 0]) ** 2
+                  + (bwd[:, 1] / bwd[:, 2] - coords[:, 1]) ** 2)
+        e2 = np.where(np.abs(fwd[:, 2]) >= 1e-12, e2, np.inf)
+        b2 = np.where(np.abs(bwd[:, 2]) >= 1e-12, b2, np.inf)
         return np.sqrt(0.5 * (e2 + b2))
 
     # fundamental matrix: Sampson distance
-    Fx1 = x1 @ np.swapaxes(M, -1, -2)
-    Ftx2 = x2 @ M
-    num = np.abs(np.sum(x2 * Fx1, axis=-1))
-    den = np.sqrt(Fx1[..., 0] ** 2 + Fx1[..., 1] ** 2
-                  + Ftx2[..., 0] ** 2 + Ftx2[..., 1] ** 2)
+    Fx1 = project(M, x1)
+    Ftx2 = project(np.swapaxes(M, -1, -2), x2)
+    num = np.abs(coords[:, 2] * Fx1[:, 0] + coords[:, 3] * Fx1[:, 1]
+                 + Fx1[:, 2])
+    den = np.sqrt(Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2
+                  + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2)
     return np.divide(num, den, out=np.full(num.shape, np.inf),
                      where=den > 1e-300)
 

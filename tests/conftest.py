@@ -121,6 +121,44 @@ def dense_fit_weighted(model_type: ModelType, coords, W):
     return params, ok & valid
 
 
+def two_view_dlt_reference(model_type: ModelType, corr, w):
+    """Per-row reference of models._fit_weighted for homographies and
+    fundamental matrices: the weighted normalized DLT (eight-point with
+    rank-2 projection for F) of one (n, 4) correspondence set with positive
+    weights (n,), each image Hartley-normalized by np.mean and the null
+    vector taken from a full SVD. Returns the normalized parameters and
+    whether the system has rank 8."""
+    def hartley(pts):
+        centroid = pts.mean(axis=0)
+        centered = pts - centroid
+        scale = np.sqrt(2.0) / np.mean(np.linalg.norm(centered, axis=1))
+        T = np.diag([scale, scale, 1.0])
+        T[:2, 2] = -scale * centroid
+        return centered * scale, T
+
+    x1n, T1 = hartley(corr[:, :2])
+    x2n, T2 = hartley(corr[:, 2:])
+    (u, v), (up, vp) = x1n.T, x2n.T
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    if model_type is ModelType.HOMOGRAPHY:
+        A = np.vstack([
+            np.column_stack([u, v, one, zero, zero, zero, -up * u, -up * v, -up]),
+            np.column_stack([zero, zero, zero, u, v, one, -vp * u, -vp * v, -vp])])
+        A *= np.sqrt(np.tile(w, 2))[:, None]
+    else:
+        A = np.column_stack([up * u, up * v, up, vp * u, vp * v, vp, u, v, one])
+        A *= np.sqrt(w)[:, None]
+    _, s, vh = np.linalg.svd(A)
+    full_rank = len(s) >= 8 and s[7] > 1e-9 * s[0]
+    M = vh[-1].reshape(3, 3)
+    if model_type is ModelType.HOMOGRAPHY:
+        M = np.linalg.inv(T2) @ M @ T1
+    else:
+        U, sv, Vt = np.linalg.svd(M)
+        M = T2.T @ U @ np.diag([sv[0], sv[1], 0.0]) @ Vt @ T1
+    return make_instance(model_type, M.ravel()).params, full_rank
+
+
 def line_instance(a, b, c):
     return make_instance(ModelType.LINE2D, [a, b, c])
 

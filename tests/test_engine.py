@@ -231,6 +231,54 @@ def test_stacked_refine_matches_per_instance_oracle(model_type):
     assert any(d["converged"] for d in info)
 
 
+@pytest.mark.parametrize("kind", list(LossKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("model_type", [ModelType.LINE2D, ModelType.HOMOGRAPHY],
+                         ids=lambda t: t.value)
+def test_refine_support_losses_equal_dense_losses(monkeypatch, model_type,
+                                                  kind):
+    # refine_irls evaluates the loss on r < cutoff alone and sets the rest
+    # to 1; its loss rows and every loss sum it traces must equal the dense
+    # losses of the residual rows, and each row must follow the
+    # per-instance oracle while rows leave the stack
+    points, labels, _ = synthesize(SyntheticSpec(model_type, 3, 50, 40, 1.0,
+                                                 seed=5))
+    cfg = default_config(model_type, 3.0, kind)
+    fn = cfg.loss
+    local = np.random.default_rng(5)
+    samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
+                            replace=False)
+               for k in (1, 2, 3) for _ in range(3)]
+    starts = [h for fitted in minimal_candidates(model_type,
+                                                 points.coords[samples])
+              for h in fitted]
+    R = np.stack([residuals(h, points.coords) for h in starts])
+    stacks = []
+
+    def recorded(*args):
+        stacks.append(models._residuals(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(engine, "_residuals", recorded)
+    best, best_r, best_loss, info = refine_irls(starts, R.copy(),
+                                                fn.losses(R), points, cfg)
+    assert np.array_equal(best_loss, fn.losses(best_r))
+    traces = [d["loss_trace"] for d in info]
+    assert [t[0] for t in traces] == fn.losses(R).sum(axis=1).tolist()
+    # rows leave the stack at different iterations
+    assert len({d["iterations"] for d in info}) > 1
+    for it, stack in enumerate(stacks):
+        # the rows still active at an iteration are stacked in row order
+        assert ([t[it + 1] for t in traces if len(t) > it + 1]
+                == fn.losses(stack).sum(axis=1).tolist())
+    for i, h in enumerate(starts):
+        want, want_info = _refine_irls_per_instance(
+            h, R[i].copy(), fn.losses(R[i]), points, cfg)
+        assert np.array_equal(best[i].params, want.params)
+        assert np.array_equal(best_r[i], want_info.pop("residuals"))
+        assert np.array_equal(best_loss[i], want_info.pop("losses"))
+        assert info[i] == want_info
+
+
 # ---------------------------------------------------------------------------
 # termination
 

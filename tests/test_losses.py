@@ -69,6 +69,21 @@ def test_loss_is_one_and_weight_zero_from_the_cutoff_on(kind, dof, eps,
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dof", [1, 2, 4])
+def test_infinite_residual_saturates_without_warning(kind, dof):
+    # homography and Sampson residuals are inf for points mapped to infinity
+    fn = LossFunction(kind, 3.0, dof)
+    r = np.array([np.inf, fn.cutoff, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, weight = fn.losses(r), fn.weights(r)
+    assert loss[:2].tolist() == [1.0, 1.0]
+    assert loss[2] == pytest.approx(0.0, abs=1e-12)
+    # w(0) is 1 but for magsacpp at dof 1, whose weight diverges at 0
+    assert weight[:2].tolist() == [0.0, 0.0] and weight[2] > 0.0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_loss_range_and_saturation_equivalence(kind):
     fn = LossFunction(kind, 2.5, dof=4)
     grid = np.linspace(0.0, 2.0 * fn.cutoff, 500)

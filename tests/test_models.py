@@ -14,8 +14,6 @@ from mmfit.models import (
     ModelType,
     PointSet,
     _fit_weighted,
-    _fundamental_eight_point,
-    _homography_dlt,
     _real_cubic_roots,
     _residuals,
     fit_minimal,
@@ -37,6 +35,7 @@ from conftest import (
     oriented_epipolar_ok,
     project_points,
     sample_degenerate,
+    two_view_dlt_reference,
     visible_cloud,
 )
 
@@ -258,10 +257,8 @@ def test_tall_dlt_economy_svd_matches_full(monkeypatch, rng):
     w = rng.uniform(0.1, 1.0, size=len(corr))
 
     def solve():
-        H, _ = _homography_dlt(corr[:, :2], corr[:, 2:], w)
-        F, _ = _fundamental_eight_point(corr[:, :2], corr[:, 2:], w)
-        return (make_instance(ModelType.HOMOGRAPHY, H.ravel()).params,
-                make_instance(ModelType.FUNDAMENTAL, F.ravel()).params)
+        return (fit_nonminimal(ModelType.HOMOGRAPHY, corr, w).params,
+                fit_nonminimal(ModelType.FUNDAMENTAL, corr, w).params)
 
     economy = solve()
     svd = np.linalg.svd
@@ -332,6 +329,51 @@ def test_support_kernel_matches_dense_reference(model_type):
         assert np.array_equal(ok, want_ok) and ok.all()
         scale = np.abs(want).max(axis=1, keepdims=True)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("model_type", [
+    ModelType.HOMOGRAPHY, ModelType.FUNDAMENTAL], ids=lambda t: t.value)
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_two_view_kernel_matches_per_row_reference(model_type, seed):
+    # an IRLS-like stack (MAGSAC++ weights around perturbed true models)
+    # plus rows the kernel must reject or solve exactly: for F, 12
+    # correspondences related by a homography (coplanar points, rank 6)
+    # and 7 points (one equation short); for H, 12 collinear
+    # correspondences and 4 points of one plane (fewer equations than
+    # unknowns, so the full V^T)
+    points, labels, truth = synthesize(SyntheticSpec(
+        model_type, 4, 60, 40, 1.0, seed=seed))
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(50.0, 750.0, 12)
+    if model_type is ModelType.FUNDAMENTAL:
+        H = np.array([[1.1, 0.05, 20.0], [-0.03, 0.95, -15.0], [1e-4, 2e-4, 1.0]])
+        x1 = np.column_stack([t, rng.uniform(50.0, 750.0, 12), np.ones(12)])
+        x2 = x1 @ H.T
+        special = np.column_stack([x1[:, :2], x2[:, :2] / x2[:, 2:]])
+    else:
+        special = np.column_stack([t, 0.5 * t + 10.0, 2.0 * t + 5.0, 300.0 - t])
+    coords = np.vstack([points.coords, special])
+    n = len(points)
+    fn = LossFunction(LossKind.MAGSACPP, 3.0, model_type.dof)
+    P = np.stack([make_instance(model_type, truth[i].params * (
+        1.0 + rng.normal(0.0, 1e-3, 9))).params
+        for i in rng.choice(len(truth), 8)])
+    W = np.zeros((11, len(coords)))
+    W[:8, :n] = (fn.weights(_residuals(model_type, P, points.coords))
+                 * rng.uniform(0.5, 1.0, n))
+    W[8, n:] = rng.uniform(0.5, 1.0, 12)
+    few = 7 if model_type is ModelType.FUNDAMENTAL else 4
+    W[9, rng.choice(np.flatnonzero(labels == 1), few, replace=False)] = 1.0
+    W[10, :n] = rng.uniform(0.1, 1.0, n)
+    got, ok = fit_weight_rows(model_type, coords, W)
+    for i, w in enumerate(W):
+        pos = w > 0
+        want, want_ok = two_view_dlt_reference(model_type, coords[pos], w[pos])
+        assert ok[i] == want_ok
+        if ok[i]:
+            assert np.all(np.abs(got[i] - want) <= 1e-12 * np.abs(want).max())
+    assert not ok[8] and ok[9] == (model_type is ModelType.HOMOGRAPHY)
+    assert ok[:8].all() and ok[10]
 
 
 def _weight_stack(model_type, seed):
