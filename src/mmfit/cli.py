@@ -24,6 +24,7 @@ from .engine import (
     SAMPLERS,
     EngineConfig,
     FitReport,
+    default_config,
     fit,
     label_matching,
     min_residual_assignment,
@@ -39,7 +40,7 @@ from .ingest import (
     save_scene,
     synthesize,
 )
-from .losses import LossFunction, LossKind
+from .losses import LossKind
 from .models import (
     ModelType,
     PointSet,
@@ -84,12 +85,11 @@ def _common_flags(p: argparse.ArgumentParser):
 def _config_from_args(args, model_type: ModelType) -> EngineConfig:
     """EngineConfig from the flags of _common_flags; each field's flag is
     its name, except that --epsilon-t sets tau."""
-    fn = LossFunction(LossKind.from_string(args.loss), args.epsilon,
-                      model_type.dof)
     flag = {"tau": "epsilon_t"}
-    return EngineConfig(loss=fn, **{
-        f.name: getattr(args, flag.get(f.name, f.name))
-        for f in fields(EngineConfig) if f.name != "loss"})
+    return default_config(
+        model_type, args.epsilon, LossKind.from_string(args.loss), **{
+            f.name: getattr(args, flag.get(f.name, f.name))
+            for f in fields(EngineConfig) if f.name != "loss"})
 
 
 def _config_dict(cfg: EngineConfig) -> dict:

@@ -143,10 +143,10 @@ class FitReport:
     # "max_proposals" (the draw cap); None for a report not made by fit
     stop_reason: str | None = None
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        """JSON-ready dict. Timing is excluded by default so that repeated
-        runs of the same seed serialize identically."""
-        out = {
+    def to_dict(self) -> dict:
+        """JSON-ready dict. It leaves out wall_time, so that repeated runs
+        of the same seed serialize identically."""
+        return {
             "instances": [
                 {"model_type": h.model_type.value, "params": h.params.tolist()}
                 for h in self.instances
@@ -158,9 +158,6 @@ class FitReport:
             "fallback_samples": self.fallback_samples,
             "stop_reason": self.stop_reason,
         }
-        if include_timing:
-            out["wall_time"] = self.wall_time
-        return out
 
 
 def should_terminate(n_points: int, united_inlier_count: int, k: int, m: int,

@@ -162,7 +162,7 @@ def _load_scene_json(path: Path):
     try:
         model_type = ModelType.from_string(payload["model_type"])
         coords = np.asarray(payload["points"], dtype=float)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad scene json: {exc}")
     if coords.size == 0:
         coords = coords.reshape(0, model_type.dim)
@@ -313,7 +313,7 @@ def synthesize(spec: SyntheticSpec):
 def _segment_cells(count: int, extent: float, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     """Disjoint axis-aligned cells, one random segment per cell, inset so
     that distinct segments stay at least ~30 units apart."""
-    grid = int(np.ceil(np.sqrt(count)))
+    grid = max(1, int(np.ceil(np.sqrt(count))))
     cell = extent / grid
     inset = min(0.15 * cell, cell / 2 - 1)
     picks = rng.choice(grid * grid, size=count, replace=False)
@@ -480,7 +480,7 @@ def _sample_correspondences(point_on_ray, K, R, t, count, extent, rng):
         out.append([p1[0], p1[1], p2[0], p2[1]])
     if len(out) < count:
         return None
-    return np.array(out)
+    return np.array(out).reshape(-1, 4)
 
 
 def _synthesize_fundamental(spec: SyntheticSpec, rng):

@@ -1,9 +1,11 @@
 """Robust losses mapping residuals to [0, 1] and their IRLS weights.
 
-Every kind satisfies loss(0) = 0, loss non-decreasing, and loss(r) = 1 for
-r >= cutoff(kind, epsilon). The IRLS weight is proportional to loss'(r)/r,
-normalized so w(0) = 1 where that value is finite, and w(r) = 0 exactly
-where the loss saturates.
+Every kind has loss non-decreasing, loss(r) = 1 for r >= cutoff(kind,
+epsilon), and loss(0) = 0, exactly except for magsacpp: there loss(0) is
+what rounding leaves of subtracting Gamma(a+1) below, under the machine
+epsilon 2.2e-16 for dof 1-40 (1.3e-16 at dof 2, 1.7e-16 at dof 4). The
+IRLS weight is proportional to loss'(r)/r, normalized so w(0) = 1 where
+that value is finite, and w(r) = 0 exactly where the loss saturates.
 
 Kinds and cutoffs (epsilon is the single user-facing threshold):
 

@@ -14,14 +14,15 @@ the vector by any nonzero factor (segments included, because the endpoint
 parameters t are stored in the same scale as the line coefficients).
 
 The minimal path is written once, over stacks of samples (B, m, dim): the
-sample screen, Hartley normalization, the line, segment and plane closed
-forms, the homography DLT, the seven-point solver, the rank-2 projection,
-parameter normalization and the oriented epipolar test. Each treats a
-sample as its own batch row or segment, with the same arithmetic as for
-one sample, so a sample's result does not depend on the stack it comes in.
-minimal_candidates runs a whole block of samples through screen, solver
-and orientation test; fit_minimal and make_instance are its B = 1 calls. A
-degenerate sample in a stack has no solution and raises nothing.
+sample screen, Hartley normalization, the homography DLT, the seven-point
+solver, the rank-2 projection, parameter normalization and the oriented
+epipolar test. A stack of line, segment or plane samples is B unit-weight
+rows of the non-minimal fit below. Each treats a sample as its own batch
+row or segment, with the same arithmetic as for one sample, so a sample's
+result does not depend on the stack it comes in. minimal_candidates runs
+a whole block of samples through screen, solver and orientation test;
+fit_minimal and make_instance are its B = 1 calls. A degenerate sample in
+a stack has no solution and raises nothing.
 
 The non-minimal path and the residuals are written over stacks too, of K
 weight or parameter rows on the same points: _fit_weighted fits K rows of
@@ -305,42 +306,14 @@ def _real_cubic_roots(coeffs: np.ndarray):
 # ---------------------------------------------------------------------------
 # Minimal and non-minimal fitting
 
-def _plane_normals(samples: np.ndarray) -> np.ndarray:
-    """Normals (B, 3) of the planes through (B, 3, 3) point triples, with
-    twice the triangle area as length."""
-    return np.cross(samples[:, 1] - samples[:, 0], samples[:, 2] - samples[:, 0])
-
-
 def _solve_minimal(model_type: ModelType, samples: np.ndarray):
     """Minimal solver over a (B, m, dim) stack of samples. Returns the
     normalized (K, n_params) solutions, the (K,) sample index of each, in
     sample order, and a (B,) mask of the samples the solver could handle;
     the others (coincident line points, collinear plane points, a
-    rank-deficient DLT or seven-point system) have no solution."""
-    if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
-        solvable = ~_degenerate(model_type, samples)   # coincident points
-        rows = np.flatnonzero(solvable)
-        p0, p1 = samples[rows, 0], samples[rows, 1]
-        d = p1 - p0
-        a, b = d[:, 1], -d[:, 0]
-        c = -(a * p0[:, 0] + b * p0[:, 1])
-        raw = np.empty((len(rows), model_type.n_params))
-        if model_type is ModelType.LINE2D:
-            raw[:, 0], raw[:, 1], raw[:, 2] = a, b, c
-        else:
-            norm = np.hypot(a, b)
-            an, bn = a / norm, b / norm
-            raw[:, 0], raw[:, 1], raw[:, 2] = an, bn, c / norm
-            # endpoint parameters t of the two points; _normalized orders them
-            raw[:, 3] = -bn * p0[:, 0] + an * p0[:, 1]
-            raw[:, 4] = -bn * p1[:, 0] + an * p1[:, 1]
-    elif model_type is ModelType.PLANE3D:
-        n = _plane_normals(samples)
-        solvable = ~(np.sqrt(np.vecdot(n, n)) < COINCIDENT_POINT_TOL)
-        rows = np.flatnonzero(solvable)
-        n = n[rows]
-        raw = np.column_stack([n, np.vecdot(-n, samples[rows, 0])])
-    elif model_type is ModelType.HOMOGRAPHY:
+    rank-deficient DLT or seven-point system) have no solution. Lines,
+    segments and planes are B unit-weight rows of _fit_weighted."""
+    if model_type is ModelType.HOMOGRAPHY:
         A, T1, T2 = _two_view_equations(model_type, samples.reshape(-1, 4),
                                         np.arange(0, 4 * len(samples), 4))
         _, s, vh = np.linalg.svd(A.reshape(-1, 8, 9))
@@ -348,21 +321,32 @@ def _solve_minimal(model_type: ModelType, samples: np.ndarray):
         rows = np.flatnonzero(solvable)
         raw = _denormalized(model_type, vh[rows, -1].reshape(-1, 3, 3),
                             T1[rows], T2[rows]).reshape(-1, 9)
-    else:
+    elif model_type is ModelType.FUNDAMENTAL:
         F, rows, solvable = _fundamental_seven_point(samples)
         raw = F.reshape(-1, 9)
+    else:
+        B, m, dim = samples.shape
+        params, solvable = _fit_weighted(
+            model_type, samples.reshape(B * m, dim), np.repeat(np.arange(B), m),
+            np.arange(B * m), np.ones(B * m), B)
+        rows = np.flatnonzero(solvable)
+        return params[rows], rows, solvable
     params, valid = _normalized(model_type, raw)
     return params[valid], rows[valid], solvable
 
 
 def fit_minimal(model_type: ModelType, sample) -> list[ModelInstance]:
     """Fit from a minimal sample. Returns 0-3 instances (7-point F has up
-    to 3 real roots; the other solvers yield 0 or 1)."""
+    to 3 real roots; the other solvers yield 0 or 1). A line, segment or
+    plane is fit_nonminimal of the m points at unit weight, and raises
+    DegenerateSample exactly when that does."""
     coords = _as_coords(sample)
     _check_dim(model_type, coords)
     m = model_type.m
     if coords.shape[0] != m:
         raise ValueError(f"minimal sample for {model_type.value} has {m} points")
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("coordinates must be finite")
     params, _, solvable = _solve_minimal(model_type, coords[None])
     if not solvable[0]:
         raise DegenerateSample(f"degenerate minimal sample for {model_type.value}")
@@ -625,7 +609,7 @@ def _degenerate(model_type: ModelType, samples: np.ndarray) -> np.ndarray:
         d = samples[:, 1] - samples[:, 0]
         return np.sqrt(np.vecdot(d, d)) < COINCIDENT_POINT_TOL
     if model_type is ModelType.PLANE3D:
-        n = _plane_normals(samples)
+        n = np.cross(samples[:, 1] - samples[:, 0], samples[:, 2] - samples[:, 0])
         return 0.5 * np.sqrt(np.vecdot(n, n)) < COLLINEAR_AREA_TOL
     if model_type is ModelType.HOMOGRAPHY:
         areas = _triangle_areas_2d(samples)

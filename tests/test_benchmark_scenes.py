@@ -13,15 +13,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 # per workload and pinned scene seed: instances found, misclassified points
-# out of the scene's points, stop reason
+# out of the scene's points, stop reason, proposals tried
 EXPECTED = {
-    "pose-h4": {1: (2, 300, 800, "max_proposals")},            # ME 37.5 %
-    "fundamental-m4": {1: (9, 389, 800, "max_proposals")},     # ME 48.625 %
-    "lines-l16": {1: (17, 178, 2600, "max_proposals")},        # ME 6.846 %
-    "segments-cc": {1: (16, 9, 2000, "cc_spent"),              # mean ME
-                    2: (16, 8, 2000, "cc_spent"),              # 0.4625 %
-                    3: (16, 8, 2000, "cc_spent"),
-                    4: (16, 12, 2000, "cc_spent")},
+    "pose-h4": {1: (2, 300, 800, "max_proposals", 909)},       # ME 37.5 %
+    "fundamental-m4": {1: (9, 389, 800, "max_proposals", 538)},  # 48.625 %
+    "lines-l16": {1: (17, 178, 2600, "max_proposals", 2000)},  # ME 6.846 %
+    "segments-cc": {1: (16, 9, 2000, "cc_spent", 84),          # mean ME
+                    2: (16, 8, 2000, "cc_spent", 82),          # 0.4625 %
+                    3: (16, 8, 2000, "cc_spent", 87),
+                    4: (16, 12, 2000, "cc_spent", 81)},
 }
 
 
@@ -31,10 +31,11 @@ def test_pinned_benchmark_scenes_keep_their_fit(name):
     scenes = workload.scenes(0)
     assert sorted(s.seed for s in scenes) == sorted(EXPECTED[name])
     for scene in scenes:
-        count, wrong, n, stop = EXPECTED[name][scene.seed]
+        count, wrong, n, stop, tried = EXPECTED[name][scene.seed]
         report = workload.run(scene, workload.config()).report
         assert len(scene.labels) == n
         assert len(report.instances) == count
         assert engine.misclassification_error(report, scene.labels) \
             == pytest.approx(wrong / n, abs=1e-12)
         assert report.stop_reason == stop
+        assert report.proposals_tried == tried

@@ -229,10 +229,12 @@ _POINTS = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
                                "labels": [1, "a", 0]})),
     ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
                                "labels": [1, 1]})),
+    ("scene.json", json.dumps([1, 2])),
+    ("scene.json", json.dumps({"model_type": "line2d", "points": {"x": 0.0}})),
     ("scene.csv", "line2d,2\n0.0,0.0\nnan,1.0\n2.0,2.0\n"),
     ("scene.csv", "line2d,2,labeled\n0.0,0.0,1\n1.0,1.0,inf\n"),
 ], ids=["text-scores", "short-scores", "text-labels", "short-labels",
-        "nan-coordinate", "inf-label"])
+        "array-scene", "object-points", "nan-coordinate", "inf-label"])
 def test_fit_of_malformed_scene_exits_1_before_writing(tmp_path, capsys, name,
                                                        text):
     scene = tmp_path / name
@@ -243,6 +245,24 @@ def test_fit_of_malformed_scene_exits_1_before_writing(tmp_path, capsys, name,
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("model, flags, n_points", [
+    ("segment2d", ["--instances", "0", "--clustered"], 0),
+    ("homography", ["--instances", "2", "--points", "0", "--sigma", "1"], 0),
+    ("fundamental", ["--instances", "2", "--points", "0", "--sigma", "1"], 0),
+    ("homography", ["--instances", "2", "--points", "0", "--outliers", "5"], 5),
+], ids=["segments-none-clustered", "homography-no-points",
+        "fundamental-no-points", "homography-outliers-only"])
+def test_synth_of_empty_structures_writes_a_scene(tmp_path, capsys, model,
+                                                  flags, n_points):
+    out = tmp_path / "scene.csv"
+    code, _, err = _run(capsys, "synth", "--model", model, "--out", out, *flags)
+    assert code == 0, err
+    model_type, points, labels, _ = load_scene(out)
+    assert model_type is ModelType.from_string(model)
+    assert points.coords.shape == (n_points, model_type.dim)
+    assert labels.tolist() == [0] * n_points
 
 
 @pytest.mark.parametrize("command", ["fit", "pose"])

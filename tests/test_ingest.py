@@ -244,6 +244,15 @@ def test_sigma_zero_line_scene_exact():
     assert np.all(labels == 1)
 
 
+@pytest.mark.parametrize("model_type", list(ModelType))
+def test_synthesize_without_points_keeps_the_family_dimension(model_type):
+    spec = SyntheticSpec(model_type, 2, 0, 0, clustered=True)
+    points, labels, instances = synthesize(spec)
+    assert points.coords.shape == (0, model_type.dim)
+    assert labels.shape == (0,)
+    assert len(instances) == 2
+
+
 def test_synthesize_deterministic(tmp_path):
     spec = SyntheticSpec(ModelType.LINE2D, 5, 100, 200, 1.0, 1000.0, seed=4)
     a = synthesize(spec)

@@ -22,6 +22,13 @@ def test_loss_zero_at_zero(kind):
     assert fn.losses([0.0])[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_magsacpp_loss_at_zero_is_below_machine_epsilon():
+    # subtracting Gamma(a+1) leaves a rounding remainder at r = 0
+    for dof in range(1, 41):
+        fn = LossFunction(LossKind.MAGSACPP, 3.0, dof)
+        assert 0.0 <= fn.losses([0.0])[0] < np.finfo(float).eps
+
+
 def test_msac_quarter():
     fn = LossFunction(LossKind.MSAC, 2.0)
     assert fn.losses([1.0])[0] == pytest.approx(0.25)

@@ -97,6 +97,14 @@ def test_minimal_fit_interpolates_sample(model_type, rng):
             assert np.all(residuals(inst, sample) < 1e-6)
 
 
+@pytest.mark.parametrize("model_type", list(ModelType))
+def test_minimal_fit_rejects_non_finite_coordinates(model_type):
+    sample = np.ones((model_type.m, model_type.dim))
+    sample[0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit_minimal(model_type, sample)
+
+
 def test_minimal_coincident_points_degenerate():
     with pytest.raises(DegenerateSample):
         fit_minimal(ModelType.LINE2D, np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -122,8 +130,9 @@ def _stack_row(model_type, kind, rng):
     """One minimal sample of the given kind: "good" (well spread, for H and
     F with image 2 a noisy similar copy of image 1), "coincident" (point 1
     repeats point 0; for F, points 4-6 repeat points 0-2, a rank-deficient
-    seven-point system) or "collinear" (point 2 on the line through points 0
-    and 1; for H and F in both images)."""
+    seven-point system), "close" (point 1 within 1e-10 of point 0 in each
+    coordinate, lines, segments and planes only) or "collinear" (point 2 on
+    the line through points 0 and 1; for H and F in both images)."""
     m, dim = model_type.m, model_type.dim
     if dim == 4:
         x1 = rng.uniform(0, 1000, size=(m, 2))
@@ -137,6 +146,8 @@ def _stack_row(model_type, kind, rng):
             sample[4:] = sample[:3]
         else:
             sample[1] = sample[0]
+    elif kind == "close":
+        sample[1] = sample[0] + rng.uniform(-1e-10, 1e-10, size=dim)
     elif kind == "collinear" and m > 2:
         sample[2] = sample[0] + rng.uniform(-2, 3) * (sample[1] - sample[0])
     return sample
@@ -157,6 +168,50 @@ def test_stacked_candidates_match_one_at_a_time(model_type, kinds, seed):
         assert len(row) == len(want)
         for a, b in zip(row, want):
             assert np.array_equal(a.params, b.params)
+
+
+@pytest.mark.parametrize("model_type", [ModelType.LINE2D, ModelType.SEGMENT2D,
+                                        ModelType.PLANE3D])
+@settings(max_examples=40, deadline=None)
+@given(kinds=st.lists(st.sampled_from(["good", "coincident", "close",
+                                       "collinear"]),
+                      min_size=1, max_size=64),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_minimal_lines_segments_planes_are_unit_weight_fits(model_type, kinds,
+                                                            seed):
+    # the minimal fit of a line, segment or plane is the non-minimal fit of
+    # its m points at unit weight, bit for bit, in any stack, and raises
+    # exactly when that fit does
+    rng = np.random.default_rng(seed)
+    stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
+    got = minimal_candidates(model_type, stack)
+    for sample, row in zip(stack, got):
+        try:
+            want = [fit_nonminimal(model_type, sample, np.ones(len(sample)))]
+        except DegenerateSample:
+            want = []
+            with pytest.raises(DegenerateSample):
+                fit_minimal(model_type, sample)
+        else:
+            minimal = fit_minimal(model_type, sample)
+            assert len(minimal) == 1
+            assert np.array_equal(minimal[0].params, want[0].params)
+        if sample_degenerate(model_type, sample):
+            want = []
+        assert len(row) == len(want)
+        for a, b in zip(row, want):
+            assert np.array_equal(a.params, b.params)
+
+
+def test_minimal_line_through_close_points_is_fitted():
+    # points 1e-10 apart are not coincident; the screen of the sampled
+    # path rejects them, but fit_minimal fits them as fit_nonminimal does
+    sample = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    (line,) = fit_minimal(ModelType.LINE2D, sample)
+    assert np.array_equal(
+        line.params, fit_nonminimal(ModelType.LINE2D, sample, np.ones(2)).params)
+    assert np.allclose(np.abs(line.params), [1.0, 0.0, 1.0])
+    assert minimal_candidates(ModelType.LINE2D, sample[None]) == [[]]
 
 
 def _real_roots_oracle(coeffs):
