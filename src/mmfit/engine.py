@@ -17,7 +17,7 @@ the minimal samples, models._fit_weighted fits the larger connected
 components, and _score scores all their candidates in one pass. The loop
 takes one entry per draw, with the stopping checks made before every
 draw. A draw depends only on the rng and the draw index (the CC schedule
-is decided from the radius graph once per fit), so entries left when an
+is listed once per fit from per-radius pair queries), so entries left when an
 outer iteration ends are the draws the next one would make, and a fit
 gives the same result as drawing and solving one sample at a time. The
 loss is 1 and the IRLS weight 0 from LossFunction.cutoff on, so scoring
@@ -346,7 +346,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     schedule: list[list[int]] = []
     cc = config.sampler == "cc"
     if cc or config.sampler == "pnapsac":
-        graph = build_neighborhood(points, config.r_max, build_edges=cc)
+        graph = build_neighborhood(points, config.r_max)
     if cc:
         schedule = cc_schedule(graph, m, config.r_min, config.r_max,
                                config.n_steps)

@@ -2,17 +2,17 @@
 connected-component (CC) sampler.
 
 PROSAC and P-NAPSAC grow their pools along PointSet.ranked_order, the
-best-first order the point set fixes once. The CC sampler builds a radius
-graph, an unsorted edge list, once at r_max over the joint coordinate space
-(4D for correspondences). Its samples, the connected components at each
-radius r_min .. r_max of its schedule, largest first, depend on that graph
-alone, so cc_schedule lists them all once per fit, growing the components
-from one radius to the next. After the last of them the engine draws
-PROSAC samples over all points.
+best-first order the point set fixes once. The CC sampler's samples are the
+connected components at each radius r_min .. r_max of its schedule, largest
+first, over the joint coordinate space (4D for correspondences). They
+depend on the coordinates alone, so cc_schedule lists them all once per
+fit, growing the components from one radius to the next with one KD-tree
+pair query per radius until one component holds every point. After the
+last of them the engine draws PROSAC samples over all points.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.sparse import coo_matrix, csgraph
@@ -27,34 +27,24 @@ PNAPSAC_GROWTH_RATE = 10
 
 
 class NeighborhoodGraph:
-    """Immutable radius-annotated edge list over a point set.
-
-    Edges (i, j, d) with i < j hold every pair at Euclidean distance
-    d <= r_max, in no particular order; the subgraph at a smaller radius is
-    the edges with d <= r. Pass build_edges=False for samplers that only
-    need nearest-neighbor queries.
+    """Neighborhoods of a point set: the nearest-neighbor prefixes P-NAPSAC
+    draws from, and the KD-tree the CC sampler asks for the pairs within
+    each radius of its schedule, built on first use. r_max, the largest
+    radius of that schedule, must be positive and finite.
     """
 
-    def __init__(self, points: PointSet, r_max: float, build_edges: bool = True):
+    def __init__(self, points: PointSet, r_max: float):
         if not 0 < r_max < np.inf:
             raise InvalidConfig("r_max must be positive and finite")
         self.n_points = len(points)
+        self.coords = points.coords
         # one contiguous row per coordinate, for the distance pass of nearest
         self._columns = np.ascontiguousarray(points.coords.T)
         self._neighbor_order: dict[int, np.ndarray] = {}
-        pairs = np.zeros((0, 2), dtype=int)
-        if build_edges:
-            pairs = cKDTree(points.coords).query_pairs(
-                r_max, output_type="ndarray")
-        self.edges_i = pairs[:, 0]
-        self.edges_j = pairs[:, 1]
-        self.distances = np.linalg.norm(
-            points.coords[self.edges_i] - points.coords[self.edges_j], axis=1)
-        for arr in (self.edges_i, self.edges_j, self.distances):
-            arr.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.distances)
+    @cached_property
+    def tree(self) -> cKDTree:
+        return cKDTree(self.coords)
 
     def nearest(self, index: int, k: int) -> np.ndarray:
         """Indices of the k nearest neighbors of a point (itself excluded),
@@ -75,37 +65,43 @@ class NeighborhoodGraph:
         return order[:k]
 
 
-def build_neighborhood(points: PointSet, r_max: float,
-                       build_edges: bool = True) -> NeighborhoodGraph:
-    """Radius graph over the joint coordinate space; exact, deterministic."""
-    return NeighborhoodGraph(points, r_max, build_edges)
+def build_neighborhood(points: PointSet, r_max: float) -> NeighborhoodGraph:
+    """Neighborhoods over the joint coordinate space; exact, deterministic."""
+    return NeighborhoodGraph(points, r_max)
 
 
 def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
-    """(r, the components of the subgraph with edges d <= r) for each r of
-    the ascending radii: no singletons, size descending, ties by smallest
-    member, members ascending. Components are nested across radii (single
-    linkage), so each edge is bucketed once by the first radius it joins at
-    and merges the labels carried over from the radius before."""
-    n = graph.n_points
-    labels = np.arange(n)
-    step = np.searchsorted(radii, graph.distances, side="left")
-    for k, r in enumerate(radii):
-        joined = step == k
-        a, b = labels[graph.edges_i[joined]], labels[graph.edges_j[joined]]
-        cross = a != b
-        if cross.any():
-            adjacency = coo_matrix((np.ones(int(cross.sum())),
-                                    (a[cross], b[cross])), shape=(n, n))
-            labels = csgraph.connected_components(adjacency,
-                                                  directed=False)[1][labels]
-        order = np.argsort(labels, kind="stable")   # members ascending
-        sizes = np.bincount(labels, minlength=n)
-        starts = np.cumsum(sizes) - sizes
-        comps = np.flatnonzero(sizes >= 2)
-        comps = comps[np.lexsort((order[starts[comps]], -sizes[comps]))]
-        yield r, [order[starts[c]:starts[c] + sizes[c]].tolist()
-                  for c in comps.tolist()]
+    """(r, the components of the graph joining the pairs within r) for each
+    r of the ascending radii: no singletons, size descending, ties by
+    smallest member, members ascending. Components nest across radii
+    (single linkage): each radius merges the labels of the tree's pairs
+    within r (d^2 <= r^2) until one label covers every point, and the
+    lists are rebuilt only when the labels change."""
+    labels = np.arange(graph.n_points)
+    n_labels = len(labels)   # labels are exactly 0 .. n_labels - 1
+    comps = None
+    for r in radii:
+        if n_labels > 1:
+            pairs = graph.tree.query_pairs(r, output_type="ndarray")
+            a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
+            cross = a != b
+            if cross.any():
+                adjacency = coo_matrix((np.ones(int(cross.sum())),
+                                        (a[cross], b[cross])),
+                                       shape=(n_labels, n_labels))
+                n_labels, joined = csgraph.connected_components(
+                    adjacency, directed=False)
+                labels = joined[labels]
+                comps = None
+        if comps is None:
+            order = np.argsort(labels, kind="stable")   # members ascending
+            sizes = np.bincount(labels, minlength=n_labels)
+            starts = np.cumsum(sizes) - sizes
+            big = np.flatnonzero(sizes >= 2)
+            big = big[np.lexsort((order[starts[big]], -sizes[big]))]
+            comps = [order[starts[c]:starts[c] + sizes[c]].tolist()
+                     for c in big.tolist()]
+        yield r, comps
 
 
 def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
@@ -114,11 +110,11 @@ def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
 
     Walks the radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps
     (one radius when r_min = r_max), growing the components from one radius
-    to the next. At a radius it pops components, largest first, until a
-    sample holds m points (a union when the largest is smaller than m), and
-    keeps doing so while the components left hold m points; then it moves
-    to the next radius, where components served at a smaller radius are
-    offered again once grown.
+    to the next. At each radius it takes that radius's components, largest
+    first, until a sample holds m points (a union when the largest is
+    smaller than m), and keeps doing so while the components left hold m
+    points; then it moves to the next radius, whose components are all
+    offered again, grown or not, including ones served unchanged before.
     """
     if not 0 < r_min <= r_max < np.inf:
         raise InvalidConfig("need 0 < r_min <= r_max < inf")
@@ -126,12 +122,13 @@ def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
         raise InvalidConfig("n_steps must be >= 1")
     radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     samples: list[list[int]] = []
-    for _, pending in _growing_components(graph, radii):
-        left = sum(map(len, pending))
+    for _, comps in _growing_components(graph, radii):
+        pending = iter(comps)
+        left = sum(map(len, comps))
         while left >= m:
             sample: list[int] = []
             while len(sample) < m:
-                sample.extend(pending.pop(0))
+                sample.extend(next(pending))
             left -= len(sample)
             samples.append(sorted(sample))
     return samples

@@ -618,7 +618,7 @@ def _fit_per_draw(points, model_type, config):
     rng = np.random.default_rng(config.seed)
     graph, schedule, cc = None, [], config.sampler == "cc"
     if config.sampler in ("cc", "pnapsac"):
-        graph = build_neighborhood(points, config.r_max, build_edges=cc)
+        graph = build_neighborhood(points, config.r_max)
     if cc:
         schedule = cc_schedule(graph, m, config.r_min, config.r_max,
                                config.n_steps)

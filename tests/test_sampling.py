@@ -4,7 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, csgraph
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 from mmfit import sampling
@@ -47,7 +49,7 @@ def _neighbor_sets():
 @pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
                                     for name, coords in _neighbor_sets()])
 def test_neighbor_order_matches_einsum_oracle(coords):
-    graph = build_neighborhood(PointSet(coords), 1.0, build_edges=False)
+    graph = build_neighborhood(PointSet(coords), 1.0)
     for i in range(len(coords)):
         assert np.array_equal(graph.nearest(i, len(coords) - 1),
                               _einsum_order(coords, i)), i
@@ -77,29 +79,54 @@ def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
         cc_schedule(g, 2, r_min, r_max, n_steps)
 
 
+def _oracle_pairs(coords, r):
+    """Every pair i < j at np.linalg.norm distance <= r, by brute force."""
+    return {(i, j) for i in range(len(coords))
+            for j in range(i + 1, len(coords))
+            if np.linalg.norm(coords[i] - coords[j]) <= r}
+
+
+def _queried_pairs(graph, r):
+    """The pairs the CC sampler merges at radius r."""
+    return set(map(tuple, graph.tree.query_pairs(
+        r, output_type="ndarray").tolist()))
+
+
 def test_collinear_points_single_edge():
-    pts = PointSet(np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]))
-    g = build_neighborhood(pts, 15.0)
-    assert list(zip(g.edges_i, g.edges_j)) == [(0, 1)]
-    assert g.distances[0] == pytest.approx(10.0)
+    coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
+    g = build_neighborhood(PointSet(coords), 15.0)
+    assert _queried_pairs(g, 15.0) == _oracle_pairs(coords, 15.0) == {(0, 1)}
+    assert _components(g, 15.0) == [[0, 1]]
 
 
-def test_empty_point_set_empty_graph():
-    g = build_neighborhood(PointSet(np.zeros((0, 2))), 10.0)
-    assert len(g) == 0
+def test_empty_point_set_empty_graph(monkeypatch):
+    queried = _spy_queries(monkeypatch)
+    for n in (0, 1):
+        g = build_neighborhood(PointSet(np.zeros((n, 2))), 10.0)
+        assert g.n_points == n
+        assert _components(g, 10.0) == []
+        assert cc_schedule(g, 1, 5.0, 10.0, 2) == []
+    assert queried == []
 
 
 def test_graph_matches_bruteforce_pairs(rng):
     coords = rng.uniform(0, 100, size=(200, 2))
-    r = 12.0
-    g = build_neighborhood(PointSet(coords), r)
-    got = set(zip(g.edges_i.tolist(), g.edges_j.tolist()))
-    expected = set()
-    for i in range(200):
-        for j in range(i + 1, 200):
-            if np.linalg.norm(coords[i] - coords[j]) <= r:
-                expected.add((i, j))
-    assert got == expected
+    g = build_neighborhood(PointSet(coords), 12.0)
+    for r in (3.0, 7.5, 12.0):
+        assert _queried_pairs(g, r) == _oracle_pairs(coords, r)
+
+
+def test_pairs_join_by_the_trees_squared_distance():
+    # the norm of the difference rounds to 1.0, its squared sum
+    # 1.0000000000000002 does not: the pair is not within radius 1.0,
+    # whether 1.0 is the largest radius or not
+    coords = np.array([[0.5, 0.3], [1.1, 1.1]])
+    diff = coords[0] - coords[1]
+    assert np.linalg.norm(diff) == 1.0 and diff @ diff > 1.0
+    for r_max in (1.0, 2.0):
+        g = build_neighborhood(PointSet(coords), r_max)
+        assert _queried_pairs(g, 1.0) == set()
+        assert cc_schedule(g, 2, 1.0, r_max, 1) == [[0, 1]] * (r_max > 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,11 +148,12 @@ class _OracleUnionFind:
 
 
 def _oracle_components(coords, r):
+    """Components of the brute-force pairs within r, by union-find. Singletons
+    are excluded; components are sorted by size descending, ties by smallest
+    member; members are sorted ascending."""
     uf = _OracleUnionFind(len(coords))
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            if np.linalg.norm(coords[i] - coords[j]) <= r:
-                uf.union(i, j)
+    for i, j in _oracle_pairs(coords, r):
+        uf.union(i, j)
     groups = {}
     for i in range(len(coords)):
         groups.setdefault(uf.find(i), []).append(i)
@@ -134,29 +162,30 @@ def _oracle_components(coords, r):
     return comps
 
 
-def connected_components(graph, r):
-    """Components of the subgraph with edges d <= r, built from scratch at
-    one radius. Singletons are excluded; components are sorted by size
-    descending, ties by smallest member; members are sorted ascending."""
-    keep = graph.distances <= r
-    n = graph.n_points
-    adjacency = coo_matrix((np.ones(int(keep.sum())),
-                            (graph.edges_i[keep], graph.edges_j[keep])),
-                           shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, directed=False)
-    groups = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    comps = [g for g in groups.values() if len(g) >= 2]
-    comps.sort(key=lambda c: (-len(c), c[0]))
+def _components(graph, r):
+    """The sampler's components at radius r, grown from no earlier radius."""
+    [(_, comps)] = sampling._growing_components(graph, [r])
     return comps
 
 
+def _spy_queries(monkeypatch):
+    """The radii the CC sampler's KD-trees get queried at, in call order."""
+    queried = []
+
+    class SpyTree(cKDTree):
+        def query_pairs(self, r, *args, **kwargs):
+            queried.append(r)
+            return super().query_pairs(r, *args, **kwargs)
+
+    monkeypatch.setattr(sampling, "cKDTree", SpyTree)
+    return queried
+
+
 def test_components_trivial_cases():
-    pts = PointSet(np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]]))
-    g = build_neighborhood(pts, 30.0)
-    assert connected_components(g, 15.0) == [[0, 1]]
-    assert connected_components(g, 0.0) == []
+    coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
+    g = build_neighborhood(PointSet(coords), 30.0)
+    assert _components(g, 15.0) == _oracle_components(coords, 15.0) == [[0, 1]]
+    assert _components(g, 0.0) == _oracle_components(coords, 0.0) == []
 
 
 def test_components_match_union_find_oracle(rng):
@@ -166,7 +195,7 @@ def test_components_match_union_find_oracle(rng):
     g = build_neighborhood(PointSet(coords), 60.0)
     radii = [5.0, 12.0, 30.0, 60.0]
     for r in radii:
-        assert connected_components(g, r) == _oracle_components(coords, r)
+        assert _components(g, r) == _oracle_components(coords, r)
     for r, comps in sampling._growing_components(g, radii):
         assert comps == _oracle_components(coords, r)
 
@@ -178,9 +207,10 @@ def test_components_sorted_largest_first(rng):
         rng.normal([90, 90], 1.0, size=(3, 2)),
     ])
     g = build_neighborhood(PointSet(coords), 20.0)
-    comps = connected_components(g, 10.0)
+    comps = _components(g, 10.0)
     sizes = [len(c) for c in comps]
-    assert sizes == sorted(sizes, reverse=True)
+    assert sizes == sorted(sizes, reverse=True) == [8, 5, 3]
+    assert comps == _oracle_components(coords, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +363,11 @@ def test_cc_exhausted_data():
 
 
 def _cc_schedule_oracle(graph, m, r_min, r_max, n_steps):
-    """cc_schedule with the components built from scratch at each radius."""
+    """cc_schedule with the components of the brute-force pairs built from
+    scratch at each radius."""
     samples = []
     for r in np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist():
-        pending = connected_components(graph, r)
+        pending = _oracle_components(graph.coords, r)
         left = sum(map(len, pending))
         while left >= m:
             sample = []
@@ -380,18 +411,85 @@ def test_cc_schedule_matches_per_radius_oracle(coords, m, r_min, r_max,
     assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
 
 
+_GRID = 5.0 * np.stack(np.meshgrid(np.arange(5), np.arange(5)),
+                      -1).reshape(-1, 2)
+
+
 def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
     # a 5 x 5 grid of spacing 5 beside a far pair: every grid edge sits
     # exactly at the schedule radius 5.0 and must join there
-    grid = 5.0 * np.stack(np.meshgrid(np.arange(5), np.arange(5)), -1)
-    coords = np.vstack([grid.reshape(-1, 2), [[500.0, 500.0], [502.0, 500.0]]])
+    coords = np.vstack([_GRID, [[500.0, 500.0], [502.0, 500.0]]])
     g = build_neighborhood(PointSet(coords), 10.0)
-    assert np.count_nonzero(g.distances == 5.0) == 40
+    pairs = _oracle_pairs(coords, 5.0)
+    assert sum(np.linalg.norm(coords[i] - coords[j]) == 5.0
+               for i, j in pairs) == 40
+    assert _queried_pairs(g, 5.0) == pairs
     schedule, radii, built = _served(monkeypatch, g, 2, 2.5, 10.0, 3)
     assert built == [2.5, 5.0, 7.5, 10.0]
     assert schedule[:2] == [[25, 26], list(range(25))]
     assert radii[:2] == [2.5, 5.0]
     assert schedule == _cc_schedule_oracle(g, 2, 2.5, 10.0, 3)
+
+
+@pytest.mark.parametrize("coords, queried_radii", [
+    pytest.param(_GRID, [2.5, 5.0], id="one-component-from-5"),
+    pytest.param(np.vstack([_GRID, [[500.0, 500.0]]]), [2.5, 5.0, 7.5, 10.0],
+                 id="isolated-far-point"),
+])
+def test_cc_schedule_stops_querying_at_one_component(monkeypatch, coords,
+                                                     queried_radii):
+    # the grid is one component from 5.0 on; a far point keeps it from
+    # holding every point
+    queried = _spy_queries(monkeypatch)
+    g = build_neighborhood(PointSet(coords), 10.0)
+    schedule = cc_schedule(g, 2, 2.5, 10.0, 3)
+    assert queried == queried_radii
+    assert schedule == [list(range(25))] * 3
+    assert schedule == _cc_schedule_oracle(g, 2, 2.5, 10.0, 3)
+
+
+@st.composite
+def _grid_schedules(draw):
+    """Points on a grid of a power-of-two step, some duplicated, and a
+    schedule whose radii are multiples of the step: distances and radii are
+    exact, so pairs tie at schedule radii."""
+    dim = draw(st.sampled_from([2, 3, 4]))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    cells = draw(st.lists(st.lists(st.integers(0, 6), min_size=dim,
+                                   max_size=dim), max_size=24))
+    coords = step * np.array(cells, dtype=float).reshape(-1, dim)
+    if len(coords):
+        coords = coords[draw(st.lists(st.integers(0, len(coords) - 1),
+                                      max_size=6)) + list(range(len(coords)))]
+    n_steps = draw(st.integers(1, 5))
+    r_min = step * draw(st.integers(1, 6))
+    r_max = r_min + step * n_steps * draw(st.integers(0, 2))
+    return coords, draw(st.integers(1, 8)), r_min, r_max, n_steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(_grid_schedules())
+@example((np.zeros((0, 2)), 1, 1.0, 2.0, 1))
+@example((np.zeros((1, 3)), 1, 1.0, 2.0, 1))
+@example((np.array([[0.0, 0, 0, 0], [1, 1, 1, 1]]), 2, 1.0, 3.0, 2))
+@example((np.array([[1.0, 2.0], [1.0, 2.0]]), 2, 0.5, 0.5, 1))
+def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
+    coords, m, r_min, r_max, n_steps = case
+    with pytest.MonkeyPatch.context() as mp:
+        queried = _spy_queries(mp)
+        g = build_neighborhood(PointSet(coords), r_max)
+        schedule = cc_schedule(g, m, r_min, r_max, n_steps)
+    assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
+    # the tree is queried at each radius until one component holds every
+    # point, and never for fewer than two points
+    radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
+    want = []
+    if len(coords) >= 2:
+        for r in radii:
+            want.append(r)
+            if _oracle_components(coords, r) == [list(range(len(coords)))]:
+                break
+    assert queried == want
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +553,7 @@ def test_ranked_order_is_fixed_once(rng):
     with pytest.raises(ValueError):
         points.ranked_order[0] = 1
     assert PointSet(points.coords).ranked_order is None
-    g = build_neighborhood(points, 30.0, build_edges=False)
+    g = build_neighborhood(points, 30.0)
     iterations = [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]
     for m in (1, 2, 4):
         for it in iterations:
@@ -480,7 +578,7 @@ def test_draws_match_choice_oracle(m):
     # state must be those of rng.choice
     coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
     ranked, unranked = _ranked(coords), PointSet(coords)
-    g = build_neighborhood(unranked, 30.0, build_edges=False)
+    g = build_neighborhood(unranked, 30.0)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     order = ranked.ranked_order
     thresholds = sampling._prosac_schedule(40, m)
@@ -525,7 +623,7 @@ def _two_far_clusters(rng):
 
 def test_pnapsac_early_iterations_stay_local(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0, build_edges=False)
+    g = build_neighborhood(points, 100.0)
     gen = np.random.default_rng(0)
     same = 0
     draws = 10_000
@@ -538,7 +636,7 @@ def test_pnapsac_early_iterations_stay_local(rng):
 
 def test_pnapsac_late_iterations_go_global(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0, build_edges=False)
+    g = build_neighborhood(points, 100.0)
     gen = np.random.default_rng(0)
     crossing = 0
     draws = 100_000
@@ -550,7 +648,7 @@ def test_pnapsac_late_iterations_go_global(rng):
 
 def test_pnapsac_single_point_equals_prosac(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0, build_edges=False)
+    g = build_neighborhood(points, 100.0)
     for it in (1, 5, 200):
         a = next_sample_pnapsac(points, 1, it, g, np.random.default_rng(it))
         b = next_sample_prosac(points, 1, it, np.random.default_rng(it))
