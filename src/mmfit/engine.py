@@ -346,7 +346,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     schedule: list[list[int]] = []
     cc = config.sampler == "cc"
     if cc or config.sampler == "pnapsac":
-        graph = build_neighborhood(points, config.r_max)
+        graph = build_neighborhood(points)
     if cc:
         schedule = cc_schedule(graph, m, config.r_min, config.r_max,
                                config.n_steps)
@@ -405,8 +405,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 q = quality_f_from_losses(loss, cache)
                 if is_dominant(q, config.q_min) and not (
                         model_type is ModelType.FUNDAMENTAL
-                        and fundamental_planar_degenerate(
-                            h, points.coords[sample], eps)):
+                        and fundamental_planar_degenerate(points.coords[sample], eps)):
                     loss_row = np.ones(n)
                     loss_row[support] = loss
                     # a copy, so that the block's stack is not kept alive

@@ -310,6 +310,25 @@ def synthesize(spec: SyntheticSpec):
     return _synthesize_fundamental(spec, rng)
 
 
+def _scene(blocks, outlier_count: int, extent: float, dim: int, rng):
+    """The PointSet and labels of a synthetic scene: the instances' point
+    blocks labelled 1..k in order, then outlier_count points uniform in
+    [0, extent)^dim labelled 0. The outliers are the scene's last draw."""
+    outliers = rng.uniform(0, extent, size=(outlier_count, dim))
+    coords = np.vstack([np.zeros((0, dim)), *blocks, outliers])
+    labels = np.repeat(np.r_[1:len(blocks) + 1, 0], [*map(len, blocks), outlier_count])
+    return PointSet(coords), labels
+
+
+def _chord(lo, hi, min_length: float, rng):
+    """Endpoints uniform in the box [lo, hi), p1 redrawn until the chord
+    is at least min_length long."""
+    p0, p1 = rng.uniform(lo, hi), rng.uniform(lo, hi)
+    while np.linalg.norm(p1 - p0) < min_length:
+        p1 = rng.uniform(lo, hi)
+    return p0, p1
+
+
 def _segment_cells(count: int, extent: float, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     """Disjoint axis-aligned cells, one random segment per cell, inset so
     that distinct segments stay at least ~30 units apart."""
@@ -317,48 +336,30 @@ def _segment_cells(count: int, extent: float, rng) -> list[tuple[np.ndarray, np.
     cell = extent / grid
     inset = min(0.15 * cell, cell / 2 - 1)
     picks = rng.choice(grid * grid, size=count, replace=False)
-    out = []
-    for c in picks:
-        gx, gy = c % grid, c // grid
-        lo = np.array([gx * cell + inset, gy * cell + inset])
-        hi = np.array([(gx + 1) * cell - inset, (gy + 1) * cell - inset])
-        p0 = rng.uniform(lo, hi)
-        p1 = rng.uniform(lo, hi)
-        while np.linalg.norm(p1 - p0) < 0.3 * cell:
-            p1 = rng.uniform(lo, hi)
-        out.append((p0, p1))
-    return out
+    cells = [np.array([c % grid, c // grid]) for c in picks]
+    return [_chord(g * cell + inset, (g + 1) * cell - inset, 0.3 * cell, rng)
+            for g in cells]
 
 
 def _synthesize_lines(spec: SyntheticSpec, rng):
     if spec.clustered:
         chords = _segment_cells(spec.instance_count, spec.extent, rng)
     else:
-        chords = []
-        for _ in range(spec.instance_count):
-            p0 = rng.uniform(0, spec.extent, size=2)
-            p1 = rng.uniform(0, spec.extent, size=2)
-            while np.linalg.norm(p1 - p0) < 0.2 * spec.extent:
-                p1 = rng.uniform(0, spec.extent, size=2)
-            chords.append((p0, p1))
-    coords, labels, instances = [], [], []
-    for idx, (p0, p1) in enumerate(chords, start=1):
+        chords = [_chord(np.zeros(2), np.full(2, spec.extent), 0.2 * spec.extent, rng)
+                  for _ in range(spec.instance_count)]
+    blocks, instances = [], []
+    for p0, p1 in chords:
         ts = rng.uniform(0, 1, size=spec.points_per_instance)
         pts = p0 + ts[:, None] * (p1 - p0)
         pts = pts + rng.normal(0, spec.sigma, size=pts.shape) if spec.sigma > 0 else pts
-        coords.append(pts)
-        labels.extend([idx] * len(pts))
+        blocks.append(pts)
         instances.extend(fit_minimal(spec.model_type, np.array([p0, p1])))
-    if spec.outlier_count:
-        coords.append(rng.uniform(0, spec.extent, size=(spec.outlier_count, 2)))
-        labels.extend([0] * spec.outlier_count)
-    coords = np.vstack(coords) if coords else np.zeros((0, 2))
-    return PointSet(coords), np.array(labels, dtype=int), instances
+    return *_scene(blocks, spec.outlier_count, spec.extent, 2, rng), instances
 
 
 def _synthesize_planes(spec: SyntheticSpec, rng):
-    coords, labels, instances = [], [], []
-    for idx in range(1, spec.instance_count + 1):
+    blocks, instances = [], []
+    for _ in range(spec.instance_count):
         normal = rng.normal(size=3)
         normal /= np.linalg.norm(normal)
         anchor = rng.uniform(0.25 * spec.extent, 0.75 * spec.extent, size=3)
@@ -368,15 +369,10 @@ def _synthesize_planes(spec: SyntheticSpec, rng):
         pts = anchor + uv @ basis
         if spec.sigma > 0:
             pts = pts + rng.normal(0, spec.sigma, size=spec.points_per_instance)[:, None] * normal
-        coords.append(pts)
-        labels.extend([idx] * len(pts))
+        blocks.append(pts)
         instances.append(make_instance(ModelType.PLANE3D,
                                        [*normal, -normal @ anchor]))
-    if spec.outlier_count:
-        coords.append(rng.uniform(0, spec.extent, size=(spec.outlier_count, 3)))
-        labels.extend([0] * spec.outlier_count)
-    coords = np.vstack(coords) if coords else np.zeros((0, 3))
-    return PointSet(coords), np.array(labels, dtype=int), instances
+    return *_scene(blocks, spec.outlier_count, spec.extent, 3, rng), instances
 
 
 def _orthobasis(normal: np.ndarray) -> np.ndarray:
@@ -410,50 +406,73 @@ def synthesize_two_view(n_planes: int, points_per_plane: int,
     the image-2 pixels so the symmetric transfer residual has RMS sigma.
     The arguments are checked as SyntheticSpec checks them.
     """
-    SyntheticSpec(ModelType.HOMOGRAPHY, n_planes, points_per_plane, outlier_count,
-                  sigma, extent, seed)
+    spec = SyntheticSpec(ModelType.HOMOGRAPHY, n_planes, points_per_plane,
+                         outlier_count, sigma, extent, seed)
     rng = np.random.default_rng(seed)
-    f = extent
-    K = np.array([[f, 0.0, extent / 2], [0.0, f, extent / 2], [0.0, 0.0, 1.0]])
     rotvec = rng.normal(size=3)
     rotvec *= rng.uniform(0.3, 1.0) * np.radians(10.0) / np.linalg.norm(rotvec)
     R = Rotation.from_rotvec(rotvec).as_matrix()
     t = rng.normal(size=3)
     t *= 0.5 / np.linalg.norm(t)
 
-    coords, labels, instances = [], [], []
-    Kinv = np.linalg.inv(K)
-    for idx in range(1, n_planes + 1):
-        for _ in range(200):  # plane retry
-            normal = rng.normal(size=3) + np.array([0.0, 0.0, 3.0])
-            normal /= np.linalg.norm(normal)
-            depth = rng.uniform(2.0, 5.0)
+    def propose(K):
+        normal = rng.normal(size=3) + np.array([0.0, 0.0, 3.0])
+        normal /= np.linalg.norm(normal)
+        depth = rng.uniform(2.0, 5.0)
 
-            def on_plane(ray):
-                # plane: normal . X = depth, in front of camera 1
-                denom = normal @ ray
-                if abs(denom) < 1e-9 or depth / denom <= 0.1:
-                    return None
-                return depth / denom * ray
+        def on_plane(ray):
+            # plane: normal . X = depth, in front of camera 1
+            denom = normal @ ray
+            if abs(denom) < 1e-9 or depth / denom <= 0.1:
+                return None
+            return depth / denom * ray
 
-            pts = _sample_correspondences(on_plane, K, R, t, points_per_plane,
-                                          extent, rng)
+        return on_plane, R, t, K @ (R + np.outer(t, normal) / depth) @ np.linalg.inv(K)
+
+    points, labels, instances, K = _two_view(spec, rng, propose, sigma / np.sqrt(2.0))
+    return TwoViewScene(points, labels, instances, K, K.copy(), R, t)
+
+
+def _synthesize_fundamental(spec: SyntheticSpec, rng):
+    """One rigid motion per instance; Sampson residual RMS matches sigma."""
+    def propose(K):
+        rotvec = rng.normal(size=3)
+        rotvec *= np.radians(rng.uniform(3.0, 12.0)) / np.linalg.norm(rotvec)
+        R = Rotation.from_rotvec(rotvec).as_matrix()
+        t = rng.normal(size=3)
+        t *= rng.uniform(0.3, 0.8) / np.linalg.norm(t)
+        tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])
+        Kinv = np.linalg.inv(K)
+        return (lambda ray: ray * rng.uniform(2.0, 6.0) / ray[2], R, t,
+                Kinv.T @ tx @ R @ Kinv)
+
+    # the Sampson denominator carries both images' gradients, so per-axis
+    # noise of sigma*sqrt(2) lands the residual RMS at sigma
+    return _two_view(spec, rng, propose, spec.sigma * np.sqrt(2.0))[:3]
+
+
+def _two_view(spec: SyntheticSpec, rng, propose, noise: float):
+    """(PointSet, labels, instances, K) of a scene seen by two cameras with
+    intrinsics K. propose(K) -> (point_on_ray, R, t, matrix) draws one
+    instance, retried up to 200 times until _sample_correspondences places
+    all its points; per-axis normal noise goes on the image-2 pixels."""
+    extent = spec.extent
+    K = np.array([[extent, 0.0, extent / 2], [0.0, extent, extent / 2], [0.0, 0.0, 1.0]])
+    blocks, instances = [], []
+    for _ in range(spec.instance_count):
+        for _ in range(200):
+            point_on_ray, R, t, matrix = propose(K)
+            pts = _sample_correspondences(point_on_ray, K, R, t,
+                                          spec.points_per_instance, extent, rng)
             if pts is not None:
                 break
         else:
-            raise InvalidConfig("could not place a visible plane")
-        if sigma > 0:
-            pts[:, 2:] += rng.normal(0, sigma / np.sqrt(2.0), size=(len(pts), 2))
-        coords.append(pts)
-        labels.extend([idx] * len(pts))
-        H = K @ (R + np.outer(t, normal) / depth) @ Kinv
-        instances.append(make_instance(ModelType.HOMOGRAPHY, H.ravel()))
-    if outlier_count:
-        coords.append(rng.uniform(0, extent, size=(outlier_count, 4)))
-        labels.extend([0] * outlier_count)
-    coords = np.vstack(coords) if coords else np.zeros((0, 4))
-    return TwoViewScene(PointSet(coords), np.array(labels, dtype=int),
-                        instances, K.copy(), K.copy(), R, t)
+            raise InvalidConfig(f"could not place a visible {spec.model_type.value}")
+        if spec.sigma > 0:
+            pts[:, 2:] += rng.normal(0, noise, size=(len(pts), 2))
+        blocks.append(pts)
+        instances.append(make_instance(spec.model_type, matrix.ravel()))
+    return *_scene(blocks, spec.outlier_count, extent, 4, rng), instances, K
 
 
 def _sample_correspondences(point_on_ray, K, R, t, count, extent, rng):
@@ -481,41 +500,3 @@ def _sample_correspondences(point_on_ray, K, R, t, count, extent, rng):
     if len(out) < count:
         return None
     return np.array(out).reshape(-1, 4)
-
-
-def _synthesize_fundamental(spec: SyntheticSpec, rng):
-    """One rigid motion per instance; Sampson residual RMS matches sigma."""
-    extent = spec.extent
-    f = extent
-    K = np.array([[f, 0.0, extent / 2], [0.0, f, extent / 2], [0.0, 0.0, 1.0]])
-    Kinv = np.linalg.inv(K)
-    coords, labels, instances = [], [], []
-    for idx in range(1, spec.instance_count + 1):
-        for _ in range(200):
-            rotvec = rng.normal(size=3)
-            rotvec *= np.radians(rng.uniform(3.0, 12.0)) / np.linalg.norm(rotvec)
-            R = Rotation.from_rotvec(rotvec).as_matrix()
-            t = rng.normal(size=3)
-            t *= rng.uniform(0.3, 0.8) / np.linalg.norm(t)
-            pts = _sample_correspondences(
-                lambda ray: ray * rng.uniform(2.0, 6.0) / ray[2], K, R, t,
-                spec.points_per_instance, extent, rng)
-            if pts is not None:
-                break
-        else:
-            raise InvalidConfig("could not place a visible motion")
-        if spec.sigma > 0:
-            # the Sampson denominator carries both images' gradients, so
-            # per-axis noise of sigma*sqrt(2) lands the residual RMS at sigma
-            pts[:, 2:] += rng.normal(0, spec.sigma * np.sqrt(2.0),
-                                     size=(len(pts), 2))
-        tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])
-        F = Kinv.T @ tx @ R @ Kinv
-        coords.append(pts)
-        labels.extend([idx] * len(pts))
-        instances.append(make_instance(ModelType.FUNDAMENTAL, F.ravel()))
-    if spec.outlier_count:
-        coords.append(rng.uniform(0, extent, size=(spec.outlier_count, 4)))
-        labels.extend([0] * spec.outlier_count)
-    coords = np.vstack(coords) if coords else np.zeros((0, 4))
-    return PointSet(coords), np.array(labels, dtype=int), instances

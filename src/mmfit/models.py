@@ -639,8 +639,7 @@ def _oriented_epipolar(F: np.ndarray, samples: np.ndarray) -> np.ndarray:
             & np.all(signs == signs[:, :1], axis=1))
 
 
-def fundamental_planar_degenerate(instance: ModelInstance, sample,
-                                  epsilon: float) -> bool:
+def fundamental_planar_degenerate(sample, epsilon: float) -> bool:
     """Dominant-plane check for a fundamental matrix fitted from 7 points:
     if a homography fitted to one of three 4-point subsets that pass the
     homography sample screen explains >= 5 of the 7 at threshold epsilon,

@@ -72,24 +72,6 @@ def _closest_rotation(M: np.ndarray) -> np.ndarray:
     return R
 
 
-def _polish_decomposition(Hn, R, t, n, iters: int = 3):
-    """Fixed-point refinement of Hn = R + t n^T; exact decompositions are
-    its fixed points, so each pass sharpens the analytic solution."""
-    if np.linalg.norm(t) < 1e-12:
-        return R, t, n
-    for _ in range(iters):
-        R = _closest_rotation(Hn - np.outer(t, n))
-        A = Hn - R
-        t = A @ n
-        n_new = A.T @ t
-        norm = np.linalg.norm(n_new)
-        if norm < 1e-15:
-            break
-        n = n_new / norm
-        t = A @ n
-    return R, t, n
-
-
 def decompose_homography(H: np.ndarray, K1: np.ndarray,
                          K2: np.ndarray) -> list[HomographyDecomposition]:
     """Analytic decomposition of a homography into (R, t, n) candidates.
@@ -133,7 +115,6 @@ def decompose_homography(H: np.ndarray, K1: np.ndarray,
         R = _closest_rotation(R)
         normal = np.cross(v2, u)
         t_scaled = (Hn - R) @ normal
-        R, t_scaled, normal = _polish_decomposition(Hn, R, t_scaled, normal)
         for sign in (1.0, -1.0):
             ts = sign * t_scaled
             nn = sign * normal

@@ -29,13 +29,10 @@ PNAPSAC_GROWTH_RATE = 10
 class NeighborhoodGraph:
     """Neighborhoods of a point set: the nearest-neighbor prefixes P-NAPSAC
     draws from, and the KD-tree the CC sampler asks for the pairs within
-    each radius of its schedule, built on first use. r_max, the largest
-    radius of that schedule, must be positive and finite.
+    each radius of its schedule, built on first use.
     """
 
-    def __init__(self, points: PointSet, r_max: float):
-        if not 0 < r_max < np.inf:
-            raise InvalidConfig("r_max must be positive and finite")
+    def __init__(self, points: PointSet):
         self.n_points = len(points)
         self.coords = points.coords
         # one contiguous row per coordinate, for the distance pass of nearest
@@ -65,9 +62,9 @@ class NeighborhoodGraph:
         return order[:k]
 
 
-def build_neighborhood(points: PointSet, r_max: float) -> NeighborhoodGraph:
+def build_neighborhood(points: PointSet) -> NeighborhoodGraph:
     """Neighborhoods over the joint coordinate space; exact, deterministic."""
-    return NeighborhoodGraph(points, r_max)
+    return NeighborhoodGraph(points)
 
 
 def _growing_components(graph: NeighborhoodGraph, radii: list[float]):

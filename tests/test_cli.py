@@ -16,8 +16,15 @@ from mmfit.engine import (
     fit,
     misclassification_error,
 )
-from mmfit.ingest import load_scene, save_scene, synthesize_two_view
+from mmfit.ingest import (
+    blur_kernel_to_points,
+    load_scene,
+    save_scene,
+    synthesize_two_view,
+)
 from mmfit.models import ModelType
+
+from test_ingest import render_segments, write_pgm
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -410,6 +417,33 @@ def test_bad_seed_or_synthesis_parameter_exits_1(tmp_path, capsys, command,
     _assert_error_exit(code, out, err)
     assert out == ""
     assert sorted(p.name for p in tmp_path.iterdir()) == ["K.json", "pair.csv"]
+
+
+def test_fit_of_kernel_draws_one_line_per_instance(tmp_path, capsys):
+    kernel = tmp_path / "kernel.pgm"
+    write_pgm(kernel, render_segments([((5.0, 5.0), (55.0, 10.0)),
+                                       ((10.0, 50.0), (50.0, 25.0))], (60, 60)))
+    svg = tmp_path / "kernel.svg"
+    code, out, _ = _run(capsys, "fit", kernel, "--kernel", "--out",
+                        tmp_path / "fit", "--svg", svg, "--json")
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    jsonschema.validate(payload, _schema("instances"))
+    assert payload["model_type"] == "segment2d"
+    assert payload["n_points"] == len(blur_kernel_to_points(kernel))
+    drawing = svg.read_text()
+    assert drawing.count("<line") == len(payload["instances"]) > 0
+    assert drawing.count("<circle") == payload["n_points"]
+
+
+def test_eval_of_unlabeled_scene_exits_1(tmp_path, capsys):
+    scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "2",
+                   "--points", "30")
+    model_type, points, _, _ = load_scene(scene)
+    bare = tmp_path / "bare.csv"
+    save_scene(bare, model_type, points)
+    code, out, err = _run(capsys, "eval", bare, scene.with_suffix(".truth.json"))
+    _assert_error_exit(code, out, err)
 
 
 def test_fit_svg_draws_every_point(tmp_path, capsys):

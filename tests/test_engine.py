@@ -618,7 +618,7 @@ def _fit_per_draw(points, model_type, config):
     rng = np.random.default_rng(config.seed)
     graph, schedule, cc = None, [], config.sampler == "cc"
     if config.sampler in ("cc", "pnapsac"):
-        graph = build_neighborhood(points, config.r_max)
+        graph = build_neighborhood(points)
     if cc:
         schedule = cc_schedule(graph, m, config.r_min, config.r_max,
                                config.n_steps)
@@ -662,8 +662,7 @@ def _fit_per_draw(points, model_type, config):
                 if is_dominant(quality_f_from_losses(loss, min_loss),
                                config.q_min) and not (
                         model_type is ModelType.FUNDAMENTAL
-                        and fundamental_planar_degenerate(
-                            h, points.coords[sample], eps)):
+                        and fundamental_planar_degenerate(points.coords[sample], eps)):
                     batch.append((h, r, loss))
         if batch:
             new, new_r, new_loss = zip(*batch)

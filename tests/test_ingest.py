@@ -253,6 +253,21 @@ def test_synthesize_without_points_keeps_the_family_dimension(model_type):
     assert len(instances) == 2
 
 
+@pytest.mark.parametrize("outliers", [0, 25])
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+def test_synthetic_scene_layout(model_type, outliers):
+    spec = SyntheticSpec(model_type, 3, 20, outliers, 1.0, 400.0, seed=2)
+    points, labels, instances = synthesize(spec)
+    assert labels.dtype.kind == "i"
+    # each instance's points in instance order, labelled 1..k, then outliers
+    assert labels.tolist() == [1] * 20 + [2] * 20 + [3] * 20 + [0] * outliers
+    outlying = points.coords[labels == 0]
+    assert outlying.shape == (outliers, model_type.dim)
+    assert np.all((outlying >= 0.0) & (outlying < spec.extent))
+    assert len(instances) == spec.instance_count
+    assert all(h.model_type is model_type for h in instances)
+
+
 def test_synthesize_deterministic(tmp_path):
     spec = SyntheticSpec(ModelType.LINE2D, 5, 100, 200, 1.0, 1000.0, seed=4)
     a = synthesize(spec)

@@ -14,7 +14,6 @@ from mmfit.engine import _draw
 from mmfit.errors import ExhaustedData, InvalidConfig
 from mmfit.models import PointSet
 from mmfit.sampling import (
-    NeighborhoodGraph,
     build_neighborhood,
     cc_schedule,
     next_sample_pnapsac,
@@ -49,7 +48,7 @@ def _neighbor_sets():
 @pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
                                     for name, coords in _neighbor_sets()])
 def test_neighbor_order_matches_einsum_oracle(coords):
-    graph = build_neighborhood(PointSet(coords), 1.0)
+    graph = build_neighborhood(PointSet(coords))
     for i in range(len(coords)):
         assert np.array_equal(graph.nearest(i, len(coords) - 1),
                               _einsum_order(coords, i)), i
@@ -63,18 +62,12 @@ def _ranked(coords):
 # ---------------------------------------------------------------------------
 # neighborhood graph
 
-@pytest.mark.parametrize("r_max", [0.0, -1.0, np.nan, np.inf])
-def test_graph_rejects_nonpositive_radius(r_max):
-    with pytest.raises(InvalidConfig):
-        NeighborhoodGraph(PointSet(np.zeros((3, 2))), r_max)
-
-
 @pytest.mark.parametrize("r_min, r_max, n_steps",
                          [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0),
                           (np.nan, 30.0, 3), (5.0, np.inf, 3),
                           (5.0, np.nan, 3), (np.inf, np.inf, 3)])
 def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
-    g = build_neighborhood(PointSet(np.zeros((3, 2))), 10.0)
+    g = build_neighborhood(PointSet(np.zeros((3, 2))))
     with pytest.raises(InvalidConfig):
         cc_schedule(g, 2, r_min, r_max, n_steps)
 
@@ -94,7 +87,7 @@ def _queried_pairs(graph, r):
 
 def test_collinear_points_single_edge():
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
-    g = build_neighborhood(PointSet(coords), 15.0)
+    g = build_neighborhood(PointSet(coords))
     assert _queried_pairs(g, 15.0) == _oracle_pairs(coords, 15.0) == {(0, 1)}
     assert _components(g, 15.0) == [[0, 1]]
 
@@ -102,7 +95,7 @@ def test_collinear_points_single_edge():
 def test_empty_point_set_empty_graph(monkeypatch):
     queried = _spy_queries(monkeypatch)
     for n in (0, 1):
-        g = build_neighborhood(PointSet(np.zeros((n, 2))), 10.0)
+        g = build_neighborhood(PointSet(np.zeros((n, 2))))
         assert g.n_points == n
         assert _components(g, 10.0) == []
         assert cc_schedule(g, 1, 5.0, 10.0, 2) == []
@@ -111,7 +104,7 @@ def test_empty_point_set_empty_graph(monkeypatch):
 
 def test_graph_matches_bruteforce_pairs(rng):
     coords = rng.uniform(0, 100, size=(200, 2))
-    g = build_neighborhood(PointSet(coords), 12.0)
+    g = build_neighborhood(PointSet(coords))
     for r in (3.0, 7.5, 12.0):
         assert _queried_pairs(g, r) == _oracle_pairs(coords, r)
 
@@ -124,7 +117,7 @@ def test_pairs_join_by_the_trees_squared_distance():
     diff = coords[0] - coords[1]
     assert np.linalg.norm(diff) == 1.0 and diff @ diff > 1.0
     for r_max in (1.0, 2.0):
-        g = build_neighborhood(PointSet(coords), r_max)
+        g = build_neighborhood(PointSet(coords))
         assert _queried_pairs(g, 1.0) == set()
         assert cc_schedule(g, 2, 1.0, r_max, 1) == [[0, 1]] * (r_max > 1.0)
 
@@ -183,7 +176,7 @@ def _spy_queries(monkeypatch):
 
 def test_components_trivial_cases():
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
-    g = build_neighborhood(PointSet(coords), 30.0)
+    g = build_neighborhood(PointSet(coords))
     assert _components(g, 15.0) == _oracle_components(coords, 15.0) == [[0, 1]]
     assert _components(g, 0.0) == _oracle_components(coords, 0.0) == []
 
@@ -192,7 +185,7 @@ def test_components_match_union_find_oracle(rng):
     a = rng.normal([20, 20], 3.0, size=(20, 2))
     b = rng.normal([80, 80], 3.0, size=(20, 2))
     coords = np.vstack([a, b])
-    g = build_neighborhood(PointSet(coords), 60.0)
+    g = build_neighborhood(PointSet(coords))
     radii = [5.0, 12.0, 30.0, 60.0]
     for r in radii:
         assert _components(g, r) == _oracle_components(coords, r)
@@ -206,7 +199,7 @@ def test_components_sorted_largest_first(rng):
         rng.normal([50, 50], 1.0, size=(5, 2)),
         rng.normal([90, 90], 1.0, size=(3, 2)),
     ])
-    g = build_neighborhood(PointSet(coords), 20.0)
+    g = build_neighborhood(PointSet(coords))
     comps = _components(g, 10.0)
     sizes = [len(c) for c in comps]
     assert sizes == sorted(sizes, reverse=True) == [8, 5, 3]
@@ -254,7 +247,7 @@ def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
 
 def test_cc_returns_clusters_largest_first(rng, monkeypatch):
     points = _two_cluster_scene(rng)
-    g = build_neighborhood(points, 200.0)
+    g = build_neighborhood(points)
     schedule, radii, _ = _served(monkeypatch, g, 2, 20.0, 200.0, 5)
     assert schedule[0] == list(range(40))
     assert schedule[1] == list(range(40, 65))
@@ -264,14 +257,14 @@ def test_cc_returns_clusters_largest_first(rng, monkeypatch):
 def test_cc_single_cluster_of_exactly_m(rng):
     coords = np.array([[0.0, 0.0], [5.0, 0.0]])
     points = PointSet(coords)
-    g = build_neighborhood(points, 50.0)
+    g = build_neighborhood(points)
     assert cc_schedule(g, 2, 10.0, 50.0, 3)[0] == [0, 1]
 
 
 def test_cc_falls_back_to_prosac_when_no_components():
     coords = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 500.0], [500.0, 500.0]])
     points = PointSet(coords, quality_rank=np.arange(4))
-    g = build_neighborhood(points, 50.0)
+    g = build_neighborhood(points)
     assert cc_schedule(g, 2, 10.0, 50.0, 4) == []
     # after the schedule, draw i is the PROSAC draw i - len(schedule)
     for schedule in ([], [[0, 1], [2, 3]]):
@@ -285,7 +278,7 @@ def test_cc_unions_small_components(rng):
     # three pairs, no single component reaches m = 5
     coords = np.array([[0, 0], [1, 0], [50, 50], [51, 50], [100, 0], [101, 0.0]])
     points = PointSet(coords, quality_rank=np.arange(6))
-    g = build_neighborhood(points, 200.0)
+    g = build_neighborhood(points)
     assert cc_schedule(g, 5, 5.0, 10.0, 2)[0] == list(range(6))
 
 
@@ -294,7 +287,7 @@ def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
     points = PointSet(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
                                 [100.0, 0.0, 0.0], [108.0, 0.0, 0.0],
                                 [116.0, 0.0, 0.0]]))
-    g = build_neighborhood(points, 20.0)
+    g = build_neighborhood(points)
     schedule, radii, built = _served(monkeypatch, g, 3, 5.0, 20.0, 3)
     assert built[:2] == [5.0, 10.0]
     assert schedule[0] == [2, 3, 4] and radii[0] == 10.0
@@ -302,14 +295,14 @@ def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
 
 def test_cc_deterministic_sequences(rng):
     points = _two_cluster_scene(rng)
-    seqs = [cc_schedule(build_neighborhood(points, 200.0), 2, 20.0, 200.0, 5)
+    seqs = [cc_schedule(build_neighborhood(points), 2, 20.0, 200.0, 5)
             for _ in range(2)]
     assert len(seqs[0]) >= 6 and seqs[0] == seqs[1]
 
 
 def test_cc_components_connected_at_current_radius(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 300, size=(60, 2)))
-    g = build_neighborhood(points, 120.0)
+    g = build_neighborhood(points)
     schedule, radii, _ = _served(monkeypatch, g, 2, 15.0, 120.0, 4)
     assert len(schedule) >= 8
     for sample, r_now in zip(schedule[:8], radii):
@@ -329,7 +322,7 @@ def test_cc_components_connected_at_current_radius(rng, monkeypatch):
 
 def test_cc_radius_never_decreases(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 500, size=(50, 2)))
-    g = build_neighborhood(points, 100.0)
+    g = build_neighborhood(points)
     _, radii, _ = _served(monkeypatch, g, 2, 10.0, 100.0, 5)
     assert len(set(radii)) >= 2
     assert all(b >= a for a, b in zip(radii, radii[1:]))
@@ -342,7 +335,7 @@ def test_cc_radius_never_decreases(rng, monkeypatch):
 def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
                                              n_steps):
     points = PointSet(np.random.default_rng(1).uniform(0, 40, size=(30, 2)))
-    g = build_neighborhood(points, r_max)
+    g = build_neighborhood(points)
     # more points than the set holds: the whole schedule gets spent
     schedule, _, built = _served(monkeypatch, g, 31, r_min, r_max, n_steps)
     assert schedule == []
@@ -356,7 +349,7 @@ def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
 
 def test_cc_exhausted_data():
     points = PointSet(np.array([[0.0, 0.0]]))
-    g = build_neighborhood(points, 10.0)
+    g = build_neighborhood(points)
     assert cc_schedule(g, 2, 5.0, 10.0, 2) == []
     with pytest.raises(ExhaustedData):
         _draw("cc", points, 2, 1, g, [], np.random.default_rng(0))
@@ -405,7 +398,7 @@ _SCHEDULE_CASES = {
                          _SCHEDULE_CASES.values(), ids=_SCHEDULE_CASES.keys())
 def test_cc_schedule_matches_per_radius_oracle(coords, m, r_min, r_max,
                                                n_steps):
-    g = build_neighborhood(PointSet(coords), r_max)
+    g = build_neighborhood(PointSet(coords))
     schedule = cc_schedule(g, m, r_min, r_max, n_steps)
     assert schedule
     assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
@@ -419,7 +412,7 @@ def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
     # a 5 x 5 grid of spacing 5 beside a far pair: every grid edge sits
     # exactly at the schedule radius 5.0 and must join there
     coords = np.vstack([_GRID, [[500.0, 500.0], [502.0, 500.0]]])
-    g = build_neighborhood(PointSet(coords), 10.0)
+    g = build_neighborhood(PointSet(coords))
     pairs = _oracle_pairs(coords, 5.0)
     assert sum(np.linalg.norm(coords[i] - coords[j]) == 5.0
                for i, j in pairs) == 40
@@ -441,7 +434,7 @@ def test_cc_schedule_stops_querying_at_one_component(monkeypatch, coords,
     # the grid is one component from 5.0 on; a far point keeps it from
     # holding every point
     queried = _spy_queries(monkeypatch)
-    g = build_neighborhood(PointSet(coords), 10.0)
+    g = build_neighborhood(PointSet(coords))
     schedule = cc_schedule(g, 2, 2.5, 10.0, 3)
     assert queried == queried_radii
     assert schedule == [list(range(25))] * 3
@@ -477,7 +470,7 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
     coords, m, r_min, r_max, n_steps = case
     with pytest.MonkeyPatch.context() as mp:
         queried = _spy_queries(mp)
-        g = build_neighborhood(PointSet(coords), r_max)
+        g = build_neighborhood(PointSet(coords))
         schedule = cc_schedule(g, m, r_min, r_max, n_steps)
     assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
     # the tree is queried at each radius until one component holds every
@@ -553,7 +546,7 @@ def test_ranked_order_is_fixed_once(rng):
     with pytest.raises(ValueError):
         points.ranked_order[0] = 1
     assert PointSet(points.coords).ranked_order is None
-    g = build_neighborhood(points, 30.0)
+    g = build_neighborhood(points)
     iterations = [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]
     for m in (1, 2, 4):
         for it in iterations:
@@ -578,7 +571,7 @@ def test_draws_match_choice_oracle(m):
     # state must be those of rng.choice
     coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
     ranked, unranked = _ranked(coords), PointSet(coords)
-    g = build_neighborhood(unranked, 30.0)
+    g = build_neighborhood(unranked)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     order = ranked.ranked_order
     thresholds = sampling._prosac_schedule(40, m)
@@ -623,7 +616,7 @@ def _two_far_clusters(rng):
 
 def test_pnapsac_early_iterations_stay_local(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0)
+    g = build_neighborhood(points)
     gen = np.random.default_rng(0)
     same = 0
     draws = 10_000
@@ -636,7 +629,7 @@ def test_pnapsac_early_iterations_stay_local(rng):
 
 def test_pnapsac_late_iterations_go_global(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0)
+    g = build_neighborhood(points)
     gen = np.random.default_rng(0)
     crossing = 0
     draws = 100_000
@@ -648,7 +641,7 @@ def test_pnapsac_late_iterations_go_global(rng):
 
 def test_pnapsac_single_point_equals_prosac(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points, 100.0)
+    g = build_neighborhood(points)
     for it in (1, 5, 200):
         a = next_sample_pnapsac(points, 1, it, g, np.random.default_rng(it))
         b = next_sample_prosac(points, 1, it, np.random.default_rng(it))
