@@ -7,29 +7,31 @@ kept and new instances in the consensus space, keep the best-quality
 representative of each cluster, and re-estimate its parameters by
 iteratively re-weighted least squares. Points are never crisply assigned
 during fitting; the final report carries both the soft per-point loss
-matrix and a hard minimum-residual assignment.
+matrix and a hard minimum-residual assignment. A hypothesis is a row of a
+(k, n_params) parameter stack with its residual and loss rows beside it;
+ModelInstance objects are built once, for the report's instances.
 
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
-the loop draws the next SAMPLE_BLOCK samples (never past max_proposals,
-nor across the end of the CC schedule) and solves them with one call of
-each stacked kernel: models.minimal_candidates screens, solves and orients
-the minimal samples, models._fit_weighted fits the larger connected
-components, and _score scores all their candidates in one pass. The loop
-takes one entry per draw, with the stopping checks made before every
-draw. A draw depends only on the rng and the draw index (the CC schedule
-is listed once per fit from per-radius pair queries), so entries left when an
-outer iteration ends are the draws the next one would make, and a fit
-gives the same result as drawing and solving one sample at a time. The
-loss is 1 and the IRLS weight 0 from LossFunction.cutoff on, so scoring
-and IRLS work on each row's support, its points with r < cutoff.
+the loop draws the next SAMPLE_BLOCK samples (never past max_proposals, nor
+across the end of the CC schedule) and _candidates solves and scores them
+with one call of each stacked kernel: models.minimal_candidates screens,
+solves and orients the minimal samples, models._fit_weighted fits the
+larger connected components and models._residuals scores their rows. The
+loop takes one entry per draw, with the stopping checks made before every
+draw. A draw depends only on the rng and the draw index (the CC schedule is
+listed once per fit from per-radius pair queries), so entries left when an
+outer iteration ends are the draws the next one would make, and a fit gives
+the same result as drawing and solving one sample at a time. The loss is 1
+and the IRLS weight 0 from LossFunction.cutoff on, so scoring and IRLS work
+on each row's support, its points with r < cutoff.
 
-Each consolidation pass refines all its cluster representatives in one
-refine_irls call. An IRLS iteration computes the weights, the weighted
-non-minimal fits, the residuals and the losses of every row still active
-with one call of each stacked kernel (models._fit_weighted and
-models._residuals); a row leaves the stack when it converges or its
-weighted system is degenerate. Each row's arithmetic is that of refining
-its instance alone.
+Each consolidation pass refines the rows of all its cluster
+representatives in one refine_irls call. An IRLS iteration computes the
+weights, the weighted non-minimal fits, the residuals and the losses of
+every row still active with one call of each stacked kernel
+(models._fit_weighted and models._residuals); a row leaves the stack when
+it converges or its weighted system is degenerate. Each row's arithmetic
+is that of refining it alone.
 """
 from __future__ import annotations
 
@@ -187,10 +189,11 @@ def should_terminate(n_points: int, united_inlier_count: int, k: int, m: int,
 # ---------------------------------------------------------------------------
 # IRLS refinement
 
-def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
-                loss_rows: np.ndarray, points: PointSet, cfg: EngineConfig):
-    """Iteratively re-weighted least squares from each of K >= 1 instances
-    of one family, whose (K, n) residual and loss rows the caller holds.
+def refine_irls(model_type: ModelType, params: np.ndarray,
+                residual_rows: np.ndarray, loss_rows: np.ndarray,
+                points: PointSet, cfg: EngineConfig):
+    """Iteratively re-weighted least squares from each row of a (K, n_params)
+    stack of one family, K >= 1, with its (K, n) residual and loss rows.
 
     Each iteration refits the rows still active with one call of each
     stacked kernel: robust weights and weighted non-minimal fit over each
@@ -199,24 +202,20 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
     stack when its weighted system is degenerate, when its relative
     parameter change drops below IRLS_TOL, or after IRLS_MAX_ITERS refits;
     a row's result does not depend on the others.
-    Returns (best, residual_rows, loss_rows, info): per row the iterate
-    with the best soft support (never worse than the input, and the input
-    object itself when no refit improves it), the input row arrays with the
-    rows of each improved instance overwritten by those of its iterate, and
-    a list of per-row dicts with `iterations`, `converged`, `degenerate` and
-    `loss_trace` (the loss sums of the input and of every refit).
+    Returns the three input stacks, each row overwritten by its iterate
+    with the best soft support where one beats the input (a row no refit
+    improves is returned bit-equal), and a list of per-row dicts with
+    `iterations`, `converged`, `degenerate` and `loss_trace` (the loss sums
+    of the input and of every refit).
     """
     fn = cfg.loss
-    model_type = instances[0].model_type
     n = len(points)
-    best = list(instances)
     totals = loss_rows.sum(axis=1)
     best_q = n - totals
     info = [{"iterations": 0, "degenerate": False, "converged": False,
              "loss_trace": [total]} for total in totals.tolist()]
-    active = np.arange(len(best))
-    params = np.stack([h.params for h in instances])
-    r = residual_rows
+    active = np.arange(len(params))
+    current, r = params, residual_rows
     ri, pi = np.nonzero(r < fn.cutoff)
     for it in range(IRLS_MAX_ITERS):
         refined, ok = _fit_weighted(
@@ -224,12 +223,12 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
             fn.weights(r[ri, pi]) * points.weights[pi], len(r))
         for i in active[~ok].tolist():
             info[i]["degenerate"] = True
-        active, params, refined = active[ok], params[ok], refined[ok]
+        active, current, refined = active[ok], current[ok], refined[ok]
         if not len(active):
             break
-        delta = _relative_change(params, refined)
-        params = refined
-        r = _residuals(model_type, params, points.coords)
+        delta = _relative_change(current, refined)
+        current = refined
+        r = _residuals(model_type, current, points.coords)
         ri, pi = np.nonzero(r < fn.cutoff)
         loss = np.ones_like(r)
         loss[ri, pi] = fn.losses(r[ri, pi])
@@ -240,18 +239,17 @@ def refine_irls(instances: list[ModelInstance], residual_rows: np.ndarray,
         better = np.flatnonzero(n - totals > best_q[active])
         rows = active[better]
         best_q[rows] = n - totals[better]
-        residual_rows[rows], loss_rows[rows] = r[better], loss[better]
-        for j, i in zip(better.tolist(), rows.tolist()):
-            best[i] = ModelInstance(model_type, params[j])
+        params[rows], residual_rows[rows] = current[better], r[better]
+        loss_rows[rows] = loss[better]
         moving = ~(delta < IRLS_TOL)
         for i in active[~moving].tolist():
             info[i]["converged"] = True
         keep = moving[ri]
         ri, pi = (np.cumsum(moving) - 1)[ri[keep]], pi[keep]
-        active, params, r = active[moving], params[moving], r[moving]
+        active, current, r = active[moving], current[moving], r[moving]
         if not len(active):
             break
-    return best, residual_rows, loss_rows, info
+    return params, residual_rows, loss_rows, info
 
 
 def _relative_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -267,48 +265,39 @@ def _relative_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 # Main loop
 
 def _candidates(points: PointSet, model_type: ModelType,
-                samples: list[list[int]]) -> list[list[ModelInstance]]:
-    """Screen and solve a block of samples; per sample, its candidates.
-    The samples of m points go through one call of the stacked kernel
-    minimal_candidates (sample screen, minimal solver and, for F, the
-    oriented epipolar test). The larger ones, connected components, are
-    fitted by least squares with one call of models._fit_weighted, a row
-    of (row, point, weight) triplets per component."""
+                samples: list[list[int]], fn: LossFunction):
+    """Screen, solve and score a block of samples: one minimal_candidates
+    call on the samples of m points (screen, minimal solver and, for F, the
+    oriented epipolar test), one models._fit_weighted call on the larger
+    ones, connected components, then one _residuals call on all their
+    parameter rows in sample order and one fn.losses call on the supports
+    r < fn.cutoff. Per sample, its (parameter row, residual row (a view of
+    the block's matrix), support indices, support losses) entries."""
     m = model_type.m
-    out: list[list[ModelInstance]] = [[] for _ in samples]
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
     larger = [i for i, s in enumerate(samples) if len(s) > m]
-    if minimal:
-        stack = points.coords[np.array([samples[i] for i in minimal])]
-        for i, fitted in zip(minimal, minimal_candidates(model_type, stack)):
-            out[i] = fitted
+    stack = np.array([samples[i] for i in minimal], dtype=int).reshape(-1, m)
+    params, owner = minimal_candidates(model_type, points.coords[stack])
+    owner = np.array(minimal, dtype=int)[owner]
     if larger:
         pts = np.concatenate([samples[i] for i in larger])
         rows = np.repeat(np.arange(len(larger)),
                          [len(samples[i]) for i in larger])
-        params, ok = _fit_weighted(model_type, points.coords, rows, pts,
+        fitted, ok = _fit_weighted(model_type, points.coords, rows, pts,
                                    points.weights[pts], len(larger))
-        for i, p in zip(np.array(larger)[ok].tolist(), params[ok]):
-            out[i] = [ModelInstance(model_type, p)]
-    return out
-
-
-def _score(candidates: list[list[ModelInstance]], points: PointSet,
-           fn: LossFunction):
-    """Score a solved block's candidates in one pass: one _residuals call on
-    their stack, the supports r < fn.cutoff and one fn.losses call on the
-    support values. Per sample, its (instance, residual row (a view of the
-    stack), support indices, support losses) entries."""
-    flat = [h for fitted in candidates for h in fitted]
-    if not flat:
-        return candidates
-    R = _residuals(flat[0].model_type, np.stack([h.params for h in flat]),
-                   points.coords)
+        owner = np.append(owner, np.array(larger)[ok])
+        order = np.argsort(owner, kind="stable")
+        params = np.concatenate([params, fitted[ok]])[order]
+        owner = owner[order]
+    R = _residuals(model_type, params, points.coords)
     rows, support = np.nonzero(R < fn.cutoff)
-    ends = np.searchsorted(rows, np.arange(1, len(flat)))
-    entries = zip(flat, R, np.split(support, ends),
-                  np.split(fn.losses(R[rows, support]), ends))
-    return [[next(entries) for _ in fitted] for fitted in candidates]
+    ends = np.searchsorted(rows, np.arange(1, len(R)))
+    out: list[list[tuple]] = [[] for _ in samples]
+    for i, *entry in zip(owner.tolist(), params, R,
+                         np.split(support, ends),
+                         np.split(fn.losses(R[rows, support]), ends)):
+        out[i].append(tuple(entry))
+    return out
 
 
 def _draw(sampler: str, points: PointSet, m: int, iteration: int, graph,
@@ -354,9 +343,9 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     fn = config.loss
     eps = fn.epsilon
     # drawn, solved and scored samples the loop has not taken yet, oldest
-    # first: per sample, its candidates as _score returns them
+    # first: per sample, its candidates as _candidates returns them
     solved: deque[tuple[list[int], list[tuple]]] = deque()
-    instances: list[ModelInstance] = []
+    kept = np.zeros((0, model_type.n_params))   # the kept instances' rows
     residual_rows = np.zeros((0, n))
     loss_rows = np.zeros((0, n))
     min_loss = np.ones(n)   # per point, over the kept instances
@@ -368,13 +357,13 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
     while stop_reason is None:
         outer += 1
-        batch = []   # (instance, residual row, loss row) per accepted candidate
+        batch = []   # (parameter, residual, loss row) per accepted candidate
         budget = PROPOSAL_BUDGET_FACTOR * config.batch_size
         attempts = 0
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
                and draws < config.max_proposals):
-            if cc and draws >= len(schedule) and (instances or batch):
+            if cc and draws >= len(schedule) and (len(kept) or batch):
                 # the component schedule is spent; its PROSAC fallback is
                 # only a safeguard for when nothing at all has been found
                 cc_spent = True
@@ -390,12 +379,12 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                     stop = min(stop, len(schedule))
                 block = [_draw(config.sampler, points, m, i, graph, schedule,
                                rng) for i in range(draws + 1, stop + 1)]
-                solved.extend(zip(block, _score(
-                    _candidates(points, model_type, block), points, fn)))
+                solved.extend(zip(block, _candidates(points, model_type,
+                                                     block, fn)))
             draws += 1
             attempts += 1
             sample, scored = solved.popleft()
-            for h, r, support, loss in scored:
+            for p, r, support, loss in scored:
                 proposals_tried += 1
                 # the loss is 1 off the support, so both the quality and
                 # its sound upper bound sum over the support alone
@@ -409,27 +398,26 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                     loss_row = np.ones(n)
                     loss_row[support] = loss
                     # a copy, so that the block's stack is not kept alive
-                    batch.append((h, r.copy(), loss_row))
+                    batch.append((p, r.copy(), loss_row))
 
         if batch:
             new, new_r, new_loss = zip(*batch)
-            instances, residual_rows, loss_rows = _prune_by_quality(
-                *_consolidate(instances + list(new), [residual_rows, *new_r],
-                              [loss_rows, *new_loss], points, config),
-                config)
-            min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
+            kept, residual_rows, loss_rows = _prune_by_quality(*_consolidate(
+                model_type, [kept, *new], [residual_rows, *new_r],
+                [loss_rows, *new_loss], points, config), config)
+            min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
         if should_terminate(n, united, draws, m, config.confidence,
                             config.q_min):
             stop_reason = "criterion"
-        elif cc_spent and instances:
+        elif cc_spent and len(kept):
             stop_reason = "cc_spent"
         elif draws >= config.max_proposals:
             stop_reason = "max_proposals"
 
     return FitReport(
-        instances=instances,
+        instances=[ModelInstance(model_type, p) for p in kept],
         min_residual_assignment=min_residual_assignment(residual_rows, eps),
         loss_matrix=loss_rows,
         iterations=outer,
@@ -440,44 +428,44 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     )
 
 
-def _consolidate(instances: list[ModelInstance], residual_rows, loss_rows,
+def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
                  points: PointSet, cfg: EngineConfig):
     """Alternate consensus clustering and IRLS until the clustering returns
-    only singletons. The instance count never increases between passes.
+    only singletons. The row count never increases between passes. params,
     residual_rows and loss_rows are sequences of rows or row blocks in
     instance order; they are stacked here rather than by the caller, so
     that the stacked copies do not outlive the first pass. Each pass hands
-    all its representatives, with their rows, to one refine_irls call and
-    takes the rows of the refined instances from it. Returns the final
-    instances with their (k, n) residual and loss rows."""
-    current = instances
+    the rows of all its representatives to one refine_irls call. Returns
+    the final (k, n_params) parameter and (k, n) residual and loss rows."""
+    params = np.vstack(params)
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
     for n_pass in range(CONSOLIDATION_MAX_PASSES):
         clusters = cluster_instances(loss_rows, cfg.tau)
-        if n_pass > 0 and len(clusters) == len(current):
+        if n_pass > 0 and len(clusters) == len(params):
             break
-        groups = np.empty(len(current), dtype=int)
+        groups = np.empty(len(params), dtype=int)
         for g, members in enumerate(clusters):
             groups[list(members)] = g
         qualities = [quality_f_from_losses(row, cache) for row, cache in
                      zip(loss_rows, min_loss_outside_groups(loss_rows, groups))]
         reps = select_representatives(clusters, qualities)
         # this pass's matrices are released before IRLS allocates its own
-        residual_rows, loss_rows = residual_rows[reps], loss_rows[reps]
-        current, residual_rows, loss_rows, _ = refine_irls(
-            [current[i] for i in reps], residual_rows, loss_rows, points, cfg)
-    return current, residual_rows, loss_rows
+        params, residual_rows, loss_rows = (
+            params[reps], residual_rows[reps], loss_rows[reps])
+        params, residual_rows, loss_rows, _ = refine_irls(
+            model_type, params, residual_rows, loss_rows, points, cfg)
+    return params, residual_rows, loss_rows
 
 
-def _prune_by_quality(instances: list[ModelInstance], residual_rows: np.ndarray,
+def _prune_by_quality(params: np.ndarray, residual_rows: np.ndarray,
                       loss_rows: np.ndarray, cfg: EngineConfig):
-    """Drop instances whose quality against all the others falls below
+    """Drop the rows whose quality against all the others falls below
     q_min; evaluated simultaneously over the final set."""
-    outside = min_loss_outside_groups(loss_rows, np.arange(len(instances)))
-    keep = [i for i in range(len(instances))
+    outside = min_loss_outside_groups(loss_rows, np.arange(len(params)))
+    keep = [i for i in range(len(params))
             if is_dominant(quality_f_from_losses(loss_rows[i], outside[i]),
                            cfg.q_min)]
-    return [instances[i] for i in keep], residual_rows[keep], loss_rows[keep]
+    return params[keep], residual_rows[keep], loss_rows[keep]
 
 
 def min_residual_assignment(residual_rows: np.ndarray,

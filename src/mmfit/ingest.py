@@ -117,11 +117,14 @@ def _load_scene_csv(path: Path):
                 f"expected {expected} fields, got {len(fields)}", line=lineno)
         try:
             values = [float(f) for f in fields]
-            if labeled:
-                labels.append(int(values[dim]))
-        except (ValueError, OverflowError):
+        except ValueError:
             raise ParseError(f"non-numeric field in {stripped!r}", line=lineno)
+        if labeled and not values[dim].is_integer():
+            raise ParseError(f"label {fields[dim]!r} is not an integer",
+                             line=lineno)
         rows.append(values[:dim])
+        if labeled:
+            labels.append(int(values[dim]))
         if scored:
             scores.append(values[-1])
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, dim))
@@ -132,14 +135,18 @@ def _load_scene_csv(path: Path):
 
 def _checked_scene(coords, labels, scores):
     """The PointSet and label array of a loaded scene. Non-finite
-    coordinates, labels or scores that are not numbers, and label or score
-    lists whose length is not the point count raise ParseError, before
-    anything is fitted or written."""
+    coordinates, scores that are not numbers, labels that are not integral
+    numbers, and label or score lists whose length is not the point count
+    raise ParseError, before anything is fitted or written."""
     try:
         ranks = None if scores is None else _ranks(scores)
         points = PointSet(coords, quality_rank=ranks)
+        if labels is not None and not all(
+                type(v) is int or (type(v) is float and v.is_integer())
+                for v in labels):
+            raise ValueError("labels must be integral numbers")
         labels = None if labels is None else np.asarray(labels, dtype=int)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad scene: {exc}") from None
     if labels is not None and labels.shape != (len(points),):
         raise ParseError(f"bad scene: labels must be one integer per point, "
@@ -179,22 +186,18 @@ def _load_scene_json(path: Path):
 
 
 def save_scene(path, model_type: ModelType, points: PointSet,
-               labels=None, scores=None) -> None:
+               labels=None) -> None:
     """Write a scene CSV in canonical formatting: shortest round-trip float
     representation, one point per row."""
     path = Path(path)
     header = [model_type.value, str(model_type.dim)]
     if labels is not None:
         header.append("labeled")
-    if scores is not None:
-        header.append("scored")
     lines = [",".join(header)]
     for i in range(len(points)):
         fields = [repr(float(v)) for v in points.coords[i]]
         if labels is not None:
             fields.append(str(int(labels[i])))
-        if scores is not None:
-            fields.append(repr(float(scores[i])))
         lines.append(",".join(fields))
     path.write_text("\n".join(lines) + "\n")
 

@@ -20,9 +20,10 @@ epipolar test. A stack of line, segment or plane samples is B unit-weight
 rows of the non-minimal fit below. Each treats a sample as its own batch
 row or segment, with the same arithmetic as for one sample, so a sample's
 result does not depend on the stack it comes in. minimal_candidates runs
-a whole block of samples through screen, solver and orientation test;
-fit_minimal and make_instance are its B = 1 calls. A degenerate sample in
-a stack has no solution and raises nothing.
+a whole block of samples through screen, solver and orientation test and
+returns plain rows, a (K, n_params) stack with each row's sample index;
+fit_minimal and make_instance wrap the B = 1 rows in ModelInstance
+objects. A degenerate sample in a stack has no row and raises nothing.
 
 The non-minimal path and the residuals are written over stacks too, of K
 weight or parameter rows on the same points: _fit_weighted fits K rows of
@@ -79,7 +80,7 @@ class PointSet:
     coords is (n, d); weights is (n,); quality_rank is an (n,) integer
     array or None, lower meaning better. ranked_order, the points' stable
     best-first order argsort(quality_rank), is computed once here (None
-    when unranked) for the PROSAC and P-NAPSAC draws.
+    when unranked) for the PROSAC draws.
     """
 
     def __init__(self, coords, weights=None, quality_rank=None):
@@ -353,12 +354,13 @@ def fit_minimal(model_type: ModelType, sample) -> list[ModelInstance]:
     return [ModelInstance(model_type, p) for p in params]
 
 
-def minimal_candidates(model_type: ModelType, samples) -> list[list[ModelInstance]]:
+def minimal_candidates(model_type: ModelType, samples):
     """Screen, solve and orient a (B, m, dim) stack of minimal samples in
-    one pass. Per sample, the list of its candidate instances: empty when
-    _degenerate flags it or the solver cannot handle it, otherwise what
+    one pass. Returns the (K, n_params) candidate rows and the (K,) index
+    of each row's sample, ascending: no row for a sample that _degenerate
+    flags or the solver cannot handle, otherwise the rows of what
     fit_minimal returns, for fundamental matrices only the solutions that
-    pass _oriented_epipolar. Each sample's result does not depend on the
+    pass _oriented_epipolar. Each sample's rows do not depend on the
     others in the stack."""
     samples = np.asarray(samples, dtype=float)
     screened = np.flatnonzero(~_degenerate(model_type, samples))
@@ -367,10 +369,7 @@ def minimal_candidates(model_type: ModelType, samples) -> list[list[ModelInstanc
     if model_type is ModelType.FUNDAMENTAL:
         ok = _oriented_epipolar(params.reshape(-1, 3, 3), samples[rows])
         params, rows = params[ok], rows[ok]
-    out: list[list[ModelInstance]] = [[] for _ in range(len(samples))]
-    for p, row in zip(params, rows.tolist()):
-        out[row].append(ModelInstance(model_type, p))
-    return out
+    return params, rows
 
 
 def fit_nonminimal(model_type: ModelType, points, weights) -> ModelInstance:

@@ -234,20 +234,17 @@ def translation_from_rotation(R: np.ndarray,
 
     Each normalized correspondence (p1, p2) contributes one row
     p1' x p2 with p1' = R p1 to a homogeneous system whose null vector is
-    the translation. Input rows are (u1, v1, u2, v2) with implicit w = 1,
-    or (u1, v1, w1, u2, v2, w2) homogeneous. The sign is resolved so that
-    the majority of the points triangulate in front of both cameras.
+    the translation. Input rows are (u1, v1, u2, v2) with implicit w = 1.
+    The sign is resolved so that the majority of the points triangulate
+    in front of both cameras.
     Raises RankDeficient when the system does not constrain a unique
     direction (e.g. zero translation)."""
     corr = np.asarray(correspondences_normalized, dtype=float)
     if corr.shape[0] < 2:
         raise RankDeficient("need at least two correspondences")
-    if corr.shape[1] == 6:
-        p1, p2 = corr[:, :3], corr[:, 3:]
-    else:
-        ones = np.ones(len(corr))
-        p1 = np.column_stack([corr[:, :2], ones])
-        p2 = np.column_stack([corr[:, 2:], ones])
+    ones = np.ones(len(corr))
+    p1 = np.column_stack([corr[:, :2], ones])
+    p2 = np.column_stack([corr[:, 2:], ones])
     p1r = p1 @ np.asarray(R, dtype=float).T
     A = np.cross(p1r, p2)
     scale = np.linalg.norm(A, axis=1).max()
@@ -258,10 +255,9 @@ def translation_from_rotation(R: np.ndarray,
         raise RankDeficient("coefficient matrix has rank < 2")
     t = Vt[-1]
     t /= np.linalg.norm(t)
-    inhom = np.column_stack([p1[:, :2] / p1[:, 2:3], p2[:, :2] / p2[:, 2:3]])
     eye = np.eye(3)
     pose_pos = RelativePose(np.asarray(R, float), t, "essential")
-    X = triangulate_midpoint(pose_pos, inhom[:, :2], inhom[:, 2:], eye, eye)
+    X = triangulate_midpoint(pose_pos, corr[:, :2], corr[:, 2:], eye, eye)
     X2 = X @ pose_pos.rotation.T + pose_pos.translation
     front = int(np.sum((X[:, 2] > 0) & (X2[:, 2] > 0)))
     if front * 2 < len(corr):

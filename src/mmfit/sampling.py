@@ -1,14 +1,15 @@
 """Minimal-sample proposal: uniform, PROSAC, P-NAPSAC, and the
 connected-component (CC) sampler.
 
-PROSAC and P-NAPSAC grow their pools along PointSet.ranked_order, the
-best-first order the point set fixes once. The CC sampler's samples are the
-connected components at each radius r_min .. r_max of its schedule, largest
-first, over the joint coordinate space (4D for correspondences). They
-depend on the coordinates alone, so cc_schedule lists them all once per
-fit, growing the components from one radius to the next with one KD-tree
-pair query per radius until one component holds every point. After the
-last of them the engine draws PROSAC samples over all points.
+PROSAC grows its pool along PointSet.ranked_order, the best-first order the
+point set fixes once; P-NAPSAC draws its centre uniformly, ranked or not.
+The CC sampler's samples are the connected components at each radius of its
+schedule, r_min to r_max, largest first, over the joint coordinate space
+(4D for correspondences). They depend on the coordinates alone, so
+cc_schedule lists them all once per fit, growing the components from one
+radius to the next with one KD-tree pair query per radius until one
+component holds every point. After the last of them the engine draws PROSAC
+samples over all points.
 """
 from __future__ import annotations
 
@@ -178,13 +179,13 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
 def next_sample_pnapsac(points: PointSet, m: int, iteration: int,
                         graph: NeighborhoodGraph,
                         rng: np.random.Generator) -> list[int]:
-    """P-NAPSAC sample: the first point follows the PROSAC rule, the rest
-    are drawn from a neighborhood of it whose size grows with the
-    iteration count until sampling is effectively global."""
+    """P-NAPSAC sample: the first point is drawn uniformly, whether or not
+    the points are ranked, the rest from a neighborhood of it whose size
+    grows with the iteration count until sampling is effectively global."""
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    center = next_sample_prosac(points, 1, iteration, rng)[0]
+    center = next_sample_uniform(points, 1, rng)[0]
     if m == 1:
         return [center]
     size = min(n - 1, m - 1 + iteration // PNAPSAC_GROWTH_RATE)

@@ -240,8 +240,13 @@ _POINTS = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]
     ("scene.json", json.dumps({"model_type": "line2d", "points": {"x": 0.0}})),
     ("scene.csv", "line2d,2\n0.0,0.0\nnan,1.0\n2.0,2.0\n"),
     ("scene.csv", "line2d,2,labeled\n0.0,0.0,1\n1.0,1.0,inf\n"),
+    ("scene.csv", "line2d,2,labeled\n0.0,0.0,1\n1.0,1.0,1.7\n2.0,2.0,0\n"),
+    ("scene.json", json.dumps({"model_type": "line2d", "points": _POINTS,
+                               "labels": [1.5, 0, 1]})),
+    ("scene.csv", "line2d,2,labeled\n0.0,0.0,1\n1.0,1.0,1e300\n"),
 ], ids=["text-scores", "short-scores", "text-labels", "short-labels",
-        "array-scene", "object-points", "nan-coordinate", "inf-label"])
+        "array-scene", "object-points", "nan-coordinate", "inf-label",
+        "fractional-csv-label", "fractional-json-label", "overflowing-label"])
 def test_fit_of_malformed_scene_exits_1_before_writing(tmp_path, capsys, name,
                                                        text):
     scene = tmp_path / name
@@ -434,6 +439,25 @@ def test_fit_of_kernel_draws_one_line_per_instance(tmp_path, capsys):
     drawing = svg.read_text()
     assert drawing.count("<line") == len(payload["instances"]) > 0
     assert drawing.count("<circle") == payload["n_points"]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("model", ["segment2d", "line2d"])
+def test_fit_of_kernel_finds_both_segments(tmp_path, capsys, model, seed):
+    # the kernel's points are ranked (all in raster order at intensity 1);
+    # the default P-NAPSAC draws its centres uniformly all the same
+    kernel = tmp_path / "kernel.pgm"
+    write_pgm(kernel, render_segments([((5.0, 5.0), (55.0, 10.0)),
+                                       ((10.0, 50.0), (50.0, 25.0))], (60, 60)))
+    out_dir = tmp_path / "fit"
+    code, out, _ = _run(capsys, "fit", kernel, "--kernel", "--model", model,
+                        "--seed", str(seed), "--out", out_dir, "--json")
+    assert code == 0
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert len(payload["instances"]) == 2 and payload["n_points"] == 198
+    rows = (out_dir / "assignment.csv").read_text().splitlines()[1:]
+    assert len(rows) == 198
+    assert all(row.endswith(",0") for row in rows)    # no point is an outlier
 
 
 def test_eval_of_unlabeled_scene_exits_1(tmp_path, capsys):

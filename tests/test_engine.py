@@ -31,6 +31,7 @@ from mmfit.errors import (
 )
 from mmfit.losses import LossFunction, LossKind
 from mmfit.models import (
+    ModelInstance,
     ModelType,
     PointSet,
     fit_minimal,
@@ -79,8 +80,9 @@ def _refine_one(h, points, cfg):
     residual and loss rows and its info."""
     r = residuals(h, points.coords)
     (best,), (best_r,), (best_loss,), (info,) = refine_irls(
-        [h], r[None], cfg.loss.losses(r)[None], points, cfg)
-    return best, best_r, best_loss, info
+        h.model_type, h.params[None].copy(), r[None],
+        cfg.loss.losses(r)[None], points, cfg)
+    return ModelInstance(h.model_type, best), best_r, best_loss, info
 
 
 def test_refine_exact_inliers_converges_fast(rng):
@@ -128,7 +130,8 @@ def test_refine_degenerate_returns_input():
     cfg = default_config(ModelType.LINE2D, 2.0, LossKind.MSAC)
     start = line_instance(0.0, 1.0, -5.0)
     out, out_r, _, info = _refine_one(start, points, cfg)
-    assert info["degenerate"] and out is start
+    assert info["degenerate"]
+    assert out.params.tobytes() == start.params.tobytes()
     assert np.array_equal(out_r, residuals(start, points.coords))
 
 
@@ -204,28 +207,31 @@ def test_stacked_refine_matches_per_instance_oracle(model_type):
     samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
                             replace=False)
                for k in (1, 2, 3) for _ in range(3)]
-    starts = [h for fitted in minimal_candidates(model_type,
-                                                 points.coords[samples])
-              for h in fitted]
-    far = make_instance(model_type, _FAR_AWAY[model_type])
+    starts, _ = minimal_candidates(model_type, points.coords[samples])
+    far = make_instance(model_type, _FAR_AWAY[model_type]).params
     i_far = len(starts) // 2
-    starts.insert(i_far, far)
-    R = np.stack([residuals(h, points.coords) for h in starts])
+    starts = np.insert(starts, i_far, far, axis=0)
+    R = np.stack([residuals(ModelInstance(model_type, p), points.coords)
+                  for p in starts])
     L = cfg.loss.losses(R)
-    R_io, L_io = R.copy(), L.copy()
-    best, best_r, best_loss, info = refine_irls(starts, R_io, L_io, points, cfg)
-    assert best_r is R_io and best_loss is L_io     # rows updated in place
-    for i, h in enumerate(starts):
+    P_io, R_io, L_io = starts.copy(), R.copy(), L.copy()
+    best, best_r, best_loss, info = refine_irls(model_type, P_io, R_io, L_io,
+                                                points, cfg)
+    # stacks updated in place
+    assert best is P_io and best_r is R_io and best_loss is L_io
+    for i, p in enumerate(starts):
+        h = ModelInstance(model_type, p)
         want, want_info = _refine_irls_per_instance(h, R[i].copy(),
                                                     L[i].copy(), points, cfg)
-        assert (best[i] is h) == (want is h)
-        assert np.array_equal(best[i].params, want.params)
+        # a row no refit improves comes back bit-equal
+        assert (best[i].tobytes() == p.tobytes()) == (want is h)
+        assert np.array_equal(best[i], want.params)
         assert np.array_equal(best_r[i], want_info.pop("residuals"))
         assert np.array_equal(best_loss[i], want_info.pop("losses"))
         assert info[i] == want_info
     # the stack mixes rows that leave it at different iterations with a
     # degenerate row that returns its input
-    assert info[i_far]["degenerate"] and best[i_far] is far
+    assert info[i_far]["degenerate"] and best[i_far].tobytes() == far.tobytes()
     live = [d["iterations"] for d in info if not d["degenerate"]]
     assert len(set(live)) > 1
     assert any(d["converged"] for d in info)
@@ -248,10 +254,9 @@ def test_refine_support_losses_equal_dense_losses(monkeypatch, model_type,
     samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
                             replace=False)
                for k in (1, 2, 3) for _ in range(3)]
-    starts = [h for fitted in minimal_candidates(model_type,
-                                                 points.coords[samples])
-              for h in fitted]
-    R = np.stack([residuals(h, points.coords) for h in starts])
+    starts, _ = minimal_candidates(model_type, points.coords[samples])
+    R = np.stack([residuals(ModelInstance(model_type, p), points.coords)
+                  for p in starts])
     stacks = []
 
     def recorded(*args):
@@ -259,8 +264,8 @@ def test_refine_support_losses_equal_dense_losses(monkeypatch, model_type,
         return stacks[-1]
 
     monkeypatch.setattr(engine, "_residuals", recorded)
-    best, best_r, best_loss, info = refine_irls(starts, R.copy(),
-                                                fn.losses(R), points, cfg)
+    best, best_r, best_loss, info = refine_irls(
+        model_type, starts.copy(), R.copy(), fn.losses(R), points, cfg)
     assert np.array_equal(best_loss, fn.losses(best_r))
     traces = [d["loss_trace"] for d in info]
     assert [t[0] for t in traces] == fn.losses(R).sum(axis=1).tolist()
@@ -270,10 +275,11 @@ def test_refine_support_losses_equal_dense_losses(monkeypatch, model_type,
         # the rows still active at an iteration are stacked in row order
         assert ([t[it + 1] for t in traces if len(t) > it + 1]
                 == fn.losses(stack).sum(axis=1).tolist())
-    for i, h in enumerate(starts):
+    for i, p in enumerate(starts):
         want, want_info = _refine_irls_per_instance(
-            h, R[i].copy(), fn.losses(R[i]), points, cfg)
-        assert np.array_equal(best[i].params, want.params)
+            ModelInstance(model_type, p), R[i].copy(), fn.losses(R[i]),
+            points, cfg)
+        assert np.array_equal(best[i], want.params)
         assert np.array_equal(best_r[i], want_info.pop("residuals"))
         assert np.array_equal(best_loss[i], want_info.pop("losses"))
         assert info[i] == want_info
@@ -541,10 +547,12 @@ def test_consolidate_merges_duplicates_monotonically(rng):
                                            g.params + jitter))
     rows = [residuals(h, points.coords) for h in proposals]
     out, residual_rows, loss_rows = _consolidate(
-        proposals, rows, [cfg.loss.losses(r) for r in rows], points, cfg)
-    assert len(out) == 2
+        ModelType.LINE2D, [h.params for h in proposals], rows,
+        [cfg.loss.losses(r) for r in rows], points, cfg)
+    assert out.shape == (2, 3)
     # the rows returned are the scores of the returned instances
-    for h, r_row, l_row in zip(out, residual_rows, loss_rows):
+    for p, r_row, l_row in zip(out, residual_rows, loss_rows):
+        h = ModelInstance(ModelType.LINE2D, p)
         assert np.array_equal(r_row, residuals(h, points.coords))
         assert np.array_equal(l_row, cfg.loss.losses(r_row))
 
@@ -623,7 +631,7 @@ def _fit_per_draw(points, model_type, config):
         schedule = cc_schedule(graph, m, config.r_min, config.r_max,
                                config.n_steps)
     fn, eps = config.loss, config.loss.epsilon
-    instances = []
+    kept = np.zeros((0, model_type.n_params))
     residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
     min_loss = np.ones(n)
     proposals_tried = draws = outer = united = 0
@@ -636,7 +644,7 @@ def _fit_per_draw(points, model_type, config):
         cc_spent = False
         while (len(batch) < config.batch_size and attempts < budget
                and draws < config.max_proposals):
-            if cc and draws >= len(schedule) and (instances or batch):
+            if cc and draws >= len(schedule) and (len(kept) or batch):
                 cc_spent = True
                 break
             if not batch and draws > 0 and should_terminate(
@@ -666,17 +674,18 @@ def _fit_per_draw(points, model_type, config):
                     batch.append((h, r, loss))
         if batch:
             new, new_r, new_loss = zip(*batch)
-            instances, residual_rows, loss_rows = engine._prune_by_quality(
-                *_consolidate(instances + list(new), [residual_rows, *new_r],
-                              [loss_rows, *new_loss], points, config),
+            kept, residual_rows, loss_rows = engine._prune_by_quality(
+                *_consolidate(model_type, [kept, *(h.params for h in new)],
+                              [residual_rows, *new_r], [loss_rows, *new_loss],
+                              points, config),
                 config)
-            min_loss = loss_rows.min(axis=0) if instances else np.ones(n)
+            min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
         ends.append(draws)
         if should_terminate(n, united, draws, m, config.confidence,
                             config.q_min):
             stop_reason = "criterion"
-        elif cc_spent and instances:
+        elif cc_spent and len(kept):
             stop_reason = "cc_spent"
         elif draws >= config.max_proposals:
             stop_reason = "max_proposals"
@@ -684,6 +693,7 @@ def _fit_per_draw(points, model_type, config):
             continue
         break
     fallback = max(draws - len(schedule), 0) if cc else 0
+    instances = [ModelInstance(model_type, p) for p in kept]
     report = FitReport(instances, min_residual_assignment(residual_rows, eps),
                        loss_rows, outer, proposals_tried, fallback, 0.0,
                        stop_reason)
@@ -737,9 +747,9 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     blocks = []
     solve_block = engine._candidates
 
-    def recorded(points, model_type, samples):
+    def recorded(points, model_type, samples, fn):
         blocks.append([len(s) for s in samples])
-        return solve_block(points, model_type, samples)
+        return solve_block(points, model_type, samples, fn)
 
     monkeypatch.setattr(engine, "_candidates", recorded)
     got = fit(points, spec.model_type, cfg)
@@ -759,6 +769,37 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     elif stop == "mixed":
         m = spec.model_type.m
         assert any(m in sizes and max(sizes) > m for sizes in blocks)
+
+
+@pytest.mark.parametrize("spec, sampler", [
+    (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 2, 60, 40, 1.0, seed=5), "pnapsac"),
+    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=7), "pnapsac"),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=8), "pnapsac"),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=11),
+     "pnapsac"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
+                   clustered=True), "cc"),
+], ids=["lines", "segments", "planes", "homographies", "fundamentals",
+        "segments-cc"])
+def test_fit_builds_only_the_reported_instances(monkeypatch, spec, sampler):
+    # candidates, IRLS iterates and consolidated hypotheses stay parameter
+    # rows; a ModelInstance is built for each reported instance alone
+    points, _, _ = synthesize(spec)
+    built = []
+    post_init = ModelInstance.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ModelInstance, "__post_init__", counted)
+    cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
+                         max_proposals=300)
+    report = fit(points, spec.model_type, cfg)
+    assert report.instances
+    assert len(built) == len(report.instances)
+    assert all(a is b for a, b in zip(built, report.instances))
 
 
 # line-family scenes outside the benchmark, at its 2000-draw cap: instances

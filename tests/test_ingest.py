@@ -81,6 +81,38 @@ def test_parse_error_carries_line_number(tmp_path):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("label", ["1.7", "-0.5", "nan", "inf"])
+def test_csv_non_integer_label_is_rejected_at_its_line(tmp_path, label):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"line2d,2,labeled\n1.0,2.0,1\n# note\n3.0,4.0,{label}\n")
+    with pytest.raises(ParseError) as err:
+        load_scene(path)
+    assert err.value.line == 4
+
+
+@pytest.mark.parametrize("labels", [[1.5, 0], [1, float("inf")], [True, 0],
+                                    ["1", 0], [1, None], [1, 10 ** 30]],
+                         ids=["fraction", "inf", "bool", "text", "null",
+                              "overflow"])
+def test_json_non_integral_label_is_rejected(tmp_path, labels):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"model_type": "line2d", "labels": labels,
+                                "points": [[1.0, 2.0], [3.0, 4.0]]}))
+    with pytest.raises(ParseError):
+        load_scene(path)
+
+
+def test_integral_labels_load_from_both_formats(tmp_path):
+    csv = tmp_path / "scene.csv"
+    csv.write_text("line2d,2,labeled\n1.0,2.0,2.0\n3.0,4.0,0\n")
+    js = tmp_path / "scene.json"
+    js.write_text(json.dumps({"model_type": "line2d", "labels": [2.0, 0],
+                              "points": [[1.0, 2.0], [3.0, 4.0]]}))
+    for path in (csv, js):
+        labels = load_scene(path)[2]
+        assert labels.tolist() == [2, 0] and labels.dtype.kind == "i"
+
+
 def test_header_dimension_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("line2d,4\n1.0,2.0,3.0,4.0\n")

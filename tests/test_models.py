@@ -161,13 +161,20 @@ def _stack_row(model_type, kind, rng):
 def test_stacked_candidates_match_one_at_a_time(model_type, kinds, seed):
     rng = np.random.default_rng(seed)
     stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
-    got = minimal_candidates(model_type, stack)
-    assert len(got) == len(stack)
-    for sample, row in zip(stack, got):
+    params, owner = minimal_candidates(model_type, stack)
+    assert params.shape == (len(owner), model_type.n_params)
+    assert np.all(np.diff(owner) >= 0)
+    assert np.all((0 <= owner) & (owner < len(stack)))
+    for b, sample in enumerate(stack):
+        rows = params[owner == b]
+        # bit-equal to the sample's B = 1 call ...
+        alone, at = minimal_candidates(model_type, sample[None])
+        assert rows.tobytes() == alone.tobytes() and not np.any(at)
+        # ... and to the candidates of the public one-sample calls
         want = _one_at_a_time(model_type, sample)
-        assert len(row) == len(want)
-        for a, b in zip(row, want):
-            assert np.array_equal(a.params, b.params)
+        assert len(rows) == len(want)
+        for a, h in zip(rows, want):
+            assert np.array_equal(a, h.params)
 
 
 @pytest.mark.parametrize("model_type", [ModelType.LINE2D, ModelType.SEGMENT2D,
@@ -184,8 +191,9 @@ def test_minimal_lines_segments_planes_are_unit_weight_fits(model_type, kinds,
     # exactly when that fit does
     rng = np.random.default_rng(seed)
     stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
-    got = minimal_candidates(model_type, stack)
-    for sample, row in zip(stack, got):
+    params, owner = minimal_candidates(model_type, stack)
+    for b, sample in enumerate(stack):
+        row = params[owner == b]
         try:
             want = [fit_nonminimal(model_type, sample, np.ones(len(sample)))]
         except DegenerateSample:
@@ -199,8 +207,8 @@ def test_minimal_lines_segments_planes_are_unit_weight_fits(model_type, kinds,
         if sample_degenerate(model_type, sample):
             want = []
         assert len(row) == len(want)
-        for a, b in zip(row, want):
-            assert np.array_equal(a.params, b.params)
+        for a, h in zip(row, want):
+            assert np.array_equal(a, h.params)
 
 
 def test_minimal_line_through_close_points_is_fitted():
@@ -211,7 +219,8 @@ def test_minimal_line_through_close_points_is_fitted():
     assert np.array_equal(
         line.params, fit_nonminimal(ModelType.LINE2D, sample, np.ones(2)).params)
     assert np.allclose(np.abs(line.params), [1.0, 0.0, 1.0])
-    assert minimal_candidates(ModelType.LINE2D, sample[None]) == [[]]
+    params, owner = minimal_candidates(ModelType.LINE2D, sample[None])
+    assert params.shape == (0, 3) and owner.shape == (0,)
 
 
 def _real_roots_oracle(coeffs):

@@ -223,17 +223,6 @@ def test_translation_needs_two_points():
         translation_from_rotation(R, corr[:1])
 
 
-def test_translation_invariant_to_w_scaling():
-    corr, R, t = _normalized_scene(9)
-    hom = np.column_stack([
-        corr[:, :2], np.ones(len(corr)), corr[:, 2:], np.ones(len(corr))])
-    base = translation_from_rotation(R, hom)
-    for lam in (0.5, 3.0, 10.0):
-        scaled = hom * lam
-        out = translation_from_rotation(R, scaled)
-        assert translation_error_deg(out, base) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # multi-homography pose pipeline
 

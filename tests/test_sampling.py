@@ -530,7 +530,7 @@ def _prosac_oracle(points, m, iteration, rng):
 
 
 def _pnapsac_oracle(points, m, iteration, graph, rng):
-    center = _prosac_oracle(points, 1, iteration, rng)[0]
+    center = int(rng.choice(len(points), size=1, replace=False)[0])
     size = min(len(points) - 1,
                m - 1 + iteration // sampling.PNAPSAC_GROWTH_RATE)
     pool = graph.nearest(center, size)
@@ -553,12 +553,16 @@ def test_ranked_order_is_fixed_once(rng):
             got = next_sample_prosac(points, m, it, np.random.default_rng(it))
             want = _prosac_oracle(points, m, it, np.random.default_rng(it))
             assert got == want
+    unranked = PointSet(points.coords)
     for m in (2, 4):
         for it in iterations:
             got = next_sample_pnapsac(points, m, it, g,
                                       np.random.default_rng(it))
             want = _pnapsac_oracle(points, m, it, g, np.random.default_rng(it))
             assert got == want
+            # the ranking does not move a P-NAPSAC draw
+            assert got == next_sample_pnapsac(unranked, m, it, g,
+                                              np.random.default_rng(it))
 
 
 def _choice(rng, k, size):
@@ -639,13 +643,19 @@ def test_pnapsac_late_iterations_go_global(rng):
     assert crossing > 0
 
 
-def test_pnapsac_single_point_equals_prosac(rng):
+def test_pnapsac_single_point_equals_uniform(rng):
+    # the centre is a uniform draw on a ranked set too; 1-point PROSAC
+    # would serve the same top-ranked point for a thousand draws
     points = _two_far_clusters(rng)
     g = build_neighborhood(points)
     for it in (1, 5, 200):
         a = next_sample_pnapsac(points, 1, it, g, np.random.default_rng(it))
-        b = next_sample_prosac(points, 1, it, np.random.default_rng(it))
+        b = next_sample_uniform(points, 1, np.random.default_rng(it))
         assert a == b
+    gen = np.random.default_rng(0)
+    centres = {next_sample_pnapsac(points, 2, it, g, gen)[0]
+               for it in range(2, 202)}
+    assert len(centres) > 25
 
 
 def test_uniform_sampler_distinct(rng):
