@@ -13,17 +13,18 @@ ModelInstance objects are built once, for the report's instances.
 
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
 the loop draws the next SAMPLE_BLOCK samples (never past max_proposals, nor
-across the end of the CC schedule) and _candidates solves and scores them
-with one call of each stacked kernel: models.minimal_candidates screens,
-solves and orients the minimal samples, models._fit_weighted fits the
-larger connected components and models._residuals scores their rows. The
-loop takes one entry per draw, with the stopping checks made before every
-draw. A draw depends only on the rng and the draw index (the CC schedule is
-listed once per fit from per-radius pair queries), so entries left when an
-outer iteration ends are the draws the next one would make, and a fit gives
-the same result as drawing and solving one sample at a time. The loss is 1
-and the IRLS weight 0 from LossFunction.cutoff on, so scoring and IRLS work
-on each row's support, its points with r < cutoff.
+across the end of the CC schedule; one sampling.pnapsac_block call for
+P-NAPSAC) and _candidates solves and scores them with one call of each
+stacked kernel: models.minimal_candidates screens, solves and orients the
+minimal samples, models._fit_weighted fits the larger connected components
+and models._residuals scores their rows. The loop takes one entry per draw,
+with the stopping checks made before every draw. A draw depends only on
+the rng, the draw index and its block (blocks start at fixed draws; the CC
+schedule is listed once per fit from per-radius pair queries), so entries
+left when an outer iteration ends are the draws the next one would make,
+and a fit gives the same result as drawing a block at a time and solving
+one sample at a time. The loss is 1 and the IRLS weight 0 from
+LossFunction.cutoff on, so scoring and IRLS work on each row's support.
 
 Each consolidation pass refines the rows of all its cluster
 representatives in one refine_irls call. An IRLS iteration computes the
@@ -64,9 +65,9 @@ from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
     build_neighborhood,
     cc_schedule,
-    next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
+    pnapsac_block,
 )
 
 OUTLIER = -1
@@ -300,17 +301,15 @@ def _candidates(points: PointSet, model_type: ModelType,
     return out
 
 
-def _draw(sampler: str, points: PointSet, m: int, iteration: int, graph,
+def _draw(sampler: str, points: PointSet, m: int, iteration: int,
           schedule: list[list[int]], rng: np.random.Generator) -> list[int]:
     """The sample at the given 1-based iteration: entry iteration of the
     CC schedule while it lasts, then a PROSAC draw for the CC sampler, or
-    the draw of the uniform, PROSAC or P-NAPSAC sampler."""
+    the draw of the uniform or PROSAC sampler."""
     if iteration <= len(schedule):
         return schedule[iteration - 1]
     if sampler in ("prosac", "cc"):
         return next_sample_prosac(points, m, iteration - len(schedule), rng)
-    if sampler == "pnapsac":
-        return next_sample_pnapsac(points, m, iteration, graph, rng)
     return next_sample_uniform(points, m, rng)
 
 
@@ -377,8 +376,11 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))
-                block = [_draw(config.sampler, points, m, i, graph, schedule,
-                               rng) for i in range(draws + 1, stop + 1)]
+                block = (pnapsac_block(graph, m, draws + 1, stop - draws,
+                                       rng).tolist()
+                         if config.sampler == "pnapsac" else
+                         [_draw(config.sampler, points, m, i, schedule, rng)
+                          for i in range(draws + 1, stop + 1)])
                 solved.extend(zip(block, _candidates(points, model_type,
                                                      block, fn)))
             draws += 1

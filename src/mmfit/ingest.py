@@ -119,8 +119,9 @@ def _load_scene_csv(path: Path):
             values = [float(f) for f in fields]
         except ValueError:
             raise ParseError(f"non-numeric field in {stripped!r}", line=lineno)
-        if labeled and not values[dim].is_integer():
-            raise ParseError(f"label {fields[dim]!r} is not an integer",
+        if labeled and not (values[dim].is_integer()
+                            and -2.0 ** 63 <= values[dim] < 2.0 ** 63):
+            raise ParseError(f"label {fields[dim]!r} is not a 64-bit integer",
                              line=lineno)
         rows.append(values[:dim])
         if labeled:

@@ -2,7 +2,8 @@
 connected-component (CC) sampler.
 
 PROSAC grows its pool along PointSet.ranked_order, the best-first order the
-point set fixes once; P-NAPSAC draws its centre uniformly, ranked or not.
+point set fixes once. P-NAPSAC draws a block at a time: uniform centres,
+ranked or not, and neighbors from pools that grow with the draw index.
 The CC sampler's samples are the connected components at each radius of its
 schedule, r_min to r_max, largest first, over the joint coordinate space
 (4D for correspondences). They depend on the coordinates alone, so
@@ -28,39 +29,44 @@ PNAPSAC_GROWTH_RATE = 10
 
 
 class NeighborhoodGraph:
-    """Neighborhoods of a point set: the nearest-neighbor prefixes P-NAPSAC
-    draws from, and the KD-tree the CC sampler asks for the pairs within
-    each radius of its schedule, built on first use.
+    """Neighborhoods of a point set: prefixes of the neighbor orders of the
+    P-NAPSAC centres drawn so far, and the KD-tree the CC sampler asks for
+    the pairs within each radius of its schedule, built on first use.
     """
 
     def __init__(self, points: PointSet):
         self.n_points = len(points)
         self.coords = points.coords
-        # one contiguous row per coordinate, for the distance pass of nearest
+        # one contiguous row per coordinate, for the distance passes
         self._columns = np.ascontiguousarray(points.coords.T)
-        self._neighbor_order: dict[int, np.ndarray] = {}
+        self._orders: dict[int, np.ndarray] = {}
 
     @cached_property
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
 
-    def nearest(self, index: int, k: int) -> np.ndarray:
-        """Indices of the k nearest neighbors of a point (itself excluded),
-        in increasing distance; prefixes are cached per point and regrown
-        with headroom as larger neighborhoods get requested."""
-        k = min(k, self.n_points - 1)
-        order = self._neighbor_order.get(index)
-        if order is None or len(order) < k:
-            d = np.zeros(self.n_points)
-            for column in self._columns:
-                diff = column - column[index]
-                d += diff * diff
-            d[index] = np.inf
+    def orders(self, centres: list[int], k: int) -> list[np.ndarray]:
+        """Per centre, at least its k <= n - 1 nearest neighbors in order:
+        by squared distance, then index. Shorter stored prefixes grow to
+        max(2k, 16) entries (at most n - 1) in one vectorised pass."""
+        short = np.unique([c for c in centres
+                           if len(self._orders.get(c, ())) < k])
+        if len(short):
             want = min(self.n_points - 1, max(2 * k, 16))
-            top = np.argpartition(d, want - 1)[:want]
-            order = top[np.lexsort((top, d[top]))]  # distance, then index
-            self._neighbor_order[index] = order
-        return order[:k]
+            d = np.zeros((len(short), self.n_points))
+            for column in self._columns:
+                d += (column - column[short, None]) ** 2
+            d[np.arange(len(short)), short] = np.inf
+            top = np.argpartition(d, want - 1)[:, :want]
+            order = np.argsort(np.take_along_axis(d, top, 1))
+            top = np.take_along_axis(top, order, 1)
+            near = np.take_along_axis(d, top, 1)
+            # a row with tied distances in or beside its top is sorted whole
+            tied = (np.diff(near) == 0).any(1) | (
+                np.count_nonzero(d <= near[:, -1:], axis=1) > want)
+            top[tied] = np.argsort(d[tied], kind="stable")[:, :want]
+            self._orders.update(zip(short.tolist(), map(np.copy, top)))  # not views
+        return [self._orders[c] for c in centres]
 
 
 def build_neighborhood(points: PointSet) -> NeighborhoodGraph:
@@ -176,22 +182,28 @@ def next_sample_prosac(points: PointSet, m: int, iteration: int,
     return [int(pivot)] + [int(order[i]) for i in rest]
 
 
-def next_sample_pnapsac(points: PointSet, m: int, iteration: int,
-                        graph: NeighborhoodGraph,
-                        rng: np.random.Generator) -> list[int]:
-    """P-NAPSAC sample: the first point is drawn uniformly, whether or not
-    the points are ranked, the rest from a neighborhood of it whose size
-    grows with the iteration count until sampling is effectively global."""
-    n = len(points)
+def pnapsac_block(graph: NeighborhoodGraph, m: int, first: int, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The (count, m) P-NAPSAC samples of the 1-based draws first onwards,
+    from centres = rng.integers(n, size=count) and, for m > 1, u =
+    rng.random((count, m - 1)). With s = min(n - 1, m - 1 + t //
+    PNAPSAC_GROWTH_RATE), draw t is its centre, then the neighbors at ranks
+    j < m - 1 of its order: the floor(u[:, j] (s - j))-th free rank < s."""
+    n = graph.n_points
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    center = next_sample_uniform(points, 1, rng)[0]
+    centres = rng.integers(n, size=count)
     if m == 1:
-        return [center]
-    size = min(n - 1, m - 1 + iteration // PNAPSAC_GROWTH_RATE)
-    pool = graph.nearest(center, size)
-    picked = _distinct(rng, len(pool), m - 1)
-    return [center] + [int(pool[i]) for i in picked]
+        return centres[:, None]
+    u = rng.random((count, m - 1))
+    s = np.minimum(n - 1, m - 1 + np.arange(first, first + count)
+                   // PNAPSAC_GROWTH_RATE)
+    ranks = np.floor(u * (s[:, None] - np.arange(m - 1))).astype(int)
+    for j in range(1, m - 1):   # skip the ranks taken before, ascending
+        for taken in np.sort(ranks[:, :j], axis=1).T:
+            ranks[:, j] += ranks[:, j] >= taken
+    orders = graph.orders(centres.tolist(), int(s[-1]))
+    return np.column_stack([centres, [o[r] for o, r in zip(orders, ranks)]])
 
 
 def next_sample_uniform(points: PointSet, m: int,

@@ -15,8 +15,8 @@ import workloads  # noqa: E402
 # per workload and pinned scene seed: instances found, misclassified points
 # out of the scene's points, stop reason, proposals tried
 EXPECTED = {
-    "pose-h4": {1: (2, 300, 800, "max_proposals", 909)},       # ME 37.5 %
-    "fundamental-m4": {1: (9, 389, 800, "max_proposals", 538)},  # 48.625 %
+    "pose-h4": {1: (2, 300, 800, "max_proposals", 915)},       # ME 37.5 %
+    "fundamental-m4": {1: (6, 191, 800, "max_proposals", 561)},  # 23.875 %
     "lines-l16": {1: (17, 178, 2600, "max_proposals", 2000)},  # ME 6.846 %
     "segments-cc": {1: (16, 9, 2000, "cc_spent", 84),          # mean ME
                     2: (16, 8, 2000, "cc_spent", 82),          # 0.4625 %

@@ -90,6 +90,24 @@ def test_csv_non_integer_label_is_rejected_at_its_line(tmp_path, label):
     assert err.value.line == 4
 
 
+@pytest.mark.parametrize("label", ["1e300", "-1e300", "9.3e18", "-9.3e18"])
+def test_csv_label_beyond_int64_is_rejected_at_its_line(tmp_path, label):
+    # integral, but no int64 holds it
+    path = tmp_path / "bad.csv"
+    path.write_text(f"line2d,2,labeled\n1.0,2.0,1\n# note\n3.0,4.0,{label}\n")
+    with pytest.raises(ParseError) as err:
+        load_scene(path)
+    assert err.value.line == 4
+
+
+def test_csv_label_at_int64_bounds_loads(tmp_path):
+    path = tmp_path / "scene.csv"
+    path.write_text("line2d,2,labeled\n1.0,2.0,-9.2e18\n3.0,4.0,9.2e18\n")
+    labels = load_scene(path)[2]
+    assert labels.tolist() == [-9_200_000_000_000_000_000,
+                               9_200_000_000_000_000_000]
+
+
 @pytest.mark.parametrize("labels", [[1.5, 0], [1, float("inf")], [True, 0],
                                     ["1", 0], [1, None], [1, 10 ** 30]],
                          ids=["fraction", "inf", "bool", "text", "null",

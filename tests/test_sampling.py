@@ -10,25 +10,32 @@ from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 from mmfit import sampling
-from mmfit.engine import _draw
+from mmfit.engine import _draw, default_config, fit
 from mmfit.errors import ExhaustedData, InvalidConfig
-from mmfit.models import PointSet
+from mmfit.models import ModelType, PointSet
 from mmfit.sampling import (
     build_neighborhood,
     cc_schedule,
-    next_sample_pnapsac,
     next_sample_prosac,
     next_sample_uniform,
+    pnapsac_block,
 )
 
 
-def _einsum_order(coords, index):
-    """Oracle of NeighborhoodGraph.nearest: every other point ordered by
-    its einsum squared distance to the centre, then by index."""
-    diff = coords - coords[index]
-    d = np.einsum("ij,ij->i", diff, diff)
-    others = np.delete(np.arange(len(coords)), index)
-    return others[np.lexsort((others, d[others]))]
+def _lexsort_orders(coords):
+    """Brute-force neighbor orders, one row per point: every other point by
+    its einsum squared distance to the centre, then by index (np.lexsort
+    over the whole row, 256 centres at a time)."""
+    n = len(coords)
+    index = np.arange(n)
+    rows = []
+    for start in range(0, n, 256):
+        centres = index[start:start + 256]
+        diff = coords[None] - coords[centres, None]
+        d = np.einsum("cij,cij->ci", diff, diff)
+        order = np.lexsort((np.broadcast_to(index, d.shape), d), axis=-1)
+        rows.append(order[order != centres[:, None]].reshape(-1, n - 1))
+    return np.vstack(rows)
 
 
 def _neighbor_sets():
@@ -48,10 +55,33 @@ def _neighbor_sets():
 @pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
                                     for name, coords in _neighbor_sets()])
 def test_neighbor_order_matches_einsum_oracle(coords):
-    graph = build_neighborhood(PointSet(coords))
-    for i in range(len(coords)):
-        assert np.array_equal(graph.nearest(i, len(coords) - 1),
-                              _einsum_order(coords, i)), i
+    # every centre, filled 32 at a time: prefixes of 16 and of 200, whose
+    # boundary distance ties with points left out on the grids
+    n = len(coords)
+    want = _lexsort_orders(coords)
+    centres = np.random.default_rng(n).permutation(n).tolist()
+    for k in (5, 100):
+        graph = build_neighborhood(PointSet(coords))
+        for start in range(0, n, 32):
+            chunk = centres[start:start + 32]
+            for c, got in zip(chunk, graph.orders(chunk, k)):
+                assert len(got) == min(n - 1, max(2 * k, 16))
+                assert np.array_equal(got, want[c, :len(got)]), c
+
+
+def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
+    # around point 0, 15 points at distinct distances, then four at the
+    # same distance: the 16-entry prefix ends with the first of the four
+    line = np.arange(16.0)
+    ring = 16.0 * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
+    far = np.column_stack([np.arange(20, 40.0), np.full(20, 30.0)])
+    coords = np.vstack([np.column_stack([line, 0 * line]), ring, far])
+    for seed in range(30):
+        perm = np.random.default_rng(seed).permutation(len(coords))
+        shuffled = coords[perm]
+        centre = int(np.flatnonzero(perm == 0)[0])
+        got, = build_neighborhood(PointSet(shuffled)).orders([centre], 5)
+        assert np.array_equal(got, _lexsort_orders(shuffled)[centre, :16])
 
 
 def _ranked(coords):
@@ -268,7 +298,7 @@ def test_cc_falls_back_to_prosac_when_no_components():
     assert cc_schedule(g, 2, 10.0, 50.0, 4) == []
     # after the schedule, draw i is the PROSAC draw i - len(schedule)
     for schedule in ([], [[0, 1], [2, 3]]):
-        got = _draw("cc", points, 2, len(schedule) + 3, g, schedule,
+        got = _draw("cc", points, 2, len(schedule) + 3, schedule,
                     np.random.default_rng(0))
         want = next_sample_prosac(points, 2, 3, np.random.default_rng(0))
         assert got == want
@@ -352,7 +382,7 @@ def test_cc_exhausted_data():
     g = build_neighborhood(points)
     assert cc_schedule(g, 2, 5.0, 10.0, 2) == []
     with pytest.raises(ExhaustedData):
-        _draw("cc", points, 2, 1, g, [], np.random.default_rng(0))
+        _draw("cc", points, 2, 1, [], np.random.default_rng(0))
 
 
 def _cc_schedule_oracle(graph, m, r_min, r_max, n_steps):
@@ -529,15 +559,6 @@ def _prosac_oracle(points, m, iteration, rng):
     return [int(order[subset - 1])] + [int(order[i]) for i in rest]
 
 
-def _pnapsac_oracle(points, m, iteration, graph, rng):
-    center = int(rng.choice(len(points), size=1, replace=False)[0])
-    size = min(len(points) - 1,
-               m - 1 + iteration // sampling.PNAPSAC_GROWTH_RATE)
-    pool = graph.nearest(center, size)
-    picked = rng.choice(len(pool), size=m - 1, replace=False)
-    return [center] + [int(pool[i]) for i in picked]
-
-
 def test_ranked_order_is_fixed_once(rng):
     # ranks with ties, so that only a stable order matches
     rank = rng.integers(0, 8, size=40)
@@ -545,24 +566,17 @@ def test_ranked_order_is_fixed_once(rng):
     assert np.array_equal(points.ranked_order, np.argsort(rank, kind="stable"))
     with pytest.raises(ValueError):
         points.ranked_order[0] = 1
-    assert PointSet(points.coords).ranked_order is None
-    g = build_neighborhood(points)
-    iterations = [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]
+    unranked = PointSet(points.coords)
+    assert unranked.ranked_order is None
     for m in (1, 2, 4):
-        for it in iterations:
+        for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]:
             got = next_sample_prosac(points, m, it, np.random.default_rng(it))
             want = _prosac_oracle(points, m, it, np.random.default_rng(it))
             assert got == want
-    unranked = PointSet(points.coords)
-    for m in (2, 4):
-        for it in iterations:
-            got = next_sample_pnapsac(points, m, it, g,
-                                      np.random.default_rng(it))
-            want = _pnapsac_oracle(points, m, it, g, np.random.default_rng(it))
-            assert got == want
-            # the ranking does not move a P-NAPSAC draw
-            assert got == next_sample_pnapsac(unranked, m, it, g,
-                                              np.random.default_rng(it))
+    # the ranking does not move a P-NAPSAC fit
+    cfg = default_config(ModelType.LINE2D, 3.0, max_proposals=100)
+    assert fit(points, ModelType.LINE2D, cfg).to_dict() == \
+        fit(unranked, ModelType.LINE2D, cfg).to_dict()
 
 
 def _choice(rng, k, size):
@@ -575,20 +589,11 @@ def test_draws_match_choice_oracle(m):
     # state must be those of rng.choice
     coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
     ranked, unranked = _ranked(coords), PointSet(coords)
-    g = build_neighborhood(unranked)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     order = ranked.ranked_order
     thresholds = sampling._prosac_schedule(40, m)
     for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7] * 3:
         assert next_sample_uniform(unranked, m, got) == _choice(want, 40, m)
-
-        center = _choice(want, 40, 1)[0]
-        expected = [center]
-        if m > 1:
-            size = min(39, m - 1 + it // sampling.PNAPSAC_GROWTH_RATE)
-            pool = g.nearest(center, size)
-            expected += [int(pool[i]) for i in _choice(want, size, m - 1)]
-        assert next_sample_pnapsac(unranked, m, it, g, got) == expected
 
         if it > thresholds[-1]:
             expected = _choice(want, 40, m)
@@ -618,44 +623,112 @@ def _two_far_clusters(rng):
     return PointSet(coords, quality_rank=np.arange(50))
 
 
+def _pnapsac_block_oracle(orders, m, first, count, rng):
+    """pnapsac_block from the same two generator calls, one draw at a time:
+    rank j is entry floor(u_j (s - j)) of the ranks not taken yet, looked
+    up in the brute-force neighbor orders."""
+    n = len(orders)
+    centres = rng.integers(n, size=count)
+    if m == 1:
+        return centres[:, None]
+    u = rng.random((count, m - 1))
+    samples = []
+    for t, centre, row in zip(range(first, first + count), centres, u):
+        s = min(n - 1, m - 1 + t // sampling.PNAPSAC_GROWTH_RATE)
+        free = list(range(s))
+        ranks = [free.pop(int(np.floor(x * (s - j))))
+                 for j, x in enumerate(row)]
+        samples.append([centre, *orders[centre, ranks]])
+    return np.array(samples)
+
+
+_BLOCK_SCENES = {
+    "random-2d": np.random.default_rng(2).uniform(0, 100, (40, 2)),
+    "random-3d": np.random.default_rng(3).uniform(0, 100, (150, 3)),
+    "random-4d": np.random.default_rng(4).uniform(0, 100, (120, 4)),
+    "duplicates": _with_duplicates(),
+    "seven-points": np.random.default_rng(7).uniform(0, 100, (7, 2)),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 7])
+@pytest.mark.parametrize("coords", _BLOCK_SCENES.values(),
+                         ids=_BLOCK_SCENES.keys())
+def test_pnapsac_block_matches_lexsort_oracle(coords, m):
+    # the engine's blocks from draw 1 until the neighborhood is every other
+    # point, a block cut short, and a late one
+    n = len(coords)
+    orders = _lexsort_orders(coords)
+    g = build_neighborhood(PointSet(coords))
+    got, want = np.random.default_rng(m), np.random.default_rng(m)
+    firsts = list(range(1, sampling.PNAPSAC_GROWTH_RATE * n + 64, 32))
+    for first, count in [(f, 32) for f in firsts] + [(10 ** 6, 7)]:
+        block = pnapsac_block(g, m, first, count, got)
+        assert block.shape == (count, m)
+        assert np.array_equal(
+            block, _pnapsac_block_oracle(orders, m, first, count, want))
+        assert all(len(set(row)) == m for row in block.tolist())
+        largest = min(n - 1, m - 1 + (first + count - 1)
+                      // sampling.PNAPSAC_GROWTH_RATE)
+        for centre, order in g._orders.items():
+            # an exact prefix with headroom for twice the largest pool yet
+            assert len(order) <= max(2 * largest, 16)
+            assert np.array_equal(order, orders[centre, :len(order)])
+    # two generator calls a block, as the oracle makes them
+    assert got.bit_generator.state == want.bit_generator.state
+
+
+@pytest.mark.parametrize("n, m", [(12, 3), (7, 4)])
+def test_pnapsac_ranks_are_uniform(n, m):
+    # every ordered choice of m - 1 distinct ranks of the s = n - 1 pool
+    # is equally likely
+    coords = np.random.default_rng(n).uniform(0, 100, (n, 2))
+    g = build_neighborhood(PointSet(coords))
+    block = pnapsac_block(g, m, 10 ** 6, 30_000, np.random.default_rng(0))
+    position = np.zeros((n, n), dtype=int)   # of each point in each order
+    np.put_along_axis(position, _lexsort_orders(coords), np.arange(n - 1),
+                      axis=1)
+    ranks = position[block[:, :1], block[:, 1:]]
+    s = n - 1
+    cells = np.ravel_multi_index(ranks.T, (s,) * (m - 1))
+    counts = np.bincount(cells, minlength=s ** (m - 1))
+    distinct = [len(set(r)) == m - 1
+                for r in np.ndindex(*(s,) * (m - 1))]
+    assert counts[~np.array(distinct)].sum() == 0
+    assert chisquare(counts[np.array(distinct)]).pvalue > 1e-4
+
+
+def test_pnapsac_block_exhausted():
+    g = build_neighborhood(PointSet(np.zeros((2, 2))))
+    with pytest.raises(ExhaustedData):
+        pnapsac_block(g, 3, 1, 32, np.random.default_rng(0))
+
+
 def test_pnapsac_early_iterations_stay_local(rng):
     points = _two_far_clusters(rng)
     g = build_neighborhood(points)
     gen = np.random.default_rng(0)
-    same = 0
-    draws = 10_000
-    for i in range(draws):
-        s = next_sample_pnapsac(points, 3, 1 + i % 5, g, gen)
-        side = {int(idx >= 25) for idx in s}
-        same += len(side) == 1
-    assert same / draws > 0.9
+    # draws 1 .. 8 pick from the two nearest neighbors
+    block = np.vstack([pnapsac_block(g, 3, 1, 8, gen) for _ in range(1250)])
+    same = np.all((block >= 25) == (block[:, :1] >= 25), axis=1)
+    assert same.mean() > 0.9
 
 
 def test_pnapsac_late_iterations_go_global(rng):
     points = _two_far_clusters(rng)
     g = build_neighborhood(points)
-    gen = np.random.default_rng(0)
-    crossing = 0
-    draws = 100_000
-    for _ in range(draws):
-        s = next_sample_pnapsac(points, 2, 10 ** 6, g, gen)
-        crossing += len({int(idx >= 25) for idx in s}) == 2
-    assert crossing > 0
+    block = pnapsac_block(g, 2, 10 ** 6, 100_000, np.random.default_rng(0))
+    assert np.any((block[:, 0] >= 25) != (block[:, 1] >= 25))
 
 
 def test_pnapsac_single_point_equals_uniform(rng):
-    # the centre is a uniform draw on a ranked set too; 1-point PROSAC
-    # would serve the same top-ranked point for a thousand draws
-    points = _two_far_clusters(rng)
-    g = build_neighborhood(points)
-    for it in (1, 5, 200):
-        a = next_sample_pnapsac(points, 1, it, g, np.random.default_rng(it))
-        b = next_sample_uniform(points, 1, np.random.default_rng(it))
-        assert a == b
-    gen = np.random.default_rng(0)
-    centres = {next_sample_pnapsac(points, 2, it, g, gen)[0]
-               for it in range(2, 202)}
-    assert len(centres) > 25
+    # a one-point sample is its centre, rng.integers(n, size=count)
+    g = build_neighborhood(_two_far_clusters(rng))
+    for first, count in [(1, 32), (5, 7), (200, 1)]:
+        got, want = np.random.default_rng(first), np.random.default_rng(first)
+        block = pnapsac_block(g, 1, first, count, got)
+        assert np.array_equal(block, want.integers(50, size=count)[:, None])
+        assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_uniform_sampler_distinct(rng):

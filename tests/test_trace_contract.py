@@ -17,12 +17,14 @@ import spans  # noqa: E402
 # longer binds the name: the engine screens, solves and orients minimal
 # samples in blocks through models.minimal_candidates, fits connected
 # components in blocks through models._fit_weighted, scores each solved
-# block with one models._residuals call and serves the CC samples from
-# sampling.cc_schedule
+# block with one models._residuals call, serves the CC samples from
+# sampling.cc_schedule and draws P-NAPSAC samples a block at a time through
+# sampling.pnapsac_block
 RETIRED = {(engine, name) for name in (
     "preference_vector_from_dense", "sample_cheirality_ok",
     "sample_degenerate", "fit_minimal", "oriented_epipolar_ok",
-    "fit_nonminimal", "residuals", "cc_can_sample", "next_sample_cc")}
+    "fit_nonminimal", "residuals", "cc_can_sample", "next_sample_cc",
+    "next_sample_pnapsac")}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
