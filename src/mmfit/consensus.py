@@ -10,7 +10,6 @@ and clusters are the connected components of that graph.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 
 def tanimoto_matrix(loss_rows: np.ndarray) -> np.ndarray:
@@ -36,14 +35,17 @@ def cluster_instances(loss_rows: np.ndarray,
         raise ValueError("tau must lie in (0, 1)")
     if len(loss_rows) == 0:
         return []
-    _, labels = connected_components(tanimoto_matrix(loss_rows) >= tau,
-                                     directed=False)
-    groups: dict[int, list[int]] = {}
-    for i, label in enumerate(labels.tolist()):
-        groups.setdefault(label, []).append(i)
-    # labels are visited in index order, so groups come out sorted by their
-    # first member and each member list is ascending
-    return [tuple(members) for members in groups.values()]
+    linked = tanimoto_matrix(loss_rows) >= tau
+    # each instance takes the least label of itself and its links, then that
+    # label's label, until none falls: a component's label is its first member
+    labels = np.arange(len(linked))
+    while True:
+        least = np.minimum(labels, np.where(linked, labels, len(labels)).min(1))
+        if np.array_equal(least[least], labels):
+            break
+        labels = least[least]
+    return [tuple(np.flatnonzero(labels == first).tolist())
+            for first in np.unique(labels).tolist()]
 
 
 def select_representatives(clusters: list[tuple[int, ...]],

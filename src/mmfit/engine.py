@@ -26,13 +26,13 @@ and a fit gives the same result as drawing a block at a time and solving
 one sample at a time. The loss is 1 and the IRLS weight 0 from
 LossFunction.cutoff on, so scoring and IRLS work on each row's support.
 
-Each consolidation pass refines the rows of all its cluster
-representatives in one refine_irls call. An IRLS iteration computes the
-weights, the weighted non-minimal fits, the residuals and the losses of
-every row still active with one call of each stacked kernel
-(models._fit_weighted and models._residuals); a row leaves the stack when
-it converges or its weighted system is degenerate. Each row's arithmetic
-is that of refining it alone.
+Each consolidation pass refines its cluster representatives in one
+refine_irls call, but those it flagged as fixed points before. An IRLS
+iteration computes the weighted non-minimal fits, the residuals, and the
+losses with the next weights of every row still active with one call of
+each stacked kernel; a row leaves the stack when it converges or its
+weighted system is degenerate. Each row's arithmetic is that of refining
+it alone. Only the CC sampler and the evaluation's matching import scipy.
 """
 from __future__ import annotations
 
@@ -41,8 +41,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .consensus import cluster_instances, select_representatives
 from .errors import (
@@ -202,12 +200,15 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
     losses on them (every loss beyond the support is 1). A row leaves the
     stack when its weighted system is degenerate, when its relative
     parameter change drops below IRLS_TOL, or after IRLS_MAX_ITERS refits;
-    a row's result does not depend on the others.
+    a row's result does not depend on the others. A refit's weights come
+    from the loss evaluation of the iterate before it.
     Returns the three input stacks, each row overwritten by its iterate
     with the best soft support where one beats the input (a row no refit
     improves is returned bit-equal), and a list of per-row dicts with
-    `iterations`, `converged`, `degenerate` and `loss_trace` (the loss sums
-    of the input and of every refit).
+    `iterations`, `converged`, `degenerate`, `loss_trace` (the loss sums
+    of the input and of every refit) and `fixed`: another call would
+    return the row unchanged (no refit improved it, its system went
+    degenerate, or it converged after its best iterate).
     """
     fn = cfg.loss
     n = len(points)
@@ -215,13 +216,14 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
     best_q = n - totals
     info = [{"iterations": 0, "degenerate": False, "converged": False,
              "loss_trace": [total]} for total in totals.tolist()]
+    best_it = np.zeros(len(params), dtype=int)   # 0: the input
     active = np.arange(len(params))
     current, r = params, residual_rows
     ri, pi = np.nonzero(r < fn.cutoff)
+    w = fn.weights(r[ri, pi])
     for it in range(IRLS_MAX_ITERS):
-        refined, ok = _fit_weighted(
-            model_type, points.coords, ri, pi,
-            fn.weights(r[ri, pi]) * points.weights[pi], len(r))
+        refined, ok = _fit_weighted(model_type, points.coords, ri, pi,
+                                    w * points.weights[pi], len(r))
         for i in active[~ok].tolist():
             info[i]["degenerate"] = True
         active, current, refined = active[ok], current[ok], refined[ok]
@@ -232,7 +234,7 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
         r = _residuals(model_type, current, points.coords)
         ri, pi = np.nonzero(r < fn.cutoff)
         loss = np.ones_like(r)
-        loss[ri, pi] = fn.losses(r[ri, pi])
+        loss[ri, pi], w = fn._losses_and_weights(r[ri, pi])
         totals = loss.sum(axis=1)
         for i, total in zip(active.tolist(), totals.tolist()):
             info[i]["iterations"] = it + 1
@@ -240,16 +242,20 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
         better = np.flatnonzero(n - totals > best_q[active])
         rows = active[better]
         best_q[rows] = n - totals[better]
+        best_it[rows] = it + 1
         params[rows], residual_rows[rows] = current[better], r[better]
         loss_rows[rows] = loss[better]
         moving = ~(delta < IRLS_TOL)
         for i in active[~moving].tolist():
             info[i]["converged"] = True
         keep = moving[ri]
-        ri, pi = (np.cumsum(moving) - 1)[ri[keep]], pi[keep]
+        ri, pi, w = (np.cumsum(moving) - 1)[ri[keep]], pi[keep], w[keep]
         active, current, r = active[moving], current[moving], r[moving]
         if not len(active):
             break
+    for d, b in zip(info, best_it.tolist()):
+        d["fixed"] = b == 0 or d["degenerate"] or (
+            d["converged"] and b < d["iterations"])
     return params, residual_rows, loss_rows, info
 
 
@@ -347,6 +353,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     kept = np.zeros((0, model_type.n_params))   # the kept instances' rows
     residual_rows = np.zeros((0, n))
     loss_rows = np.zeros((0, n))
+    fixed = np.zeros(0, dtype=bool)   # refine_irls would return them as is
     min_loss = np.ones(n)   # per point, over the kept instances
     proposals_tried = 0
     draws = 0
@@ -404,9 +411,9 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
         if batch:
             new, new_r, new_loss = zip(*batch)
-            kept, residual_rows, loss_rows = _prune_by_quality(*_consolidate(
-                model_type, [kept, *new], [residual_rows, *new_r],
-                [loss_rows, *new_loss], points, config), config)
+            kept, residual_rows, loss_rows, fixed = _prune_by_quality(*_consolidate(
+                model_type, [kept, *new], [residual_rows, *new_r], [loss_rows, *new_loss],
+                [fixed, np.zeros(len(new), dtype=bool)], points, config), config)
             min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
@@ -431,16 +438,17 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
 
 def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
-                 points: PointSet, cfg: EngineConfig):
+                 fixed, points: PointSet, cfg: EngineConfig):
     """Alternate consensus clustering and IRLS until the clustering returns
     only singletons. The row count never increases between passes. params,
-    residual_rows and loss_rows are sequences of rows or row blocks in
-    instance order; they are stacked here rather than by the caller, so
-    that the stacked copies do not outlive the first pass. Each pass hands
-    the rows of all its representatives to one refine_irls call. Returns
-    the final (k, n_params) parameter and (k, n) residual and loss rows."""
+    residual_rows, loss_rows and fixed (refine_irls's flag) are sequences
+    of rows or row blocks in instance order; they are stacked here rather
+    than by the caller, so that the stacked copies do not outlive the first
+    pass. Each pass hands the rows of its representatives not flagged fixed
+    to one refine_irls call. Returns the final stacks."""
     params = np.vstack(params)
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
+    fixed = np.concatenate(fixed)
     for n_pass in range(CONSOLIDATION_MAX_PASSES):
         clusters = cluster_instances(loss_rows, cfg.tau)
         if n_pass > 0 and len(clusters) == len(params):
@@ -452,22 +460,26 @@ def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
                      zip(loss_rows, min_loss_outside_groups(loss_rows, groups))]
         reps = select_representatives(clusters, qualities)
         # this pass's matrices are released before IRLS allocates its own
-        params, residual_rows, loss_rows = (
-            params[reps], residual_rows[reps], loss_rows[reps])
-        params, residual_rows, loss_rows, _ = refine_irls(
-            model_type, params, residual_rows, loss_rows, points, cfg)
-    return params, residual_rows, loss_rows
+        params, residual_rows, loss_rows, fixed = (
+            params[reps], residual_rows[reps], loss_rows[reps], fixed[reps])
+        todo = np.flatnonzero(~fixed)
+        if len(todo):
+            *refined, info = refine_irls(model_type, params[todo], residual_rows[todo],
+                                         loss_rows[todo], points, cfg)
+            params[todo], residual_rows[todo], loss_rows[todo] = refined
+            fixed[todo] = [d["fixed"] for d in info]
+    return params, residual_rows, loss_rows, fixed
 
 
 def _prune_by_quality(params: np.ndarray, residual_rows: np.ndarray,
-                      loss_rows: np.ndarray, cfg: EngineConfig):
+                      loss_rows: np.ndarray, fixed: np.ndarray, cfg: EngineConfig):
     """Drop the rows whose quality against all the others falls below
     q_min; evaluated simultaneously over the final set."""
     outside = min_loss_outside_groups(loss_rows, np.arange(len(params)))
     keep = [i for i in range(len(params))
             if is_dominant(quality_f_from_losses(loss_rows[i], outside[i]),
                            cfg.q_min)]
-    return params[keep], residual_rows[keep], loss_rows[keep]
+    return params[keep], residual_rows[keep], loss_rows[keep], fixed[keep]
 
 
 def min_residual_assignment(residual_rows: np.ndarray,
@@ -505,6 +517,8 @@ def label_matching(assignment: np.ndarray, labels: np.ndarray):
     and a dict from each instance id that owns points, ascending, to its
     matched label (None when unmatched) and the points the two share. Among
     equally good matchings the solver picks one; the error is the same."""
+    from scipy.sparse import csr_array   # the evaluation's alone, not a fit's
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
     n = len(labels)
     if n == 0:
         return 0.0, {}

@@ -10,13 +10,13 @@ generating instance's residuals have RMS equal to the requested sigma.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError
 from .models import (
@@ -399,6 +399,24 @@ class TwoViewScene:
     translation: np.ndarray
 
 
+def _rotation(rotvec: np.ndarray) -> np.ndarray:
+    """The rotation matrix of a rotation vector through its unit quaternion
+    (x, y, z, w), bit for bit as scipy's Rotation.from_rotvec(v).as_matrix()."""
+    v0, v1, v2 = rotvec.tolist()
+    angle = math.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+    if angle <= 1e-3:   # sin(angle / 2) / angle by its Taylor series
+        a2 = angle * angle
+        scale = 0.5 - a2 / 48 + a2 * a2 / 3840
+    else:
+        scale = math.sin(angle / 2) / angle
+    x, y, z, w = v0 * scale, v1 * scale, v2 * scale, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
+
+
 def synthesize_two_view(n_planes: int, points_per_plane: int,
                         outlier_count: int = 0, sigma: float = 0.0,
                         extent: float = 1000.0, seed: int = 0) -> TwoViewScene:
@@ -415,7 +433,7 @@ def synthesize_two_view(n_planes: int, points_per_plane: int,
     rng = np.random.default_rng(seed)
     rotvec = rng.normal(size=3)
     rotvec *= rng.uniform(0.3, 1.0) * np.radians(10.0) / np.linalg.norm(rotvec)
-    R = Rotation.from_rotvec(rotvec).as_matrix()
+    R = _rotation(rotvec)
     t = rng.normal(size=3)
     t *= 0.5 / np.linalg.norm(t)
 
@@ -442,7 +460,7 @@ def _synthesize_fundamental(spec: SyntheticSpec, rng):
     def propose(K):
         rotvec = rng.normal(size=3)
         rotvec *= np.radians(rng.uniform(3.0, 12.0)) / np.linalg.norm(rotvec)
-        R = Rotation.from_rotvec(rotvec).as_matrix()
+        R = _rotation(rotvec)
         t = rng.normal(size=3)
         t *= rng.uniform(0.3, 0.8) / np.linalg.norm(t)
         tx = np.array([[0, -t[2], t[1]], [t[2], 0, -t[0]], [-t[1], t[0], 0.0]])

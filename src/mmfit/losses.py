@@ -19,25 +19,27 @@ Kinds and cutoffs (epsilon is the single user-facing threshold):
 The magsacpp kind treats epsilon as a loose upper bound of the unknown
 noise scale sigma. Inlier residuals at scale sigma follow a sigma-scaled
 chi distribution with `dof` degrees of freedom, truncated at its 0.99
-quantile k(dof)*sigma, where k^2 = 2 gammaincinv(dof/2, 0.99) (the chi^2
-quantile, by scipy.special). Marginalizing the truncated density over
-sigma ~ U(0, epsilon] gives the weight
+quantile k(dof)*sigma, where k^2/2 solves P(dof/2, x) = 1 - Gu(dof/2, x) /
+Gamma(dof/2) = 0.99 (the chi^2 quantile), found by bisection.
+Marginalizing the truncated density over sigma ~ U(0, epsilon] gives the
+weight
 
     w(r)  propto  Gu(a, y) - Gu(a, k^2/2),   y = r^2 / (2 eps^2),
 
 with a = (dof - 1)/2 and Gu the upper incomplete gamma function. The loss
 is the weight-consistent integral loss(r) = C * integral_0^r s w(s) ds,
 normalized to saturate at 1. Integrating by parts with Gu(a+1, y) =
-a Gu(a, y) + y^a e^-y leaves one incomplete gamma value per residual:
+a Gu(a, y) + y^a e^-y leaves one incomplete gamma value per residual, which
+IRLS shares between a refit's losses and the next refit's weights:
 
     integral_0^r s w(s) ds  propto  (y - a) Gu(a, y) - y^a e^-y + Gamma(a+1)
                                     - y Gu(a, k^2/2).
 
 Since dof is a positive integer, a is a whole or half-whole number, and
-Gu(a, x) is elementary:
+Gu(a, x) is elementary, computed with numpy and the math module alone:
 
-    Gu(0, x)   = E1(x)                 (dof 1, the exponential integral)
-    Gu(1/2, x) = sqrt(pi) erfc(sqrt(x))
+    Gu(0, x)   = E1(x)       (dof 1; a numpy series or continued fraction)
+    Gu(1/2, x) = sqrt(pi) erfc(sqrt(x))   (math.erfc per element)
     Gu(1, x)   = e^-x
     Gu(s+1, x) = s Gu(s, x) + x^s e^-x (upward, all terms positive)
 """
@@ -46,12 +48,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from math import erfc, factorial, sqrt
 from math import gamma as _gamma_fn
 
 import numpy as np
-from scipy import special
 
 from .errors import InvalidConfig
+
+# E1's Taylor coefficients (-1)^(j+1) / (j j!), j = 26 .. 1 (Horner order)
+_E1_SERIES = tuple((-1.0) ** (j + 1) / (j * factorial(j)) for j in range(26, 0, -1))
 
 
 class LossKind(Enum):
@@ -70,16 +75,38 @@ class LossKind(Enum):
             raise ValueError(f"unknown loss kind {name!r}") from None
 
 
+def _exp1(x):
+    """E1(x) = Gu(0, x) for x >= 0, E1(0) = inf: the series -gamma - ln x +
+    sum_j (-1)^(j+1) x^j / (j j!) to j = 26 for x <= 2.5, else the continued
+    fraction e^-x / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) to depth 40."""
+    x = np.asarray(x, dtype=float)
+    out, near = np.empty_like(x), x <= 2.5
+    s = x[near]
+    acc = np.zeros_like(s)
+    for c in _E1_SERIES:
+        acc *= s
+        acc += c
+    with np.errstate(divide="ignore"):   # ln 0 = -inf: E1(0) = inf
+        out[near] = s * acc - 0.5772156649015329 - np.log(s)
+    s = x[~near]
+    f = s + 81.0
+    for j in range(40, 0, -1):
+        f = (s + (2 * j - 1)) - j * j / f
+    out[~near] = np.exp(-s) / f
+    return out
+
+
 def _upper_gamma(a: float, x):
     """Unregularized upper incomplete gamma Gu(a, x) for a whole or
     half-whole a >= 0, by the upward recurrence from Gu(1/2, x) or Gu(1, x)
     (see the module docstring)."""
     if a == 0.0:
-        return special.exp1(x)
+        return _exp1(x)
     e = np.exp(-x)
     if a % 1.0:
         root = np.sqrt(x)
-        g, term, s = np.sqrt(np.pi) * special.erfc(root), root * e, 0.5
+        erfcs = np.fromiter(map(erfc, memoryview(np.ravel(root))), float)
+        g, term, s = np.sqrt(np.pi) * erfcs.reshape(np.shape(root)), root * e, 0.5
     else:
         g, term, s = e, x * e, 1.0
     # invariant: g = Gu(s, x) and term = x^s e^-x
@@ -93,14 +120,22 @@ def _upper_gamma(a: float, x):
 @lru_cache(maxsize=None)
 def _magsac_constants(epsilon: float, dof: int):
     a = (dof - 1) / 2.0
-    k = float(np.sqrt(2.0 * special.gammaincinv(dof / 2.0, 0.99)))
-    k2h = k * k / 2.0          # k^2 / 2
-    gu_a_k = float(_upper_gamma(a, k2h))
+    # k^2 / 2: the least double x with P(dof/2, x) = 1 - Gu(dof/2, x) /
+    # Gamma(dof/2) >= 0.99, by bisection
+    s, target = dof / 2.0, 0.01 * _gamma_fn(dof / 2.0)
+    lo, hi = 0.0, 1.0
+    while _upper_gamma(s, hi) > target:
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if _upper_gamma(s, mid) > target else (lo, mid)
+    k = sqrt(2.0 * hi)
+    gu_a_k = float(_upper_gamma(a, hi))
     # loss normalizer: raw loss value at the cutoff r = k * epsilon
-    norm = epsilon ** 2 * float(_gamma_fn(a + 1.0) * special.gammainc(a + 1.0, k2h))
-    # weight normalizer: raw weight at r = 0 (infinite for dof = 1)
-    w0 = float(_gamma_fn(a)) - gu_a_k if a > 0 else None
-    return a, k, k2h, gu_a_k, norm, w0
+    norm = epsilon ** 2 * (_gamma_fn(a + 1.0) - float(_upper_gamma(a + 1.0, hi)))
+    # weight normalizer: raw weight at r = 0, infinite for dof = 1, where
+    # the weight's Gu(0, y) is capped at Gu(0, 1e-15) instead
+    w0 = float(_gamma_fn(a)) - gu_a_k if a > 0 else float(_exp1(1e-15))
+    return a, k, gu_a_k, norm, w0
 
 
 @dataclass(frozen=True)
@@ -148,7 +183,7 @@ class LossFunction:
             return np.minimum(1.0, rho / rho_max)
         if self.kind is LossKind.HUBER_REDESCENDING:
             return self._hampel_loss(r)
-        return self._magsac_loss(r)
+        return self._magsac(r)[0]
 
     def _hampel_loss(self, r: np.ndarray) -> np.ndarray:
         eps = self.epsilon
@@ -167,22 +202,6 @@ class LossFunction:
             ),
         )
         return np.where(r >= c, 1.0, rho / rho_c)
-
-    def _magsac_loss(self, r: np.ndarray) -> np.ndarray:
-        a, k, k2h, gu_a_k, norm, _ = _magsac_constants(self.epsilon, self.dof)
-        eps = self.epsilon
-        out = np.ones_like(r)
-        inside = r < k * eps
-        ri = r[inside]
-        # the floor keeps y * Gu(0, y) from evaluating as 0 * inf at r = 0
-        y = np.maximum(ri * ri / (2.0 * eps * eps), 1e-300)
-        # integral_0^r s * [Gu(a, s^2/(2 eps^2)) - Gu(a, k^2/2)] ds
-        term = eps * eps * ((y - a) * _upper_gamma(a, y)
-                            - y ** a * np.exp(-y)
-                            + _gamma_fn(a + 1.0))
-        raw = term - 0.5 * ri * ri * gu_a_k
-        out[inside] = np.clip(raw / norm, 0.0, 1.0)
-        return out
 
     # -- IRLS weight --------------------------------------------------------
 
@@ -209,19 +228,32 @@ class LossFunction:
                 np.where(rc <= b, a / safe, a * (c - rc) / ((c - b) * safe)),
             )
             return np.where(r < c, np.maximum(psi_over_r, 0.0), 0.0)
-        return self._magsac_weight(r)
+        return self._magsac(r)[1]
 
-    def _magsac_weight(self, r: np.ndarray) -> np.ndarray:
-        a, k, k2h, gu_a_k, _, w0 = _magsac_constants(self.epsilon, self.dof)
+    def _magsac(self, r: np.ndarray):
+        """The magsacpp losses and weights of r, from one Gu(a, y) per
+        residual below the cutoff."""
+        a, k, gu_a_k, norm, w0 = _magsac_constants(self.epsilon, self.dof)
         eps = self.epsilon
-        out = np.zeros_like(r)
+        loss, weight = np.ones_like(r), np.zeros_like(r)
         inside = r < k * eps
-        y = r[inside] ** 2 / (2.0 * eps * eps)
+        ri = r[inside]
+        # the floor keeps y * Gu(0, y) from evaluating as 0 * inf at r = 0
+        y = np.maximum(ri * ri / (2.0 * eps * eps), 1e-300)
+        g = _upper_gamma(a, y)
+        # integral_0^r s * [Gu(a, s^2/(2 eps^2)) - Gu(a, k^2/2)] ds
+        term = eps * eps * ((y - a) * g - y ** a * np.exp(-y)
+                            + _gamma_fn(a + 1.0))
+        loss[inside] = np.clip((term - 0.5 * ri * ri * gu_a_k) / norm, 0.0, 1.0)
         if a == 0.0:
             # dof = 1: the marginal diverges logarithmically at r = 0
-            y = np.maximum(y, 1e-15)
-            out[inside] = _upper_gamma(a, y) - gu_a_k
+            weight[inside] = np.minimum(g, w0) - gu_a_k
         else:
-            out[inside] = (_upper_gamma(a, y) - gu_a_k) / w0
-        return np.maximum(out, 0.0)
+            weight[inside] = (g - gu_a_k) / w0
+        return loss, np.maximum(weight, 0.0)
 
+    def _losses_and_weights(self, r: np.ndarray):
+        """(losses(r), weights(r)) bit for bit; magsacpp's from one Gu each."""
+        if self.kind is LossKind.MAGSACPP:
+            return self._magsac(np.asarray(r, dtype=float))
+        return self.losses(r), self.weights(r)

@@ -405,7 +405,8 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
     (n, dim) coords, given as (row, point, weight) triplets: row-major, the
     points ascending within a row; weights <= 0 are dropped. Lines,
     segments and planes: weighted total least squares from per-row centroid
-    and scatter sums by np.bincount, one batched eigh, and segment
+    and scatter sums by np.bincount, the normal in closed form for lines
+    and segments and by one batched eigh for planes, and segment
     endpoints from the row's extremes of t = -b*x + a*y. Homographies and
     fundamental matrices: the weighted normalized DLT (eight-point with
     rank-2 projection for F), each row a segment of one pass that
@@ -440,12 +441,18 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
             for b in range(a, dim):
                 scatter[:, a, b] = scatter[:, b, a] = sums(
                     weighted[:, a] * centered[:, b])
-        eigvals, eigvecs = np.linalg.eigh(scatter)
-        normal = eigvecs[..., 0]
         if model_type is ModelType.PLANE3D:     # not collinear
+            eigvals, eigvecs = np.linalg.eigh(scatter)
+            normal = eigvecs[..., 0]
             ok[fitted] = eigvals[:, 1] > 1e-12 * np.maximum(eigvals[:, -1], 1e-300)
-        else:                                   # not coincident
-            ok[fitted] = eigvals[:, -1] > 1e-300
+        else:
+            # the major axis of [[p, q], [q, s]] lies at half the angle of
+            # (p - s, 2q); (0, 1) is the normal of isotropic scatter
+            p, q, s = scatter[:, 0, 0], scatter[:, 0, 1], scatter[:, 1, 1]
+            half = 0.5 * np.arctan2(2.0 * q, p - s)
+            normal = np.column_stack([-np.sin(half), np.cos(half)])
+            # not coincident: the largest eigenvalue
+            ok[fitted] = 0.5 * (p + s) + np.hypot(0.5 * (p - s), q) > 1e-300
         raw[fitted, :dim] = normal
         raw[fitted, dim] = np.vecdot(-normal, centroid)
         if model_type is ModelType.SEGMENT2D and len(fitted):
@@ -512,15 +519,20 @@ def _residuals(model_type: ModelType, P: np.ndarray,
             np.abs(dot, out=dot)
             dot /= np.hypot(a, b)
             return dot
-        line_dist = np.abs(dot + c) / np.sqrt(a * a + b * b)
+        dot += c
+        np.abs(dot, out=dot)
+        dot /= np.sqrt(a * a + b * b)           # the line distance
         lo = np.minimum(P[:, 3], P[:, 4])[:, None]
         hi = np.maximum(P[:, 3], P[:, 4])[:, None]
         x, y = coords[:, 0], coords[:, 1]
         tp = -b * x + a * y
+        # past an end, the distance from the endpoint on that side
+        above = tp > hi
         ends = _segment_endpoints(P)[..., None]
-        d_lo = np.sqrt((x - ends[:, 0, 0]) ** 2 + (y - ends[:, 0, 1]) ** 2)
-        d_hi = np.sqrt((x - ends[:, 1, 0]) ** 2 + (y - ends[:, 1, 1]) ** 2)
-        return np.where(tp < lo, d_lo, np.where(tp > hi, d_hi, line_dist))
+        d = np.where(above[:, None], ends[:, 1], ends[:, 0]) - coords.T
+        d *= d
+        np.copyto(dot, np.sqrt(d[:, 0] + d[:, 1]), where=above | (tp < lo))
+        return dot
 
     if model_type is ModelType.PLANE3D:
         norm = np.sqrt(np.vecdot(P[:, :3], P[:, :3]))[:, None]

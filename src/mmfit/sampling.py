@@ -10,15 +10,13 @@ schedule, r_min to r_max, largest first, over the joint coordinate space
 cc_schedule lists them all once per fit, growing the components from one
 radius to the next with one KD-tree pair query per radius until one
 component holds every point. After the last of them the engine draws PROSAC
-samples over all points.
+samples over all points. Only the CC sampler imports scipy, where it runs.
 """
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.sparse import coo_matrix, csgraph
-from scipy.spatial import cKDTree
 
 from .errors import ExhaustedData, InvalidConfig
 from .models import PointSet
@@ -42,7 +40,8 @@ class NeighborhoodGraph:
         self._orders: dict[int, np.ndarray] = {}
 
     @cached_property
-    def tree(self) -> cKDTree:
+    def tree(self):
+        from scipy.spatial import cKDTree   # the CC sampler's alone
         return cKDTree(self.coords)
 
     def orders(self, centres: list[int], k: int) -> list[np.ndarray]:
@@ -81,6 +80,8 @@ def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
     (single linkage): each radius merges the labels of the tree's pairs
     within r (d^2 <= r^2) until one label covers every point, and the
     lists are rebuilt only when the labels change."""
+    from scipy.sparse import coo_matrix, csgraph   # the CC sampler's alone
+
     labels = np.arange(graph.n_points)
     n_labels = len(labels)   # labels are exactly 0 .. n_labels - 1
     comps = None

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -10,6 +15,20 @@ from mmfit.models import (
     _oriented_epipolar,
     make_instance,
 )
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of code run in a fresh interpreter that imports the
+    package from src: a test process has long imported what the code
+    would load."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def make_camera_pair(rng, max_rotation_deg=15.0):

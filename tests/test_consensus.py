@@ -197,6 +197,21 @@ def test_clustering_equals_transitive_closure_randomized(rng):
         assert clusters == _transitive_closure_oracle(rows, 0.25)
 
 
+def test_long_shuffled_chains_are_one_cluster_each(rng):
+    # windows of width 3 shifted by one are linked only to their
+    # neighbours (Tanimoto 1/2 against 1/5 at a shift of two): two chains
+    # of 40 listed in random order take many label passes
+    rows = np.zeros((80, 90))
+    for i in range(80):
+        start = i if i < 40 else i + 5
+        rows[i, start:start + 3] = 1.0
+    order = rng.permutation(80)
+    clusters = cluster_instances(_loss_rows(rows[order]), 0.25)
+    first = tuple(np.sort(np.flatnonzero(order < 40)).tolist())
+    second = tuple(np.sort(np.flatnonzero(order >= 40)).tolist())
+    assert clusters == sorted([first, second])
+
+
 def test_partition_invariant_to_permutation(rng):
     rows = np.abs(rng.normal(size=(6, 20))) * (rng.random((6, 20)) < 0.5)
     rows = np.clip(rows, 0.0, 1.0)

@@ -158,7 +158,7 @@ def _refine_irls_per_instance(h, r, loss, points, cfg):
     info = {"iterations": 0, "degenerate": False, "converged": False,
             "loss_trace": [total], "residuals": r, "losses": loss}
     n = len(points)
-    best, best_q = h, n - total
+    best, best_q, best_it = h, n - total, 0
     current = h
     for it in range(engine.IRLS_MAX_ITERS):
         w = fn.weights(r) * points.weights
@@ -179,11 +179,16 @@ def _refine_irls_per_instance(h, r, loss, points, cfg):
         total = float(np.sum(loss))
         info["loss_trace"].append(total)
         if n - total > best_q:
-            best, best_q = current, n - total
+            best, best_q, best_it = current, n - total, it + 1
             info["residuals"], info["losses"] = r, loss
         if delta < engine.IRLS_TOL:
             info["converged"] = True
             break
+    # restarted from its best iterate, the row would retrace the refits
+    # after it: unchanged unless it stopped at the cap or its last refit
+    # was its best
+    info["fixed"] = best_it == 0 or info["degenerate"] or (
+        info["converged"] and best_it < info["iterations"])
     return best, info
 
 
@@ -546,9 +551,10 @@ def test_consolidate_merges_duplicates_monotonically(rng):
             proposals.append(make_instance(ModelType.LINE2D,
                                            g.params + jitter))
     rows = [residuals(h, points.coords) for h in proposals]
-    out, residual_rows, loss_rows = _consolidate(
+    out, residual_rows, loss_rows, _ = _consolidate(
         ModelType.LINE2D, [h.params for h in proposals], rows,
-        [cfg.loss.losses(r) for r in rows], points, cfg)
+        [cfg.loss.losses(r) for r in rows], [np.zeros(6, dtype=bool)],
+        points, cfg)
     assert out.shape == (2, 3)
     # the rows returned are the scores of the returned instances
     for p, r_row, l_row in zip(out, residual_rows, loss_rows):
@@ -634,6 +640,7 @@ def _fit_per_draw(points, model_type, config):
     fn, eps = config.loss, config.loss.epsilon
     kept = np.zeros((0, model_type.n_params))
     residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
+    fixed = np.zeros(0, dtype=bool)
     min_loss = np.ones(n)
     proposals_tried = draws = outer = united = 0
     ends = []
@@ -682,9 +689,10 @@ def _fit_per_draw(points, model_type, config):
                     batch.append((h, r, loss))
         if batch:
             new, new_r, new_loss = zip(*batch)
-            kept, residual_rows, loss_rows = engine._prune_by_quality(
+            kept, residual_rows, loss_rows, fixed = engine._prune_by_quality(
                 *_consolidate(model_type, [kept, *(h.params for h in new)],
                               [residual_rows, *new_r], [loss_rows, *new_loss],
+                              [fixed, np.zeros(len(new), dtype=bool)],
                               points, config),
                 config)
             min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
@@ -808,6 +816,61 @@ def test_fit_builds_only_the_reported_instances(monkeypatch, spec, sampler):
     assert report.instances
     assert len(built) == len(report.instances)
     assert all(a is b for a, b in zip(built, report.instances))
+
+
+def _consolidate_refining_all(model_type, params, residual_rows, loss_rows,
+                              fixed, points, cfg):
+    """_consolidate without its fixed-point skip: every pass refines every
+    representative."""
+    params = np.vstack(params)
+    residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
+    for n_pass in range(engine.CONSOLIDATION_MAX_PASSES):
+        clusters = engine.cluster_instances(loss_rows, cfg.tau)
+        if n_pass > 0 and len(clusters) == len(params):
+            break
+        groups = np.empty(len(params), dtype=int)
+        for g, members in enumerate(clusters):
+            groups[list(members)] = g
+        qualities = [quality_f_from_losses(row, cache) for row, cache in
+                     zip(loss_rows, engine.min_loss_outside_groups(loss_rows,
+                                                                   groups))]
+        reps = engine.select_representatives(clusters, qualities)
+        params, residual_rows, loss_rows, _ = engine.refine_irls(
+            model_type, params[reps], residual_rows[reps], loss_rows[reps],
+            points, cfg)
+    return params, residual_rows, loss_rows, np.zeros(len(params), bool)
+
+
+# per family: a scene, and whether its fit meets a fixed representative
+@pytest.mark.parametrize("spec, skips", [
+    (SyntheticSpec(ModelType.LINE2D, 10, 60, 400, 1.0, seed=1), False),
+    (SyntheticSpec(ModelType.SEGMENT2D, 8, 60, 300, 1.0, seed=4), False),
+    (SyntheticSpec(ModelType.PLANE3D, 4, 100, 150, 1.0, seed=1), False),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 4, 100, 150, 1.0, seed=3), False),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 4, 100, 150, 1.0, seed=1), True),
+], ids=["line2d", "segment2d", "plane3d", "homography", "fundamental"])
+def test_fit_skips_fixed_points_without_changing_the_fit(monkeypatch, spec,
+                                                        skips):
+    # a representative flagged fixed would come back from refine_irls
+    # unchanged, and a row's IRLS does not depend on its stack, so skipping
+    # it leaves the fit bit-equal
+    points, _, _ = synthesize(spec)
+    cfg = default_config(spec.model_type, 3.0, max_proposals=800)
+    refined_rows = []
+
+    def counted_refine(model_type, params, *args):
+        refined_rows.append(len(params))
+        return refine_irls(model_type, params, *args)
+
+    monkeypatch.setattr(engine, "refine_irls", counted_refine)
+    report = fit(points, spec.model_type, cfg)
+    skipping = sum(refined_rows)
+    refined_rows.clear()
+    monkeypatch.setattr(engine, "_consolidate", _consolidate_refining_all)
+    oracle = fit(points, spec.model_type, cfg)
+    assert json.dumps(report.to_dict()) == json.dumps(oracle.to_dict())
+    assert len(report.instances) >= 1
+    assert (skipping < sum(refined_rows)) == skips
 
 
 # line-family scenes outside the benchmark, at its 2000-draw cap: instances

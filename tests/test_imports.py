@@ -1,23 +1,57 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
+import json
 
-SRC = Path(__file__).resolve().parent.parent / "src"
-# scipy subpackages whose import alone costs more than a small fit
-HEAVY = ("scipy.stats", "scipy.optimize")
+from conftest import run_fresh
+
+# scipy is imported by the CC sampler and the evaluation alone: its
+# array-API layer costs more to load than a small fit takes
+HEAVY = ("scipy",)
+
+
+def _heavy(modules):
+    return [m for m in modules
+            if m in HEAVY or m.startswith(tuple(h + "." for h in HEAVY))]
 
 
 def test_package_import_leaves_out_heavy_scipy():
-    # a fresh interpreter: this test process has imported both already
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=os.pathsep.join(
-                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, mmfit, mmfit.cli\n"
-            "print('\\n'.join(sorted(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout.split()
+    out = run_fresh("import sys, mmfit, mmfit.cli\n"
+                    "print('\\n'.join(sorted(sys.modules)))").split()
     assert "mmfit.cli" in out
-    loaded = [m for m in out if m.startswith(tuple(h + "." for h in HEAVY))
-              or m in HEAVY]
-    assert loaded == []
+    assert _heavy(out) == []
+
+
+FITS = """
+import json, sys
+import mmfit, mmfit.cli
+from mmfit import engine
+from mmfit.ingest import SyntheticSpec, synthesize, synthesize_two_view
+from mmfit.models import ModelType
+
+def fit(model_type, points, **overrides):
+    cfg = engine.default_config(model_type, 3.0, max_proposals=200, **overrides)
+    return engine.fit(points, model_type, cfg)
+
+for model_type in (ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D,
+                   ModelType.FUNDAMENTAL):
+    points, labels, _ = synthesize(SyntheticSpec(model_type, 2, 40, 20, 1.0,
+                                                 seed=1))
+    report = fit(model_type, points)
+fit(ModelType.HOMOGRAPHY, synthesize_two_view(2, 40, 20, 1.0, seed=1).points)
+loaded = [sorted(sys.modules)]
+engine.misclassification_error(report, labels)
+loaded.append(sorted(sys.modules))
+spec = SyntheticSpec(ModelType.SEGMENT2D, 2, 40, 20, 1.0, seed=1, clustered=True)
+fit(ModelType.SEGMENT2D, synthesize(spec)[0], sampler="cc")
+loaded.append(sorted(sys.modules))
+print(json.dumps(loaded))
+"""
+
+
+def test_fits_without_the_cc_sampler_load_no_scipy():
+    # a fit of every family with the default sampler runs on numpy alone;
+    # the evaluation loads csgraph's matching, the CC sampler scipy's
+    # KD-tree
+    after_fits, after_eval, after_cc = json.loads(run_fresh(FITS))
+    assert _heavy(after_fits) == []
+    assert "scipy.sparse.csgraph" in after_eval
+    assert "scipy.spatial" not in after_eval
+    assert "scipy.spatial" in after_cc

@@ -13,6 +13,8 @@ from mmfit.errors import InvalidConfig
 from mmfit.losses import LossFunction, LossKind, _upper_gamma
 from mmfit.models import ModelType
 
+from conftest import run_fresh
+
 ALL_KINDS = list(LossKind)
 
 
@@ -226,36 +228,82 @@ def _scipy_magsac(eps, dof, r):
     return loss, np.maximum(weight, 0.0)
 
 
-@pytest.mark.parametrize("dof", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dof", range(1, 9))
 def test_magsac_matches_scipy_incomplete_gamma_oracle(dof):
     eps = 2.5
     fn = LossFunction(LossKind.MAGSACPP, eps, dof)
     r = np.concatenate([[0.0, 1e-9, fn.cutoff],
                         np.linspace(0.0, 1.2 * fn.cutoff, 2001)])
     want_loss, want_weight = _scipy_magsac(eps, dof, r)
-    assert np.max(np.abs(fn.losses(r) - want_loss)) <= 1e-12
-    assert np.max(np.abs(fn.weights(r) - want_weight)) <= 1e-12
+    assert np.max(np.abs(fn.losses(r) - want_loss)) <= 1e-14
+    assert np.max(np.abs(fn.weights(r) - want_weight)) <= 1e-14
 
 
 @pytest.mark.parametrize("dof", range(1, 9))
 def test_magsac_cutoff_is_chi_quantile(dof):
+    # bisection of the elementary P(dof/2, x) lands within 2 ulp of scipy's
+    # quantile, and P there is 0.99 to double precision
     k = losses._magsac_constants(2.0, dof)[1]
-    assert k == np.sqrt(stats.chi2.ppf(0.99, dof))
+    want = float(np.sqrt(stats.chi2.ppf(0.99, dof)))
+    assert abs(k - want) <= 2 * np.spacing(want)
+    with mpmath.workdps(40):
+        p = mpmath.gammainc(mpmath.mpf(dof) / 2, 0, mpmath.mpf(k) ** 2 / 2,
+                            regularized=True)
+        assert abs(float(p - mpmath.mpf(0.99))) <= 1e-15
+
+
+def test_exp1_matches_mpmath():
+    x = np.concatenate([np.geomspace(1e-300, 1e-3, 100),
+                        np.linspace(1e-3, 60.0, 6001), [2.5, np.nextafter(2.5, 3)]])
+    want = np.array([float(mpmath.e1(float(v))) for v in x])
+    got = losses._exp1(x)
+    assert np.max(np.abs(got - want) / want) <= 5e-14
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert losses._exp1(0.0) == np.inf
 
 
 @pytest.mark.parametrize("dof", [2, 4])
 def test_magsac_needs_no_regularized_gamma(monkeypatch, dof):
-    # the elementary kernel must not fall back to scipy's gammaincc; an
-    # epsilon no other test uses makes _magsac_constants, which is cached
-    # per (epsilon, dof), run under the patch too
+    # the elementary kernel must not fall back to scipy's regularized gamma;
+    # an epsilon no other in-process test uses makes _magsac_constants, which
+    # is cached per (epsilon, dof), run under the patch too
     def refuse(*args, **kwargs):
-        raise AssertionError("gammaincc called")
+        raise AssertionError("scipy regularized gamma called")
 
-    monkeypatch.setattr(losses.special, "gammaincc", refuse)
+    monkeypatch.setattr(special, "gammaincc", refuse)
+    monkeypatch.setattr(special, "gammainc", refuse)
+    assert not hasattr(losses, "special")
     fn = LossFunction(LossKind.MAGSACPP, 1.2345, dof)
     r = np.linspace(0.0, 1.2 * fn.cutoff, 50)
     assert np.all(np.isfinite(fn.losses(r)))
     assert np.all(np.isfinite(fn.weights(r)))
+
+
+def test_losses_import_no_scipy():
+    # magsacpp's special functions come from math and numpy; a fresh
+    # interpreter evaluates dof 1-8 without loading scipy
+    code = ("import sys\n"
+            "from mmfit.losses import LossFunction, LossKind\n"
+            "for dof in range(1, 9):\n"
+            "    fn = LossFunction(LossKind.MAGSACPP, 1.2345, dof)\n"
+            "    fn.losses([0.0, 1.0, 9.0]), fn.weights([0.0, 1.0, 9.0])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    assert run_fresh(code).strip() == "[]"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("dof", range(1, 9))
+def test_shared_kernel_equals_separate_calls(kind, dof):
+    # refine_irls takes a refit's losses and the next refit's weights from
+    # one call
+    fn = LossFunction(kind, 2.5, dof)
+    r = np.concatenate([[0.0, 1e-300, 1e-160, 1e-8, fn.cutoff, np.inf],
+                        np.random.default_rng(dof).uniform(0, 1.2 * fn.cutoff,
+                                                           999)])
+    loss, weight = fn._losses_and_weights(r)
+    assert loss.tobytes() == fn.losses(r).tobytes()
+    assert weight.tobytes() == fn.weights(r).tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -16,6 +16,7 @@ from mmfit.models import (
     _fit_weighted,
     _real_cubic_roots,
     _residuals,
+    _segment_endpoints,
     fit_minimal,
     fit_nonminimal,
     fundamental_planar_degenerate,
@@ -286,6 +287,90 @@ def test_line_tls_matches_eigendecomposition_oracle():
     oracle = make_instance(ModelType.LINE2D, [*normal, -normal @ mu])
     ang, off = line_angle_offset(inst, oracle)
     assert ang < 1e-9 and off < 1e-9
+
+
+def _line_stack(kind, rng, k=40, per=12):
+    """(coords, rows, pts, w) of k weighted line rows of a given kind of
+    scatter: random, near-isotropic (a regular polygon, jittered by 1e-9)
+    or coincident (unit weights)."""
+    blocks = []
+    for _ in range(k):
+        centre = rng.uniform(-500, 500, 2)
+        if kind == "random":
+            block = centre + rng.normal(size=(per, 2)) * rng.uniform(0.1, 50, 2)
+        elif kind == "isotropic":
+            angles = 2 * np.pi * np.arange(per) / per + rng.uniform(0, 1)
+            block = (centre + 10.0 * np.column_stack([np.cos(angles),
+                                                      np.sin(angles)])
+                     + rng.normal(0, 1e-9, (per, 2)))
+        else:   # whole coordinates: the centroid and scatter are exact
+            block = np.tile(np.round(centre), (per, 1))
+        blocks.append(block)
+    coords = np.vstack(blocks)
+    rows = np.repeat(np.arange(k), per)
+    w = np.ones(k * per) if kind == "coincident" else rng.uniform(0.5, 2.0, k * per)
+    return coords, rows, np.arange(k * per), w
+
+
+@pytest.mark.parametrize("kind", ["random", "isotropic", "coincident"])
+def test_line_normal_closed_form_matches_eigh(kind):
+    rng = np.random.default_rng(11)
+    coords, rows, pts, w = _line_stack(kind, rng)
+    k = rows.max() + 1
+    params, ok = _fit_weighted(ModelType.LINE2D, coords, rows, pts, w, k)
+    assert np.all(np.isfinite(params))
+    for i in range(k):
+        X, wi = coords[rows == i], w[rows == i]
+        mu = (wi[:, None] * X).sum(0) / wi.sum()
+        scatter = ((X - mu) * wi[:, None]).T @ (X - mu)
+        vals, vecs = np.linalg.eigh(scatter)
+        assert ok[i] == (vals[-1] > 1e-300)
+        if not ok[i]:
+            continue
+        normal = params[i, :2]
+        if kind == "random":
+            # the same direction as eigh's eigenvector
+            assert abs(normal[0] * vecs[1, 0] - normal[1] * vecs[0, 0]) < 1e-10
+        else:
+            # any direction minimizes an isotropic scatter to rounding
+            assert normal @ scatter @ normal <= vals[0] + 1e-12 * vals[-1]
+    assert ok.all() == (kind != "coincident") and ok.any() == ok.all()
+
+
+def _segment_residuals_oracle(P, coords):
+    """The segment residuals as one np.where over the line distance and
+    both endpoint distances of every element."""
+    a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
+    dot = (P[:, None, :2] @ coords.T)[:, 0]
+    line_dist = np.abs(dot + c) / np.sqrt(a * a + b * b)
+    lo = np.minimum(P[:, 3], P[:, 4])[:, None]
+    hi = np.maximum(P[:, 3], P[:, 4])[:, None]
+    x, y = coords[:, 0], coords[:, 1]
+    tp = -b * x + a * y
+    ends = _segment_endpoints(P)[..., None]
+    d_lo = np.sqrt((x - ends[:, 0, 0]) ** 2 + (y - ends[:, 0, 1]) ** 2)
+    d_hi = np.sqrt((x - ends[:, 1, 0]) ** 2 + (y - ends[:, 1, 1]) ** 2)
+    return np.where(tp < lo, d_lo, np.where(tp > hi, d_hi, line_dist))
+
+
+def test_segment_residuals_equal_the_three_way_oracle():
+    rng = np.random.default_rng(12)
+    coords = rng.uniform(-100, 100, (2000, 2))
+    angles = rng.uniform(0, np.pi, 48)
+    P = np.column_stack([np.cos(angles), np.sin(angles),
+                         rng.uniform(-50, 50, 48), rng.uniform(-80, 80, 48),
+                         rng.uniform(-80, 80, 48)])
+    # every row's ends are the projections of two of the points, so those
+    # points sit exactly at the ends; a quarter of the rows have lo == hi
+    tp = -P[:, 1, None] * coords[:, 0] + P[:, 0, None] * coords[:, 1]
+    picks = rng.integers(2000, size=(48, 2))
+    P[:, 3:5] = np.take_along_axis(tp, picks, 1)
+    P[::4, 4] = P[::4, 3]
+    got = _residuals(ModelType.SEGMENT2D, P, coords)
+    assert got.tobytes() == _segment_residuals_oracle(P, coords).tobytes()
+    lo, hi = P[:, 3:5].min(1, keepdims=True), P[:, 3:5].max(1, keepdims=True)
+    assert (tp == lo).sum() >= 48 and (tp == hi).sum() >= 48
+    assert (tp < lo).any() and (tp > hi).any() and ((tp > lo) & (tp < hi)).any()
 
 
 def test_nonminimal_reproduces_minimal_on_exact_sample(rng):

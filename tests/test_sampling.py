@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.spatial import cKDTree
+import scipy.spatial
 from scipy.stats import chisquare
 
 from mmfit import sampling
@@ -195,12 +195,13 @@ def _spy_queries(monkeypatch):
     """The radii the CC sampler's KD-trees get queried at, in call order."""
     queried = []
 
-    class SpyTree(cKDTree):
+    class SpyTree(scipy.spatial.cKDTree):
         def query_pairs(self, r, *args, **kwargs):
             queried.append(r)
             return super().query_pairs(r, *args, **kwargs)
 
-    monkeypatch.setattr(sampling, "cKDTree", SpyTree)
+    # NeighborhoodGraph.tree imports the class from scipy.spatial when it runs
+    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
     return queried
 
 
