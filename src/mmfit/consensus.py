@@ -5,7 +5,8 @@ v_i = 1 - loss(h, p_i), one row of the dense (k, n) loss matrix the engine
 already holds. Instance similarity is the Tanimoto ratio
 <a, b> / (|a|^2 + |b|^2 - <a, b>); one minus it is a metric on
 nonnegative vectors. Instances whose similarity reaches tau are linked,
-and clusters are the connected components of that graph.
+and clusters are the connected components of that graph. The engine keeps
+each cluster's member of best quality and never averages parameters.
 """
 from __future__ import annotations
 
@@ -47,12 +48,3 @@ def cluster_instances(loss_rows: np.ndarray,
     return [tuple(np.flatnonzero(labels == first).tolist())
             for first in np.unique(labels).tolist()]
 
-
-def select_representatives(clusters: list[tuple[int, ...]],
-                           qualities) -> list[int]:
-    """The index of one instance per cluster: the member with maximal
-    quality, ties resolved toward the lowest index. Parameters are never
-    averaged."""
-    qualities = np.asarray(qualities, dtype=float)
-    return [members[int(np.argmax(qualities[list(members)]))]
-            for members in clusters]

@@ -26,8 +26,9 @@ and a fit gives the same result as drawing a block at a time and solving
 one sample at a time. The loss is 1 and the IRLS weight 0 from
 LossFunction.cutoff on, so scoring and IRLS work on each row's support.
 
-Each consolidation pass refines its cluster representatives in one
-refine_irls call, but those it flagged as fixed points before. An IRLS
+Each consolidation pass keeps each cluster's best row by one quality
+vector and refines these in one refine_irls call, but those it flagged as
+fixed points before; the last pass prunes by the same vector. An IRLS
 iteration computes the weighted non-minimal fits, the residuals, and the
 losses with the next weights of every row still active with one call of
 each stacked kernel; a row leaves the stack when it converges or its
@@ -36,20 +37,21 @@ it alone. Only the CC sampler and the evaluation's matching import scipy.
 """
 from __future__ import annotations
 
+import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .consensus import cluster_instances, select_representatives
+from .consensus import cluster_instances
 from .errors import (
     DimensionMismatch,
     ExhaustedData,
     InvalidConfig,
     LabelMismatch,
 )
-from .losses import LossFunction, LossKind
+from .losses import LossFunction, LossKind, _is_integer
 from .models import (
     ModelInstance,
     ModelType,
@@ -59,7 +61,7 @@ from .models import (
     fundamental_planar_degenerate,
     minimal_candidates,
 )
-from .quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
+from .quality import min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
     build_neighborhood,
     cc_schedule,
@@ -78,8 +80,6 @@ PROPOSAL_BUDGET_FACTOR = 50
 # parameter change drops below IRLS_TOL
 IRLS_MAX_ITERS = 25
 IRLS_TOL = 1e-6
-# consolidation passes (clustering plus IRLS) allowed per outer iteration
-CONSOLIDATION_MAX_PASSES = 50
 # samples drawn, screened and solved together when the proposal loop runs
 # out of solved samples
 SAMPLE_BLOCK = 32
@@ -100,6 +100,9 @@ class EngineConfig:
     max_proposals: int = 10_000
 
     def __post_init__(self):
+        for name in ("batch_size", "n_steps", "seed", "max_proposals"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be an integer")
         if not 0 < self.q_min < np.inf:
             raise InvalidConfig("q_min must be positive and finite")
         if not 0.0 < self.tau < 1.0:
@@ -401,7 +404,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 if cache.sum() < config.q_min:
                     continue
                 q = quality_f_from_losses(loss, cache)
-                if is_dominant(q, config.q_min) and not (
+                if q >= config.q_min and not (
                         model_type is ModelType.FUNDAMENTAL
                         and fundamental_planar_degenerate(points.coords[sample], eps)):
                     loss_row = np.ones(n)
@@ -411,10 +414,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 
         if batch:
             new, new_r, new_loss = zip(*batch)
-            kept, residual_rows, loss_rows, fixed = _prune_by_quality(*_consolidate(
+            kept, residual_rows, loss_rows, fixed = _consolidate(
                 model_type, [kept, *new], [residual_rows, *new_r], [loss_rows, *new_loss],
-                [fixed, np.zeros(len(new), dtype=bool)], points, config), config)
-            min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
+                [fixed, np.zeros(len(new), dtype=bool)], points, config)
+            min_loss = loss_rows.min(axis=0, initial=1.0)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
         if should_terminate(n, united, draws, m, config.confidence,
@@ -440,25 +443,28 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
 def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
                  fixed, points: PointSet, cfg: EngineConfig):
     """Alternate consensus clustering and IRLS until the clustering returns
-    only singletons. The row count never increases between passes. params,
-    residual_rows, loss_rows and fixed (refine_irls's flag) are sequences
-    of rows or row blocks in instance order; they are stacked here rather
-    than by the caller, so that the stacked copies do not outlive the first
-    pass. Each pass hands the rows of its representatives not flagged fixed
-    to one refine_irls call. Returns the final stacks."""
+    only singletons, then return the stacks of the rows of quality >= q_min.
+    The inputs (fixed: refine_irls's flag) are row blocks in instance order,
+    stacked here so that the copies do not outlive the first pass. A pass
+    keeps per cluster its member of best quality against the rows outside
+    it, the lowest index on ties, and refines those not fixed; each later
+    pass drops a row or finds only singletons, each scored against all."""
     params = np.vstack(params)
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
     fixed = np.concatenate(fixed)
-    for n_pass in range(CONSOLIDATION_MAX_PASSES):
+    for n_pass in itertools.count():
         clusters = cluster_instances(loss_rows, cfg.tau)
-        if n_pass > 0 and len(clusters) == len(params):
-            break
         groups = np.empty(len(params), dtype=int)
         for g, members in enumerate(clusters):
             groups[list(members)] = g
-        qualities = [quality_f_from_losses(row, cache) for row, cache in
-                     zip(loss_rows, min_loss_outside_groups(loss_rows, groups))]
-        reps = select_representatives(clusters, qualities)
+        # one expression: the (k, n) temporaries are gone before IRLS
+        q = len(points) - np.maximum(loss_rows, 1.0 - min_loss_outside_groups(
+            loss_rows, groups)).sum(axis=1)
+        if n_pass > 0 and len(clusters) == len(params):
+            keep = q >= cfg.q_min
+            return params[keep], residual_rows[keep], loss_rows[keep], fixed[keep]
+        order = np.lexsort((-q, groups))
+        reps = order[np.searchsorted(groups[order], np.arange(len(clusters)))]
         # this pass's matrices are released before IRLS allocates its own
         params, residual_rows, loss_rows, fixed = (
             params[reps], residual_rows[reps], loss_rows[reps], fixed[reps])
@@ -468,18 +474,6 @@ def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
                                          loss_rows[todo], points, cfg)
             params[todo], residual_rows[todo], loss_rows[todo] = refined
             fixed[todo] = [d["fixed"] for d in info]
-    return params, residual_rows, loss_rows, fixed
-
-
-def _prune_by_quality(params: np.ndarray, residual_rows: np.ndarray,
-                      loss_rows: np.ndarray, fixed: np.ndarray, cfg: EngineConfig):
-    """Drop the rows whose quality against all the others falls below
-    q_min; evaluated simultaneously over the final set."""
-    outside = min_loss_outside_groups(loss_rows, np.arange(len(params)))
-    keep = [i for i in range(len(params))
-            if is_dominant(quality_f_from_losses(loss_rows[i], outside[i]),
-                           cfg.q_min)]
-    return params[keep], residual_rows[keep], loss_rows[keep], fixed[keep]
 
 
 def min_residual_assignment(residual_rows: np.ndarray,

@@ -5,7 +5,8 @@ epsilon), and loss(0) = 0, exactly except for magsacpp: there loss(0) is
 what rounding leaves of subtracting Gamma(a+1) below, under the machine
 epsilon 2.2e-16 for dof 1-40 (1.3e-16 at dof 2, 1.7e-16 at dof 4). The
 IRLS weight is proportional to loss'(r)/r, normalized so w(0) = 1 where
-that value is finite, and w(r) = 0 exactly where the loss saturates.
+that value is finite, and w(r) = 0 exactly where the loss saturates;
+_losses_and_weights writes each kind's loss beside its weight.
 
 Kinds and cutoffs (epsilon is the single user-facing threshold):
 
@@ -57,6 +58,10 @@ from .errors import InvalidConfig
 
 # E1's Taylor coefficients (-1)^(j+1) / (j j!), j = 26 .. 1 (Horner order)
 _E1_SERIES = tuple((-1.0) ** (j + 1) / (j * factorial(j)) for j in range(26, 0, -1))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 class LossKind(Enum):
@@ -149,7 +154,7 @@ class LossFunction:
     def __post_init__(self):
         if not 0 < self.epsilon < np.inf:
             raise InvalidConfig("epsilon must be positive and finite")
-        if self.dof < 1:
+        if not _is_integer(self.dof) or self.dof < 1:
             raise InvalidConfig("dof must be a positive integer")
 
     @property
@@ -163,72 +168,47 @@ class LossFunction:
             return k * self.epsilon
         return self.epsilon
 
-    # -- loss ---------------------------------------------------------------
-
     def losses(self, r) -> np.ndarray:
         """Per-residual loss, same shape as r."""
-        r = np.asarray(r, dtype=float)
-        eps = self.epsilon
-        if self.kind is LossKind.HARD01:
-            return np.where(r < eps, 0.0, 1.0)
-        if self.kind is LossKind.MSAC:
-            return np.minimum(1.0, (r / eps) ** 2)
-        if self.kind is LossKind.TUKEY_BISQUARE:
-            x = np.minimum(r / eps, 1.0)
-            return 1.0 - (1.0 - x * x) ** 3
-        if self.kind is LossKind.HUBER:
-            knee = eps / 2.0
-            rho_max = 3.0 * eps * eps / 8.0
-            rho = np.where(r <= knee, 0.5 * r * r, knee * (r - knee / 2.0))
-            return np.minimum(1.0, rho / rho_max)
-        if self.kind is LossKind.HUBER_REDESCENDING:
-            return self._hampel_loss(r)
-        return self._magsac(r)[0]
-
-    def _hampel_loss(self, r: np.ndarray) -> np.ndarray:
-        eps = self.epsilon
-        a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
-        rc = np.minimum(r, c)   # past c the loss is 1; inf - inf stays out
-        rho_a = 0.5 * a * a
-        rho_b = rho_a + a * (b - a)
-        rho_c = rho_b + 0.5 * a * (c - b)
-        rho = np.where(
-            rc <= a,
-            0.5 * rc * rc,
-            np.where(
-                rc <= b,
-                rho_a + a * (rc - a),
-                rho_b + a * ((c * (rc - b) - 0.5 * (rc * rc - b * b)) / (c - b)),
-            ),
-        )
-        return np.where(r >= c, 1.0, rho / rho_c)
-
-    # -- IRLS weight --------------------------------------------------------
+        return self._losses_and_weights(r)[0]
 
     def weights(self, r) -> np.ndarray:
         """Per-residual IRLS weight, same shape as r."""
+        return self._losses_and_weights(r)[1]
+
+    def _losses_and_weights(self, r):
+        """(losses(r), weights(r)): refine_irls takes a refit's losses and
+        the next refit's weights from one call."""
         r = np.asarray(r, dtype=float)
+        if self.kind is LossKind.MAGSACPP:
+            return self._magsac(r)
         eps = self.epsilon
-        if self.kind in (LossKind.HARD01, LossKind.MSAC):
-            return np.where(r < eps, 1.0, 0.0)
+        inside = r < eps
+        if self.kind is LossKind.HARD01:
+            return np.where(inside, 0.0, 1.0), np.where(inside, 1.0, 0.0)
+        if self.kind is LossKind.MSAC:
+            return np.minimum(1.0, (r / eps) ** 2), np.where(inside, 1.0, 0.0)
         if self.kind is LossKind.TUKEY_BISQUARE:
-            x = r / eps
-            return np.where(r < eps, (1.0 - np.minimum(x, 1.0) ** 2) ** 2, 0.0)
+            x = np.minimum(r / eps, 1.0)
+            return 1.0 - (1.0 - x * x) ** 3, np.where(inside, (1.0 - x * x) ** 2, 0.0)
         if self.kind is LossKind.HUBER:
             knee = eps / 2.0
-            safe = np.maximum(r, 1e-300)
-            return np.where(r < eps, np.minimum(1.0, knee / safe), 0.0)
-        if self.kind is LossKind.HUBER_REDESCENDING:
-            a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
-            rc = np.minimum(r, c)
-            safe = np.maximum(rc, 1e-300)
-            psi_over_r = np.where(
-                rc <= a,
-                1.0,
-                np.where(rc <= b, a / safe, a * (c - rc) / ((c - b) * safe)),
-            )
-            return np.where(r < c, np.maximum(psi_over_r, 0.0), 0.0)
-        return self._magsac(r)[1]
+            rho = np.where(r <= knee, 0.5 * r * r, knee * (r - knee / 2.0))
+            return (np.minimum(1.0, rho / (3.0 * eps * eps / 8.0)),
+                    np.where(inside, np.minimum(1.0, knee / np.maximum(r, 1e-300)), 0.0))
+        # HUBER_REDESCENDING: Hampel's three parts, knots a and b, zero at c
+        a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
+        rc = np.minimum(r, c)   # past c the loss is 1; inf - inf stays out
+        safe = np.maximum(rc, 1e-300)
+        rho_a = 0.5 * a * a
+        rho_b = rho_a + a * (b - a)
+        rho = np.where(rc <= a, 0.5 * rc * rc, np.where(
+            rc <= b, rho_a + a * (rc - a),
+            rho_b + a * ((c * (rc - b) - 0.5 * (rc * rc - b * b)) / (c - b))))
+        psi_over_r = np.where(rc <= a, 1.0, np.where(
+            rc <= b, a / safe, a * (c - rc) / ((c - b) * safe)))
+        return (np.where(r >= c, 1.0, rho / (rho_b + 0.5 * a * (c - b))),
+                np.where(inside, np.maximum(psi_over_r, 0.0), 0.0))
 
     def _magsac(self, r: np.ndarray):
         """The magsacpp losses and weights of r, from one Gu(a, y) per
@@ -251,9 +231,3 @@ class LossFunction:
         else:
             weight[inside] = (g - gu_a_k) / w0
         return loss, np.maximum(weight, 0.0)
-
-    def _losses_and_weights(self, r: np.ndarray):
-        """(losses(r), weights(r)) bit for bit; magsacpp's from one Gu each."""
-        if self.kind is LossKind.MAGSACPP:
-            return self._magsac(np.asarray(r, dtype=float))
-        return self.losses(r), self.weights(r)

@@ -432,8 +432,9 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
             return np.bincount(row, v, len(fitted))
 
         X = coords[pts]
+        total = sums(w)
         centroid = np.column_stack([sums(w * X[:, j]) for j in range(dim)]
-                                   ) / sums(w)[:, None]
+                                   ) / total[:, None]
         centered = X - centroid[row]
         weighted = centered * w[:, None]
         scatter = np.empty((len(fitted), dim, dim))
@@ -451,8 +452,9 @@ def _fit_weighted(model_type: ModelType, coords: np.ndarray, rows: np.ndarray,
             p, q, s = scatter[:, 0, 0], scatter[:, 0, 1], scatter[:, 1, 1]
             half = 0.5 * np.arctan2(2.0 * q, p - s)
             normal = np.column_stack([-np.sin(half), np.cos(half)])
-            # not coincident: the largest eigenvalue
-            ok[fitted] = 0.5 * (p + s) + np.hypot(0.5 * (p - s), q) > 1e-300
+            # not coincident: the largest eigenvalue against _degenerate's d
+            ok[fitted] = (0.5 * (p + s) + np.hypot(0.5 * (p - s), q)
+                          > total * (COINCIDENT_POINT_TOL / 2.0) ** 2)
         raw[fitted, :dim] = normal
         raw[fitted, dim] = np.vecdot(-normal, centroid)
         if model_type is ModelType.SEGMENT2D and len(fitted):

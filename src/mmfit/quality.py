@@ -3,7 +3,9 @@
 A candidate is scored only by the support it does not share with kept
 instances: quality_f = n - sum_p max(f(h, p), 1 - min_kept f(kept, p)),
 where f is the robust loss. Under the 0/1 loss this is the count of
-inliers of h that no kept instance explains.
+inliers of h that no kept instance explains. The engine accepts a
+proposal whose quality reaches q_min, keeps per consensus cluster the
+member of best quality and drops the final rows of quality below q_min.
 """
 from __future__ import annotations
 
@@ -38,7 +40,3 @@ def min_loss_outside_groups(loss_rows: np.ndarray,
     second = np.minimum(per_group.min(axis=0), 1.0)
     return np.where(first[None, :] == groups[:, None], second, lowest)
 
-
-def is_dominant(q: float, q_min: float) -> bool:
-    """Dominance decision, boundary inclusive."""
-    return q >= q_min

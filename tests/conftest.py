@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
+from mmfit.engine import _consolidate, default_config
 from mmfit.models import (
     ModelInstance,
     ModelType,
+    PointSet,
     _degenerate,
     _normalized,
     _oriented_epipolar,
@@ -29,6 +31,22 @@ def run_fresh(code: str) -> str:
                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def consolidate_fixed(loss_rows, q_min=1.0):
+    """_consolidate of a loss stack whose rows are all flagged fixed, so that
+    no IRLS runs; each row's parameter is its input index. Returns the
+    indices of the rows kept."""
+    k, n = loss_rows.shape
+    cfg = default_config(ModelType.LINE2D, 3.0, q_min=q_min)
+    points = PointSet(np.random.default_rng(0).uniform(0, 100, (n, 2)))
+    params = np.zeros((k, 3))
+    params[:, 0] = np.arange(k)
+    out, _, loss_out, _ = _consolidate(
+        ModelType.LINE2D, [params], [loss_rows], [loss_rows],
+        [np.ones(k, dtype=bool)], points, cfg)
+    assert np.array_equal(loss_out, loss_rows[out[:, 0].astype(int)])
+    return out[:, 0].astype(int).tolist()
 
 
 def make_camera_pair(rng, max_rotation_deg=15.0):

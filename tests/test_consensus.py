@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from mmfit.consensus import (
     cluster_instances,
-    select_representatives,
     tanimoto_matrix,
 )
 from mmfit.losses import LossFunction, LossKind
 from mmfit.models import PointSet, residuals
+from mmfit.quality import quality_f_from_losses
 
-from conftest import line_instance
+from conftest import consolidate_fixed, line_instance
 
 
 def _loss_rows(prefs):
@@ -224,23 +224,40 @@ def test_partition_invariant_to_permutation(rng):
 
 
 # ---------------------------------------------------------------------------
-# representatives
+# representatives: the engine keeps per cluster its member of best quality
 
 def test_singleton_representative():
-    assert select_representatives([(0,)], [5.0]) == [0]
+    rows = np.ones((1, 30))
+    rows[0, :5] = 0.0
+    assert consolidate_fixed(rows) == [0]
 
 
 def test_two_member_quality_argmax():
-    assert select_representatives([(0, 1)], [20.0, 30.0]) == [1]
+    # supports of 20 and 30 points, the first inside the second: similarity
+    # 2/3 links them, and the qualities are 20 and 30
+    rows = np.ones((2, 60))
+    rows[0, :20] = rows[1, :30] = 0.0
+    assert cluster_instances(rows, 0.2) == [(0, 1)]
+    assert consolidate_fixed(rows) == [1]
 
 
 def test_representatives_match_argmax_oracle(rng):
-    qualities = rng.uniform(0, 50, size=12)
-    # integer qualities force ties, which go to the lowest index
-    tied = np.floor(qualities / 10.0)
-    members = np.array_split(rng.permutation(12), 4)
-    clusters = [tuple(sorted(int(i) for i in m)) for m in members]
-    for q in (qualities, tied):
-        out = select_representatives(clusters, q)
-        for cluster, rep in zip(clusters, out):
-            assert rep == max(cluster, key=lambda i: (q[i], -i))
+    # four clusters on disjoint supports of 15 points, their members
+    # shuffled through the stack; in every other trial, losses in steps of
+    # 1/8 make equal qualities common, and a tie goes to the lowest index
+    n, per = 60, 5
+    for trial in range(40):
+        group = rng.permutation(np.repeat(np.arange(4), per))
+        rows = np.ones((len(group), n))
+        for i, g in enumerate(group):
+            losses = rng.uniform(0.0, 0.3, 15)
+            rows[i, 15 * g:15 * g + 15] = (np.floor(losses * 8.0) / 8.0
+                                           if trial % 2 else losses)
+        clusters = cluster_instances(rows, 0.2)
+        assert sorted(clusters) == sorted(
+            tuple(np.flatnonzero(group == g).tolist()) for g in range(4))
+        q = [quality_f_from_losses(row, np.ones(n)) for row in rows]
+        want = [max(c, key=lambda i: (q[i], -i)) for c in clusters]
+        assert consolidate_fixed(rows) == want
+        assert all(q[w] == max(q[i] for i in c)
+                   for w, c in zip(want, clusters))

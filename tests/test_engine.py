@@ -1,5 +1,6 @@
 import json
 
+from functools import partial
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from mmfit import engine, models
-from mmfit.consensus import tanimoto_matrix
+from mmfit.consensus import cluster_instances, tanimoto_matrix
 from mmfit.engine import (
     OUTLIER,
     EngineConfig,
@@ -42,7 +43,7 @@ from mmfit.models import (
     residuals,
 )
 from mmfit.ingest import SyntheticSpec, synthesize
-from mmfit.quality import is_dominant, quality_f_from_losses
+from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
 from mmfit.sampling import (
     build_neighborhood,
     cc_schedule,
@@ -52,6 +53,7 @@ from mmfit.sampling import (
 )
 
 from conftest import (
+    consolidate_fixed,
     line_angle_offset,
     line_instance,
     oriented_epipolar_ok,
@@ -563,6 +565,47 @@ def test_consolidate_merges_duplicates_monotonically(rng):
         assert np.array_equal(l_row, cfg.loss.losses(r_row))
 
 
+def test_consolidate_keeps_a_row_at_exactly_q_min():
+    # three 0/1 rows on disjoint supports of 20, 19 and 25 points: their
+    # qualities against all others are exactly 20, 19 and 25
+    n = 100
+    rows = np.ones((3, n))
+    rows[0, :20] = rows[1, 20:39] = rows[2, 39:64] = 0.0
+    assert consolidate_fixed(rows, q_min=20.0) == [0, 2]
+    assert consolidate_fixed(rows, q_min=np.nextafter(20.0, 21.0)) == [2]
+
+
+def test_candidate_at_q_min_is_accepted():
+    # 20 points on y = 0 and 10 outliers above them: under the 0/1 loss the
+    # line's quality is exactly 20, and a line through two outliers meets
+    # at most 2 of the 20
+    inliers = np.column_stack([10.0 * np.arange(20), np.zeros(20)])
+    outliers = np.random.default_rng(3).uniform((0, 100), (190, 300), (10, 2))
+    points = PointSet(np.vstack([inliers, outliers]))
+    for q_min, found in ((20.0, 1), (np.nextafter(20.0, 21.0), 0)):
+        cfg = default_config(ModelType.LINE2D, 3.0, LossKind.HARD01,
+                             q_min=q_min, sampler="uniform",
+                             max_proposals=200)
+        report = fit(points, ModelType.LINE2D, cfg)
+        assert len(report.instances) == found
+    assert np.array_equal(report.loss_matrix, np.zeros((0, 30)))
+
+
+def test_consolidating_60_rows_ends_in_singletons(rng):
+    spec = SyntheticSpec(ModelType.LINE2D, 4, 60, 60, 1.0, 1000.0, seed=8)
+    points, _, gt = synthesize(spec)
+    cfg = default_config(ModelType.LINE2D, 3.0)
+    params = np.vstack([make_instance(ModelType.LINE2D, gt[i % 4].params
+                                      + rng.normal(0, 0.02, 3)).params
+                        for i in range(60)])
+    R = models._residuals(ModelType.LINE2D, params, points.coords)
+    out, residual_rows, loss_rows, _ = _consolidate(
+        ModelType.LINE2D, [params], [R], [cfg.loss.losses(R)],
+        [np.zeros(60, dtype=bool)], points, cfg)
+    assert 1 <= len(out) <= 4
+    assert len(cluster_instances(loss_rows, cfg.tau)) == len(out)
+
+
 @pytest.mark.parametrize("spec, sampler", [
     (SyntheticSpec(ModelType.LINE2D, 3, 80, 100, 1.0, 1000.0, seed=5),
      "pnapsac"),
@@ -682,19 +725,16 @@ def _fit_per_draw(points, model_type, config):
                 if float(np.minimum(r < fn.cutoff, min_loss).sum()) < config.q_min:
                     continue
                 loss = fn.losses(r)
-                if is_dominant(quality_f_from_losses(loss, min_loss),
-                               config.q_min) and not (
+                if quality_f_from_losses(loss, min_loss) >= config.q_min and not (
                         model_type is ModelType.FUNDAMENTAL
                         and fundamental_planar_degenerate(points.coords[sample], eps)):
                     batch.append((h, r, loss))
         if batch:
             new, new_r, new_loss = zip(*batch)
-            kept, residual_rows, loss_rows, fixed = engine._prune_by_quality(
-                *_consolidate(model_type, [kept, *(h.params for h in new)],
-                              [residual_rows, *new_r], [loss_rows, *new_loss],
-                              [fixed, np.zeros(len(new), dtype=bool)],
-                              points, config),
-                config)
+            kept, residual_rows, loss_rows, fixed = _consolidate_oracle(
+                model_type, [kept, *(h.params for h in new)],
+                [residual_rows, *new_r], [loss_rows, *new_loss],
+                [fixed, np.zeros(len(new), dtype=bool)], points, config)
             min_loss = loss_rows.min(axis=0) if len(kept) else np.ones(n)
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
         ends.append(draws)
@@ -818,44 +858,82 @@ def test_fit_builds_only_the_reported_instances(monkeypatch, spec, sampler):
     assert all(a is b for a, b in zip(built, report.instances))
 
 
-def _consolidate_refining_all(model_type, params, residual_rows, loss_rows,
-                              fixed, points, cfg):
-    """_consolidate without its fixed-point skip: every pass refines every
-    representative."""
+def _select_representatives(clusters, qualities):
+    """Oracle: per cluster, the member of maximal quality, ties resolved
+    toward the lowest index."""
+    qualities = np.asarray(qualities, dtype=float)
+    return [members[int(np.argmax(qualities[list(members)]))]
+            for members in clusters]
+
+
+def _qualities(loss_rows, groups):
+    """Oracle: per row, quality_f_from_losses against the rows outside its
+    group, one row at a time."""
+    return [quality_f_from_losses(row, cache) for row, cache in
+            zip(loss_rows, min_loss_outside_groups(loss_rows, groups))]
+
+
+def _consolidate_oracle(model_type, params, residual_rows, loss_rows, fixed,
+                        points, cfg, skip_fixed=True):
+    """Oracle of _consolidate: per pass a per-row quality list and
+    _select_representatives, until the clustering returns only singletons;
+    then a separate leave-one-out prune. skip_fixed=False refines every
+    representative in every pass."""
     params = np.vstack(params)
     residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
-    for n_pass in range(engine.CONSOLIDATION_MAX_PASSES):
-        clusters = engine.cluster_instances(loss_rows, cfg.tau)
-        if n_pass > 0 and len(clusters) == len(params):
-            break
+    fixed = np.concatenate(fixed) & skip_fixed
+    first = True
+    while first or len(cluster_instances(loss_rows, cfg.tau)) < len(params):
+        first = False
+        clusters = cluster_instances(loss_rows, cfg.tau)
         groups = np.empty(len(params), dtype=int)
         for g, members in enumerate(clusters):
             groups[list(members)] = g
-        qualities = [quality_f_from_losses(row, cache) for row, cache in
-                     zip(loss_rows, engine.min_loss_outside_groups(loss_rows,
-                                                                   groups))]
-        reps = engine.select_representatives(clusters, qualities)
-        params, residual_rows, loss_rows, _ = engine.refine_irls(
-            model_type, params[reps], residual_rows[reps], loss_rows[reps],
-            points, cfg)
-    return params, residual_rows, loss_rows, np.zeros(len(params), bool)
+        reps = _select_representatives(clusters, _qualities(loss_rows, groups))
+        params, residual_rows, loss_rows, fixed = (
+            params[reps], residual_rows[reps], loss_rows[reps], fixed[reps])
+        todo = np.flatnonzero(~fixed)
+        if len(todo):
+            *refined, info = engine.refine_irls(
+                model_type, params[todo], residual_rows[todo],
+                loss_rows[todo], points, cfg)
+            params[todo], residual_rows[todo], loss_rows[todo] = refined
+            fixed[todo] = [d["fixed"] and skip_fixed for d in info]
+    keep = [i for i, q in enumerate(_qualities(loss_rows,
+                                               np.arange(len(params))))
+            if q >= cfg.q_min]
+    return params[keep], residual_rows[keep], loss_rows[keep], fixed[keep]
 
 
-# per family: a scene, and whether its fit meets a fixed representative
-@pytest.mark.parametrize("spec, skips", [
-    (SyntheticSpec(ModelType.LINE2D, 10, 60, 400, 1.0, seed=1), False),
-    (SyntheticSpec(ModelType.SEGMENT2D, 8, 60, 300, 1.0, seed=4), False),
-    (SyntheticSpec(ModelType.PLANE3D, 4, 100, 150, 1.0, seed=1), False),
-    (SyntheticSpec(ModelType.HOMOGRAPHY, 4, 100, 150, 1.0, seed=3), False),
-    (SyntheticSpec(ModelType.FUNDAMENTAL, 4, 100, 150, 1.0, seed=1), True),
-], ids=["line2d", "segment2d", "plane3d", "homography", "fundamental"])
+_consolidate_refining_all = partial(_consolidate_oracle, skip_fixed=False)
+
+
+LINES_10 = SyntheticSpec(ModelType.LINE2D, 10, 60, 400, 1.0, seed=1)
+
+
+# per family and loss: a scene, and whether its fit meets a fixed
+# representative; magsacpp unless the id names the loss
+@pytest.mark.parametrize("spec, kind, skips", [
+    (LINES_10, LossKind.MAGSACPP, False),
+    (SyntheticSpec(ModelType.SEGMENT2D, 8, 60, 300, 1.0, seed=4),
+     LossKind.MAGSACPP, False),
+    (SyntheticSpec(ModelType.PLANE3D, 4, 100, 150, 1.0, seed=1),
+     LossKind.MAGSACPP, False),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 4, 100, 150, 1.0, seed=3),
+     LossKind.MAGSACPP, False),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 4, 100, 150, 1.0, seed=1),
+     LossKind.MAGSACPP, True),
+    (LINES_10, LossKind.MSAC, True),
+    (LINES_10, LossKind.TUKEY_BISQUARE, False),
+], ids=["line2d", "segment2d", "plane3d", "homography", "fundamental",
+        "line2d-msac", "line2d-tukey"])
 def test_fit_skips_fixed_points_without_changing_the_fit(monkeypatch, spec,
-                                                        skips):
+                                                        kind, skips):
     # a representative flagged fixed would come back from refine_irls
     # unchanged, and a row's IRLS does not depend on its stack, so skipping
     # it leaves the fit bit-equal
     points, _, _ = synthesize(spec)
-    cfg = default_config(spec.model_type, 3.0, max_proposals=800)
+    cfg = default_config(spec.model_type, 3.0, kind, max_proposals=800)
     refined_rows = []
 
     def counted_refine(model_type, params, *args):
@@ -919,6 +997,23 @@ def test_engine_config_validation():
     for removed in ("proposal_budget_factor", "max_irls_iters", "irls_tol"):
         with pytest.raises(TypeError):
             default_config(ModelType.LINE2D, 3.0, **{removed: 5})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dof", 2.5), ("dof", True), ("seed", 1.5), ("seed", True),
+    ("n_steps", 2.0), ("batch_size", 2.5), ("max_proposals", 300.0),
+    ("max_proposals", np.float64(300.0)), ("batch_size", "3")])
+def test_non_integer_config_values_are_rejected(field, value):
+    # int or numpy integer, but not bool; the cc sampler reads n_steps
+    def make(v):
+        if field == "dof":
+            return LossFunction(LossKind.MAGSACPP, 3.0, dof=v)
+        return default_config(ModelType.LINE2D, 3.0, sampler="cc",
+                              **{field: v})
+
+    with pytest.raises(InvalidConfig, match=field):
+        make(value)
+    make(np.int64(max(int(value), 1)))
 
 
 def test_min_residual_assignment():

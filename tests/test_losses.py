@@ -292,18 +292,83 @@ def test_losses_import_no_scipy():
     assert run_fresh(code).strip() == "[]"
 
 
+def _reference_losses(fn, r):
+    """Oracle: each kind's loss as its own formula (magsacpp through
+    LossFunction._magsac)."""
+    eps = fn.epsilon
+    if fn.kind is LossKind.HARD01:
+        return np.where(r < eps, 0.0, 1.0)
+    if fn.kind is LossKind.MSAC:
+        return np.minimum(1.0, (r / eps) ** 2)
+    if fn.kind is LossKind.TUKEY_BISQUARE:
+        x = np.minimum(r / eps, 1.0)
+        return 1.0 - (1.0 - x * x) ** 3
+    if fn.kind is LossKind.HUBER:
+        knee = eps / 2.0
+        rho_max = 3.0 * eps * eps / 8.0
+        rho = np.where(r <= knee, 0.5 * r * r, knee * (r - knee / 2.0))
+        return np.minimum(1.0, rho / rho_max)
+    if fn.kind is LossKind.HUBER_REDESCENDING:
+        a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
+        rc = np.minimum(r, c)
+        rho_a = 0.5 * a * a
+        rho_b = rho_a + a * (b - a)
+        rho_c = rho_b + 0.5 * a * (c - b)
+        rho = np.where(
+            rc <= a,
+            0.5 * rc * rc,
+            np.where(
+                rc <= b,
+                rho_a + a * (rc - a),
+                rho_b + a * ((c * (rc - b) - 0.5 * (rc * rc - b * b)) / (c - b)),
+            ),
+        )
+        return np.where(r >= c, 1.0, rho / rho_c)
+    return fn._magsac(r)[0]
+
+
+def _reference_weights(fn, r):
+    """Oracle: each kind's IRLS weight as its own formula."""
+    eps = fn.epsilon
+    if fn.kind in (LossKind.HARD01, LossKind.MSAC):
+        return np.where(r < eps, 1.0, 0.0)
+    if fn.kind is LossKind.TUKEY_BISQUARE:
+        x = r / eps
+        return np.where(r < eps, (1.0 - np.minimum(x, 1.0) ** 2) ** 2, 0.0)
+    if fn.kind is LossKind.HUBER:
+        knee = eps / 2.0
+        safe = np.maximum(r, 1e-300)
+        return np.where(r < eps, np.minimum(1.0, knee / safe), 0.0)
+    if fn.kind is LossKind.HUBER_REDESCENDING:
+        a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
+        rc = np.minimum(r, c)
+        safe = np.maximum(rc, 1e-300)
+        psi_over_r = np.where(
+            rc <= a,
+            1.0,
+            np.where(rc <= b, a / safe, a * (c - rc) / ((c - b) * safe)),
+        )
+        return np.where(r < c, np.maximum(psi_over_r, 0.0), 0.0)
+    return fn._magsac(r)[1]
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 @pytest.mark.parametrize("dof", range(1, 9))
 def test_shared_kernel_equals_separate_calls(kind, dof):
-    # refine_irls takes a refit's losses and the next refit's weights from
-    # one call
+    # the kernel that writes each kind's loss beside its weight, and the
+    # losses and weights that return its halves, equal each kind's separate
+    # loss and weight formulas bit for bit
     fn = LossFunction(kind, 2.5, dof)
-    r = np.concatenate([[0.0, 1e-300, 1e-160, 1e-8, fn.cutoff, np.inf],
+    eps = fn.epsilon
+    r = np.concatenate([[0.0, 1e-300, eps / 3.0, eps / 2.0, 2.0 * eps / 3.0,
+                         eps, fn.cutoff, 1e300, np.inf],
                         np.random.default_rng(dof).uniform(0, 1.2 * fn.cutoff,
-                                                           999)])
-    loss, weight = fn._losses_and_weights(r)
-    assert loss.tobytes() == fn.losses(r).tobytes()
-    assert weight.tobytes() == fn.weights(r).tobytes()
+                                                           5000)])
+    with np.errstate(over="ignore"):   # r * r at r = 1e300
+        want = _reference_losses(fn, r), _reference_weights(fn, r)
+        for got in (fn._losses_and_weights(r), (fn.losses(r), fn.weights(r))):
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

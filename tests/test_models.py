@@ -9,6 +9,7 @@ from mmfit.errors import DegenerateSample
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.losses import LossFunction, LossKind
 from mmfit.models import (
+    COINCIDENT_POINT_TOL,
     COLLINEAR_AREA_TOL,
     ModelInstance,
     ModelType,
@@ -213,13 +214,20 @@ def test_minimal_lines_segments_planes_are_unit_weight_fits(model_type, kinds,
 
 
 def test_minimal_line_through_close_points_is_fitted():
-    # points 1e-10 apart are not coincident; the screen of the sampled
-    # path rejects them, but fit_minimal fits them as fit_nonminimal does
-    sample = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-10]])
+    # points 2e-9 apart are not coincident: the screen of the sampled path,
+    # fit_minimal and fit_nonminimal fit the same line; 1e-10 apart, below
+    # COINCIDENT_POINT_TOL, all three reject them
+    sample = np.array([[1.0, 1.0], [1.0, 1.0 + 2e-9]])
     (line,) = fit_minimal(ModelType.LINE2D, sample)
     assert np.array_equal(
         line.params, fit_nonminimal(ModelType.LINE2D, sample, np.ones(2)).params)
     assert np.allclose(np.abs(line.params), [1.0, 0.0, 1.0])
+    params, owner = minimal_candidates(ModelType.LINE2D, sample[None])
+    assert np.array_equal(params, line.params[None]) and owner.tolist() == [0]
+    sample[1, 1] = 1.0 + 1e-10
+    for solve in (fit_minimal, lambda t, s: fit_nonminimal(t, s, np.ones(2))):
+        with pytest.raises(DegenerateSample):
+            solve(ModelType.LINE2D, sample)
     params, owner = minimal_candidates(ModelType.LINE2D, sample[None])
     assert params.shape == (0, 3) and owner.shape == (0,)
 
@@ -324,7 +332,7 @@ def test_line_normal_closed_form_matches_eigh(kind):
         mu = (wi[:, None] * X).sum(0) / wi.sum()
         scatter = ((X - mu) * wi[:, None]).T @ (X - mu)
         vals, vecs = np.linalg.eigh(scatter)
-        assert ok[i] == (vals[-1] > 1e-300)
+        assert ok[i] == (vals[-1] > wi.sum() * (COINCIDENT_POINT_TOL / 2) ** 2)
         if not ok[i]:
             continue
         normal = params[i, :2]
@@ -335,6 +343,36 @@ def test_line_normal_closed_form_matches_eigh(kind):
             # any direction minimizes an isotropic scatter to rounding
             assert normal @ scatter @ normal <= vals[0] + 1e-12 * vals[-1]
     assert ok.all() == (kind != "coincident") and ok.any() == ok.all()
+
+
+@pytest.mark.parametrize("model_type", [ModelType.LINE2D, ModelType.SEGMENT2D,
+                                        ModelType.PLANE3D])
+def test_coincident_points_are_not_fitted(model_type):
+    # off the integer grid the weighted centroid rounds, which leaves a
+    # scatter of rounding size along no direction of the data
+    point = [123.456, -7.89, 0.321][:model_type.dim]
+    with pytest.raises(DegenerateSample):
+        fit_nonminimal(model_type, np.tile(point, (12, 1)), np.ones(12))
+    rng = np.random.default_rng(5)
+    k, per = 80, 12
+    coords = np.repeat(rng.uniform(-1000, 1000, (k, model_type.dim)), per,
+                       axis=0)
+    _, ok = _fit_weighted(model_type, coords, np.repeat(np.arange(k), per),
+                          np.arange(k * per), rng.uniform(0.5, 2.0, k * per),
+                          k)
+    assert not ok.any()
+
+
+@pytest.mark.parametrize("model_type", [ModelType.LINE2D, ModelType.SEGMENT2D])
+def test_two_points_are_fitted_from_the_coincidence_tolerance_on(model_type):
+    # the weighted fit of two unit-weight points d apart agrees with the
+    # minimal sample screen: coincident below d = COINCIDENT_POINT_TOL
+    for d, fitted in ((1.01e-9, True), (0.99e-9, False)):
+        pts = np.array([[0.0, 0.0], [d, 0.0]])
+        assert sample_degenerate(model_type, pts) is not fitted
+        _, ok = _fit_weighted(model_type, pts, np.zeros(2, dtype=int),
+                              np.arange(2), np.ones(2), 1)
+        assert ok[0] == fitted
 
 
 def _segment_residuals_oracle(P, coords):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from mmfit.losses import LossFunction, LossKind
 from mmfit.models import ModelType, PointSet, fit_minimal, residual, residuals
-from mmfit.quality import is_dominant, min_loss_outside_groups, quality_f_from_losses
+from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
 
 from conftest import line_instance
 
@@ -143,12 +143,6 @@ def test_monotone_penalty_when_active_grows(rng):
             cur = _quality_f(h, points, kept, fn)
             assert cur <= prev + 1e-12
             prev = cur
-
-
-def test_is_dominant_boundary():
-    assert is_dominant(25.0, 20.0) is True
-    assert is_dominant(20.0, 20.0) is True
-    assert is_dominant(0.0, 20.0) is False
 
 
 @settings(max_examples=50, deadline=None)
