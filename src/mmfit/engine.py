@@ -12,19 +12,19 @@ matrix and a hard minimum-residual assignment. A hypothesis is a row of a
 ModelInstance objects are built once, for the report's instances.
 
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
-the loop draws the next SAMPLE_BLOCK samples (never past max_proposals, nor
-across the end of the CC schedule; one sampling.pnapsac_block call for
-P-NAPSAC) and _candidates solves and scores them with one call of each
-stacked kernel: models.minimal_candidates screens, solves and orients the
-minimal samples, models._fit_weighted fits the larger connected components
-and models._residuals scores their rows. The loop takes one entry per draw,
-with the stopping checks made before every draw. A draw depends only on
-the rng, the draw index and its block (blocks start at fixed draws; the CC
-schedule is listed once per fit from per-radius pair queries), so entries
-left when an outer iteration ends are the draws the next one would make,
-and a fit gives the same result as drawing a block at a time and solving
-one sample at a time. The loss is 1 and the IRLS weight 0 from
-LossFunction.cutoff on, so scoring and IRLS work on each row's support.
+the loop takes the next SAMPLE_BLOCK samples (never past max_proposals, nor
+across the end of the CC schedule) from the CC schedule or one
+sampling.draw_block call, and _candidates solves and scores them with one
+call of each stacked kernel: models.minimal_candidates screens, solves and
+orients the minimal samples, models._fit_weighted fits the larger connected
+components and models._residuals scores their rows. The loop takes one
+entry per draw, with the stopping checks made before every draw. A draw
+depends only on the rng, the draw index and its block (blocks start at
+fixed draws; the CC schedule is listed once per fit from per-radius pair
+queries), so entries left when an outer iteration ends are the draws the
+next one would make, and a fit gives the same result as drawing a block at
+a time and solving one sample at a time. Scoring and IRLS work on each
+row's support, as the loss is 1 and the weight 0 from LossFunction.cutoff.
 
 Each consolidation pass keeps each cluster's best row by one quality
 vector and refines these in one refine_irls call, but those it flagged as
@@ -51,7 +51,7 @@ from .errors import (
     InvalidConfig,
     LabelMismatch,
 )
-from .losses import LossFunction, LossKind, _is_integer
+from .losses import LossFunction, LossKind, _is_integer, _is_real
 from .models import (
     ModelInstance,
     ModelType,
@@ -65,9 +65,7 @@ from .quality import min_loss_outside_groups, quality_f_from_losses
 from .sampling import (
     build_neighborhood,
     cc_schedule,
-    next_sample_prosac,
-    next_sample_uniform,
-    pnapsac_block,
+    draw_block,
 )
 
 OUTLIER = -1
@@ -100,9 +98,14 @@ class EngineConfig:
     max_proposals: int = 10_000
 
     def __post_init__(self):
+        if not isinstance(self.loss, LossFunction):
+            raise InvalidConfig("loss must be a LossFunction")
         for name in ("batch_size", "n_steps", "seed", "max_proposals"):
             if not _is_integer(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer")
+        for name in ("q_min", "tau", "confidence", "r_min", "r_max"):
+            if not _is_real(getattr(self, name)):
+                raise InvalidConfig(f"{name} must be a real number")
         if not 0 < self.q_min < np.inf:
             raise InvalidConfig("q_min must be positive and finite")
         if not 0.0 < self.tau < 1.0:
@@ -310,18 +313,6 @@ def _candidates(points: PointSet, model_type: ModelType,
     return out
 
 
-def _draw(sampler: str, points: PointSet, m: int, iteration: int,
-          schedule: list[list[int]], rng: np.random.Generator) -> list[int]:
-    """The sample at the given 1-based iteration: entry iteration of the
-    CC schedule while it lasts, then a PROSAC draw for the CC sampler, or
-    the draw of the uniform or PROSAC sampler."""
-    if iteration <= len(schedule):
-        return schedule[iteration - 1]
-    if sampler in ("prosac", "cc"):
-        return next_sample_prosac(points, m, iteration - len(schedule), rng)
-    return next_sample_uniform(points, m, rng)
-
-
 def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitReport:
     """Run the full progressive fit and return the report.
 
@@ -386,11 +377,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))
-                block = (pnapsac_block(graph, m, draws + 1, stop - draws,
-                                       rng).tolist()
-                         if config.sampler == "pnapsac" else
-                         [_draw(config.sampler, points, m, i, schedule, rng)
-                          for i in range(draws + 1, stop + 1)])
+                block = (schedule[draws:stop] if draws < len(schedule) else
+                         draw_block(config.sampler, points, graph, m,
+                                    draws + 1 - len(schedule), stop - draws,
+                                    rng))
                 solved.extend(zip(block, _candidates(points, model_type,
                                                      block, fn)))
             draws += 1

@@ -64,6 +64,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 class LossKind(Enum):
     HARD01 = "hard01"
     MSAC = "msac"
@@ -152,7 +157,9 @@ class LossFunction:
     dof: int = 2
 
     def __post_init__(self):
-        if not 0 < self.epsilon < np.inf:
+        if not isinstance(self.kind, LossKind):
+            raise InvalidConfig("kind must be a LossKind")
+        if not _is_real(self.epsilon) or not 0 < self.epsilon < np.inf:
             raise InvalidConfig("epsilon must be positive and finite")
         if not _is_integer(self.dof) or self.dof < 1:
             raise InvalidConfig("dof must be a positive integer")
@@ -186,19 +193,19 @@ class LossFunction:
         inside = r < eps
         if self.kind is LossKind.HARD01:
             return np.where(inside, 0.0, 1.0), np.where(inside, 1.0, 0.0)
+        rc = np.minimum(r, eps)   # no square overflows past eps, where loss = 1
         if self.kind is LossKind.MSAC:
-            return np.minimum(1.0, (r / eps) ** 2), np.where(inside, 1.0, 0.0)
+            return (rc / eps) ** 2, np.where(inside, 1.0, 0.0)
         if self.kind is LossKind.TUKEY_BISQUARE:
-            x = np.minimum(r / eps, 1.0)
+            x = rc / eps
             return 1.0 - (1.0 - x * x) ** 3, np.where(inside, (1.0 - x * x) ** 2, 0.0)
         if self.kind is LossKind.HUBER:
             knee = eps / 2.0
-            rho = np.where(r <= knee, 0.5 * r * r, knee * (r - knee / 2.0))
+            rho = np.where(rc <= knee, 0.5 * rc * rc, knee * (rc - knee / 2.0))
             return (np.minimum(1.0, rho / (3.0 * eps * eps / 8.0)),
                     np.where(inside, np.minimum(1.0, knee / np.maximum(r, 1e-300)), 0.0))
         # HUBER_REDESCENDING: Hampel's three parts, knots a and b, zero at c
         a, b, c = eps / 3.0, 2.0 * eps / 3.0, eps
-        rc = np.minimum(r, c)   # past c the loss is 1; inf - inf stays out
         safe = np.maximum(rc, 1e-300)
         rho_a = 0.5 * a * a
         rho_b = rho_a + a * (b - a)

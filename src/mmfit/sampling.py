@@ -1,16 +1,18 @@
 """Minimal-sample proposal: uniform, PROSAC, P-NAPSAC, and the
 connected-component (CC) sampler.
 
-PROSAC grows its pool along PointSet.ranked_order, the best-first order the
-point set fixes once. P-NAPSAC draws a block at a time: uniform centres,
-ranked or not, and neighbors from pools that grow with the draw index.
+draw_block draws the first three a block at a time by one kernel with three
+arms: a centre, then distinct ranks below a bound of an order, namely every
+other point (uniform), PointSet.ranked_order, fixed once per point set, in a
+pool growing with the draw index (PROSAC), or the centre's neighbor order in
+a neighborhood growing the same way (P-NAPSAC).
 The CC sampler's samples are the connected components at each radius of its
 schedule, r_min to r_max, largest first, over the joint coordinate space
 (4D for correspondences). They depend on the coordinates alone, so
 cc_schedule lists them all once per fit, growing the components from one
 radius to the next with one KD-tree pair query per radius until one
 component holds every point. After the last of them the engine draws PROSAC
-samples over all points. Only the CC sampler imports scipy, where it runs.
+blocks over all points. Only the CC sampler imports scipy, where it runs.
 """
 from __future__ import annotations
 
@@ -140,7 +142,7 @@ def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
 
 
 # ---------------------------------------------------------------------------
-# PROSAC
+# Uniform, PROSAC and P-NAPSAC draws
 
 @lru_cache(maxsize=None)
 def _prosac_schedule(n_points: int, m: int) -> tuple:
@@ -157,67 +159,41 @@ def _prosac_schedule(n_points: int, m: int) -> tuple:
     return tuple(thresholds)
 
 
-def next_sample_prosac(points: PointSet, m: int, iteration: int,
-                       rng: np.random.Generator) -> list[int]:
-    """PROSAC sample of size m at the given 1-based iteration.
-
-    The distinguished point of the growth schedule comes first in the
-    returned list. Unranked point sets are sampled uniformly, as is every
-    draw after the growth budget.
-    """
+def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
+               m: int, first: int, count: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """The (count, m) samples of the 1-based draws first onwards, from
+    centres = rng.integers(n, size=count) and u = rng.random((count, m - 1))
+    whatever the sampler. Draw t is its centre, then the points at ranks
+    j < m - 1 of an order: the floor(u[:, j] (s - j))-th free rank < s.
+    P-NAPSAC: s = min(n - 1, m - 1 + t // PNAPSAC_GROWTH_RATE) in the
+    centre's neighbor order. PROSAC (prosac and cc, ranked set, t <= T'_N):
+    the last of the first k_t points of ranked_order replaces the centre,
+    s = k_t - 1. Else uniform: s = n - 1 over every point but the centre."""
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    order = points.ranked_order
-    if order is None:
-        return next_sample_uniform(points, m, rng)
-    thresholds = _prosac_schedule(n, m)
-    if iteration > thresholds[-1]:
-        return next_sample_uniform(points, m, rng)
-    subset = int(np.searchsorted(thresholds, iteration, side="left")) + m
-    subset = min(subset, n)
-    pivot = order[subset - 1]
-    if m == 1:
-        return [int(pivot)]
-    rest = _distinct(rng, subset - 1, m - 1)
-    return [int(pivot)] + [int(order[i]) for i in rest]
-
-
-def pnapsac_block(graph: NeighborhoodGraph, m: int, first: int, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """The (count, m) P-NAPSAC samples of the 1-based draws first onwards,
-    from centres = rng.integers(n, size=count) and, for m > 1, u =
-    rng.random((count, m - 1)). With s = min(n - 1, m - 1 + t //
-    PNAPSAC_GROWTH_RATE), draw t is its centre, then the neighbors at ranks
-    j < m - 1 of its order: the floor(u[:, j] (s - j))-th free rank < s."""
-    n = graph.n_points
-    if n < m:
-        raise ExhaustedData(f"need at least {m} points")
     centres = rng.integers(n, size=count)
-    if m == 1:
-        return centres[:, None]
     u = rng.random((count, m - 1))
-    s = np.minimum(n - 1, m - 1 + np.arange(first, first + count)
-                   // PNAPSAC_GROWTH_RATE)
+    t = np.arange(first, first + count)
+    s = np.full(count, n - 1)
+    pool = np.zeros(count, dtype=bool)   # the rows drawn from a PROSAC pool
+    if sampler == "pnapsac":
+        s = np.minimum(s, m - 1 + t // PNAPSAC_GROWTH_RATE)
+    elif sampler != "uniform" and points.ranked_order is not None:
+        thresholds = _prosac_schedule(n, m)
+        pool = t <= thresholds[-1]
+        s[pool] = np.minimum(np.searchsorted(thresholds, t[pool]) + m, n) - 1
+        centres[pool] = points.ranked_order[s[pool]]
     ranks = np.floor(u * (s[:, None] - np.arange(m - 1))).astype(int)
     for j in range(1, m - 1):   # skip the ranks taken before, ascending
         for taken in np.sort(ranks[:, :j], axis=1).T:
             ranks[:, j] += ranks[:, j] >= taken
-    orders = graph.orders(centres.tolist(), int(s[-1]))
-    return np.column_stack([centres, [o[r] for o, r in zip(orders, ranks)]])
-
-
-def next_sample_uniform(points: PointSet, m: int,
-                        rng: np.random.Generator) -> list[int]:
-    n = len(points)
-    if n < m:
-        raise ExhaustedData(f"need at least {m} points")
-    return _distinct(rng, n, m)
-
-
-def _distinct(rng: np.random.Generator, k: int, size: int) -> list[int]:
-    """size distinct values of range(k) as rng.choice(k, size, replace=False)
-    draws them; one value from rng.integers(k), same value and rng state."""
-    if size == 1:
-        return [int(rng.integers(k))]
-    return rng.choice(k, size=size, replace=False).tolist()
+    if sampler == "pnapsac" and m > 1:
+        orders = graph.orders(centres.tolist(), int(s[-1]))
+        rest = np.array([o[r] for o, r in zip(orders, ranks)])
+    else:
+        rest = ranks + (ranks >= centres[:, None])   # every point but the centre
+        if pool.any():
+            rest[pool] = points.ranked_order[ranks[pool]]
+    return np.column_stack([centres, rest])

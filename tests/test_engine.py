@@ -44,13 +44,7 @@ from mmfit.models import (
 )
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
-from mmfit.sampling import (
-    build_neighborhood,
-    cc_schedule,
-    next_sample_prosac,
-    next_sample_uniform,
-    pnapsac_block,
-)
+from mmfit.sampling import build_neighborhood, cc_schedule, draw_block
 
 from conftest import (
     consolidate_fixed,
@@ -668,10 +662,11 @@ def _one_sample_candidates(points, model_type, sample):
 
 
 def _fit_per_draw(points, model_type, config):
-    """Oracle of fit: the proposal loop that draws, screens and solves one
-    sample at a time, each connected component alone (P-NAPSAC samples are
-    drawn a block at a time, as the engine draws them). Returns the report
-    and the draw count at the end of each outer iteration."""
+    """Oracle of fit: the proposal loop that screens and solves one sample
+    at a time, each connected component alone (the samples after the CC
+    schedule are drawn a block at a time, as the engine draws them).
+    Returns the report and the draw count at the end of each outer
+    iteration."""
     m, n = model_type.m, len(points)
     rng = np.random.default_rng(config.seed)
     graph, schedule, cc = None, [], config.sampler == "cc"
@@ -704,21 +699,14 @@ def _fit_per_draw(points, model_type, config):
                 break
             draws += 1
             attempts += 1
-            if config.sampler == "pnapsac" and (draws - 1) % block == 0:
-                # the engine's blocks: from draw 1 in SAMPLE_BLOCK steps,
-                # the last one cut at the cap
-                drawn = iter(pnapsac_block(
-                    graph, m, draws, min(block, config.max_proposals
-                                         - draws + 1), rng).tolist())
-            if draws <= len(schedule):
-                sample = schedule[draws - 1]
-            elif config.sampler in ("cc", "prosac"):
-                sample = next_sample_prosac(points, m, draws - len(schedule),
-                                            rng)
-            elif config.sampler == "pnapsac":
-                sample = next(drawn)
-            else:
-                sample = next_sample_uniform(points, m, rng)
+            t = draws - len(schedule)   # the draw's number after the schedule
+            if t > 0 and (t - 1) % block == 0:
+                # the engine's blocks: from the first draw after the
+                # schedule in SAMPLE_BLOCK steps, the last one cut at the cap
+                drawn = iter(draw_block(
+                    config.sampler, points, graph, m, t,
+                    min(block, config.max_proposals - draws + 1), rng).tolist())
+            sample = schedule[draws - 1] if t <= 0 else next(drawn)
             for h in _one_sample_candidates(points, model_type, sample):
                 proposals_tried += 1
                 r = residuals(h, points.coords)
@@ -766,14 +754,14 @@ def _ranked(points):
     (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac",
      10_000, "criterion"),
     (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=6), "uniform",
-     45, "cap"),
-    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=7), "prosac",
+     39, "cap"),
+    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=3), "prosac",
      100, "criterion"),
     (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
                    clustered=True), "cc", 10_000, "cc"),
     # radii so small that the schedule holds 2 samples and the fit goes on
     # with PROSAC draws until it finds the first line
-    (SyntheticSpec(ModelType.LINE2D, 2, 30, 400, 1.0, seed=8),
+    (SyntheticSpec(ModelType.LINE2D, 2, 30, 600, 1.0, seed=8),
      ("cc", 0.1, 0.3), 1000, "fallback"),
     # components of exactly m = 4 points and larger ones share blocks
     (SyntheticSpec(ModelType.HOMOGRAPHY, 3, 60, 30, 1.0, seed=8), "cc",
@@ -1014,6 +1002,37 @@ def test_non_integer_config_values_are_rejected(field, value):
     with pytest.raises(InvalidConfig, match=field):
         make(value)
     make(np.int64(max(int(value), 1)))
+
+
+_REAL_FIELDS = {"epsilon": 3.0, "q_min": 20.0, "tau": 0.2,
+                "confidence": 0.9, "r_min": 20.0, "r_max": 200.0}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epsilon", "3"), ("epsilon", None), ("epsilon", True), ("q_min", "20"),
+    ("q_min", True), ("tau", None), ("confidence", "0.9"), ("r_min", [20.0]),
+    ("r_max", "5")])
+def test_non_real_config_values_are_rejected(field, value):
+    # int, float or a numpy scalar of either, but not bool; the cc sampler
+    # reads r_min
+    def make(v):
+        if field == "epsilon":
+            return LossFunction(LossKind.MAGSACPP, v)
+        return default_config(ModelType.LINE2D, 3.0, sampler="cc",
+                              **{field: v})
+
+    with pytest.raises(InvalidConfig, match=field):
+        make(value)
+    for ok in (np.float32, np.float64, float):
+        make(ok(_REAL_FIELDS[field]))
+
+
+@pytest.mark.parametrize("loss", [
+    "magsacpp", LossKind.MAGSACPP, None, 3.0])
+def test_loss_must_be_a_loss_function(loss):
+    # a kind or its name would fail only inside the fit
+    with pytest.raises(InvalidConfig, match="loss"):
+        EngineConfig(loss=loss)
 
 
 def test_min_residual_assignment():

@@ -128,6 +128,26 @@ def test_monotonicity_property(kind, eps, dof, data):
     assert np.all(np.diff(weights) <= 1e-12)
 
 
+@pytest.mark.parametrize("kind", ["msac", "magsacpp", None, 1])
+def test_loss_kind_must_be_a_loss_kind(kind):
+    # a kind's name would fall through every kind test to huber_redesc;
+    # LossKind.from_string reads names
+    with pytest.raises(InvalidConfig, match="kind"):
+        LossFunction(kind, 2.0)
+
+
+@pytest.mark.parametrize("kind", [LossKind.MSAC, LossKind.HUBER])
+@pytest.mark.parametrize("dof", [1, 2, 4])
+def test_squared_losses_do_not_overflow(kind, dof):
+    # the residual is squared clamped at epsilon, past which the loss is 1
+    fn = LossFunction(kind, 2.5, dof)
+    r = np.array([1e155, 1e300, np.finfo(float).max, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss, weight = fn._losses_and_weights(r)
+    assert loss.tolist() == [1.0] * 4 and weight.tolist() == [0.0] * 4
+
+
 def test_invalid_epsilon_rejected():
     with pytest.raises(InvalidConfig):
         LossFunction(LossKind.MSAC, 0.0)
@@ -364,8 +384,10 @@ def test_shared_kernel_equals_separate_calls(kind, dof):
                          eps, fn.cutoff, 1e300, np.inf],
                         np.random.default_rng(dof).uniform(0, 1.2 * fn.cutoff,
                                                            5000)])
-    with np.errstate(over="ignore"):   # r * r at r = 1e300
+    with np.errstate(over="ignore"):   # the oracle's r * r at r = 1e300
         want = _reference_losses(fn, r), _reference_weights(fn, r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for got in (fn._losses_and_weights(r), (fn.losses(r), fn.weights(r))):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
@@ -375,7 +397,7 @@ def test_shared_kernel_equals_separate_calls(kind, dof):
 @pytest.mark.parametrize("dof", sorted({t.dof for t in ModelType}))
 def test_losses_and_weights_warn_nowhere(kind, dof):
     fn = LossFunction(kind, 2.0, dof)
-    r = np.concatenate([[0.0, 1e-300, 1e-12, fn.epsilon, fn.cutoff],
+    r = np.concatenate([[0.0, 1e-300, 1e-12, fn.epsilon, fn.cutoff, 1e300],
                         np.linspace(0.0, 2.0 * fn.cutoff, 401)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")

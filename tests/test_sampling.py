@@ -10,16 +10,10 @@ import scipy.spatial
 from scipy.stats import chisquare
 
 from mmfit import sampling
-from mmfit.engine import _draw, default_config, fit
+from mmfit.engine import default_config, fit
 from mmfit.errors import ExhaustedData, InvalidConfig
 from mmfit.models import ModelType, PointSet
-from mmfit.sampling import (
-    build_neighborhood,
-    cc_schedule,
-    next_sample_prosac,
-    next_sample_uniform,
-    pnapsac_block,
-)
+from mmfit.sampling import build_neighborhood, cc_schedule, draw_block
 
 
 def _lexsort_orders(coords):
@@ -87,6 +81,37 @@ def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
 def _ranked(coords):
     return PointSet(np.asarray(coords, dtype=float),
                     quality_rank=np.arange(len(coords)))
+
+
+def _free_list_oracle(sampler, points, orders, m, first, count, rng):
+    """draw_block from the same two generator calls, one draw at a time:
+    rank j is entry floor(u_j (s - j)) of a Python list of the ranks not
+    taken yet, looked up in a brute-force order: the centre's row of the
+    neighbor orders (P-NAPSAC), the quality ranks sorted anew (PROSAC, the
+    prosac and cc samplers on a ranked set while t <= T'_N; the pool's last
+    point replaces the centre) or every point but the centre (uniform)."""
+    n = len(points)
+    centres = rng.integers(n, size=count).tolist()
+    u = rng.random((count, m - 1))
+    ranked = sampler in ("prosac", "cc") and points.quality_rank is not None
+    if ranked:
+        order = np.argsort(points.quality_rank, kind="stable")
+        thresholds = sampling._prosac_schedule(n, m)
+    samples = []
+    for t, centre, row in zip(range(first, first + count), centres, u):
+        if sampler == "pnapsac":
+            s = min(n - 1, m - 1 + t // sampling.PNAPSAC_GROWTH_RATE)
+            lookup = orders[centre]
+        elif ranked and t <= thresholds[-1]:
+            k = min(n, m + sum(x < t for x in thresholds))
+            s, centre, lookup = k - 1, order[k - 1], order
+        else:
+            s, lookup = n - 1, [i for i in range(n) if i != centre]
+        free = list(range(s))
+        ranks = [free.pop(int(np.floor(x * (s - j))))
+                 for j, x in enumerate(row)]
+        samples.append([int(centre), *(int(lookup[r]) for r in ranks)])
+    return np.array(samples, dtype=int).reshape(count, m)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +322,17 @@ def test_cc_falls_back_to_prosac_when_no_components():
     points = PointSet(coords, quality_rank=np.arange(4))
     g = build_neighborhood(points)
     assert cc_schedule(g, 2, 10.0, 50.0, 4) == []
-    # after the schedule, draw i is the PROSAC draw i - len(schedule)
-    for schedule in ([], [[0, 1], [2, 3]]):
-        got = _draw("cc", points, 2, len(schedule) + 3, schedule,
-                    np.random.default_rng(0))
-        want = next_sample_prosac(points, 2, 3, np.random.default_rng(0))
-        assert got == want
+    # after the schedule the engine draws PROSAC blocks, numbering the
+    # fallback draws from 1
+    for first, count in [(1, 32), (33, 7)]:
+        got = draw_block("cc", points, g, 2, first, count,
+                         np.random.default_rng(first))
+        assert np.array_equal(got, draw_block(
+            "prosac", points, None, 2, first, count,
+            np.random.default_rng(first)))
+        assert np.array_equal(got, _free_list_oracle(
+            "prosac", points, None, 2, first, count,
+            np.random.default_rng(first)))
 
 
 def test_cc_unions_small_components(rng):
@@ -383,7 +413,7 @@ def test_cc_exhausted_data():
     g = build_neighborhood(points)
     assert cc_schedule(g, 2, 5.0, 10.0, 2) == []
     with pytest.raises(ExhaustedData):
-        _draw("cc", points, 2, 1, [], np.random.default_rng(0))
+        draw_block("cc", points, g, 2, 1, 32, np.random.default_rng(0))
 
 
 def _cc_schedule_oracle(graph, m, r_min, r_max, n_steps):
@@ -517,12 +547,13 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
 
 
 # ---------------------------------------------------------------------------
-# PROSAC
+# Uniform and PROSAC draws
 
 def test_prosac_first_iteration_returns_top_m(rng):
     points = _ranked(rng.uniform(0, 100, size=(30, 2)))
-    sample = next_sample_prosac(points, 3, 1, np.random.default_rng(0))
-    assert sorted(sample) == [0, 1, 2]
+    sample = draw_block("prosac", points, None, 3, 1, 1,
+                        np.random.default_rng(0))[0]
+    assert sorted(sample.tolist()) == [0, 1, 2]
 
 
 def test_prosac_converges_to_uniform():
@@ -530,34 +561,24 @@ def test_prosac_converges_to_uniform():
     points = _ranked(rng.uniform(0, 100, size=(10, 2)))
     counts = np.zeros((10, 10))
     draws = 100_000
-    gen = np.random.default_rng(42)
-    for i in range(draws):
-        s = next_sample_prosac(points, 2, 10 ** 7 + i, gen)
-        counts[min(s), max(s)] += 1
+    block = draw_block("prosac", points, None, 2, 10 ** 7, draws,
+                       np.random.default_rng(42))
+    np.add.at(counts, (block.min(1), block.max(1)), 1)
     observed = counts[np.triu_indices(10, k=1)]
     assert chisquare(observed).pvalue > 1e-4
 
 
 def test_prosac_unranked_uniform(rng):
     points = PointSet(rng.uniform(0, 100, size=(20, 2)))
+    got, want = np.random.default_rng(0), np.random.default_rng(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sample = next_sample_prosac(points, 2, 1, np.random.default_rng(0))
-    assert len(set(sample)) == 2
-    # the draw is the plain uniform choice of the same generator
-    assert sample == np.random.default_rng(0).choice(20, 2, replace=False).tolist()
-
-
-def _prosac_oracle(points, m, iteration, rng):
-    """PROSAC with the ranked order sorted anew on every draw."""
-    n = len(points)
-    order = np.argsort(points.quality_rank, kind="stable")
-    thresholds = sampling._prosac_schedule(n, m)
-    if iteration > thresholds[-1]:
-        return next_sample_uniform(points, m, rng)
-    subset = min(int(np.searchsorted(thresholds, iteration, side="left")) + m, n)
-    rest = rng.choice(subset - 1, size=m - 1, replace=False)
-    return [int(order[subset - 1])] + [int(order[i]) for i in rest]
+        block = draw_block("prosac", points, None, 2, 1, 32, got)
+    assert all(len(set(row)) == 2 for row in block.tolist())
+    # the draws are the uniform sampler's from the same generator
+    assert np.array_equal(
+        block, _free_list_oracle("uniform", points, None, 2, 1, 32, want))
+    assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_ranked_order_is_fixed_once(rng):
@@ -571,47 +592,86 @@ def test_ranked_order_is_fixed_once(rng):
     assert unranked.ranked_order is None
     for m in (1, 2, 4):
         for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]:
-            got = next_sample_prosac(points, m, it, np.random.default_rng(it))
-            want = _prosac_oracle(points, m, it, np.random.default_rng(it))
-            assert got == want
+            got = draw_block("prosac", points, None, m, it, 4,
+                             np.random.default_rng(it))
+            want = _free_list_oracle("prosac", points, None, m, it, 4,
+                                     np.random.default_rng(it))
+            assert np.array_equal(got, want)
     # the ranking does not move a P-NAPSAC fit
     cfg = default_config(ModelType.LINE2D, 3.0, max_proposals=100)
     assert fit(points, ModelType.LINE2D, cfg).to_dict() == \
         fit(unranked, ModelType.LINE2D, cfg).to_dict()
 
 
-def _choice(rng, k, size):
-    return [int(i) for i in rng.choice(k, size=size, replace=False)]
-
-
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_draws_match_choice_oracle(m):
-    # single draws come from rng.integers: the values and the generator
-    # state must be those of rng.choice
+    # uniform and PROSAC blocks, ranked and not, from draw 1, across the
+    # end of the growth budget T'_N and late, against the free-list oracle:
+    # the same values and two generator calls a block
     coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
     ranked, unranked = _ranked(coords), PointSet(coords)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
-    order = ranked.ranked_order
-    thresholds = sampling._prosac_schedule(40, m)
-    for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7] * 3:
-        assert next_sample_uniform(unranked, m, got) == _choice(want, 40, m)
-
-        if it > thresholds[-1]:
-            expected = _choice(want, 40, m)
-        else:
-            subset = int(np.searchsorted(thresholds, it, side="left")) + m
-            expected = [int(order[subset - 1])]
-            if m > 1:
-                expected += [int(order[i])
-                             for i in _choice(want, subset - 1, m - 1)]
-        assert next_sample_prosac(ranked, m, it, got) == expected
+    budget = int(sampling._prosac_schedule(40, m)[-1])
+    blocks = [(f, 32) for f in range(1, 400, 32)] + [
+        (budget - 16, 32), (budget + 1, 5), (10 ** 7, 32)]
+    for sampler, points in [("uniform", unranked), ("uniform", ranked),
+                            ("prosac", ranked), ("prosac", unranked),
+                            ("cc", ranked)]:
+        for first, count in blocks:
+            block = draw_block(sampler, points, None, m, first, count, got)
+            assert block.shape == (count, m)
+            assert all(len(set(row)) == m for row in block.tolist())
+            assert np.array_equal(block, _free_list_oracle(
+                sampler, points, None, m, first, count, want))
     assert got.bit_generator.state == want.bit_generator.state
+
+
+def test_prosac_draws_from_its_growing_pool():
+    # every draw t <= T'_N: the centre is the pool's last point, the
+    # others lie in the pool before it
+    n, m = 12, 3
+    points = PointSet(np.random.default_rng(1).uniform(0, 100, (n, 2)),
+                      quality_rank=np.random.default_rng(2).permutation(n))
+    thresholds = np.array(sampling._prosac_schedule(n, m))
+    t = np.arange(1, int(thresholds[-1]) + 1)
+    block = draw_block("prosac", points, None, m, 1, len(t),
+                       np.random.default_rng(0))
+    k = np.minimum(n, m + (thresholds < t[:, None]).sum(axis=1))
+    order = points.ranked_order
+    assert np.array_equal(block[:, 0], order[k - 1])
+    position = np.argsort(order)   # of each point in the ranked order
+    assert np.all(position[block[:, 1:]] < (k - 1)[:, None])
+    assert all(len(set(row)) == m for row in block[::97].tolist())
+    # the pool grows through every size
+    assert set(k.tolist()) == set(range(m, n + 1))
+
+
+def test_uniform_pairs_are_equally_likely():
+    points = PointSet(np.random.default_rng(3).uniform(0, 100, (12, 2)))
+    block = draw_block("uniform", points, None, 2, 1, 20_000,
+                       np.random.default_rng(0))
+    assert np.all(block[:, 0] != block[:, 1])
+    counts = np.zeros((12, 12))
+    np.add.at(counts, (block.min(1), block.max(1)), 1)
+    observed = counts[np.triu_indices(12, k=1)]
+    assert len(observed) == 66 and observed.min() > 0
+    assert chisquare(observed).pvalue > 1e-4
 
 
 def test_prosac_exhausted(rng):
     points = _ranked(rng.uniform(0, 100, size=(3, 2)))
     with pytest.raises(ExhaustedData):
-        next_sample_prosac(points, 4, 1, np.random.default_rng(0))
+        draw_block("prosac", points, None, 4, 1, 32, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("sampler", ["uniform", "prosac", "pnapsac", "cc"])
+def test_draw_block_needs_m_points(sampler):
+    points = _ranked(np.zeros((2, 2)))
+    g = build_neighborhood(points)
+    with pytest.raises(ExhaustedData):
+        draw_block(sampler, points, g, 3, 1, 32, np.random.default_rng(0))
+    assert draw_block(sampler, points, g, 2, 1, 4,
+                      np.random.default_rng(0)).shape == (4, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -624,23 +684,9 @@ def _two_far_clusters(rng):
     return PointSet(coords, quality_rank=np.arange(50))
 
 
-def _pnapsac_block_oracle(orders, m, first, count, rng):
-    """pnapsac_block from the same two generator calls, one draw at a time:
-    rank j is entry floor(u_j (s - j)) of the ranks not taken yet, looked
-    up in the brute-force neighbor orders."""
-    n = len(orders)
-    centres = rng.integers(n, size=count)
-    if m == 1:
-        return centres[:, None]
-    u = rng.random((count, m - 1))
-    samples = []
-    for t, centre, row in zip(range(first, first + count), centres, u):
-        s = min(n - 1, m - 1 + t // sampling.PNAPSAC_GROWTH_RATE)
-        free = list(range(s))
-        ranks = [free.pop(int(np.floor(x * (s - j))))
-                 for j, x in enumerate(row)]
-        samples.append([centre, *orders[centre, ranks]])
-    return np.array(samples)
+def _pnapsac(points, m, first, count, rng):
+    return draw_block("pnapsac", points, build_neighborhood(points), m, first,
+                      count, rng)
 
 
 _BLOCK_SCENES = {
@@ -660,14 +706,15 @@ def test_pnapsac_block_matches_lexsort_oracle(coords, m):
     # point, a block cut short, and a late one
     n = len(coords)
     orders = _lexsort_orders(coords)
-    g = build_neighborhood(PointSet(coords))
+    points = PointSet(coords)
+    g = build_neighborhood(points)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     firsts = list(range(1, sampling.PNAPSAC_GROWTH_RATE * n + 64, 32))
     for first, count in [(f, 32) for f in firsts] + [(10 ** 6, 7)]:
-        block = pnapsac_block(g, m, first, count, got)
+        block = draw_block("pnapsac", points, g, m, first, count, got)
         assert block.shape == (count, m)
-        assert np.array_equal(
-            block, _pnapsac_block_oracle(orders, m, first, count, want))
+        assert np.array_equal(block, _free_list_oracle(
+            "pnapsac", points, orders, m, first, count, want))
         assert all(len(set(row)) == m for row in block.tolist())
         largest = min(n - 1, m - 1 + (first + count - 1)
                       // sampling.PNAPSAC_GROWTH_RATE)
@@ -684,8 +731,8 @@ def test_pnapsac_ranks_are_uniform(n, m):
     # every ordered choice of m - 1 distinct ranks of the s = n - 1 pool
     # is equally likely
     coords = np.random.default_rng(n).uniform(0, 100, (n, 2))
-    g = build_neighborhood(PointSet(coords))
-    block = pnapsac_block(g, m, 10 ** 6, 30_000, np.random.default_rng(0))
+    block = _pnapsac(PointSet(coords), m, 10 ** 6, 30_000,
+                     np.random.default_rng(0))
     position = np.zeros((n, n), dtype=int)   # of each point in each order
     np.put_along_axis(position, _lexsort_orders(coords), np.arange(n - 1),
                       axis=1)
@@ -700,9 +747,9 @@ def test_pnapsac_ranks_are_uniform(n, m):
 
 
 def test_pnapsac_block_exhausted():
-    g = build_neighborhood(PointSet(np.zeros((2, 2))))
     with pytest.raises(ExhaustedData):
-        pnapsac_block(g, 3, 1, 32, np.random.default_rng(0))
+        _pnapsac(PointSet(np.zeros((2, 2))), 3, 1, 32,
+                 np.random.default_rng(0))
 
 
 def test_pnapsac_early_iterations_stay_local(rng):
@@ -710,29 +757,35 @@ def test_pnapsac_early_iterations_stay_local(rng):
     g = build_neighborhood(points)
     gen = np.random.default_rng(0)
     # draws 1 .. 8 pick from the two nearest neighbors
-    block = np.vstack([pnapsac_block(g, 3, 1, 8, gen) for _ in range(1250)])
+    block = np.vstack([draw_block("pnapsac", points, g, 3, 1, 8, gen)
+                       for _ in range(1250)])
     same = np.all((block >= 25) == (block[:, :1] >= 25), axis=1)
     assert same.mean() > 0.9
 
 
 def test_pnapsac_late_iterations_go_global(rng):
-    points = _two_far_clusters(rng)
-    g = build_neighborhood(points)
-    block = pnapsac_block(g, 2, 10 ** 6, 100_000, np.random.default_rng(0))
+    block = _pnapsac(_two_far_clusters(rng), 2, 10 ** 6, 100_000,
+                     np.random.default_rng(0))
     assert np.any((block[:, 0] >= 25) != (block[:, 1] >= 25))
 
 
 def test_pnapsac_single_point_equals_uniform(rng):
-    # a one-point sample is its centre, rng.integers(n, size=count)
-    g = build_neighborhood(_two_far_clusters(rng))
-    for first, count in [(1, 32), (5, 7), (200, 1)]:
+    # a one-point sample is its centre, rng.integers(n, size=count); the
+    # zero-width rng.random call leaves the generator as it was
+    points = _two_far_clusters(rng)
+    g = build_neighborhood(points)
+    for first, count in [(1, 32), (5, 7), (200, 1), (1, 3)]:
         got, want = np.random.default_rng(first), np.random.default_rng(first)
-        block = pnapsac_block(g, 1, first, count, got)
+        block = draw_block("pnapsac", points, g, 1, first, count, got)
         assert np.array_equal(block, want.integers(50, size=count)[:, None])
         assert got.bit_generator.state == want.bit_generator.state
+    # a one-point sample needs no neighbor order
+    assert g._orders == {}
 
 
 def test_uniform_sampler_distinct(rng):
     points = PointSet(rng.uniform(0, 10, size=(6, 2)))
-    s = next_sample_uniform(points, 4, np.random.default_rng(0))
-    assert len(set(s)) == 4
+    block = draw_block("uniform", points, None, 4, 1, 200,
+                       np.random.default_rng(0))
+    assert all(len(set(row)) == 4 for row in block.tolist())
+    assert set(block.ravel().tolist()) == set(range(6))

@@ -18,15 +18,15 @@ import spans  # noqa: E402
 # samples in blocks through models.minimal_candidates, fits connected
 # components in blocks through models._fit_weighted, scores each solved
 # block with one models._residuals call, serves the CC samples from
-# sampling.cc_schedule, draws P-NAPSAC samples a block at a time through
-# sampling.pnapsac_block, and picks representatives and prunes inside
-# _consolidate, the proposal loop testing q >= q_min inline
+# sampling.cc_schedule, draws uniform, PROSAC and P-NAPSAC samples a block
+# at a time through sampling.draw_block, and picks representatives and
+# prunes inside _consolidate, the proposal loop testing q >= q_min inline
 RETIRED = {(engine, name) for name in (
     "preference_vector_from_dense", "sample_cheirality_ok",
     "sample_degenerate", "fit_minimal", "oriented_epipolar_ok",
     "fit_nonminimal", "residuals", "cc_can_sample", "next_sample_cc",
-    "next_sample_pnapsac", "is_dominant", "select_representatives",
-    "_prune_by_quality")}
+    "next_sample_pnapsac", "next_sample_prosac", "next_sample_uniform",
+    "is_dominant", "select_representatives", "_prune_by_quality")}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
