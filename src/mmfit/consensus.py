@@ -25,6 +25,21 @@ def tanimoto_matrix(loss_rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def least_members(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per node 0 .. n - 1, the least node of its connected component in
+    the graph of the edges (a[k], b[k])."""
+    # each node takes the least label of itself and its neighbours, then that
+    # label's label, until none falls
+    labels = np.arange(n)
+    while True:
+        least = labels.copy()
+        np.minimum.at(least, a, labels[b])
+        np.minimum.at(least, b, labels[a])
+        if np.array_equal(least[least], labels):
+            return labels
+        labels = least[least]
+
+
 def cluster_instances(loss_rows: np.ndarray,
                       tau: float) -> list[tuple[int, ...]]:
     """Connected components of the graph linking instances whose Tanimoto
@@ -37,14 +52,7 @@ def cluster_instances(loss_rows: np.ndarray,
     if len(loss_rows) == 0:
         return []
     linked = tanimoto_matrix(loss_rows) >= tau
-    # each instance takes the least label of itself and its links, then that
-    # label's label, until none falls: a component's label is its first member
-    labels = np.arange(len(linked))
-    while True:
-        least = np.minimum(labels, np.where(linked, labels, len(labels)).min(1))
-        if np.array_equal(least[least], labels):
-            break
-        labels = least[least]
+    labels = least_members(len(linked), *np.nonzero(linked))
     return [tuple(np.flatnonzero(labels == first).tolist())
             for first in np.unique(labels).tolist()]
 

@@ -33,7 +33,7 @@ iteration computes the weighted non-minimal fits, the residuals, and the
 losses with the next weights of every row still active with one call of
 each stacked kernel; a row leaves the stack when it converges or its
 weighted system is degenerate. Each row's arithmetic is that of refining
-it alone. Only the CC sampler and the evaluation's matching import scipy.
+it alone. Only the evaluation's matching imports scipy.
 """
 from __future__ import annotations
 

@@ -10,16 +10,17 @@ The CC sampler's samples are the connected components at each radius of its
 schedule, r_min to r_max, largest first, over the joint coordinate space
 (4D for correspondences). They depend on the coordinates alone, so
 cc_schedule lists them all once per fit, growing the components from one
-radius to the next with one KD-tree pair query per radius until one
+radius to the next with one grid pair search per radius until one
 component holds every point. After the last of them the engine draws PROSAC
-blocks over all points. Only the CC sampler imports scipy, where it runs.
+blocks over all points.
 """
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
+from .consensus import least_members
 from .errors import ExhaustedData, InvalidConfig
 from .models import PointSet
 
@@ -30,8 +31,8 @@ PNAPSAC_GROWTH_RATE = 10
 
 class NeighborhoodGraph:
     """Neighborhoods of a point set: prefixes of the neighbor orders of the
-    P-NAPSAC centres drawn so far, and the KD-tree the CC sampler asks for
-    the pairs within each radius of its schedule, built on first use.
+    P-NAPSAC centres drawn so far, and the coordinates the CC sampler
+    searches for the pairs within each radius of its schedule.
     """
 
     def __init__(self, points: PointSet):
@@ -40,11 +41,6 @@ class NeighborhoodGraph:
         # one contiguous row per coordinate, for the distance passes
         self._columns = np.ascontiguousarray(points.coords.T)
         self._orders: dict[int, np.ndarray] = {}
-
-    @cached_property
-    def tree(self):
-        from scipy.spatial import cKDTree   # the CC sampler's alone
-        return cKDTree(self.coords)
 
     def orders(self, centres: list[int], k: int) -> list[np.ndarray]:
         """Per centre, at least its k <= n - 1 nearest neighbors in order:
@@ -75,37 +71,70 @@ def build_neighborhood(points: PointSet) -> NeighborhoodGraph:
     return NeighborhoodGraph(points)
 
 
+def _pairs_within(graph: NeighborhoodGraph, r: float, labels: np.ndarray):
+    """The pairs (a, b) of points within r, at squared distance summed
+    column by column d^2 <= r * r (a KD-tree's test, not the norm's), whose
+    labels differ. Candidates come from a grid over the first two
+    coordinates whose cell side is at least r: per point, the later points
+    of its cell with the cell above, then the three cells of the next
+    column, two contiguous ranges of the points sorted by cell key. A range
+    whose labels all equal the point's is skipped."""
+    xy = graph.coords[:, :2] - graph.coords[:, :2].min(0)
+    # a cell of at least span / 2^20 keeps the keys small; the margin
+    # keeps pairs at exactly r within adjacent cells despite rounding
+    side = max(r, xy.max() / 2**20) * (1 + 2**-20) or 1.0
+    cells = (xy // side).astype(np.int64)
+    width = int(cells[:, 1].max()) + 2   # an empty row between columns
+    keys = cells[:, 0] * width + cells[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys, sorted_labels = keys[order], labels[order]
+    n = len(keys)
+    firsts = np.concatenate([np.arange(1, n + 1),
+                             np.searchsorted(keys, keys + width - 1)])
+    lasts = np.searchsorted(keys, np.concatenate([keys + 1, keys + width + 1]),
+                            side="right")
+    sources = np.tile(np.arange(n), 2)
+    changes = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    run_ends = np.append(changes, n)[np.searchsorted(changes, np.arange(n),
+                                                     side="right")]
+    head = np.minimum(firsts, n - 1)
+    keep = (firsts < lasts) & ((sorted_labels[head] != sorted_labels[sources])
+                               | (run_ends[head] < lasts))
+    firsts, counts = firsts[keep], (lasts - firsts)[keep]
+    a = np.repeat(sources[keep], counts)
+    b = np.arange(len(a)) + np.repeat(firsts - np.cumsum(counts) + counts,
+                                      counts)
+    cross = sorted_labels[a] != sorted_labels[b]
+    a, b = order[a[cross]], order[b[cross]]
+    d = np.zeros(len(a))
+    for column in graph._columns:
+        d += (column[a] - column[b]) ** 2
+    near = d <= r * r
+    return a[near], b[near]
+
+
 def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
     """(r, the components of the graph joining the pairs within r) for each
     r of the ascending radii: no singletons, size descending, ties by
     smallest member, members ascending. Components nest across radii
-    (single linkage): each radius merges the labels of the tree's pairs
-    within r (d^2 <= r^2) until one label covers every point, and the
-    lists are rebuilt only when the labels change."""
-    from scipy.sparse import coo_matrix, csgraph   # the CC sampler's alone
-
+    (single linkage): each radius merges the labels, each point's least
+    component member, along _pairs_within until one label covers every
+    point, and the lists are rebuilt only when the labels change."""
     labels = np.arange(graph.n_points)
-    n_labels = len(labels)   # labels are exactly 0 .. n_labels - 1
     comps = None
     for r in radii:
-        if n_labels > 1:
-            pairs = graph.tree.query_pairs(r, output_type="ndarray")
-            a, b = labels[pairs[:, 0]], labels[pairs[:, 1]]
-            cross = a != b
-            if cross.any():
-                adjacency = coo_matrix((np.ones(int(cross.sum())),
-                                        (a[cross], b[cross])),
-                                       shape=(n_labels, n_labels))
-                n_labels, joined = csgraph.connected_components(
-                    adjacency, directed=False)
-                labels = joined[labels]
+        if labels.any():   # else at most one component
+            a, b = _pairs_within(graph, r, labels)
+            if len(a):
+                labels = least_members(len(labels), labels[a],
+                                       labels[b])[labels]
                 comps = None
         if comps is None:
             order = np.argsort(labels, kind="stable")   # members ascending
-            sizes = np.bincount(labels, minlength=n_labels)
+            sizes = np.bincount(labels, minlength=len(labels))
             starts = np.cumsum(sizes) - sizes
-            big = np.flatnonzero(sizes >= 2)
-            big = big[np.lexsort((order[starts[big]], -sizes[big]))]
+            big = np.flatnonzero(sizes >= 2)   # ascending, each its least member
+            big = big[np.argsort(-sizes[big], kind="stable")]
             comps = [order[starts[c]:starts[c] + sizes[c]].tolist()
                      for c in big.tolist()]
         yield r, comps

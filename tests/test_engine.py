@@ -1,7 +1,7 @@
 import json
 
 from functools import partial
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
@@ -665,8 +665,9 @@ def _fit_per_draw(points, model_type, config):
     """Oracle of fit: the proposal loop that screens and solves one sample
     at a time, each connected component alone (the samples after the CC
     schedule are drawn a block at a time, as the engine draws them).
-    Returns the report and the draw count at the end of each outer
-    iteration."""
+    Returns the report and its trace: the draw count at the end of each
+    outer iteration ("ends"), the schedule's length ("scheduled") and the
+    sample sizes of each block in the engine's grouping ("blocks")."""
     m, n = model_type.m, len(points)
     rng = np.random.default_rng(config.seed)
     graph, schedule, cc = None, [], config.sampler == "cc"
@@ -681,7 +682,7 @@ def _fit_per_draw(points, model_type, config):
     fixed = np.zeros(0, dtype=bool)
     min_loss = np.ones(n)
     proposals_tried = draws = outer = united = 0
-    ends = []
+    ends, blocks = [], []
     block = engine.SAMPLE_BLOCK
     while True:
         outer += 1
@@ -700,13 +701,16 @@ def _fit_per_draw(points, model_type, config):
             draws += 1
             attempts += 1
             t = draws - len(schedule)   # the draw's number after the schedule
-            if t > 0 and (t - 1) % block == 0:
-                # the engine's blocks: from the first draw after the
-                # schedule in SAMPLE_BLOCK steps, the last one cut at the cap
-                drawn = iter(draw_block(
+            # the engine's blocks: in SAMPLE_BLOCK steps from the schedule's
+            # start and from the first draw after it, cut at either's end
+            if t <= 0 and (draws - 1) % block == 0:
+                blocks.append(schedule[draws - 1:min(
+                    draws - 1 + block, len(schedule), config.max_proposals)])
+            elif t > 0 and (t - 1) % block == 0:
+                blocks.append(draw_block(
                     config.sampler, points, graph, m, t,
                     min(block, config.max_proposals - draws + 1), rng).tolist())
-            sample = schedule[draws - 1] if t <= 0 else next(drawn)
+            sample = schedule[draws - 1] if t <= 0 else blocks[-1][(t - 1) % block]
             for h in _one_sample_candidates(points, model_type, sample):
                 proposals_tried += 1
                 r = residuals(h, points.coords)
@@ -741,7 +745,8 @@ def _fit_per_draw(points, model_type, config):
     report = FitReport(instances, min_residual_assignment(residual_rows, eps),
                        loss_rows, outer, proposals_tried, fallback, 0.0,
                        stop_reason)
-    return report, ends
+    return report, {"ends": ends, "scheduled": len(schedule),
+                    "blocks": [[len(s) for s in b] for b in blocks]}
 
 
 def _ranked(points):
@@ -787,7 +792,7 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
         sampler, radii["r_min"], radii["r_max"] = sampler
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
                          batch_size=2, max_proposals=max_proposals, **radii)
-    want, ends = _fit_per_draw(points, spec.model_type, cfg)
+    want, trace = _fit_per_draw(points, spec.model_type, cfg)
     blocks = []
     solve_block = engine._candidates
 
@@ -798,21 +803,34 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     monkeypatch.setattr(engine, "_candidates", recorded)
     got = fit(points, spec.model_type, cfg)
     assert got.to_dict() == want.to_dict()
-    block = engine.SAMPLE_BLOCK
-    assert max_proposals % block != 0
+    assert blocks == trace["blocks"]
+    # the scenario's guards hold on the oracle's own trace
+    ends, scheduled = trace["ends"], trace["scheduled"]
+    block_ends = set(accumulate(map(len, trace["blocks"])))
+    inside = [e not in block_ends for e in ends]
     # an outer iteration ended inside a block, so the next one took the
     # samples drawn ahead
-    assert len(ends) >= 2 and any(e % block for e in ends[:-1])
+    assert any(inside[:-1])
     if stop == "cap":
-        assert ends[-1] == max_proposals
+        # the cap cut the last block short
+        assert want.stop_reason == "max_proposals"
+        assert len(trace["blocks"][-1]) < engine.SAMPLE_BLOCK
     elif stop == "criterion":
         # the stopping rule fired inside a block
-        assert ends[-1] < max_proposals and ends[-1] % block != 0
+        assert want.stop_reason == "criterion" and inside[-1]
+    elif stop == "cc":
+        # every draw a component of the schedule, some larger than m
+        assert ends[-1] <= scheduled
+        assert max(map(max, trace["blocks"])) > spec.model_type.m
     elif stop == "fallback":
-        assert want.fallback_samples > 0 and blocks[0] == [2, 2]
+        # the schedule's 2 samples, then fallback draws in two outer
+        # iterations at least
+        assert trace["blocks"][0] == [2, 2] and scheduled == 2
+        assert sum(e > max(before, scheduled)
+                   for before, e in zip([0] + ends, ends)) >= 2
     elif stop == "mixed":
         m = spec.model_type.m
-        assert any(m in sizes and max(sizes) > m for sizes in blocks)
+        assert any(m in sizes and max(sizes) > m for sizes in trace["blocks"])
 
 
 @pytest.mark.parametrize("spec, sampler", [

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-import scipy.spatial
+from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 from mmfit import sampling
@@ -135,9 +135,10 @@ def _oracle_pairs(coords, r):
 
 
 def _queried_pairs(graph, r):
-    """The pairs the CC sampler merges at radius r."""
-    return set(map(tuple, graph.tree.query_pairs(
-        r, output_type="ndarray").tolist()))
+    """The pairs (i < j) the CC sampler finds within r between points all
+    in components of their own."""
+    a, b = sampling._pairs_within(graph, r, np.arange(graph.n_points))
+    return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 def test_collinear_points_single_edge():
@@ -177,6 +178,20 @@ def test_pairs_join_by_the_trees_squared_distance():
         assert cc_schedule(g, 2, 1.0, r_max, 1) == [[0, 1]] * (r_max > 1.0)
 
 
+def test_pairs_join_across_cells_that_round_two_apart():
+    # shifted by the least x, the pair's x coordinates fall exactly two
+    # cells of side r apart, although its distance is within r
+    r = 0.01994622767074023
+    coords = np.array([[-23136.665615815367, 0.0], [-5758.21556426788, 0.0],
+                       [-5758.195618040209, 0.0]])
+    shifted = coords[1:, 0] - coords[0, 0]
+    assert np.diff(shifted // r) == 2
+    assert set(cKDTree(coords).query_pairs(r)) == {(1, 2)}
+    g = build_neighborhood(PointSet(coords))
+    assert _queried_pairs(g, r) == {(1, 2)}
+    assert _components(g, r) == [[1, 2]]
+
+
 # ---------------------------------------------------------------------------
 # connected components
 
@@ -195,12 +210,12 @@ class _OracleUnionFind:
             self.p[ra] = rb
 
 
-def _oracle_components(coords, r):
-    """Components of the brute-force pairs within r, by union-find. Singletons
-    are excluded; components are sorted by size descending, ties by smallest
-    member; members are sorted ascending."""
+def _oracle_components(coords, r, pairs=None):
+    """Components of the brute-force pairs within r (or of the given pairs),
+    by union-find. Singletons are excluded; components are sorted by size
+    descending, ties by smallest member; members are sorted ascending."""
     uf = _OracleUnionFind(len(coords))
-    for i, j in _oracle_pairs(coords, r):
+    for i, j in _oracle_pairs(coords, r) if pairs is None else pairs:
         uf.union(i, j)
     groups = {}
     for i in range(len(coords)):
@@ -217,17 +232,56 @@ def _components(graph, r):
 
 
 def _spy_queries(monkeypatch):
-    """The radii the CC sampler's KD-trees get queried at, in call order."""
+    """The radii the CC sampler searches for pairs at, in call order."""
     queried = []
+    search = sampling._pairs_within
 
-    class SpyTree(scipy.spatial.cKDTree):
-        def query_pairs(self, r, *args, **kwargs):
-            queried.append(r)
-            return super().query_pairs(r, *args, **kwargs)
+    def recorded(graph, r, labels):
+        queried.append(r)
+        return search(graph, r, labels)
 
-    # NeighborhoodGraph.tree imports the class from scipy.spatial when it runs
-    monkeypatch.setattr(scipy.spatial, "cKDTree", SpyTree)
+    monkeypatch.setattr(sampling, "_pairs_within", recorded)
     return queried
+
+
+def _tree_oracle_sets():
+    """Random 2D, 3D and 4D point sets with their ascending radii."""
+    rng = np.random.default_rng(5)
+    for dim in (2, 3, 4):
+        coords = rng.uniform(0.0, 100.0, (300, dim))
+        spacing = 100.0 * 300 ** (-1 / dim)
+        yield f"uniform-{dim}d", coords, (spacing * np.array(
+            [0.3, 0.6, 1.0, 1.5, 3.0])).tolist()
+        # duplicated points: pairs at distance 0 in every cell
+        dup = np.vstack([coords[:80], coords[:30], coords[:5]])
+        yield f"duplicates-{dim}d", dup, [1e-9, 3.0, 8.0]
+        # a lattice of step 0.5: its neighbours lie exactly r = 0.5 apart,
+        # and radii that are multiples of the step tie many pairs
+        lattice = 0.5 * rng.integers(0, 9, ({2: 40, 3: 150, 4: 600}[dim],
+                                           dim)).astype(float)
+        yield f"lattice-{dim}d", lattice, [0.5, 1.0, 1.5, 2.5]
+        # a span of 1e12 with radii near 1e-3: cells of side span / 2^20,
+        # far wider than the radius, each holding whole clusters
+        centres = rng.uniform(0.0, 1e12, (12, dim))
+        centres[0] = 0.0
+        centres[1, :2] = 1e12
+        huge = (centres[:, None] + rng.uniform(0.0, 4e-3, (12, 15, dim))
+                ).reshape(-1, dim)
+        yield f"span-1e12-{dim}d", huge, [5e-4, 1e-3, 2e-3, 1e4]
+
+
+@pytest.mark.parametrize("coords, radii", [
+    pytest.param(coords, radii, id=name)
+    for name, coords, radii in _tree_oracle_sets()])
+def test_components_match_kd_tree_oracle(coords, radii):
+    g = build_neighborhood(PointSet(coords))
+    got = list(sampling._growing_components(g, radii))
+    assert [r for r, _ in got] == radii
+    for r, comps in got:
+        assert comps == _oracle_components(coords, r,
+                                           cKDTree(coords).query_pairs(r))
+    # at the first radius some points are joined and some apart
+    assert got[0][1] and len(got[0][1][0]) < len(coords)
 
 
 def test_components_trivial_cases():
@@ -534,7 +588,7 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
         g = build_neighborhood(PointSet(coords))
         schedule = cc_schedule(g, m, r_min, r_max, n_steps)
     assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
-    # the tree is queried at each radius until one component holds every
+    # the pairs are searched at each radius until one component holds every
     # point, and never for fewer than two points
     radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     want = []
