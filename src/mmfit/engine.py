@@ -12,19 +12,22 @@ matrix and a hard minimum-residual assignment. A hypothesis is a row of a
 ModelInstance objects are built once, for the report's instances.
 
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
-the loop takes the next SAMPLE_BLOCK samples (never past max_proposals, nor
-across the end of the CC schedule) from the CC schedule or one
-sampling.draw_block call, and _candidates solves and scores them with one
-call of each stacked kernel: models.minimal_candidates screens, solves and
-orients the minimal samples, models._fit_weighted fits the larger connected
-components and models._residuals scores their rows. The loop takes one
-entry per draw, with the stopping checks made before every draw. A draw
-depends only on the rng, the draw index and its block (blocks start at
-fixed draws; the CC schedule is listed once per fit from per-radius pair
-queries), so entries left when an outer iteration ends are the draws the
-next one would make, and a fit gives the same result as drawing a block at
-a time and solving one sample at a time. Scoring and IRLS work on each
-row's support, as the loss is 1 and the weight 0 from LossFunction.cutoff.
+the loop takes the next SAMPLE_BLOCK = 128 samples (never past
+max_proposals, nor across the end of the CC schedule) from the CC schedule
+or one sampling.draw_block call, and _candidates solves and scores them
+with one call of each stacked kernel: models.minimal_candidates screens,
+solves and orients the minimal samples, models._fit_weighted fits the
+larger connected components and models._residuals scores their rows in a
+few (K, n) buffers. The loop takes one entry per draw, with the stopping
+checks made before every draw. A draw depends only on the rng, the draw
+index and its chunk: draw_block makes its two generator calls per
+sampling.RNG_BLOCK = 32 draws, and blocks start at fixed draws, multiples
+of SAMPLE_BLOCK from the schedule's start and from the first draw after it
+(the CC schedule is listed once per fit from per-radius pair queries). So
+entries left when an outer iteration ends are the draws the next one would
+make, and a fit gives the same result as drawing RNG_BLOCK samples at a
+time and solving one sample at a time. Scoring and IRLS work on each row's
+support, as the loss is 1 and the weight 0 from LossFunction.cutoff.
 
 Each consolidation pass keeps each cluster's best row by one quality
 vector and refines these in one refine_irls call, but those it flagged as
@@ -79,8 +82,9 @@ PROPOSAL_BUDGET_FACTOR = 50
 IRLS_MAX_ITERS = 25
 IRLS_TOL = 1e-6
 # samples drawn, screened and solved together when the proposal loop runs
-# out of solved samples
-SAMPLE_BLOCK = 32
+# out of solved samples; a multiple of sampling.RNG_BLOCK, so a block's
+# generator calls are those of RNG_BLOCK-sized blocks
+SAMPLE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -279,13 +283,16 @@ def _relative_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 def _candidates(points: PointSet, model_type: ModelType,
                 samples: list[list[int]], fn: LossFunction):
-    """Screen, solve and score a block of samples: one minimal_candidates
-    call on the samples of m points (screen, minimal solver and, for F, the
-    oriented epipolar test), one models._fit_weighted call on the larger
-    ones, connected components, then one _residuals call on all their
-    parameter rows in sample order and one fn.losses call on the supports
-    r < fn.cutoff. Per sample, its (parameter row, residual row (a view of
-    the block's matrix), support indices, support losses) entries."""
+    """Screen, solve and score a block of up to SAMPLE_BLOCK samples: one
+    minimal_candidates call on the samples of m points (screen, minimal
+    solver and, for F, the oriented epipolar test), one
+    models._fit_weighted call on the larger ones, connected components,
+    then one _residuals call on all their parameter rows in sample order
+    (its kernels finish the (K, n) matrix in place, so a block's memory is
+    that matrix and a few buffers like it) and one fn.losses call on the
+    supports r < fn.cutoff. Per sample, its (parameter row, residual row (a
+    view of the block's matrix), support indices, support losses)
+    entries."""
     m = model_type.m
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
     larger = [i for i, s in enumerate(samples) if len(s) > m]
@@ -374,6 +381,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             if not solved:
                 # samples drawn ahead are the ones this loop, or the next
                 # outer iteration, would draw (see the module docstring)
+                scored = r = None   # the last block's matrix is freed first
                 stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))

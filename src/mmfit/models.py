@@ -510,9 +510,10 @@ def _residuals(model_type: ModelType, P: np.ndarray,
     """residuals of the rows of a (K, n_params) parameter stack over the
     same (n, dim) coords; a (K, n) matrix. A projection onto the line or
     plane normal is one matrix-vector product per row (vector @ coords.T),
-    the same product as for one instance. The line distance is finished in
-    place: a fresh (K, n) temporary per step costs more than its arithmetic
-    for a block of candidates."""
+    the same product as for one instance. The line, segment, transfer and
+    Sampson distances are finished in place, in the order of the plain
+    expressions: a fresh (K, n) temporary per step costs more than its
+    arithmetic for a block of candidates."""
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
         dot = (P[:, None, :2] @ coords.T)[:, 0]
@@ -527,13 +528,21 @@ def _residuals(model_type: ModelType, P: np.ndarray,
         lo = np.minimum(P[:, 3], P[:, 4])[:, None]
         hi = np.maximum(P[:, 3], P[:, 4])[:, None]
         x, y = coords[:, 0], coords[:, 1]
-        tp = -b * x + a * y
+        tp = -b * x
+        tp += a * y
         # past an end, the distance from the endpoint on that side
         above = tp > hi
+        outside = above | (tp < lo)
+        del tp
         ends = _segment_endpoints(P)[..., None]
-        d = np.where(above[:, None], ends[:, 1], ends[:, 0]) - coords.T
-        d *= d
-        np.copyto(dot, np.sqrt(d[:, 0] + d[:, 1]), where=above | (tp < lo))
+        dx = np.where(above, ends[:, 1, 0], ends[:, 0, 0])
+        dx -= x
+        dx *= dx
+        dy = np.where(above, ends[:, 1, 1], ends[:, 0, 1])
+        dy -= y
+        dy *= dy
+        dx += dy
+        np.copyto(dot, np.sqrt(dx, out=dx), where=outside)
         return dot
 
     if model_type is ModelType.PLANE3D:
@@ -552,27 +561,49 @@ def _residuals(model_type: ModelType, P: np.ndarray,
 
     if model_type is ModelType.HOMOGRAPHY:
         # a singular H has an all-NaN inverse, so every error is inf
-        fwd = project(M, x1)
-        bwd = project(_inverse(M), x2)
-        # a point mapped to infinity (|w| < 1e-12) either way has error inf
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            e2 = ((fwd[:, 0] / fwd[:, 2] - coords[:, 2]) ** 2
-                  + (fwd[:, 1] / fwd[:, 2] - coords[:, 3]) ** 2)
-            b2 = ((bwd[:, 0] / bwd[:, 2] - coords[:, 0]) ** 2
-                  + (bwd[:, 1] / bwd[:, 2] - coords[:, 1]) ** 2)
-        e2 = np.where(np.abs(fwd[:, 2]) >= 1e-12, e2, np.inf)
-        b2 = np.where(np.abs(bwd[:, 2]) >= 1e-12, b2, np.inf)
-        return np.sqrt(0.5 * (e2 + b2))
+        e2 = _squared_transfer(project(M, x1), coords[:, 2], coords[:, 3])
+        e2 += _squared_transfer(project(_inverse(M), x2), coords[:, 0],
+                                coords[:, 1])
+        e2 *= 0.5
+        return np.sqrt(e2, out=e2)
 
-    # fundamental matrix: Sampson distance
-    Fx1 = project(M, x1)
-    Ftx2 = project(np.swapaxes(M, -1, -2), x2)
-    num = np.abs(coords[:, 2] * Fx1[:, 0] + coords[:, 3] * Fx1[:, 1]
-                 + Fx1[:, 2])
-    den = np.sqrt(Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2
-                  + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2)
-    return np.divide(num, den, out=np.full(num.shape, np.inf),
-                     where=den > 1e-300)
+    # fundamental matrix: Sampson distance; F x1 is freed before F^T x2
+    Fx = project(M, x1)
+    num = coords[:, 2] * Fx[:, 0]
+    num += coords[:, 3] * Fx[:, 1]
+    num += Fx[:, 2]
+    np.abs(num, out=num)
+    den = np.square(Fx[:, 0])
+    den += np.square(Fx[:, 1], out=Fx[:, 1])
+    del Fx
+    Ftx = project(np.swapaxes(M, -1, -2), x2)
+    den += np.square(Ftx[:, 0], out=Ftx[:, 0])
+    den += np.square(Ftx[:, 1], out=Ftx[:, 1])
+    del Ftx
+    np.sqrt(den, out=den)
+    ok = den > 1e-300
+    np.divide(num, den, out=num, where=ok)
+    np.copyto(num, np.inf, where=~ok)
+    return num
+
+
+def _squared_transfer(proj: np.ndarray, x: np.ndarray,
+                      y: np.ndarray) -> np.ndarray:
+    """Squared distances from the (K, 3, n) projections, dehomogenised, to
+    the points (x, y); inf where a point maps to infinity (|w| < 1e-12).
+    One fresh (K, n) buffer; the projections are overwritten."""
+    u, v, w = proj[:, 0], proj[:, 1], proj[:, 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = u / w
+        e -= x
+        e *= e
+        np.divide(v, w, out=v)
+        v -= y
+        v *= v
+        e += v
+    np.abs(w, out=w)
+    np.copyto(e, np.inf, where=~(w >= 1e-12))
+    return e
 
 
 def _inverse(M: np.ndarray) -> np.ndarray:

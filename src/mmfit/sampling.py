@@ -25,6 +25,10 @@ from .errors import ExhaustedData, InvalidConfig
 from .models import PointSet
 
 PROSAC_GROWTH_BUDGET = 200_000
+# draws per pair of generator calls: a block of any size takes its centres
+# and ranks in chunks of this many draws, so it draws what chunk-sized
+# blocks would, and NeighborhoodGraph.orders sorts this many centres at once
+RNG_BLOCK = 32
 # draws per extra neighbor in the P-NAPSAC neighborhood
 PNAPSAC_GROWTH_RATE = 10
 
@@ -45,24 +49,29 @@ class NeighborhoodGraph:
     def orders(self, centres: list[int], k: int) -> list[np.ndarray]:
         """Per centre, at least its k <= n - 1 nearest neighbors in order:
         by squared distance, then index. Shorter stored prefixes grow to
-        max(2k, 16) entries (at most n - 1) in one vectorised pass."""
+        max(2k, 16) entries (at most n - 1), RNG_BLOCK centres per
+        vectorised pass, so the distance rows do not grow with the block."""
         short = np.unique([c for c in centres
                            if len(self._orders.get(c, ())) < k])
-        if len(short):
+        if len(short):   # np.unique([]) is a float array
             want = min(self.n_points - 1, max(2 * k, 16))
-            d = np.zeros((len(short), self.n_points))
-            for column in self._columns:
-                d += (column - column[short, None]) ** 2
-            d[np.arange(len(short)), short] = np.inf
-            top = np.argpartition(d, want - 1)[:, :want]
-            order = np.argsort(np.take_along_axis(d, top, 1))
-            top = np.take_along_axis(top, order, 1)
-            near = np.take_along_axis(d, top, 1)
-            # a row with tied distances in or beside its top is sorted whole
-            tied = (np.diff(near) == 0).any(1) | (
-                np.count_nonzero(d <= near[:, -1:], axis=1) > want)
-            top[tied] = np.argsort(d[tied], kind="stable")[:, :want]
-            self._orders.update(zip(short.tolist(), map(np.copy, top)))  # not views
+            for part in np.split(short, range(RNG_BLOCK, len(short),
+                                              RNG_BLOCK)):
+                d = np.zeros((len(part), self.n_points))
+                for column in self._columns:
+                    d += (column - column[part, None]) ** 2
+                d[np.arange(len(part)), part] = np.inf
+                top = np.argpartition(d, want - 1)[:, :want]
+                order = np.argsort(np.take_along_axis(d, top, 1))
+                top = np.take_along_axis(top, order, 1)
+                near = np.take_along_axis(d, top, 1)
+                # a row with tied distances in or beside its top is sorted
+                # whole
+                tied = (np.diff(near) == 0).any(1) | (
+                    np.count_nonzero(d <= near[:, -1:], axis=1) > want)
+                top[tied] = np.argsort(d[tied], kind="stable")[:, :want]
+                # copies, not views of top
+                self._orders.update(zip(part.tolist(), map(np.copy, top)))
         return [self._orders[c] for c in centres]
 
 
@@ -192,8 +201,10 @@ def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
                m: int, first: int, count: int,
                rng: np.random.Generator) -> np.ndarray:
     """The (count, m) samples of the 1-based draws first onwards, from
-    centres = rng.integers(n, size=count) and u = rng.random((count, m - 1))
-    whatever the sampler. Draw t is its centre, then the points at ranks
+    centres = rng.integers(n, size=c) and u = rng.random((c, m - 1)) per
+    chunk of c = RNG_BLOCK draws (the last one shorter) whatever the
+    sampler, so a block equals its chunks drawn one call each when it
+    starts on a chunk. Draw t is its centre, then the points at ranks
     j < m - 1 of an order: the floor(u[:, j] (s - j))-th free rank < s.
     P-NAPSAC: s = min(n - 1, m - 1 + t // PNAPSAC_GROWTH_RATE) in the
     centre's neighbor order. PROSAC (prosac and cc, ranked set, t <= T'_N):
@@ -202,8 +213,11 @@ def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
-    centres = rng.integers(n, size=count)
-    u = rng.random((count, m - 1))
+    centres, u = np.empty(count, dtype=np.int64), np.empty((count, m - 1))
+    for a in range(0, count, RNG_BLOCK):
+        chunk = slice(a, min(a + RNG_BLOCK, count))
+        centres[chunk] = rng.integers(n, size=chunk.stop - a)
+        u[chunk] = rng.random((chunk.stop - a, m - 1))
     t = np.arange(first, first + count)
     s = np.full(count, n - 1)
     pool = np.zeros(count, dtype=bool)   # the rows drawn from a PROSAC pool

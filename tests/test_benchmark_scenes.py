@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from mmfit import engine
+from mmfit import engine, sampling
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -39,3 +39,20 @@ def test_pinned_benchmark_scenes_keep_their_fit(name):
             == pytest.approx(wrong / n, abs=1e-12)
         assert report.stop_reason == stop
         assert report.proposals_tried == tried
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_pinned_benchmark_scenes_fit_alike_at_either_block(monkeypatch, name):
+    # a fit solving RNG_BLOCK samples at a time equals one solving the
+    # default SAMPLE_BLOCK at a time, pose included
+    workload = workloads.WORKLOADS[name]
+    for scene in workload.scenes(0):
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "SAMPLE_BLOCK", sampling.RNG_BLOCK)
+            small = workload.run(scene, workload.config())
+        large = workload.run(scene, workload.config())
+        assert small.report.to_dict() == large.report.to_dict()
+        if workload.is_pose:
+            assert small.pose.rotation.tobytes() == large.pose.rotation.tobytes()
+            assert small.pose.translation.tobytes() == \
+                large.pose.translation.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from mmfit import engine, models
+from mmfit import engine, models, sampling
 from mmfit.consensus import cluster_instances, tanimoto_matrix
 from mmfit.engine import (
     OUTLIER,
@@ -661,13 +661,14 @@ def _one_sample_candidates(points, model_type, sample):
     return fitted
 
 
-def _fit_per_draw(points, model_type, config):
+def _fit_per_draw(points, model_type, config, block):
     """Oracle of fit: the proposal loop that screens and solves one sample
-    at a time, each connected component alone (the samples after the CC
-    schedule are drawn a block at a time, as the engine draws them).
+    at a time, each connected component alone; the samples after the CC
+    schedule are drawn block at a time, from the first draw after it.
     Returns the report and its trace: the draw count at the end of each
     outer iteration ("ends"), the schedule's length ("scheduled") and the
-    sample sizes of each block in the engine's grouping ("blocks")."""
+    sample sizes of each block, the schedule's too, in steps of block
+    ("blocks"; the engine's grouping at block = SAMPLE_BLOCK)."""
     m, n = model_type.m, len(points)
     rng = np.random.default_rng(config.seed)
     graph, schedule, cc = None, [], config.sampler == "cc"
@@ -683,7 +684,6 @@ def _fit_per_draw(points, model_type, config):
     min_loss = np.ones(n)
     proposals_tried = draws = outer = united = 0
     ends, blocks = [], []
-    block = engine.SAMPLE_BLOCK
     while True:
         outer += 1
         batch = []
@@ -701,8 +701,8 @@ def _fit_per_draw(points, model_type, config):
             draws += 1
             attempts += 1
             t = draws - len(schedule)   # the draw's number after the schedule
-            # the engine's blocks: in SAMPLE_BLOCK steps from the schedule's
-            # start and from the first draw after it, cut at either's end
+            # blocks in steps of block from the schedule's start and from
+            # the first draw after it, cut at either's end
             if t <= 0 and (draws - 1) % block == 0:
                 blocks.append(schedule[draws - 1:min(
                     draws - 1 + block, len(schedule), config.max_proposals)])
@@ -792,7 +792,12 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
         sampler, radii["r_min"], radii["r_max"] = sampler
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
                          batch_size=2, max_proposals=max_proposals, **radii)
-    want, trace = _fit_per_draw(points, spec.model_type, cfg)
+    # drawn RNG_BLOCK at a time, as the engine's blocks take their stream
+    want, _ = _fit_per_draw(points, spec.model_type, cfg, sampling.RNG_BLOCK)
+    # the same fit in the engine's grouping, whose trace the guards read
+    grouped, trace = _fit_per_draw(points, spec.model_type, cfg,
+                                   engine.SAMPLE_BLOCK)
+    assert grouped.to_dict() == want.to_dict()
     blocks = []
     solve_block = engine._candidates
 
@@ -831,6 +836,12 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     elif stop == "mixed":
         m = spec.model_type.m
         assert any(m in sizes and max(sizes) > m for sizes in trace["blocks"])
+
+
+def test_sample_block_is_whole_rng_chunks():
+    # blocks start at multiples of SAMPLE_BLOCK after the CC schedule, so
+    # their RNG_BLOCK chunks start where RNG_BLOCK-sized blocks would
+    assert engine.SAMPLE_BLOCK % sampling.RNG_BLOCK == 0
 
 
 @pytest.mark.parametrize("spec, sampler", [

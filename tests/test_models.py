@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from mmfit.models import (
     ModelType,
     PointSet,
     _fit_weighted,
+    _inverse,
     _real_cubic_roots,
     _residuals,
     _segment_endpoints,
@@ -409,6 +411,95 @@ def test_segment_residuals_equal_the_three_way_oracle():
     lo, hi = P[:, 3:5].min(1, keepdims=True), P[:, 3:5].max(1, keepdims=True)
     assert (tp == lo).sum() >= 48 and (tp == hi).sum() >= 48
     assert (tp < lo).any() and (tp > hi).any() and ((tp > lo) & (tp < hi)).any()
+
+
+def _project(M, x):
+    return (M.reshape(-1, 3) @ x).reshape(len(M), 3, x.shape[1])
+
+
+def _homogeneous(coords):
+    ones = np.ones(len(coords))
+    return (np.stack([coords[:, 0], coords[:, 1], ones]),
+            np.stack([coords[:, 2], coords[:, 3], ones]))
+
+
+def _transfer_residuals_oracle(P, coords):
+    """The symmetric transfer error as plain expressions, a fresh (K, n)
+    array per step, np.where for the points mapped to infinity."""
+    M = P.reshape(-1, 3, 3)
+    x1, x2 = _homogeneous(coords)
+    fwd, bwd = _project(M, x1), _project(_inverse(M), x2)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e2 = ((fwd[:, 0] / fwd[:, 2] - coords[:, 2]) ** 2
+              + (fwd[:, 1] / fwd[:, 2] - coords[:, 3]) ** 2)
+        b2 = ((bwd[:, 0] / bwd[:, 2] - coords[:, 0]) ** 2
+              + (bwd[:, 1] / bwd[:, 2] - coords[:, 1]) ** 2)
+    e2 = np.where(np.abs(fwd[:, 2]) >= 1e-12, e2, np.inf)
+    b2 = np.where(np.abs(bwd[:, 2]) >= 1e-12, b2, np.inf)
+    return np.sqrt(0.5 * (e2 + b2))
+
+
+def _sampson_residuals_oracle(P, coords):
+    """The Sampson distance as plain expressions, a fresh (K, n) array per
+    step."""
+    M = P.reshape(-1, 3, 3)
+    x1, x2 = _homogeneous(coords)
+    Fx1, Ftx2 = _project(M, x1), _project(np.swapaxes(M, -1, -2), x2)
+    num = np.abs(coords[:, 2] * Fx1[:, 0] + coords[:, 3] * Fx1[:, 1]
+                 + Fx1[:, 2])
+    den = np.sqrt(Fx1[:, 0] ** 2 + Fx1[:, 1] ** 2
+                  + Ftx2[:, 0] ** 2 + Ftx2[:, 1] ** 2)
+    return np.divide(num, den, out=np.full(num.shape, np.inf),
+                     where=den > 1e-300)
+
+
+def test_two_view_residuals_equal_the_expression_oracles():
+    rng = np.random.default_rng(21)
+    coords = rng.uniform(-200, 200, (500, 4))
+    H = np.eye(3).ravel() + rng.normal(0, 0.05, (40, 9))
+    H[:, 6:8] = rng.normal(0, 1e-3, (40, 2))
+    H[3, 2::3] = 0.0                          # singular: an all-NaN inverse
+    # maps (1, y) to infinity, and its inverse maps (-1, y) there
+    H[4] = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0]
+    coords[7, 0], coords[8, 2] = 1.0, -1.0
+    F = rng.normal(size=(40, 9))
+    F[5] = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]   # den 0 everywhere
+    # F x1 and F^T x2 vanish in their first two coordinates at point 9
+    F[6] = [1.0, 0.0, -coords[9, 0], 0.0, 1.0, -coords[9, 1], 0.0, 0.0, 0.0]
+    coords[9, 2:] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got_h = _residuals(ModelType.HOMOGRAPHY, H, coords)
+        got_f = _residuals(ModelType.FUNDAMENTAL, F, coords)
+    assert got_h.tobytes() == _transfer_residuals_oracle(H, coords).tobytes()
+    assert got_f.tobytes() == _sampson_residuals_oracle(F, coords).tobytes()
+    assert np.isinf(got_h[3]).all() and np.isinf(got_h[4, [7, 8]]).all()
+    assert np.isfinite(got_h[4]).sum() == 498
+    assert np.isinf(got_f[5]).all() and np.isinf(got_f[6, 9])
+    assert np.isfinite(got_f[6]).sum() == 499
+
+
+# peak bytes traced in a _residuals call over the K * n * 8 of its result:
+# the result and the kernel's own (K, n) buffers
+RESIDUAL_PEAK = {ModelType.LINE2D: 1.5, ModelType.SEGMENT2D: 4.0,
+                 ModelType.PLANE3D: 2.5, ModelType.HOMOGRAPHY: 6.0,
+                 ModelType.FUNDAMENTAL: 6.0}
+
+
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+def test_residuals_of_a_block_peak_within_their_buffers(model_type):
+    K, n = 128, 1000
+    rng = np.random.default_rng(4)
+    coords = rng.uniform(0, 100, (n, model_type.dim))
+    P = rng.normal(size=(K, model_type.n_params))
+    _residuals(model_type, P, coords)   # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        _residuals(model_type, P, coords)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert K * n * 8 <= peak <= RESIDUAL_PEAK[model_type] * K * n * 8
 
 
 def test_nonminimal_reproduces_minimal_on_exact_sample(rng):

@@ -1,4 +1,6 @@
+import itertools
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -49,15 +51,16 @@ def _neighbor_sets():
 @pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
                                     for name, coords in _neighbor_sets()])
 def test_neighbor_order_matches_einsum_oracle(coords):
-    # every centre, filled 32 at a time: prefixes of 16 and of 200, whose
-    # boundary distance ties with points left out on the grids
+    # every centre, filled 32 and 128 at a time (RNG_BLOCK per distance
+    # pass): prefixes of 16 and of 200, whose boundary distance ties with
+    # points left out on the grids
     n = len(coords)
     want = _lexsort_orders(coords)
     centres = np.random.default_rng(n).permutation(n).tolist()
-    for k in (5, 100):
+    for k, size in itertools.product((5, 100), (32, 128)):
         graph = build_neighborhood(PointSet(coords))
-        for start in range(0, n, 32):
-            chunk = centres[start:start + 32]
+        for start in range(0, n, size):
+            chunk = centres[start:start + size]
             for c, got in zip(chunk, graph.orders(chunk, k)):
                 assert len(got) == min(n - 1, max(2 * k, 16))
                 assert np.array_equal(got, want[c, :len(got)]), c
@@ -84,12 +87,13 @@ def _ranked(coords):
 
 
 def _free_list_oracle(sampler, points, orders, m, first, count, rng):
-    """draw_block from the same two generator calls, one draw at a time:
-    rank j is entry floor(u_j (s - j)) of a Python list of the ranks not
-    taken yet, looked up in a brute-force order: the centre's row of the
-    neighbor orders (P-NAPSAC), the quality ranks sorted anew (PROSAC, the
-    prosac and cc samplers on a ranked set while t <= T'_N; the pool's last
-    point replaces the centre) or every point but the centre (uniform)."""
+    """draw_block of at most RNG_BLOCK draws, from the same two generator
+    calls, one draw at a time: rank j is entry floor(u_j (s - j)) of a
+    Python list of the ranks not taken yet, looked up in a brute-force
+    order: the centre's row of the neighbor orders (P-NAPSAC), the quality
+    ranks sorted anew (PROSAC, the prosac and cc samplers on a ranked set
+    while t <= T'_N; the pool's last point replaces the centre) or every
+    point but the centre (uniform)."""
     n = len(points)
     centres = rng.integers(n, size=count).tolist()
     u = rng.random((count, m - 1))
@@ -680,6 +684,32 @@ def test_draws_match_choice_oracle(m):
     assert got.bit_generator.state == want.bit_generator.state
 
 
+@pytest.mark.parametrize("sampler, ranked, m", [
+    ("uniform", False, 3), ("prosac", True, 3), ("pnapsac", False, 4)],
+    ids=["uniform", "prosac-across-budget", "pnapsac"])
+def test_block_equals_its_rng_chunks(sampler, ranked, m):
+    # a 100-draw block equals its 32 + 32 + 32 + 4 chunks drawn one call
+    # each from an equally seeded generator; the PROSAC block runs across
+    # the end of the growth budget T'_N, the P-NAPSAC one sorts the
+    # neighbors of more than RNG_BLOCK centres
+    coords = np.random.default_rng(9).uniform(0, 100, (150, 2))
+    points = _ranked(coords) if ranked else PointSet(coords)
+    first = int(sampling._prosac_schedule(150, m)[-1]) - 50 if ranked else 1
+    got, want = np.random.default_rng(m), np.random.default_rng(m)
+    block = draw_block(sampler, points, build_neighborhood(points), m, first,
+                       100, got)
+    g = build_neighborhood(points)
+    starts = range(0, 100, sampling.RNG_BLOCK)
+    sizes = [min(sampling.RNG_BLOCK, 100 - a) for a in starts]
+    assert sizes == [32, 32, 32, 4]
+    chunks = [draw_block(sampler, points, g, m, first + a, c, want)
+              for a, c in zip(starts, sizes)]
+    assert np.array_equal(block, np.vstack(chunks))
+    assert got.bit_generator.state == want.bit_generator.state
+    if sampler == "pnapsac":
+        assert len(np.unique(block[:, 0])) > sampling.RNG_BLOCK
+
+
 def test_prosac_draws_from_its_growing_pool():
     # every draw t <= T'_N: the centre is the pool's last point, the
     # others lie in the pool before it
@@ -756,8 +786,8 @@ _BLOCK_SCENES = {
 @pytest.mark.parametrize("coords", _BLOCK_SCENES.values(),
                          ids=_BLOCK_SCENES.keys())
 def test_pnapsac_block_matches_lexsort_oracle(coords, m):
-    # the engine's blocks from draw 1 until the neighborhood is every other
-    # point, a block cut short, and a late one
+    # RNG_BLOCK-draw chunks from draw 1 until the neighborhood is every
+    # other point, a chunk cut short, and a late one
     n = len(coords)
     orders = _lexsort_orders(coords)
     points = PointSet(coords)
@@ -798,6 +828,25 @@ def test_pnapsac_ranks_are_uniform(n, m):
                 for r in np.ndindex(*(s,) * (m - 1))]
     assert counts[~np.array(distinct)].sum() == 0
     assert chisquare(counts[np.array(distinct)]).pvalue > 1e-4
+
+
+def test_neighbor_orders_sort_rng_block_centres_at_a_time():
+    # the distance rows of RNG_BLOCK centres at a time: 128 centres peak at
+    # what 32 do plus the orders they keep (a tenth more for the growing
+    # dictionary and the chunk list; one pass over 128 rows would be 4x)
+    coords = np.random.default_rng(5).uniform(0, 100, (3000, 4))
+    build_neighborhood(PointSet(coords)).orders(list(range(32)), 20)
+    peak, kept = {}, {}
+    for count in (32, 128):
+        graph = build_neighborhood(PointSet(coords))
+        tracemalloc.start()
+        try:
+            graph.orders(list(range(count)), 20)
+            kept[count], peak[count] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak[32] > 32 * 3000 * 8
+    assert peak[128] <= 1.1 * peak[32] + kept[128]
 
 
 def test_pnapsac_block_exhausted():
