@@ -65,7 +65,8 @@ _PALETTE = ["#e6194b", "#3cb44b", "#4363d8", "#f58231", "#911eb4",
 def _common_flags(p: argparse.ArgumentParser):
     default = {f.name: f.default for f in fields(EngineConfig)}
     p.add_argument("--epsilon", type=float, default=3.0,
-                   help="inlier-outlier threshold in pixels")
+                   help="inlier threshold in the coordinates' unit; it also "
+                   "sets the sample-screen tolerance and the CC radii")
     p.add_argument("--loss", default="magsacpp",
                    choices=[k.value for k in LossKind])
     p.add_argument("--q-min", type=float, default=default["q_min"])
@@ -74,9 +75,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--confidence", type=float, default=default["confidence"])
     p.add_argument("--batch-size", type=int, default=default["batch_size"])
     p.add_argument("--sampler", default=default["sampler"], choices=SAMPLERS)
-    p.add_argument("--r-min", type=float, default=default["r_min"])
-    p.add_argument("--r-max", type=float, default=default["r_max"])
-    p.add_argument("--n-steps", type=int, default=default["n_steps"])
     p.add_argument("--seed", type=int, default=default["seed"])
     p.add_argument("--max-proposals", type=int,
                    default=default["max_proposals"])

@@ -85,6 +85,9 @@ IRLS_TOL = 1e-6
 # out of solved samples; a multiple of sampling.RNG_BLOCK, so a block's
 # generator calls are those of RNG_BLOCK-sized blocks
 SAMPLE_BLOCK = 128
+# the CC sampler's ascending radii in units of epsilon: 20/3 to 200/3 in 5
+# equal steps, so 20 to 200 at epsilon = 3
+CC_RADII = np.linspace(20, 200, 6) / 3
 
 
 @dataclass(frozen=True)
@@ -95,19 +98,16 @@ class EngineConfig:
     confidence: float = 0.99
     batch_size: int = 10
     sampler: str = "pnapsac"
-    r_min: float = 20.0
-    r_max: float = 200.0
-    n_steps: int = 5
     seed: int = 0
     max_proposals: int = 10_000
 
     def __post_init__(self):
         if not isinstance(self.loss, LossFunction):
             raise InvalidConfig("loss must be a LossFunction")
-        for name in ("batch_size", "n_steps", "seed", "max_proposals"):
+        for name in ("batch_size", "seed", "max_proposals"):
             if not _is_integer(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer")
-        for name in ("q_min", "tau", "confidence", "r_min", "r_max"):
+        for name in ("q_min", "tau", "confidence"):
             if not _is_real(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be a real number")
         if not 0 < self.q_min < np.inf:
@@ -124,13 +124,6 @@ class EngineConfig:
             raise InvalidConfig("max_proposals must be >= 1")
         if self.seed < 0:
             raise InvalidConfig("seed must be >= 0")
-        if not 0 < self.r_max < np.inf:
-            raise InvalidConfig("r_max must be positive and finite")
-        if self.sampler == "cc":
-            if not 0 < self.r_min <= self.r_max:
-                raise InvalidConfig("the cc sampler needs 0 < r_min <= r_max")
-            if self.n_steps < 1:
-                raise InvalidConfig("the cc sampler needs n_steps >= 1")
 
 
 def default_config(model_type: ModelType, epsilon: float,
@@ -297,7 +290,8 @@ def _candidates(points: PointSet, model_type: ModelType,
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
     larger = [i for i, s in enumerate(samples) if len(s) > m]
     stack = np.array([samples[i] for i in minimal], dtype=int).reshape(-1, m)
-    params, owner = minimal_candidates(model_type, points.coords[stack])
+    params, owner = minimal_candidates(model_type, points.coords[stack],
+                                       fn.epsilon)
     owner = np.array(minimal, dtype=int)[owner]
     if larger:
         pts = np.concatenate([samples[i] for i in larger])
@@ -336,6 +330,8 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             f"{model_type.value} expects dimension {model_type.dim}, "
             f"got {points.dim}")
 
+    fn = config.loss
+    eps = fn.epsilon
     rng = np.random.default_rng(config.seed)
     graph = None
     schedule: list[list[int]] = []
@@ -343,11 +339,8 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     if cc or config.sampler == "pnapsac":
         graph = build_neighborhood(points)
     if cc:
-        schedule = cc_schedule(graph, m, config.r_min, config.r_max,
-                               config.n_steps)
+        schedule = cc_schedule(graph, m, (CC_RADII * eps).tolist())
 
-    fn = config.loss
-    eps = fn.epsilon
     # drawn, solved and scored samples the loop has not taken yet, oldest
     # first: per sample, its candidates as _candidates returns them
     solved: deque[tuple[list[int], list[tuple]]] = deque()

@@ -44,7 +44,9 @@ import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch
 
-COLLINEAR_AREA_TOL = 1.0       # px^2, triangle-area threshold for degeneracy tests
+# triangle-area threshold of the homography and plane sample screens, in
+# units of epsilon^2: 1 at epsilon = 3
+COLLINEAR_AREA_TOL = 1 / 9
 COINCIDENT_POINT_TOL = 1e-9
 
 
@@ -354,16 +356,16 @@ def fit_minimal(model_type: ModelType, sample) -> list[ModelInstance]:
     return [ModelInstance(model_type, p) for p in params]
 
 
-def minimal_candidates(model_type: ModelType, samples):
+def minimal_candidates(model_type: ModelType, samples, epsilon: float):
     """Screen, solve and orient a (B, m, dim) stack of minimal samples in
     one pass. Returns the (K, n_params) candidate rows and the (K,) index
     of each row's sample, ascending: no row for a sample that _degenerate
-    flags or the solver cannot handle, otherwise the rows of what
-    fit_minimal returns, for fundamental matrices only the solutions that
-    pass _oriented_epipolar. Each sample's rows do not depend on the
+    flags at inlier threshold epsilon or the solver cannot handle,
+    otherwise the rows of what fit_minimal returns, for fundamental
+    matrices only the solutions that pass _oriented_epipolar. Each sample's rows do not depend on the
     others in the stack."""
     samples = np.asarray(samples, dtype=float)
-    screened = np.flatnonzero(~_degenerate(model_type, samples))
+    screened = np.flatnonzero(~_degenerate(model_type, samples, epsilon))
     params, rows, _ = _solve_minimal(model_type, samples[screened])
     rows = screened[rows]
     if model_type is ModelType.FUNDAMENTAL:
@@ -642,22 +644,26 @@ def _triangle_areas_2d(coords: np.ndarray) -> np.ndarray:
     return 0.5 * (v1[..., 0::2] * v2[..., 1::2] - v1[..., 1::2] * v2[..., 0::2])
 
 
-def _degenerate(model_type: ModelType, samples: np.ndarray) -> np.ndarray:
+def _degenerate(model_type: ModelType, samples: np.ndarray,
+                epsilon: float) -> np.ndarray:
     """Which minimal samples of a (B, m, dim) stack cannot give a usable
-    model; a (B,) mask. Homography: any 3 of the 4 points nearly collinear
-    in either image, or a triple whose orientation flips between the images
-    (cheirality: the convex hulls differ or are traversed in different
-    cyclic orders). Plane: the 3 points nearly collinear. Lines/segments:
-    coincident points. Fundamental matrices are never flagged here."""
+    model at inlier threshold epsilon; a (B,) mask. Nearly collinear
+    points span a triangle of area below COLLINEAR_AREA_TOL epsilon^2.
+    Homography: any 3 of the 4 points nearly collinear in either image, or
+    a triple whose orientation flips between the images (cheirality: the
+    convex hulls differ or are traversed in different cyclic orders).
+    Plane: the 3 points nearly collinear. Lines/segments: coincident
+    points. Fundamental matrices are never flagged here."""
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         d = samples[:, 1] - samples[:, 0]
         return np.sqrt(np.vecdot(d, d)) < COINCIDENT_POINT_TOL
+    tol = COLLINEAR_AREA_TOL * epsilon ** 2
     if model_type is ModelType.PLANE3D:
         n = np.cross(samples[:, 1] - samples[:, 0], samples[:, 2] - samples[:, 0])
-        return 0.5 * np.sqrt(np.vecdot(n, n)) < COLLINEAR_AREA_TOL
+        return 0.5 * np.sqrt(np.vecdot(n, n)) < tol
     if model_type is ModelType.HOMOGRAPHY:
         areas = _triangle_areas_2d(samples)
-        return (np.any(np.abs(areas) < COLLINEAR_AREA_TOL, axis=(1, 2))
+        return (np.any(np.abs(areas) < tol, axis=(1, 2))
                 | np.any((areas[..., 0] > 0) != (areas[..., 1] > 0), axis=1))
     return np.zeros(len(samples), dtype=bool)
 
@@ -692,7 +698,7 @@ def fundamental_planar_degenerate(sample, epsilon: float) -> bool:
     if coords.shape[0] != 7:
         return False
     quads = coords[[(0, 1, 2, 3), (3, 4, 5, 6), (0, 2, 4, 6)]]
-    quads = quads[~_degenerate(ModelType.HOMOGRAPHY, quads)]
+    quads = quads[~_degenerate(ModelType.HOMOGRAPHY, quads, epsilon)]
     homographies, _, _ = _solve_minimal(ModelType.HOMOGRAPHY, quads)
     explained = np.sum(_residuals(ModelType.HOMOGRAPHY, homographies, coords)
                        < epsilon, axis=1)

@@ -7,8 +7,9 @@ other point (uniform), PointSet.ranked_order, fixed once per point set, in a
 pool growing with the draw index (PROSAC), or the centre's neighbor order in
 a neighborhood growing the same way (P-NAPSAC).
 The CC sampler's samples are the connected components at each radius of its
-schedule, r_min to r_max, largest first, over the joint coordinate space
-(4D for correspondences). They depend on the coordinates alone, so
+schedule, ascending multiples of the inlier threshold epsilon that the
+engine gives, largest first, over the joint coordinate space (4D for
+correspondences). They depend on the coordinates alone, so
 cc_schedule lists them all once per fit, growing the components from one
 radius to the next with one grid pair search per radius until one
 component holds every point. After the last of them the engine draws PROSAC
@@ -21,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .consensus import least_members
-from .errors import ExhaustedData, InvalidConfig
+from .errors import ExhaustedData
 from .models import PointSet
 
 PROSAC_GROWTH_BUDGET = 200_000
@@ -149,23 +150,18 @@ def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
         yield r, comps
 
 
-def cc_schedule(graph: NeighborhoodGraph, m: int, r_min: float, r_max: float,
-                n_steps: int) -> list[list[int]]:
+def cc_schedule(graph: NeighborhoodGraph, m: int,
+                radii: list[float]) -> list[list[int]]:
     """Every sample of the connected-component sampler, in serving order.
 
-    Walks the radii r_min + k (r_max - r_min) / n_steps, k = 0 .. n_steps
-    (one radius when r_min = r_max), growing the components from one radius
-    to the next. At each radius it takes that radius's components, largest
+    Walks the ascending positive radii (the engine's are multiples of the
+    inlier threshold epsilon), growing the components from one radius to
+    the next. At each radius it takes that radius's components, largest
     first, until a sample holds m points (a union when the largest is
     smaller than m), and keeps doing so while the components left hold m
     points; then it moves to the next radius, whose components are all
     offered again, grown or not, including ones served unchanged before.
     """
-    if not 0 < r_min <= r_max < np.inf:
-        raise InvalidConfig("need 0 < r_min <= r_max < inf")
-    if n_steps < 1:
-        raise InvalidConfig("n_steps must be >= 1")
-    radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     samples: list[list[int]] = []
     for _, comps in _growing_components(graph, radii):
         pending = iter(comps)

@@ -109,9 +109,11 @@ def make_f_scene(seed=0, n=7):
     return corr, fundamental_from_cameras(K, R, t), (K, R, t, X)
 
 
-def sample_degenerate(model_type: ModelType, sample) -> bool:
-    """models._degenerate on one minimal sample."""
-    return bool(_degenerate(model_type, np.asarray(sample, dtype=float)[None])[0])
+def sample_degenerate(model_type: ModelType, sample, epsilon=3.0) -> bool:
+    """models._degenerate on one minimal sample, by default at epsilon = 3,
+    whose area tolerance is 1 in the sample's units."""
+    return bool(_degenerate(model_type, np.asarray(sample, dtype=float)[None],
+                            epsilon)[0])
 
 
 def oriented_epipolar_ok(instance: ModelInstance, sample) -> bool:

@@ -22,7 +22,7 @@ from mmfit.ingest import (
     save_scene,
     synthesize_two_view,
 )
-from mmfit.models import ModelType
+from mmfit.models import ModelType, PointSet
 
 from test_ingest import render_segments, write_pgm
 
@@ -106,15 +106,17 @@ def test_fit_pure_outlier_scene_exits_2(tmp_path, capsys):
     assert payload["instances"] == []
 
 
+# the CC radii are multiples of epsilon, so a zero, negative, infinite or
+# NaN radius is such an epsilon
 @pytest.mark.parametrize("flags", [
-    ["--sampler", "cc", "--r-min", "0"],
-    ["--r-max", "0"],
-    ["--sampler", "cc", "--n-steps", "0"],
+    ["--sampler", "cc", "--epsilon", "0"],
+    ["--epsilon", "0"],
+    ["--sampler", "cc", "--epsilon", "-3"],
     ["--epsilon", "nan"],
     ["--epsilon", "inf"],
     ["--q-min", "nan"],
-    ["--sampler", "cc", "--r-max", "inf"],
-    ["--r-max", "nan"],
+    ["--sampler", "cc", "--epsilon", "inf"],
+    ["--sampler", "cc", "--epsilon", "nan"],
 ])
 def test_fit_bad_sampler_radii_exit_1(tmp_path, capsys, flags):
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "1",
@@ -127,7 +129,9 @@ def test_fit_bad_sampler_radii_exit_1(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("flag, value", [("--tau-semantics", "distance"),
-                                         ("--k-counts", "iterations")])
+                                         ("--k-counts", "iterations"),
+                                         ("--r-min", "20"), ("--r-max", "200"),
+                                         ("--n-steps", "5")])
 def test_removed_flags_rejected(tmp_path, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["fit", str(tmp_path / "scene.csv"), flag, value])
@@ -284,6 +288,36 @@ def test_engine_flag_defaults_are_engine_config_defaults(command):
     for f in fields(EngineConfig):
         if f.name != "loss":
             assert getattr(args, flag_of.get(f.name, f.name)) == f.default, f.name
+
+
+def test_fit_unit_scale_scene_keeps_the_pixel_count(tmp_path, capsys):
+    # the benchmark's H4 scene in pixels and divided by 1024, fitted at
+    # epsilon 3 and 3 / 1024: the sample screen and the fit scale with
+    # epsilon, so both find the same instances
+    s = synthesize_two_view(4, 150, 200, 1.0, seed=1)
+    counts = []
+    for name, scale, eps in (("pixels", 1.0, "3"),
+                             ("unit", 1024.0, "0.0029296875")):
+        scene = tmp_path / f"{name}.csv"
+        save_scene(scene, ModelType.HOMOGRAPHY,
+                   PointSet(s.points.coords / scale))
+        out_dir = tmp_path / name
+        code, _, _ = _run(capsys, "fit", scene, "--out", out_dir,
+                          "--epsilon", eps, "--max-proposals", "300")
+        assert code == 0
+        written = json.loads((out_dir / "instances.json").read_text())
+        jsonschema.validate(written, _schema("instances"))
+        counts.append(len(written["instances"]))
+    assert counts[0] > 0 and counts[1] == counts[0]
+
+
+def test_fit_help_lists_no_radius_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["fit", "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--epsilon" in usage and "CC radii" in usage
+    assert "--r-min" not in usage and "--n-steps" not in usage
 
 
 def _two_view_scene(tmp_path):

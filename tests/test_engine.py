@@ -1,5 +1,6 @@
 import json
 
+from dataclasses import fields
 from functools import partial
 from itertools import accumulate, permutations
 
@@ -208,7 +209,7 @@ def test_stacked_refine_matches_per_instance_oracle(model_type):
     samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
                             replace=False)
                for k in (1, 2, 3) for _ in range(3)]
-    starts, _ = minimal_candidates(model_type, points.coords[samples])
+    starts, _ = minimal_candidates(model_type, points.coords[samples], 3.0)
     far = make_instance(model_type, _FAR_AWAY[model_type]).params
     i_far = len(starts) // 2
     starts = np.insert(starts, i_far, far, axis=0)
@@ -255,7 +256,7 @@ def test_refine_support_losses_equal_dense_losses(monkeypatch, model_type,
     samples = [local.choice(np.flatnonzero(labels == k), model_type.m,
                             replace=False)
                for k in (1, 2, 3) for _ in range(3)]
-    starts, _ = minimal_candidates(model_type, points.coords[samples])
+    starts, _ = minimal_candidates(model_type, points.coords[samples], 3.0)
     R = np.stack([residuals(ModelInstance(model_type, p), points.coords)
                   for p in starts])
     stacks = []
@@ -674,10 +675,9 @@ def _fit_per_draw(points, model_type, config, block):
     graph, schedule, cc = None, [], config.sampler == "cc"
     if config.sampler in ("cc", "pnapsac"):
         graph = build_neighborhood(points)
-    if cc:
-        schedule = cc_schedule(graph, m, config.r_min, config.r_max,
-                               config.n_steps)
     fn, eps = config.loss, config.loss.epsilon
+    if cc:
+        schedule = cc_schedule(graph, m, (engine.CC_RADII * eps).tolist())
     kept = np.zeros((0, model_type.n_params))
     residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
     fixed = np.zeros(0, dtype=bool)
@@ -764,10 +764,11 @@ def _ranked(points):
      100, "criterion"),
     (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
                    clustered=True), "cc", 10_000, "cc"),
-    # radii so small that the schedule holds 2 samples and the fit goes on
-    # with PROSAC draws until it finds the first line
+    # radii so small (0.1 to 0.3 at epsilon = 3) that the schedule holds 2
+    # samples and the fit goes on with PROSAC draws until it finds the
+    # first line
     (SyntheticSpec(ModelType.LINE2D, 2, 30, 600, 1.0, seed=8),
-     ("cc", 0.1, 0.3), 1000, "fallback"),
+     ("cc", np.linspace(0.1, 0.3, 6) / 3), 1000, "fallback"),
     # components of exactly m = 4 points and larger ones share blocks
     (SyntheticSpec(ModelType.HOMOGRAPHY, 3, 60, 30, 1.0, seed=8), "cc",
      300, "mixed"),
@@ -787,11 +788,11 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     points, _, _ = synthesize(spec)
     if sampler == "prosac":
         points = _ranked(points)
-    radii = {}
     if isinstance(sampler, tuple):
-        sampler, radii["r_min"], radii["r_max"] = sampler
+        sampler, radii = sampler
+        monkeypatch.setattr(engine, "CC_RADII", radii)
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
-                         batch_size=2, max_proposals=max_proposals, **radii)
+                         batch_size=2, max_proposals=max_proposals)
     # drawn RNG_BLOCK at a time, as the engine's blocks take their stream
     want, _ = _fit_per_draw(points, spec.model_type, cfg, sampling.RNG_BLOCK)
     # the same fit in the engine's grouping, whose trace the guards read
@@ -836,6 +837,31 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     elif stop == "mixed":
         m = spec.model_type.m
         assert any(m in sizes and max(sizes) > m for sizes in trace["blocks"])
+
+
+def test_cc_radii_are_the_pixel_radii_at_epsilon_3(monkeypatch):
+    # at epsilon = 3 a cc fit walks exactly the radii 20 to 200 in 5 steps
+    # that the pinned cc fits were made with
+    seen = []
+    schedule = engine.cc_schedule
+
+    def recorded(graph, m, radii):
+        seen.append(radii)
+        return schedule(graph, m, radii)
+
+    monkeypatch.setattr(engine, "cc_schedule", recorded)
+    points, _, _ = synthesize(SyntheticSpec(ModelType.SEGMENT2D, 2, 20, 10,
+                                            1.0, seed=1, clustered=True))
+    fit(points, ModelType.SEGMENT2D,
+        default_config(ModelType.SEGMENT2D, 3.0, sampler="cc",
+                       max_proposals=1))
+    assert seen == [[20.0, 56.0, 92.0, 128.0, 164.0, 200.0]]
+
+
+def test_engine_config_has_eight_fields():
+    assert [f.name for f in fields(EngineConfig)] == [
+        "loss", "q_min", "tau", "confidence", "batch_size", "sampler",
+        "seed", "max_proposals"]
 
 
 def test_sample_block_is_whole_rng_chunks():
@@ -1001,27 +1027,22 @@ def test_engine_config_validation():
         EngineConfig(loss=fn, tau=1.5)
     with pytest.raises(InvalidConfig):
         EngineConfig(loss=fn, sampler="magic")
-    for bad in ({"r_max": 0.0}, {"r_max": -1.0, "sampler": "uniform"},
-                {"sampler": "cc", "r_min": 0.0},
-                {"sampler": "cc", "r_min": 300.0, "r_max": 200.0},
-                {"sampler": "cc", "n_steps": 0}, {"q_min": np.nan},
-                {"q_min": np.inf}, {"r_max": np.nan},
-                {"sampler": "cc", "r_max": np.inf}, {"seed": -1}):
+    for bad in ({"q_min": np.nan}, {"q_min": np.inf}, {"seed": -1}):
         with pytest.raises(InvalidConfig):
             EngineConfig(loss=fn, **bad)
-    # P-NAPSAC ignores r_min and n_steps
-    EngineConfig(loss=fn, sampler="pnapsac", r_min=0.0, n_steps=0)
-    for removed in ("proposal_budget_factor", "max_irls_iters", "irls_tol"):
+    # the CC radii are multiples of epsilon, not fields
+    for removed in ("proposal_budget_factor", "max_irls_iters", "irls_tol",
+                    "r_min", "r_max", "n_steps"):
         with pytest.raises(TypeError):
             default_config(ModelType.LINE2D, 3.0, **{removed: 5})
 
 
 @pytest.mark.parametrize("field, value", [
     ("dof", 2.5), ("dof", True), ("seed", 1.5), ("seed", True),
-    ("n_steps", 2.0), ("batch_size", 2.5), ("max_proposals", 300.0),
+    ("batch_size", 2.5), ("max_proposals", 300.0),
     ("max_proposals", np.float64(300.0)), ("batch_size", "3")])
 def test_non_integer_config_values_are_rejected(field, value):
-    # int or numpy integer, but not bool; the cc sampler reads n_steps
+    # int or numpy integer, but not bool
     def make(v):
         if field == "dof":
             return LossFunction(LossKind.MAGSACPP, 3.0, dof=v)
@@ -1034,16 +1055,14 @@ def test_non_integer_config_values_are_rejected(field, value):
 
 
 _REAL_FIELDS = {"epsilon": 3.0, "q_min": 20.0, "tau": 0.2,
-                "confidence": 0.9, "r_min": 20.0, "r_max": 200.0}
+                "confidence": 0.9}
 
 
 @pytest.mark.parametrize("field, value", [
     ("epsilon", "3"), ("epsilon", None), ("epsilon", True), ("q_min", "20"),
-    ("q_min", True), ("tau", None), ("confidence", "0.9"), ("r_min", [20.0]),
-    ("r_max", "5")])
+    ("q_min", True), ("tau", None), ("confidence", "0.9")])
 def test_non_real_config_values_are_rejected(field, value):
-    # int, float or a numpy scalar of either, but not bool; the cc sampler
-    # reads r_min
+    # int, float or a numpy scalar of either, but not bool
     def make(v):
         if field == "epsilon":
             return LossFunction(LossKind.MAGSACPP, v)

@@ -165,14 +165,14 @@ def _stack_row(model_type, kind, rng):
 def test_stacked_candidates_match_one_at_a_time(model_type, kinds, seed):
     rng = np.random.default_rng(seed)
     stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
-    params, owner = minimal_candidates(model_type, stack)
+    params, owner = minimal_candidates(model_type, stack, 3.0)
     assert params.shape == (len(owner), model_type.n_params)
     assert np.all(np.diff(owner) >= 0)
     assert np.all((0 <= owner) & (owner < len(stack)))
     for b, sample in enumerate(stack):
         rows = params[owner == b]
         # bit-equal to the sample's B = 1 call ...
-        alone, at = minimal_candidates(model_type, sample[None])
+        alone, at = minimal_candidates(model_type, sample[None], 3.0)
         assert rows.tobytes() == alone.tobytes() and not np.any(at)
         # ... and to the candidates of the public one-sample calls
         want = _one_at_a_time(model_type, sample)
@@ -195,7 +195,7 @@ def test_minimal_lines_segments_planes_are_unit_weight_fits(model_type, kinds,
     # exactly when that fit does
     rng = np.random.default_rng(seed)
     stack = np.array([_stack_row(model_type, kind, rng) for kind in kinds])
-    params, owner = minimal_candidates(model_type, stack)
+    params, owner = minimal_candidates(model_type, stack, 3.0)
     for b, sample in enumerate(stack):
         row = params[owner == b]
         try:
@@ -224,13 +224,13 @@ def test_minimal_line_through_close_points_is_fitted():
     assert np.array_equal(
         line.params, fit_nonminimal(ModelType.LINE2D, sample, np.ones(2)).params)
     assert np.allclose(np.abs(line.params), [1.0, 0.0, 1.0])
-    params, owner = minimal_candidates(ModelType.LINE2D, sample[None])
+    params, owner = minimal_candidates(ModelType.LINE2D, sample[None], 3.0)
     assert np.array_equal(params, line.params[None]) and owner.tolist() == [0]
     sample[1, 1] = 1.0 + 1e-10
     for solve in (fit_minimal, lambda t, s: fit_nonminimal(t, s, np.ones(2))):
         with pytest.raises(DegenerateSample):
             solve(ModelType.LINE2D, sample)
-    params, owner = minimal_candidates(ModelType.LINE2D, sample[None])
+    params, owner = minimal_candidates(ModelType.LINE2D, sample[None], 3.0)
     assert params.shape == (0, 3) and owner.shape == (0,)
 
 
@@ -830,6 +830,19 @@ def test_coincident_plane_points_degenerate():
     assert sample_degenerate(ModelType.PLANE3D, pts) is True
 
 
+def test_area_tolerance_is_one_at_epsilon_3():
+    # at epsilon = 3 both screens flag a triangle of area below exactly 1,
+    # the pixel tolerance the pinned fits were made with: a triangle of
+    # area 1 passes, one of the next smaller area does not
+    for y, flagged in ((1.0, False), (np.nextafter(1.0, 0.0), True)):
+        tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, y]])
+        plane = np.column_stack([tri, np.zeros(3)])
+        assert sample_degenerate(ModelType.PLANE3D, plane, 3.0) is flagged
+        quad = np.vstack([tri, [10.0, 10.0]])
+        corr = np.column_stack([quad, quad])
+        assert sample_degenerate(ModelType.HOMOGRAPHY, corr, 3.0) is flagged
+
+
 def _h_degenerate(pts1, pts2):
     return sample_degenerate(ModelType.HOMOGRAPHY, np.column_stack([pts1, pts2]))
 
@@ -850,8 +863,9 @@ def test_cheirality_mild_projective_warp():
 
 
 def test_cheirality_invariant_to_similarity(rng):
-    # the collinearity threshold is an absolute area, so the verdict may
-    # change with the scale of an image but not with its rotation or shift
+    # the collinearity threshold is an area in units of epsilon^2, so at a
+    # fixed epsilon the verdict may change with the scale of an image but
+    # not with its rotation or shift
     for _ in range(25):
         pts1 = rng.uniform(0, 100, size=(4, 2))
         pts2 = rng.uniform(0, 100, size=(4, 2))
@@ -896,11 +910,13 @@ def _hull_cycle(pts, degenerate_tol):
     return lower[:-1] + upper[:-1]
 
 
-def _homography_sample_ok_oracle(sample):
-    """Every triple area at least COLLINEAR_AREA_TOL in both images, and the
-    same hull, traversed in the same cyclic order, in both images."""
-    h1 = _hull_cycle(sample[:, :2], COLLINEAR_AREA_TOL)
-    h2 = _hull_cycle(sample[:, 2:], COLLINEAR_AREA_TOL)
+def _homography_sample_ok_oracle(sample, epsilon):
+    """Every triple area at least COLLINEAR_AREA_TOL epsilon^2 in both
+    images, and the same hull, traversed in the same cyclic order, in both
+    images."""
+    tol = COLLINEAR_AREA_TOL * epsilon ** 2
+    h1 = _hull_cycle(sample[:, :2], tol)
+    h2 = _hull_cycle(sample[:, 2:], tol)
     if h1 is None or h2 is None or sorted(h1) != sorted(h2):
         return False
     shift = h2.index(h1[0])
@@ -908,22 +924,27 @@ def _homography_sample_ok_oracle(sample):
 
 
 # coordinates within +-100 keep the rounding error of every cross product
-# far below the area threshold, so the two tests see the same verdicts
+# far below the area threshold, so the two tests see the same verdicts; the
+# scale 2^k multiplies the coordinates and epsilon alike, exactly
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-100.0, 100.0), min_size=16, max_size=16))
-def test_cheirality_matches_hull_cycle_oracle(values):
-    sample = np.array(values).reshape(4, 4)
-    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample)
-            != _homography_sample_ok_oracle(sample))
+@given(st.lists(st.floats(-100.0, 100.0), min_size=16, max_size=16),
+       st.sampled_from([-10, 0, 10]))
+def test_cheirality_matches_hull_cycle_oracle(values, k):
+    sample = np.array(values).reshape(4, 4) * 2.0 ** k
+    eps = 3.0 * 2.0 ** k
+    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample, eps)
+            != _homography_sample_ok_oracle(sample, eps))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.integers(0, 3), min_size=16, max_size=16))
-def test_cheirality_matches_hull_cycle_oracle_on_grid(values):
+@given(st.lists(st.integers(0, 3), min_size=16, max_size=16),
+       st.sampled_from([-10, 0, 10]))
+def test_cheirality_matches_hull_cycle_oracle_on_grid(values, k):
     # a 4x4 grid makes collinear triples and repeated points common
-    sample = np.array(values, dtype=float).reshape(4, 4)
-    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample)
-            != _homography_sample_ok_oracle(sample))
+    sample = np.array(values, dtype=float).reshape(4, 4) * 2.0 ** k
+    eps = 3.0 * 2.0 ** k
+    assert (sample_degenerate(ModelType.HOMOGRAPHY, sample, eps)
+            != _homography_sample_ok_oracle(sample, eps))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from scipy.stats import chisquare
 
 from mmfit import sampling
 from mmfit.engine import default_config, fit
-from mmfit.errors import ExhaustedData, InvalidConfig
+from mmfit.errors import ExhaustedData
 from mmfit.models import ModelType, PointSet
 from mmfit.sampling import build_neighborhood, cc_schedule, draw_block
 
@@ -121,16 +121,6 @@ def _free_list_oracle(sampler, points, orders, m, first, count, rng):
 # ---------------------------------------------------------------------------
 # neighborhood graph
 
-@pytest.mark.parametrize("r_min, r_max, n_steps",
-                         [(0.0, 10.0, 5), (20.0, 10.0, 5), (5.0, 10.0, 0),
-                          (np.nan, 30.0, 3), (5.0, np.inf, 3),
-                          (5.0, np.nan, 3), (np.inf, np.inf, 3)])
-def test_cc_state_rejects_bad_schedule(r_min, r_max, n_steps):
-    g = build_neighborhood(PointSet(np.zeros((3, 2))))
-    with pytest.raises(InvalidConfig):
-        cc_schedule(g, 2, r_min, r_max, n_steps)
-
-
 def _oracle_pairs(coords, r):
     """Every pair i < j at np.linalg.norm distance <= r, by brute force."""
     return {(i, j) for i in range(len(coords))
@@ -158,7 +148,7 @@ def test_empty_point_set_empty_graph(monkeypatch):
         g = build_neighborhood(PointSet(np.zeros((n, 2))))
         assert g.n_points == n
         assert _components(g, 10.0) == []
-        assert cc_schedule(g, 1, 5.0, 10.0, 2) == []
+        assert cc_schedule(g, 1, [5.0, 7.5, 10.0]) == []
     assert queried == []
 
 
@@ -176,10 +166,10 @@ def test_pairs_join_by_the_trees_squared_distance():
     coords = np.array([[0.5, 0.3], [1.1, 1.1]])
     diff = coords[0] - coords[1]
     assert np.linalg.norm(diff) == 1.0 and diff @ diff > 1.0
-    for r_max in (1.0, 2.0):
+    for radii in ([1.0], [1.0, 2.0]):
         g = build_neighborhood(PointSet(coords))
         assert _queried_pairs(g, 1.0) == set()
-        assert cc_schedule(g, 2, 1.0, r_max, 1) == [[0, 1]] * (r_max > 1.0)
+        assert cc_schedule(g, 2, radii) == [[0, 1]] * (len(radii) > 1)
 
 
 def test_pairs_join_across_cells_that_round_two_apart():
@@ -329,9 +319,13 @@ def _two_cluster_scene(rng, n1=40, n2=25):
     return PointSet(np.vstack([a, b]))
 
 
-def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
-    """The schedule, the radius each sample was served at and the radii
-    whose components were built. A sample is served at the first radius,
+# the engine's CC radii at epsilon = 3
+_PIXEL_RADII = [20.0, 56.0, 92.0, 128.0, 164.0, 200.0]
+
+
+def _served(monkeypatch, graph, m, radii):
+    """The schedule of the ascending radii, the radius each sample was
+    served at and the radii whose components were built. A sample is served at the first radius,
     no smaller than its predecessor's, at which it is a union of whole
     components not served before at that radius."""
     built = []
@@ -343,7 +337,7 @@ def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
             yield r, comps
 
     monkeypatch.setattr(sampling, "_growing_components", recorded)
-    schedule = cc_schedule(graph, m, r_min, r_max, n_steps)
+    schedule = cc_schedule(graph, m, radii)
     radii, j, served = [], 0, set()
     for sample in schedule:
         members = set(sample)
@@ -362,7 +356,7 @@ def _served(monkeypatch, graph, m, r_min, r_max, n_steps):
 def test_cc_returns_clusters_largest_first(rng, monkeypatch):
     points = _two_cluster_scene(rng)
     g = build_neighborhood(points)
-    schedule, radii, _ = _served(monkeypatch, g, 2, 20.0, 200.0, 5)
+    schedule, radii, _ = _served(monkeypatch, g, 2, _PIXEL_RADII)
     assert schedule[0] == list(range(40))
     assert schedule[1] == list(range(40, 65))
     assert radii[2] > radii[1]  # densification kicked in
@@ -372,14 +366,14 @@ def test_cc_single_cluster_of_exactly_m(rng):
     coords = np.array([[0.0, 0.0], [5.0, 0.0]])
     points = PointSet(coords)
     g = build_neighborhood(points)
-    assert cc_schedule(g, 2, 10.0, 50.0, 3)[0] == [0, 1]
+    assert cc_schedule(g, 2, [10.0, 50.0])[0] == [0, 1]
 
 
 def test_cc_falls_back_to_prosac_when_no_components():
     coords = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 500.0], [500.0, 500.0]])
     points = PointSet(coords, quality_rank=np.arange(4))
     g = build_neighborhood(points)
-    assert cc_schedule(g, 2, 10.0, 50.0, 4) == []
+    assert cc_schedule(g, 2, [10.0, 30.0, 50.0]) == []
     # after the schedule the engine draws PROSAC blocks, numbering the
     # fallback draws from 1
     for first, count in [(1, 32), (33, 7)]:
@@ -398,7 +392,7 @@ def test_cc_unions_small_components(rng):
     coords = np.array([[0, 0], [1, 0], [50, 50], [51, 50], [100, 0], [101, 0.0]])
     points = PointSet(coords, quality_rank=np.arange(6))
     g = build_neighborhood(points)
-    assert cc_schedule(g, 5, 5.0, 10.0, 2)[0] == list(range(6))
+    assert cc_schedule(g, 5, [5.0, 7.5, 10.0])[0] == list(range(6))
 
 
 def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
@@ -407,14 +401,15 @@ def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
                                 [100.0, 0.0, 0.0], [108.0, 0.0, 0.0],
                                 [116.0, 0.0, 0.0]]))
     g = build_neighborhood(points)
-    schedule, radii, built = _served(monkeypatch, g, 3, 5.0, 20.0, 3)
+    schedule, radii, built = _served(monkeypatch, g, 3,
+                                     [5.0, 10.0, 15.0, 20.0])
     assert built[:2] == [5.0, 10.0]
     assert schedule[0] == [2, 3, 4] and radii[0] == 10.0
 
 
 def test_cc_deterministic_sequences(rng):
     points = _two_cluster_scene(rng)
-    seqs = [cc_schedule(build_neighborhood(points), 2, 20.0, 200.0, 5)
+    seqs = [cc_schedule(build_neighborhood(points), 2, _PIXEL_RADII)
             for _ in range(2)]
     assert len(seqs[0]) >= 6 and seqs[0] == seqs[1]
 
@@ -422,7 +417,8 @@ def test_cc_deterministic_sequences(rng):
 def test_cc_components_connected_at_current_radius(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 300, size=(60, 2)))
     g = build_neighborhood(points)
-    schedule, radii, _ = _served(monkeypatch, g, 2, 15.0, 120.0, 4)
+    schedule, radii, _ = _served(monkeypatch, g, 2,
+                                 [15.0, 41.25, 67.5, 93.75, 120.0])
     assert len(schedule) >= 8
     for sample, r_now in zip(schedule[:8], radii):
         # BFS oracle on the sampled points at the radius in force
@@ -442,43 +438,40 @@ def test_cc_components_connected_at_current_radius(rng, monkeypatch):
 def test_cc_radius_never_decreases(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 500, size=(50, 2)))
     g = build_neighborhood(points)
-    _, radii, _ = _served(monkeypatch, g, 2, 10.0, 100.0, 5)
+    schedule_radii = [10.0, 28.0, 46.0, 64.0, 82.0, 100.0]
+    _, radii, _ = _served(monkeypatch, g, 2, schedule_radii)
     assert len(set(radii)) >= 2
     assert all(b >= a for a, b in zip(radii, radii[1:]))
-    # the schedule holds n_steps + 1 radii
-    assert len(set(radii)) <= 5 + 1
+    assert set(radii) <= set(schedule_radii)
 
 
 @pytest.mark.parametrize("r_min, r_max, n_steps", [
     (7.0, 30.0, 3), (10.0, 100.0, 5), (0.3, 1.0, 7), (12.5, 12.5, 4)])
 def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
                                              n_steps):
+    # the distinct radii of n_steps equal steps from r_min to r_max
+    radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     points = PointSet(np.random.default_rng(1).uniform(0, 40, size=(30, 2)))
     g = build_neighborhood(points)
     # more points than the set holds: the whole schedule gets spent
-    schedule, _, built = _served(monkeypatch, g, 31, r_min, r_max, n_steps)
+    schedule, _, built = _served(monkeypatch, g, 31, radii)
     assert schedule == []
-    step = (r_max - r_min) / n_steps
-    if r_min == r_max:
-        assert built == [r_max]
-    else:
-        assert built == [r_min + k * step for k in range(n_steps)] + [r_max]
-    assert built.count(r_max) == 1
+    assert built == radii
 
 
 def test_cc_exhausted_data():
     points = PointSet(np.array([[0.0, 0.0]]))
     g = build_neighborhood(points)
-    assert cc_schedule(g, 2, 5.0, 10.0, 2) == []
+    assert cc_schedule(g, 2, [5.0, 7.5, 10.0]) == []
     with pytest.raises(ExhaustedData):
         draw_block("cc", points, g, 2, 1, 32, np.random.default_rng(0))
 
 
-def _cc_schedule_oracle(graph, m, r_min, r_max, n_steps):
+def _cc_schedule_oracle(graph, m, radii):
     """cc_schedule with the components of the brute-force pairs built from
     scratch at each radius."""
     samples = []
-    for r in np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist():
+    for r in radii:
         pending = _oracle_components(graph.coords, r)
         left = sum(map(len, pending))
         while left >= m:
@@ -504,27 +497,27 @@ def _with_duplicates():
 
 
 _SCHEDULE_CASES = {
-    "2d-m2": (_clusters(2), 2, 5.0, 60.0, 5),
-    "3d-m3": (_clusters(3), 3, 6.0, 50.0, 4),
-    "4d-m7": (_clusters(4), 7, 8.0, 80.0, 6),
-    "2d-m7-one-radius": (_clusters(2), 7, 12.0, 12.0, 3),
-    "duplicates-m2": (_with_duplicates(), 2, 2.0, 30.0, 3),
-    "duplicates-m3": (_with_duplicates(), 3, 0.5, 0.5, 2),
+    "2d-m2": (_clusters(2), 2, np.linspace(5.0, 60.0, 6).tolist()),
+    "3d-m3": (_clusters(3), 3, np.linspace(6.0, 50.0, 5).tolist()),
+    "4d-m7": (_clusters(4), 7, np.linspace(8.0, 80.0, 7).tolist()),
+    "2d-m7-one-radius": (_clusters(2), 7, [12.0]),
+    "duplicates-m2": (_with_duplicates(), 2, np.linspace(2.0, 30.0, 4).tolist()),
+    "duplicates-m3": (_with_duplicates(), 3, [0.5]),
 }
 
 
-@pytest.mark.parametrize("coords, m, r_min, r_max, n_steps",
-                         _SCHEDULE_CASES.values(), ids=_SCHEDULE_CASES.keys())
-def test_cc_schedule_matches_per_radius_oracle(coords, m, r_min, r_max,
-                                               n_steps):
+@pytest.mark.parametrize("coords, m, radii", _SCHEDULE_CASES.values(),
+                         ids=_SCHEDULE_CASES.keys())
+def test_cc_schedule_matches_per_radius_oracle(coords, m, radii):
     g = build_neighborhood(PointSet(coords))
-    schedule = cc_schedule(g, m, r_min, r_max, n_steps)
+    schedule = cc_schedule(g, m, radii)
     assert schedule
-    assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
+    assert schedule == _cc_schedule_oracle(g, m, radii)
 
 
 _GRID = 5.0 * np.stack(np.meshgrid(np.arange(5), np.arange(5)),
                       -1).reshape(-1, 2)
+_GRID_RADII = [2.5, 5.0, 7.5, 10.0]
 
 
 def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
@@ -536,16 +529,16 @@ def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
     assert sum(np.linalg.norm(coords[i] - coords[j]) == 5.0
                for i, j in pairs) == 40
     assert _queried_pairs(g, 5.0) == pairs
-    schedule, radii, built = _served(monkeypatch, g, 2, 2.5, 10.0, 3)
-    assert built == [2.5, 5.0, 7.5, 10.0]
+    schedule, radii, built = _served(monkeypatch, g, 2, _GRID_RADII)
+    assert built == _GRID_RADII
     assert schedule[:2] == [[25, 26], list(range(25))]
     assert radii[:2] == [2.5, 5.0]
-    assert schedule == _cc_schedule_oracle(g, 2, 2.5, 10.0, 3)
+    assert schedule == _cc_schedule_oracle(g, 2, _GRID_RADII)
 
 
 @pytest.mark.parametrize("coords, queried_radii", [
     pytest.param(_GRID, [2.5, 5.0], id="one-component-from-5"),
-    pytest.param(np.vstack([_GRID, [[500.0, 500.0]]]), [2.5, 5.0, 7.5, 10.0],
+    pytest.param(np.vstack([_GRID, [[500.0, 500.0]]]), _GRID_RADII,
                  id="isolated-far-point"),
 ])
 def test_cc_schedule_stops_querying_at_one_component(monkeypatch, coords,
@@ -554,17 +547,17 @@ def test_cc_schedule_stops_querying_at_one_component(monkeypatch, coords,
     # holding every point
     queried = _spy_queries(monkeypatch)
     g = build_neighborhood(PointSet(coords))
-    schedule = cc_schedule(g, 2, 2.5, 10.0, 3)
+    schedule = cc_schedule(g, 2, _GRID_RADII)
     assert queried == queried_radii
     assert schedule == [list(range(25))] * 3
-    assert schedule == _cc_schedule_oracle(g, 2, 2.5, 10.0, 3)
+    assert schedule == _cc_schedule_oracle(g, 2, _GRID_RADII)
 
 
 @st.composite
 def _grid_schedules(draw):
-    """Points on a grid of a power-of-two step, some duplicated, and a
-    schedule whose radii are multiples of the step: distances and radii are
-    exact, so pairs tie at schedule radii."""
+    """Points on a grid of a power-of-two step, some duplicated, and
+    ascending schedule radii that are multiples of the step: distances and
+    radii are exact, so pairs tie at schedule radii."""
     dim = draw(st.sampled_from([2, 3, 4]))
     step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
     cells = draw(st.lists(st.lists(st.integers(0, 6), min_size=dim,
@@ -573,28 +566,26 @@ def _grid_schedules(draw):
     if len(coords):
         coords = coords[draw(st.lists(st.integers(0, len(coords) - 1),
                                       max_size=6)) + list(range(len(coords)))]
-    n_steps = draw(st.integers(1, 5))
-    r_min = step * draw(st.integers(1, 6))
-    r_max = r_min + step * n_steps * draw(st.integers(0, 2))
-    return coords, draw(st.integers(1, 8)), r_min, r_max, n_steps
+    multiples = draw(st.lists(st.integers(1, 16), min_size=1, max_size=6))
+    radii = (step * np.unique(multiples)).tolist()
+    return coords, draw(st.integers(1, 8)), radii
 
 
 @settings(max_examples=200, deadline=None)
 @given(_grid_schedules())
-@example((np.zeros((0, 2)), 1, 1.0, 2.0, 1))
-@example((np.zeros((1, 3)), 1, 1.0, 2.0, 1))
-@example((np.array([[0.0, 0, 0, 0], [1, 1, 1, 1]]), 2, 1.0, 3.0, 2))
-@example((np.array([[1.0, 2.0], [1.0, 2.0]]), 2, 0.5, 0.5, 1))
+@example((np.zeros((0, 2)), 1, [1.0, 2.0]))
+@example((np.zeros((1, 3)), 1, [1.0, 2.0]))
+@example((np.array([[0.0, 0, 0, 0], [1, 1, 1, 1]]), 2, [1.0, 2.0, 3.0]))
+@example((np.array([[1.0, 2.0], [1.0, 2.0]]), 2, [0.5]))
 def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
-    coords, m, r_min, r_max, n_steps = case
+    coords, m, radii = case
     with pytest.MonkeyPatch.context() as mp:
         queried = _spy_queries(mp)
         g = build_neighborhood(PointSet(coords))
-        schedule = cc_schedule(g, m, r_min, r_max, n_steps)
-    assert schedule == _cc_schedule_oracle(g, m, r_min, r_max, n_steps)
+        schedule = cc_schedule(g, m, radii)
+    assert schedule == _cc_schedule_oracle(g, m, radii)
     # the pairs are searched at each radius until one component holds every
     # point, and never for fewer than two points
-    radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     want = []
     if len(coords) >= 2:
         for r in radii:
