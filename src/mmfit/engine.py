@@ -65,11 +65,7 @@ from .models import (
     minimal_candidates,
 )
 from .quality import min_loss_outside_groups, quality_f_from_losses
-from .sampling import (
-    build_neighborhood,
-    cc_schedule,
-    draw_block,
-)
+from .sampling import cc_schedule, draw_block
 
 OUTLIER = -1
 
@@ -333,13 +329,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     fn = config.loss
     eps = fn.epsilon
     rng = np.random.default_rng(config.seed)
-    graph = None
     schedule: list[list[int]] = []
     cc = config.sampler == "cc"
-    if cc or config.sampler == "pnapsac":
-        graph = build_neighborhood(points)
     if cc:
-        schedule = cc_schedule(graph, m, (CC_RADII * eps).tolist())
+        schedule = cc_schedule(points.coords, m, (CC_RADII * eps).tolist())
 
     # drawn, solved and scored samples the loop has not taken yet, oldest
     # first: per sample, its candidates as _candidates returns them
@@ -379,7 +372,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))
                 block = (schedule[draws:stop] if draws < len(schedule) else
-                         draw_block(config.sampler, points, graph, m,
+                         draw_block(config.sampler, points, m,
                                     draws + 1 - len(schedule), stop - draws,
                                     rng))
                 solved.extend(zip(block, _candidates(points, model_type,

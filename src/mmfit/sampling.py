@@ -5,7 +5,9 @@ draw_block draws the first three a block at a time by one kernel with three
 arms: a centre, then distinct ranks below a bound of an order, namely every
 other point (uniform), PointSet.ranked_order, fixed once per point set, in a
 pool growing with the draw index (PROSAC), or the centre's neighbor order in
-a neighborhood growing the same way (P-NAPSAC).
+a neighborhood growing the same way (P-NAPSAC). No neighbor order is
+stored: each P-NAPSAC draw reads the points at its ranks from its centre's
+distance row, so no state but the rng's carries from one draw to the next.
 The CC sampler's samples are the connected components at each radius of its
 schedule, ascending multiples of the inlier threshold epsilon that the
 engine gives, largest first, over the joint coordinate space (4D for
@@ -28,60 +30,53 @@ from .models import PointSet
 PROSAC_GROWTH_BUDGET = 200_000
 # draws per pair of generator calls: a block of any size takes its centres
 # and ranks in chunks of this many draws, so it draws what chunk-sized
-# blocks would, and NeighborhoodGraph.orders sorts this many centres at once
+# blocks would, and P-NAPSAC reads the distance rows of this many centres
+# per pass
 RNG_BLOCK = 32
 # draws per extra neighbor in the P-NAPSAC neighborhood
 PNAPSAC_GROWTH_RATE = 10
 
 
-class NeighborhoodGraph:
-    """Neighborhoods of a point set: prefixes of the neighbor orders of the
-    P-NAPSAC centres drawn so far, and the coordinates the CC sampler
-    searches for the pairs within each radius of its schedule.
-    """
-
-    def __init__(self, points: PointSet):
-        self.n_points = len(points)
-        self.coords = points.coords
-        # one contiguous row per coordinate, for the distance passes
-        self._columns = np.ascontiguousarray(points.coords.T)
-        self._orders: dict[int, np.ndarray] = {}
-
-    def orders(self, centres: list[int], k: int) -> list[np.ndarray]:
-        """Per centre, at least its k <= n - 1 nearest neighbors in order:
-        by squared distance, then index. Shorter stored prefixes grow to
-        max(2k, 16) entries (at most n - 1), RNG_BLOCK centres per
-        vectorised pass, so the distance rows do not grow with the block."""
-        short = np.unique([c for c in centres
-                           if len(self._orders.get(c, ())) < k])
-        if len(short):   # np.unique([]) is a float array
-            want = min(self.n_points - 1, max(2 * k, 16))
-            for part in np.split(short, range(RNG_BLOCK, len(short),
-                                              RNG_BLOCK)):
-                d = np.zeros((len(part), self.n_points))
-                for column in self._columns:
-                    d += (column - column[part, None]) ** 2
-                d[np.arange(len(part)), part] = np.inf
-                top = np.argpartition(d, want - 1)[:, :want]
-                order = np.argsort(np.take_along_axis(d, top, 1))
-                top = np.take_along_axis(top, order, 1)
-                near = np.take_along_axis(d, top, 1)
-                # a row with tied distances in or beside its top is sorted
-                # whole
-                tied = (np.diff(near) == 0).any(1) | (
-                    np.count_nonzero(d <= near[:, -1:], axis=1) > want)
-                top[tied] = np.argsort(d[tied], kind="stable")[:, :want]
-                # copies, not views of top
-                self._orders.update(zip(part.tolist(), map(np.copy, top)))
-        return [self._orders[c] for c in centres]
+def _neighbors(coords: np.ndarray, centres: np.ndarray,
+               ranks: np.ndarray) -> np.ndarray:
+    """Per centre, the points at its row of ranks in its neighbor order:
+    every other point by squared distance summed column by column, then by
+    index. RNG_BLOCK centres per pass, no order kept: their distance rows
+    are partitioned at the pass's largest rank and the top ordered by
+    (distance, index); a row is sorted whole, stably, only when the top's
+    last distance ties with a point outside it."""
+    columns = np.ascontiguousarray(coords.T)
+    d = np.empty((min(RNG_BLOCK, len(centres)), len(coords)))
+    step = np.empty_like(d)
+    out = np.empty_like(ranks)
+    for a in range(0, len(centres), RNG_BLOCK):
+        chunk = slice(a, a + RNG_BLOCK)
+        part = centres[chunk]
+        dist, diff = d[:len(part)], step[:len(part)]
+        np.subtract(columns[0], columns[0][part, None], out=dist)
+        dist *= dist
+        for column in columns[1:]:
+            np.subtract(column, column[part, None], out=diff)
+            diff *= diff
+            dist += diff
+        dist[np.arange(len(part)), part] = np.inf
+        k = int(ranks[chunk].max()) + 1
+        top = np.argpartition(dist, k - 1)[:, :k]
+        top = np.take_along_axis(top, np.argsort(
+            np.take_along_axis(dist, top, 1)), 1)
+        near = np.take_along_axis(dist, top, 1)
+        # tied distances within a top go by index
+        tied = np.flatnonzero((near[:, 1:] == near[:, :-1]).any(1))
+        by_index = np.sort(top[tied])
+        top[tied] = np.take_along_axis(by_index, np.argsort(
+            dist[tied[:, None], by_index], kind="stable"), 1)
+        beside = np.count_nonzero(dist <= near[:, -1:], 1) > k
+        top[beside] = np.argsort(dist[beside], kind="stable")[:, :k]
+        out[chunk] = np.take_along_axis(top, ranks[chunk], 1)
+    return out
 
 
-def build_neighborhood(points: PointSet) -> NeighborhoodGraph:
-    """Neighborhoods over the joint coordinate space; exact, deterministic."""
-    return NeighborhoodGraph(points)
-
-
-def _pairs_within(graph: NeighborhoodGraph, r: float, labels: np.ndarray):
+def _pairs_within(coords: np.ndarray, r: float, labels: np.ndarray):
     """The pairs (a, b) of points within r, at squared distance summed
     column by column d^2 <= r * r (a KD-tree's test, not the norm's), whose
     labels differ. Candidates come from a grid over the first two
@@ -89,7 +84,7 @@ def _pairs_within(graph: NeighborhoodGraph, r: float, labels: np.ndarray):
     of its cell with the cell above, then the three cells of the next
     column, two contiguous ranges of the points sorted by cell key. A range
     whose labels all equal the point's is skipped."""
-    xy = graph.coords[:, :2] - graph.coords[:, :2].min(0)
+    xy = coords[:, :2] - coords[:, :2].min(0)
     # a cell of at least span / 2^20 keeps the keys small; the margin
     # keeps pairs at exactly r within adjacent cells despite rounding
     side = max(r, xy.max() / 2**20) * (1 + 2**-20) or 1.0
@@ -117,24 +112,24 @@ def _pairs_within(graph: NeighborhoodGraph, r: float, labels: np.ndarray):
     cross = sorted_labels[a] != sorted_labels[b]
     a, b = order[a[cross]], order[b[cross]]
     d = np.zeros(len(a))
-    for column in graph._columns:
+    for column in coords.T:
         d += (column[a] - column[b]) ** 2
     near = d <= r * r
     return a[near], b[near]
 
 
-def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
+def _growing_components(coords: np.ndarray, radii: list[float]):
     """(r, the components of the graph joining the pairs within r) for each
     r of the ascending radii: no singletons, size descending, ties by
     smallest member, members ascending. Components nest across radii
     (single linkage): each radius merges the labels, each point's least
     component member, along _pairs_within until one label covers every
     point, and the lists are rebuilt only when the labels change."""
-    labels = np.arange(graph.n_points)
+    labels = np.arange(len(coords))
     comps = None
     for r in radii:
         if labels.any():   # else at most one component
-            a, b = _pairs_within(graph, r, labels)
+            a, b = _pairs_within(coords, r, labels)
             if len(a):
                 labels = least_members(len(labels), labels[a],
                                        labels[b])[labels]
@@ -150,7 +145,7 @@ def _growing_components(graph: NeighborhoodGraph, radii: list[float]):
         yield r, comps
 
 
-def cc_schedule(graph: NeighborhoodGraph, m: int,
+def cc_schedule(coords: np.ndarray, m: int,
                 radii: list[float]) -> list[list[int]]:
     """Every sample of the connected-component sampler, in serving order.
 
@@ -163,7 +158,7 @@ def cc_schedule(graph: NeighborhoodGraph, m: int,
     offered again, grown or not, including ones served unchanged before.
     """
     samples: list[list[int]] = []
-    for _, comps in _growing_components(graph, radii):
+    for _, comps in _growing_components(coords, radii):
         pending = iter(comps)
         left = sum(map(len, comps))
         while left >= m:
@@ -193,9 +188,8 @@ def _prosac_schedule(n_points: int, m: int) -> tuple:
     return tuple(thresholds)
 
 
-def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
-               m: int, first: int, count: int,
-               rng: np.random.Generator) -> np.ndarray:
+def draw_block(sampler: str, points: PointSet, m: int, first: int,
+               count: int, rng: np.random.Generator) -> np.ndarray:
     """The (count, m) samples of the 1-based draws first onwards, from
     centres = rng.integers(n, size=c) and u = rng.random((c, m - 1)) per
     chunk of c = RNG_BLOCK draws (the last one shorter) whatever the
@@ -203,9 +197,11 @@ def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
     starts on a chunk. Draw t is its centre, then the points at ranks
     j < m - 1 of an order: the floor(u[:, j] (s - j))-th free rank < s.
     P-NAPSAC: s = min(n - 1, m - 1 + t // PNAPSAC_GROWTH_RATE) in the
-    centre's neighbor order. PROSAC (prosac and cc, ranked set, t <= T'_N):
-    the last of the first k_t points of ranked_order replaces the centre,
-    s = k_t - 1. Else uniform: s = n - 1 over every point but the centre."""
+    centre's neighbor order, read from the centre's distance row for this
+    draw alone (_neighbors). PROSAC (prosac and cc, ranked set,
+    t <= T'_N): the last of the first k_t points of ranked_order replaces
+    the centre, s = k_t - 1. Else uniform: s = n - 1 over every point but
+    the centre."""
     n = len(points)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
@@ -229,8 +225,7 @@ def draw_block(sampler: str, points: PointSet, graph: NeighborhoodGraph | None,
         for taken in np.sort(ranks[:, :j], axis=1).T:
             ranks[:, j] += ranks[:, j] >= taken
     if sampler == "pnapsac" and m > 1:
-        orders = graph.orders(centres.tolist(), int(s[-1]))
-        rest = np.array([o[r] for o, r in zip(orders, ranks)])
+        rest = _neighbors(points.coords, centres, ranks)
     else:
         rest = ranks + (ranks >= centres[:, None])   # every point but the centre
         if pool.any():

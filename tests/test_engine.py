@@ -45,7 +45,7 @@ from mmfit.models import (
 )
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
-from mmfit.sampling import build_neighborhood, cc_schedule, draw_block
+from mmfit.sampling import cc_schedule, draw_block
 
 from conftest import (
     consolidate_fixed,
@@ -672,12 +672,11 @@ def _fit_per_draw(points, model_type, config, block):
     ("blocks"; the engine's grouping at block = SAMPLE_BLOCK)."""
     m, n = model_type.m, len(points)
     rng = np.random.default_rng(config.seed)
-    graph, schedule, cc = None, [], config.sampler == "cc"
-    if config.sampler in ("cc", "pnapsac"):
-        graph = build_neighborhood(points)
+    schedule, cc = [], config.sampler == "cc"
     fn, eps = config.loss, config.loss.epsilon
     if cc:
-        schedule = cc_schedule(graph, m, (engine.CC_RADII * eps).tolist())
+        schedule = cc_schedule(points.coords, m,
+                               (engine.CC_RADII * eps).tolist())
     kept = np.zeros((0, model_type.n_params))
     residual_rows, loss_rows = np.zeros((0, n)), np.zeros((0, n))
     fixed = np.zeros(0, dtype=bool)
@@ -708,7 +707,7 @@ def _fit_per_draw(points, model_type, config, block):
                     draws - 1 + block, len(schedule), config.max_proposals)])
             elif t > 0 and (t - 1) % block == 0:
                 blocks.append(draw_block(
-                    config.sampler, points, graph, m, t,
+                    config.sampler, points, m, t,
                     min(block, config.max_proposals - draws + 1), rng).tolist())
             sample = schedule[draws - 1] if t <= 0 else blocks[-1][(t - 1) % block]
             for h in _one_sample_candidates(points, model_type, sample):
@@ -845,9 +844,9 @@ def test_cc_radii_are_the_pixel_radii_at_epsilon_3(monkeypatch):
     seen = []
     schedule = engine.cc_schedule
 
-    def recorded(graph, m, radii):
+    def recorded(coords, m, radii):
         seen.append(radii)
-        return schedule(graph, m, radii)
+        return schedule(coords, m, radii)
 
     monkeypatch.setattr(engine, "cc_schedule", recorded)
     points, _, _ = synthesize(SyntheticSpec(ModelType.SEGMENT2D, 2, 20, 10,
@@ -1017,6 +1016,29 @@ def test_line_family_scenes_keep_their_fit(spec, count, wrong, n, stop):
     assert misclassification_error(report, labels) == pytest.approx(
         wrong / n, abs=1e-12)
     assert report.stop_reason == stop
+
+
+# A known defect: on these easy segment scenes the default P-NAPSAC fit
+# keeps no instance (ME 83.3 %) and stops by the criterion after 371
+# proposals, the draw at which the stopping rule holds with nothing found,
+# while uniform draws keep all three. P-NAPSAC's first draws pair a point
+# with its nearest neighbors, whose short segments likely never reach q_min.
+PNAPSAC_EASY_SEGMENTS = pytest.mark.xfail(
+    strict=True, reason="the default P-NAPSAC fit keeps no instance and "
+    "stops by the criterion")
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("sampler", [
+    pytest.param("pnapsac", marks=PNAPSAC_EASY_SEGMENTS), "uniform"])
+def test_easy_segment_scene_keeps_every_segment(sampler, seed):
+    spec = SyntheticSpec(ModelType.SEGMENT2D, 3, 50, 30, 1.0, seed=seed)
+    points, _, _ = synthesize(spec)
+    cfg = default_config(ModelType.SEGMENT2D, 3.0, sampler=sampler)
+    assert default_config(ModelType.SEGMENT2D, 3.0).sampler == "pnapsac"
+    report = fit(points, ModelType.SEGMENT2D, cfg)
+    assert len(report.instances) == 3
+    assert report.stop_reason == "criterion"
 
 
 def test_engine_config_validation():

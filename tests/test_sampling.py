@@ -15,7 +15,7 @@ from mmfit import sampling
 from mmfit.engine import default_config, fit
 from mmfit.errors import ExhaustedData
 from mmfit.models import ModelType, PointSet
-from mmfit.sampling import build_neighborhood, cc_schedule, draw_block
+from mmfit.sampling import cc_schedule, draw_block
 
 
 def _lexsort_orders(coords):
@@ -51,24 +51,24 @@ def _neighbor_sets():
 @pytest.mark.parametrize("coords", [pytest.param(coords, id=name)
                                     for name, coords in _neighbor_sets()])
 def test_neighbor_order_matches_einsum_oracle(coords):
-    # every centre, filled 32 and 128 at a time (RNG_BLOCK per distance
-    # pass): prefixes of 16 and of 200, whose boundary distance ties with
-    # points left out on the grids
+    # every centre, 32 and 128 per call (RNG_BLOCK per distance pass), read
+    # at every rank below the bounds 1, 5, 16, 100 and n - 1: the last
+    # rank's distance ties with points left out on the grids
     n = len(coords)
     want = _lexsort_orders(coords)
-    centres = np.random.default_rng(n).permutation(n).tolist()
-    for k, size in itertools.product((5, 100), (32, 128)):
-        graph = build_neighborhood(PointSet(coords))
+    centres = np.random.default_rng(n).permutation(n)
+    for k, size in itertools.product((1, 5, 16, 100, n - 1), (32, 128)):
         for start in range(0, n, size):
             chunk = centres[start:start + size]
-            for c, got in zip(chunk, graph.orders(chunk, k)):
-                assert len(got) == min(n - 1, max(2 * k, 16))
-                assert np.array_equal(got, want[c, :len(got)]), c
+            ranks = np.broadcast_to(np.arange(k), (len(chunk), k))
+            got = sampling._neighbors(coords, chunk, ranks)
+            assert np.array_equal(got, want[chunk, :k])
 
 
 def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
     # around point 0, 15 points at distinct distances, then four at the
-    # same distance: the 16-entry prefix ends with the first of the four
+    # same distance: the first 16 ranks end with the first of the four, the
+    # first 17 with the first two
     line = np.arange(16.0)
     ring = 16.0 * np.array([[1, 0], [-1, 0], [0, 1], [0, -1]])
     far = np.column_stack([np.arange(20, 40.0), np.full(20, 30.0)])
@@ -77,8 +77,11 @@ def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
         perm = np.random.default_rng(seed).permutation(len(coords))
         shuffled = coords[perm]
         centre = int(np.flatnonzero(perm == 0)[0])
-        got, = build_neighborhood(PointSet(shuffled)).orders([centre], 5)
-        assert np.array_equal(got, _lexsort_orders(shuffled)[centre, :16])
+        want = _lexsort_orders(shuffled)[centre]
+        for k in (16, 17, 19):
+            got, = sampling._neighbors(shuffled, np.array([centre]),
+                                       np.arange(k)[None])
+            assert np.array_equal(got, want[:k])
 
 
 def _ranked(coords):
@@ -119,7 +122,7 @@ def _free_list_oracle(sampler, points, orders, m, first, count, rng):
 
 
 # ---------------------------------------------------------------------------
-# neighborhood graph
+# pairs within a radius
 
 def _oracle_pairs(coords, r):
     """Every pair i < j at np.linalg.norm distance <= r, by brute force."""
@@ -128,35 +131,33 @@ def _oracle_pairs(coords, r):
             if np.linalg.norm(coords[i] - coords[j]) <= r}
 
 
-def _queried_pairs(graph, r):
+def _queried_pairs(coords, r):
     """The pairs (i < j) the CC sampler finds within r between points all
     in components of their own."""
-    a, b = sampling._pairs_within(graph, r, np.arange(graph.n_points))
+    a, b = sampling._pairs_within(coords, r, np.arange(len(coords)))
     return set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
 
 
 def test_collinear_points_single_edge():
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
-    g = build_neighborhood(PointSet(coords))
-    assert _queried_pairs(g, 15.0) == _oracle_pairs(coords, 15.0) == {(0, 1)}
-    assert _components(g, 15.0) == [[0, 1]]
+    assert _queried_pairs(coords, 15.0) == _oracle_pairs(coords, 15.0) \
+        == {(0, 1)}
+    assert _components(coords, 15.0) == [[0, 1]]
 
 
 def test_empty_point_set_empty_graph(monkeypatch):
     queried = _spy_queries(monkeypatch)
     for n in (0, 1):
-        g = build_neighborhood(PointSet(np.zeros((n, 2))))
-        assert g.n_points == n
-        assert _components(g, 10.0) == []
-        assert cc_schedule(g, 1, [5.0, 7.5, 10.0]) == []
+        coords = np.zeros((n, 2))
+        assert _components(coords, 10.0) == []
+        assert cc_schedule(coords, 1, [5.0, 7.5, 10.0]) == []
     assert queried == []
 
 
 def test_graph_matches_bruteforce_pairs(rng):
     coords = rng.uniform(0, 100, size=(200, 2))
-    g = build_neighborhood(PointSet(coords))
     for r in (3.0, 7.5, 12.0):
-        assert _queried_pairs(g, r) == _oracle_pairs(coords, r)
+        assert _queried_pairs(coords, r) == _oracle_pairs(coords, r)
 
 
 def test_pairs_join_by_the_trees_squared_distance():
@@ -167,9 +168,8 @@ def test_pairs_join_by_the_trees_squared_distance():
     diff = coords[0] - coords[1]
     assert np.linalg.norm(diff) == 1.0 and diff @ diff > 1.0
     for radii in ([1.0], [1.0, 2.0]):
-        g = build_neighborhood(PointSet(coords))
-        assert _queried_pairs(g, 1.0) == set()
-        assert cc_schedule(g, 2, radii) == [[0, 1]] * (len(radii) > 1)
+        assert _queried_pairs(coords, 1.0) == set()
+        assert cc_schedule(coords, 2, radii) == [[0, 1]] * (len(radii) > 1)
 
 
 def test_pairs_join_across_cells_that_round_two_apart():
@@ -181,9 +181,8 @@ def test_pairs_join_across_cells_that_round_two_apart():
     shifted = coords[1:, 0] - coords[0, 0]
     assert np.diff(shifted // r) == 2
     assert set(cKDTree(coords).query_pairs(r)) == {(1, 2)}
-    g = build_neighborhood(PointSet(coords))
-    assert _queried_pairs(g, r) == {(1, 2)}
-    assert _components(g, r) == [[1, 2]]
+    assert _queried_pairs(coords, r) == {(1, 2)}
+    assert _components(coords, r) == [[1, 2]]
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +218,9 @@ def _oracle_components(coords, r, pairs=None):
     return comps
 
 
-def _components(graph, r):
+def _components(coords, r):
     """The sampler's components at radius r, grown from no earlier radius."""
-    [(_, comps)] = sampling._growing_components(graph, [r])
+    [(_, comps)] = sampling._growing_components(coords, [r])
     return comps
 
 
@@ -230,9 +229,9 @@ def _spy_queries(monkeypatch):
     queried = []
     search = sampling._pairs_within
 
-    def recorded(graph, r, labels):
+    def recorded(coords, r, labels):
         queried.append(r)
-        return search(graph, r, labels)
+        return search(coords, r, labels)
 
     monkeypatch.setattr(sampling, "_pairs_within", recorded)
     return queried
@@ -268,8 +267,7 @@ def _tree_oracle_sets():
     pytest.param(coords, radii, id=name)
     for name, coords, radii in _tree_oracle_sets()])
 def test_components_match_kd_tree_oracle(coords, radii):
-    g = build_neighborhood(PointSet(coords))
-    got = list(sampling._growing_components(g, radii))
+    got = list(sampling._growing_components(coords, radii))
     assert [r for r, _ in got] == radii
     for r, comps in got:
         assert comps == _oracle_components(coords, r,
@@ -280,20 +278,19 @@ def test_components_match_kd_tree_oracle(coords, radii):
 
 def test_components_trivial_cases():
     coords = np.array([[0.0, 0.0], [10.0, 0.0], [30.0, 0.0]])
-    g = build_neighborhood(PointSet(coords))
-    assert _components(g, 15.0) == _oracle_components(coords, 15.0) == [[0, 1]]
-    assert _components(g, 0.0) == _oracle_components(coords, 0.0) == []
+    assert _components(coords, 15.0) == _oracle_components(coords, 15.0) \
+        == [[0, 1]]
+    assert _components(coords, 0.0) == _oracle_components(coords, 0.0) == []
 
 
 def test_components_match_union_find_oracle(rng):
     a = rng.normal([20, 20], 3.0, size=(20, 2))
     b = rng.normal([80, 80], 3.0, size=(20, 2))
     coords = np.vstack([a, b])
-    g = build_neighborhood(PointSet(coords))
     radii = [5.0, 12.0, 30.0, 60.0]
     for r in radii:
-        assert _components(g, r) == _oracle_components(coords, r)
-    for r, comps in sampling._growing_components(g, radii):
+        assert _components(coords, r) == _oracle_components(coords, r)
+    for r, comps in sampling._growing_components(coords, radii):
         assert comps == _oracle_components(coords, r)
 
 
@@ -303,8 +300,7 @@ def test_components_sorted_largest_first(rng):
         rng.normal([50, 50], 1.0, size=(5, 2)),
         rng.normal([90, 90], 1.0, size=(3, 2)),
     ])
-    g = build_neighborhood(PointSet(coords))
-    comps = _components(g, 10.0)
+    comps = _components(coords, 10.0)
     sizes = [len(c) for c in comps]
     assert sizes == sorted(sizes, reverse=True) == [8, 5, 3]
     assert comps == _oracle_components(coords, 10.0)
@@ -323,7 +319,7 @@ def _two_cluster_scene(rng, n1=40, n2=25):
 _PIXEL_RADII = [20.0, 56.0, 92.0, 128.0, 164.0, 200.0]
 
 
-def _served(monkeypatch, graph, m, radii):
+def _served(monkeypatch, coords, m, radii):
     """The schedule of the ascending radii, the radius each sample was
     served at and the radii whose components were built. A sample is served at the first radius,
     no smaller than its predecessor's, at which it is a union of whole
@@ -331,13 +327,13 @@ def _served(monkeypatch, graph, m, radii):
     built = []
     grow = sampling._growing_components
 
-    def recorded(graph, radii):
-        for r, comps in grow(graph, radii):
+    def recorded(coords, radii):
+        for r, comps in grow(coords, radii):
             built.append((r, [set(c) for c in comps]))
             yield r, comps
 
     monkeypatch.setattr(sampling, "_growing_components", recorded)
-    schedule = cc_schedule(graph, m, radii)
+    schedule = cc_schedule(coords, m, radii)
     radii, j, served = [], 0, set()
     for sample in schedule:
         members = set(sample)
@@ -355,8 +351,7 @@ def _served(monkeypatch, graph, m, radii):
 
 def test_cc_returns_clusters_largest_first(rng, monkeypatch):
     points = _two_cluster_scene(rng)
-    g = build_neighborhood(points)
-    schedule, radii, _ = _served(monkeypatch, g, 2, _PIXEL_RADII)
+    schedule, radii, _ = _served(monkeypatch, points.coords, 2, _PIXEL_RADII)
     assert schedule[0] == list(range(40))
     assert schedule[1] == list(range(40, 65))
     assert radii[2] > radii[1]  # densification kicked in
@@ -365,22 +360,20 @@ def test_cc_returns_clusters_largest_first(rng, monkeypatch):
 def test_cc_single_cluster_of_exactly_m(rng):
     coords = np.array([[0.0, 0.0], [5.0, 0.0]])
     points = PointSet(coords)
-    g = build_neighborhood(points)
-    assert cc_schedule(g, 2, [10.0, 50.0])[0] == [0, 1]
+    assert cc_schedule(points.coords, 2, [10.0, 50.0])[0] == [0, 1]
 
 
 def test_cc_falls_back_to_prosac_when_no_components():
     coords = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 500.0], [500.0, 500.0]])
     points = PointSet(coords, quality_rank=np.arange(4))
-    g = build_neighborhood(points)
-    assert cc_schedule(g, 2, [10.0, 30.0, 50.0]) == []
+    assert cc_schedule(points.coords, 2, [10.0, 30.0, 50.0]) == []
     # after the schedule the engine draws PROSAC blocks, numbering the
     # fallback draws from 1
     for first, count in [(1, 32), (33, 7)]:
-        got = draw_block("cc", points, g, 2, first, count,
+        got = draw_block("cc", points, 2, first, count,
                          np.random.default_rng(first))
         assert np.array_equal(got, draw_block(
-            "prosac", points, None, 2, first, count,
+            "prosac", points, 2, first, count,
             np.random.default_rng(first)))
         assert np.array_equal(got, _free_list_oracle(
             "prosac", points, None, 2, first, count,
@@ -391,8 +384,7 @@ def test_cc_unions_small_components(rng):
     # three pairs, no single component reaches m = 5
     coords = np.array([[0, 0], [1, 0], [50, 50], [51, 50], [100, 0], [101, 0.0]])
     points = PointSet(coords, quality_rank=np.arange(6))
-    g = build_neighborhood(points)
-    assert cc_schedule(g, 5, [5.0, 7.5, 10.0])[0] == list(range(6))
+    assert cc_schedule(points.coords, 5, [5.0, 7.5, 10.0])[0] == list(range(6))
 
 
 def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
@@ -400,8 +392,7 @@ def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
     points = PointSet(np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0],
                                 [100.0, 0.0, 0.0], [108.0, 0.0, 0.0],
                                 [116.0, 0.0, 0.0]]))
-    g = build_neighborhood(points)
-    schedule, radii, built = _served(monkeypatch, g, 3,
+    schedule, radii, built = _served(monkeypatch, points.coords, 3,
                                      [5.0, 10.0, 15.0, 20.0])
     assert built[:2] == [5.0, 10.0]
     assert schedule[0] == [2, 3, 4] and radii[0] == 10.0
@@ -409,15 +400,14 @@ def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
 
 def test_cc_deterministic_sequences(rng):
     points = _two_cluster_scene(rng)
-    seqs = [cc_schedule(build_neighborhood(points), 2, _PIXEL_RADII)
+    seqs = [cc_schedule(points.coords, 2, _PIXEL_RADII)
             for _ in range(2)]
     assert len(seqs[0]) >= 6 and seqs[0] == seqs[1]
 
 
 def test_cc_components_connected_at_current_radius(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 300, size=(60, 2)))
-    g = build_neighborhood(points)
-    schedule, radii, _ = _served(monkeypatch, g, 2,
+    schedule, radii, _ = _served(monkeypatch, points.coords, 2,
                                  [15.0, 41.25, 67.5, 93.75, 120.0])
     assert len(schedule) >= 8
     for sample, r_now in zip(schedule[:8], radii):
@@ -437,9 +427,8 @@ def test_cc_components_connected_at_current_radius(rng, monkeypatch):
 
 def test_cc_radius_never_decreases(rng, monkeypatch):
     points = PointSet(rng.uniform(0, 500, size=(50, 2)))
-    g = build_neighborhood(points)
     schedule_radii = [10.0, 28.0, 46.0, 64.0, 82.0, 100.0]
-    _, radii, _ = _served(monkeypatch, g, 2, schedule_radii)
+    _, radii, _ = _served(monkeypatch, points.coords, 2, schedule_radii)
     assert len(set(radii)) >= 2
     assert all(b >= a for a, b in zip(radii, radii[1:]))
     assert set(radii) <= set(schedule_radii)
@@ -452,27 +441,25 @@ def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
     # the distinct radii of n_steps equal steps from r_min to r_max
     radii = np.unique(np.linspace(r_min, r_max, n_steps + 1)).tolist()
     points = PointSet(np.random.default_rng(1).uniform(0, 40, size=(30, 2)))
-    g = build_neighborhood(points)
     # more points than the set holds: the whole schedule gets spent
-    schedule, _, built = _served(monkeypatch, g, 31, radii)
+    schedule, _, built = _served(monkeypatch, points.coords, 31, radii)
     assert schedule == []
     assert built == radii
 
 
 def test_cc_exhausted_data():
     points = PointSet(np.array([[0.0, 0.0]]))
-    g = build_neighborhood(points)
-    assert cc_schedule(g, 2, [5.0, 7.5, 10.0]) == []
+    assert cc_schedule(points.coords, 2, [5.0, 7.5, 10.0]) == []
     with pytest.raises(ExhaustedData):
-        draw_block("cc", points, g, 2, 1, 32, np.random.default_rng(0))
+        draw_block("cc", points, 2, 1, 32, np.random.default_rng(0))
 
 
-def _cc_schedule_oracle(graph, m, radii):
+def _cc_schedule_oracle(coords, m, radii):
     """cc_schedule with the components of the brute-force pairs built from
     scratch at each radius."""
     samples = []
     for r in radii:
-        pending = _oracle_components(graph.coords, r)
+        pending = _oracle_components(coords, r)
         left = sum(map(len, pending))
         while left >= m:
             sample = []
@@ -509,10 +496,9 @@ _SCHEDULE_CASES = {
 @pytest.mark.parametrize("coords, m, radii", _SCHEDULE_CASES.values(),
                          ids=_SCHEDULE_CASES.keys())
 def test_cc_schedule_matches_per_radius_oracle(coords, m, radii):
-    g = build_neighborhood(PointSet(coords))
-    schedule = cc_schedule(g, m, radii)
+    schedule = cc_schedule(coords, m, radii)
     assert schedule
-    assert schedule == _cc_schedule_oracle(g, m, radii)
+    assert schedule == _cc_schedule_oracle(coords, m, radii)
 
 
 _GRID = 5.0 * np.stack(np.meshgrid(np.arange(5), np.arange(5)),
@@ -524,16 +510,15 @@ def test_cc_schedule_joins_edges_at_their_radius(monkeypatch):
     # a 5 x 5 grid of spacing 5 beside a far pair: every grid edge sits
     # exactly at the schedule radius 5.0 and must join there
     coords = np.vstack([_GRID, [[500.0, 500.0], [502.0, 500.0]]])
-    g = build_neighborhood(PointSet(coords))
     pairs = _oracle_pairs(coords, 5.0)
     assert sum(np.linalg.norm(coords[i] - coords[j]) == 5.0
                for i, j in pairs) == 40
-    assert _queried_pairs(g, 5.0) == pairs
-    schedule, radii, built = _served(monkeypatch, g, 2, _GRID_RADII)
+    assert _queried_pairs(coords, 5.0) == pairs
+    schedule, radii, built = _served(monkeypatch, coords, 2, _GRID_RADII)
     assert built == _GRID_RADII
     assert schedule[:2] == [[25, 26], list(range(25))]
     assert radii[:2] == [2.5, 5.0]
-    assert schedule == _cc_schedule_oracle(g, 2, _GRID_RADII)
+    assert schedule == _cc_schedule_oracle(coords, 2, _GRID_RADII)
 
 
 @pytest.mark.parametrize("coords, queried_radii", [
@@ -546,11 +531,10 @@ def test_cc_schedule_stops_querying_at_one_component(monkeypatch, coords,
     # the grid is one component from 5.0 on; a far point keeps it from
     # holding every point
     queried = _spy_queries(monkeypatch)
-    g = build_neighborhood(PointSet(coords))
-    schedule = cc_schedule(g, 2, _GRID_RADII)
+    schedule = cc_schedule(coords, 2, _GRID_RADII)
     assert queried == queried_radii
     assert schedule == [list(range(25))] * 3
-    assert schedule == _cc_schedule_oracle(g, 2, _GRID_RADII)
+    assert schedule == _cc_schedule_oracle(coords, 2, _GRID_RADII)
 
 
 @st.composite
@@ -581,9 +565,8 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
     coords, m, radii = case
     with pytest.MonkeyPatch.context() as mp:
         queried = _spy_queries(mp)
-        g = build_neighborhood(PointSet(coords))
-        schedule = cc_schedule(g, m, radii)
-    assert schedule == _cc_schedule_oracle(g, m, radii)
+        schedule = cc_schedule(coords, m, radii)
+    assert schedule == _cc_schedule_oracle(coords, m, radii)
     # the pairs are searched at each radius until one component holds every
     # point, and never for fewer than two points
     want = []
@@ -600,7 +583,7 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
 
 def test_prosac_first_iteration_returns_top_m(rng):
     points = _ranked(rng.uniform(0, 100, size=(30, 2)))
-    sample = draw_block("prosac", points, None, 3, 1, 1,
+    sample = draw_block("prosac", points, 3, 1, 1,
                         np.random.default_rng(0))[0]
     assert sorted(sample.tolist()) == [0, 1, 2]
 
@@ -610,7 +593,7 @@ def test_prosac_converges_to_uniform():
     points = _ranked(rng.uniform(0, 100, size=(10, 2)))
     counts = np.zeros((10, 10))
     draws = 100_000
-    block = draw_block("prosac", points, None, 2, 10 ** 7, draws,
+    block = draw_block("prosac", points, 2, 10 ** 7, draws,
                        np.random.default_rng(42))
     np.add.at(counts, (block.min(1), block.max(1)), 1)
     observed = counts[np.triu_indices(10, k=1)]
@@ -622,7 +605,7 @@ def test_prosac_unranked_uniform(rng):
     got, want = np.random.default_rng(0), np.random.default_rng(0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        block = draw_block("prosac", points, None, 2, 1, 32, got)
+        block = draw_block("prosac", points, 2, 1, 32, got)
     assert all(len(set(row)) == 2 for row in block.tolist())
     # the draws are the uniform sampler's from the same generator
     assert np.array_equal(
@@ -641,7 +624,7 @@ def test_ranked_order_is_fixed_once(rng):
     assert unranked.ranked_order is None
     for m in (1, 2, 4):
         for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]:
-            got = draw_block("prosac", points, None, m, it, 4,
+            got = draw_block("prosac", points, m, it, 4,
                              np.random.default_rng(it))
             want = _free_list_oracle("prosac", points, None, m, it, 4,
                                      np.random.default_rng(it))
@@ -667,7 +650,7 @@ def test_draws_match_choice_oracle(m):
                             ("prosac", ranked), ("prosac", unranked),
                             ("cc", ranked)]:
         for first, count in blocks:
-            block = draw_block(sampler, points, None, m, first, count, got)
+            block = draw_block(sampler, points, m, first, count, got)
             assert block.shape == (count, m)
             assert all(len(set(row)) == m for row in block.tolist())
             assert np.array_equal(block, _free_list_oracle(
@@ -681,19 +664,17 @@ def test_draws_match_choice_oracle(m):
 def test_block_equals_its_rng_chunks(sampler, ranked, m):
     # a 100-draw block equals its 32 + 32 + 32 + 4 chunks drawn one call
     # each from an equally seeded generator; the PROSAC block runs across
-    # the end of the growth budget T'_N, the P-NAPSAC one sorts the
+    # the end of the growth budget T'_N, the P-NAPSAC one reads the
     # neighbors of more than RNG_BLOCK centres
     coords = np.random.default_rng(9).uniform(0, 100, (150, 2))
     points = _ranked(coords) if ranked else PointSet(coords)
     first = int(sampling._prosac_schedule(150, m)[-1]) - 50 if ranked else 1
     got, want = np.random.default_rng(m), np.random.default_rng(m)
-    block = draw_block(sampler, points, build_neighborhood(points), m, first,
-                       100, got)
-    g = build_neighborhood(points)
+    block = draw_block(sampler, points, m, first, 100, got)
     starts = range(0, 100, sampling.RNG_BLOCK)
     sizes = [min(sampling.RNG_BLOCK, 100 - a) for a in starts]
     assert sizes == [32, 32, 32, 4]
-    chunks = [draw_block(sampler, points, g, m, first + a, c, want)
+    chunks = [draw_block(sampler, points, m, first + a, c, want)
               for a, c in zip(starts, sizes)]
     assert np.array_equal(block, np.vstack(chunks))
     assert got.bit_generator.state == want.bit_generator.state
@@ -709,7 +690,7 @@ def test_prosac_draws_from_its_growing_pool():
                       quality_rank=np.random.default_rng(2).permutation(n))
     thresholds = np.array(sampling._prosac_schedule(n, m))
     t = np.arange(1, int(thresholds[-1]) + 1)
-    block = draw_block("prosac", points, None, m, 1, len(t),
+    block = draw_block("prosac", points, m, 1, len(t),
                        np.random.default_rng(0))
     k = np.minimum(n, m + (thresholds < t[:, None]).sum(axis=1))
     order = points.ranked_order
@@ -723,7 +704,7 @@ def test_prosac_draws_from_its_growing_pool():
 
 def test_uniform_pairs_are_equally_likely():
     points = PointSet(np.random.default_rng(3).uniform(0, 100, (12, 2)))
-    block = draw_block("uniform", points, None, 2, 1, 20_000,
+    block = draw_block("uniform", points, 2, 1, 20_000,
                        np.random.default_rng(0))
     assert np.all(block[:, 0] != block[:, 1])
     counts = np.zeros((12, 12))
@@ -736,16 +717,15 @@ def test_uniform_pairs_are_equally_likely():
 def test_prosac_exhausted(rng):
     points = _ranked(rng.uniform(0, 100, size=(3, 2)))
     with pytest.raises(ExhaustedData):
-        draw_block("prosac", points, None, 4, 1, 32, np.random.default_rng(0))
+        draw_block("prosac", points, 4, 1, 32, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("sampler", ["uniform", "prosac", "pnapsac", "cc"])
 def test_draw_block_needs_m_points(sampler):
     points = _ranked(np.zeros((2, 2)))
-    g = build_neighborhood(points)
     with pytest.raises(ExhaustedData):
-        draw_block(sampler, points, g, 3, 1, 32, np.random.default_rng(0))
-    assert draw_block(sampler, points, g, 2, 1, 4,
+        draw_block(sampler, points, 3, 1, 32, np.random.default_rng(0))
+    assert draw_block(sampler, points, 2, 1, 4,
                       np.random.default_rng(0)).shape == (4, 2)
 
 
@@ -760,8 +740,7 @@ def _two_far_clusters(rng):
 
 
 def _pnapsac(points, m, first, count, rng):
-    return draw_block("pnapsac", points, build_neighborhood(points), m, first,
-                      count, rng)
+    return draw_block("pnapsac", points, m, first, count, rng)
 
 
 _BLOCK_SCENES = {
@@ -782,21 +761,14 @@ def test_pnapsac_block_matches_lexsort_oracle(coords, m):
     n = len(coords)
     orders = _lexsort_orders(coords)
     points = PointSet(coords)
-    g = build_neighborhood(points)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     firsts = list(range(1, sampling.PNAPSAC_GROWTH_RATE * n + 64, 32))
     for first, count in [(f, 32) for f in firsts] + [(10 ** 6, 7)]:
-        block = draw_block("pnapsac", points, g, m, first, count, got)
+        block = draw_block("pnapsac", points, m, first, count, got)
         assert block.shape == (count, m)
         assert np.array_equal(block, _free_list_oracle(
             "pnapsac", points, orders, m, first, count, want))
         assert all(len(set(row)) == m for row in block.tolist())
-        largest = min(n - 1, m - 1 + (first + count - 1)
-                      // sampling.PNAPSAC_GROWTH_RATE)
-        for centre, order in g._orders.items():
-            # an exact prefix with headroom for twice the largest pool yet
-            assert len(order) <= max(2 * largest, 16)
-            assert np.array_equal(order, orders[centre, :len(order)])
     # two generator calls a block, as the oracle makes them
     assert got.bit_generator.state == want.bit_generator.state
 
@@ -821,23 +793,22 @@ def test_pnapsac_ranks_are_uniform(n, m):
     assert chisquare(counts[np.array(distinct)]).pvalue > 1e-4
 
 
-def test_neighbor_orders_sort_rng_block_centres_at_a_time():
-    # the distance rows of RNG_BLOCK centres at a time: 128 centres peak at
-    # what 32 do plus the orders they keep (a tenth more for the growing
-    # dictionary and the chunk list; one pass over 128 rows would be 4x)
-    coords = np.random.default_rng(5).uniform(0, 100, (3000, 4))
-    build_neighborhood(PointSet(coords)).orders(list(range(32)), 20)
-    peak, kept = {}, {}
+def test_pnapsac_block_reads_rng_block_distance_rows_at_a_time():
+    # the distance rows of RNG_BLOCK centres per pass, none kept: a
+    # 128-draw block peaks at what a 32-draw block does (a tenth more for
+    # its samples; one pass over 128 rows would be 4x)
+    points = PointSet(np.random.default_rng(5).uniform(0, 100, (3000, 4)))
+    _pnapsac(points, 3, 200, 32, np.random.default_rng(0))
+    peak = {}
     for count in (32, 128):
-        graph = build_neighborhood(PointSet(coords))
         tracemalloc.start()
         try:
-            graph.orders(list(range(count)), 20)
-            kept[count], peak[count] = tracemalloc.get_traced_memory()
+            _pnapsac(points, 3, 200, count, np.random.default_rng(0))
+            peak[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert peak[32] > 32 * 3000 * 8
-    assert peak[128] <= 1.1 * peak[32] + kept[128]
+    assert peak[128] <= 1.1 * peak[32]
 
 
 def test_pnapsac_block_exhausted():
@@ -848,10 +819,9 @@ def test_pnapsac_block_exhausted():
 
 def test_pnapsac_early_iterations_stay_local(rng):
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points)
     gen = np.random.default_rng(0)
     # draws 1 .. 8 pick from the two nearest neighbors
-    block = np.vstack([draw_block("pnapsac", points, g, 3, 1, 8, gen)
+    block = np.vstack([draw_block("pnapsac", points, 3, 1, 8, gen)
                        for _ in range(1250)])
     same = np.all((block >= 25) == (block[:, :1] >= 25), axis=1)
     assert same.mean() > 0.9
@@ -863,23 +833,22 @@ def test_pnapsac_late_iterations_go_global(rng):
     assert np.any((block[:, 0] >= 25) != (block[:, 1] >= 25))
 
 
-def test_pnapsac_single_point_equals_uniform(rng):
+def test_pnapsac_single_point_equals_uniform(rng, monkeypatch):
     # a one-point sample is its centre, rng.integers(n, size=count); the
-    # zero-width rng.random call leaves the generator as it was
+    # zero-width rng.random call leaves the generator as it was, and no
+    # neighbor is read
+    monkeypatch.setattr(sampling, "_neighbors", None)
     points = _two_far_clusters(rng)
-    g = build_neighborhood(points)
     for first, count in [(1, 32), (5, 7), (200, 1), (1, 3)]:
         got, want = np.random.default_rng(first), np.random.default_rng(first)
-        block = draw_block("pnapsac", points, g, 1, first, count, got)
+        block = draw_block("pnapsac", points, 1, first, count, got)
         assert np.array_equal(block, want.integers(50, size=count)[:, None])
         assert got.bit_generator.state == want.bit_generator.state
-    # a one-point sample needs no neighbor order
-    assert g._orders == {}
 
 
 def test_uniform_sampler_distinct(rng):
     points = PointSet(rng.uniform(0, 10, size=(6, 2)))
-    block = draw_block("uniform", points, None, 4, 1, 200,
+    block = draw_block("uniform", points, 4, 1, 200,
                        np.random.default_rng(0))
     assert all(len(set(row)) == 4 for row in block.tolist())
     assert set(block.ravel().tolist()) == set(range(6))

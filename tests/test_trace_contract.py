@@ -19,14 +19,17 @@ import spans  # noqa: E402
 # components in blocks through models._fit_weighted, scores each solved
 # block with one models._residuals call, serves the CC samples from
 # sampling.cc_schedule, draws uniform, PROSAC and P-NAPSAC samples a block
-# at a time through sampling.draw_block, and picks representatives and
-# prunes inside _consolidate, the proposal loop testing q >= q_min inline
+# at a time through sampling.draw_block, which reads P-NAPSAC neighbors
+# from the coordinates with no neighborhood object built, and picks
+# representatives and prunes inside _consolidate, the proposal loop testing
+# q >= q_min inline
 RETIRED = {(engine, name) for name in (
     "preference_vector_from_dense", "sample_cheirality_ok",
     "sample_degenerate", "fit_minimal", "oriented_epipolar_ok",
     "fit_nonminimal", "residuals", "cc_can_sample", "next_sample_cc",
     "next_sample_pnapsac", "next_sample_prosac", "next_sample_uniform",
-    "is_dominant", "select_representatives", "_prune_by_quality")}
+    "is_dominant", "select_representatives", "_prune_by_quality",
+    "build_neighborhood")}
 
 
 @pytest.mark.parametrize("module, calls", [(engine, spans.ENGINE_CALLS),
