@@ -36,7 +36,7 @@ iteration computes the weighted non-minimal fits, the residuals, and the
 losses with the next weights of every row still active with one call of
 each stacked kernel; a row leaves the stack when it converges or its
 weighted system is degenerate. Each row's arithmetic is that of refining
-it alone. Only the evaluation's matching imports scipy.
+it alone. The evaluation's matching, like the fit, runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -490,26 +490,54 @@ def misclassification_error(report: FitReport, ground_truth_labels) -> float:
 def label_matching(assignment: np.ndarray, labels: np.ndarray):
     """The optimal one-to-one matching between the instances that own
     points and the nonzero labels, which maximises the points they share
-    (csgraph's min_weight_full_bipartite_matching, LAPJVsp). Returns the
-    misclassification error of the assignment (see misclassification_error)
-    and a dict from each instance id that owns points, ascending, to its
-    matched label (None when unmatched) and the points the two share. Among
-    equally good matchings the solver picks one; the error is the same."""
-    from scipy.sparse import csr_array   # the evaluation's alone, not a fit's
-    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+    (_max_assignment). Returns the misclassification error of the
+    assignment (see misclassification_error) and a dict from each instance
+    id that owns points, ascending, to its matched label (None when
+    unmatched) and the points the two share. On ties the matching is
+    _max_assignment's; the error is the same."""
     n = len(labels)
     if n == 0:
         return 0.0, {}
     correct = int(np.sum((assignment == OUTLIER) & (labels == 0)))
     inst_ids, gt_ids, table = contingency_table(assignment, labels)
     matched = dict.fromkeys(inst_ids.tolist(), (None, 0.0))
-    if table.size:
-        # + 1: zero counts stay edges; every full matching gains min(M, N)
-        rows, cols = min_weight_full_bipartite_matching(csr_array(table + 1.0), maximize=True)
-        correct += int(table[rows, cols].sum())
-        for a, b in zip(rows.tolist(), cols.tolist()):
-            matched[inst_ids[a].item()] = (gt_ids[b].item(), table[a, b])
+    rows, cols = _max_assignment(table)
+    correct += int(table[rows, cols].sum())
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        matched[inst_ids[a].item()] = (gt_ids[b].item(), table[a, b])
     return 1.0 - correct / n, matched
+
+
+def _max_assignment(table: np.ndarray):
+    """Rows and columns of the min(M, N) one-to-one pairs of an (M, N)
+    table with the largest total: the Hungarian method (Kuhn 1955) with
+    potentials, on the table transposed to rows <= columns, adds each row
+    along a shortest augmenting path by vectorised column scans. O(M N
+    min(M, N)), exact on whole-number counts. On ties the rows go in in
+    index order and each step takes the lowest-index column of least slack."""
+    flip = table.shape[0] > table.shape[1]
+    cost = np.pad(-(table.T if flip else table), ((1, 0), (1, 0)))  # 0: dummy
+    u, v = np.zeros(len(cost)), np.zeros(cost.shape[1])
+    owner, way = np.zeros((2, cost.shape[1]), dtype=int)   # owner: 0 for none
+    for i in range(1, len(cost)):
+        owner[0], j = i, 0
+        slack, used = np.full(len(v), np.inf), np.zeros(len(v), dtype=bool)
+        while owner[j]:
+            used[j] = True
+            reduced = cost[owner[j]] - u[owner[j]] - v
+            better = ~used & (reduced < slack)
+            slack[better], way[better] = reduced[better], j
+            j = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j]
+            u[owner[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+        while j:                              # flip the path's edges
+            owner[j] = owner[way[j]]
+            j = way[j]
+    cols = np.flatnonzero(owner[1:])
+    rows = owner[1:][cols] - 1
+    return (cols, rows) if flip else (rows, cols)
 
 
 def contingency_table(assignment: np.ndarray, labels: np.ndarray):

@@ -53,10 +53,12 @@ def _neighbors(coords: np.ndarray, centres: np.ndarray,
         chunk = slice(a, a + RNG_BLOCK)
         part = centres[chunk]
         dist, diff = d[:len(part)], step[:len(part)]
-        np.subtract(columns[0], columns[0][part, None], out=dist)
+        dist[...] = columns[0]            # filled, then shifted: faster
+        dist -= columns[0][part, None]    # than a broadcast np.subtract
         dist *= dist
         for column in columns[1:]:
-            np.subtract(column, column[part, None], out=diff)
+            diff[...] = column
+            diff -= column[part, None]
             diff *= diff
             dist += diff
         dist[np.arange(len(part)), part] = np.inf

@@ -6,6 +6,8 @@ from itertools import accumulate, permutations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from mmfit import engine, models, sampling
@@ -417,6 +419,61 @@ def test_label_matching_matches_assignment_oracle(rng):
                     (m, n) == (1, 1)))
     assert {(-1, False, False), (1, False, False), (0, False, True),
             (-1, True, False), (1, True, False)} <= shapes
+
+
+@st.composite
+def _count_tables(draw):
+    """Whole-number count tables of every shape up to 40 x 40, some with
+    all-zero rows and columns, some with a row or column copied (a tie)."""
+    m, n = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    high = draw(st.sampled_from([1, 2, 3, 6, 50]))
+    table = rng.integers(0, high, size=(m, n)).astype(float)
+    for view, size in ((table, m), (table.T, n)):
+        if size:
+            index = st.integers(0, size - 1)
+            view[draw(st.lists(index, max_size=3))] = 0.0
+            for a, b in draw(st.lists(st.tuples(index, index), max_size=2)):
+                view[b] = view[a]
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(_count_tables())
+@example(np.zeros((0, 0)))
+@example(np.zeros((0, 3)))
+@example(np.array([[4.0, 0.0, 7.0, 1.0, 2.0]]))
+@example(np.array([[4.0], [0.0], [7.0]]))
+@example(np.array([[9.0, 1.0, 0.0], [2.0, 8.0, 0.0], [0.0, 3.0, 7.0]]))
+@example(np.full((3, 3), 2.0))
+def test_label_matching_matches_scipy_oracle(table):
+    m, n = table.shape
+    pred, labels = _vectors_of(table)
+    me, matched = label_matching(pred, labels)
+    assert label_matching(pred, labels) == (me, matched)
+    pairs = sorted((a, b - 1) for a, (b, _) in matched.items()
+                   if b is not None)
+    assert sorted(matched) == list(range(m))
+    assert len(pairs) == min(m, n)
+    assert (len({a for a, _ in pairs}) == len({b for _, b in pairs})
+            == len(pairs))
+    assert all(hit == (0.0 if b is None else table[a, b - 1])
+               for a, (b, hit) in matched.items())
+    rows, cols = linear_sum_assignment(table, maximize=True)
+    best = table[rows, cols].sum()
+    assert sum(table[a, b] for a, b in pairs) == best
+    assert me == (1.0 - best / len(labels) if len(labels) else 0.0)
+
+    def lowered(a, b):
+        """Whether the best total falls once the pair (a, b) is barred."""
+        barred = table.copy()
+        barred[a, b] = -1.0 - table.sum()
+        r, c = linear_sum_assignment(barred, maximize=True)
+        return barred[r, c].sum() < best
+
+    # the optimum is unique when barring any one of its pairs lowers it
+    if all(lowered(a, b) for a, b in zip(rows, cols)):
+        assert pairs == sorted(zip(rows.tolist(), cols.tolist()))
 
 
 def test_me_label_mismatch():

@@ -2,8 +2,9 @@ import json
 
 from conftest import run_fresh
 
-# scipy is imported by the evaluation's matching alone: its array-API
-# layer costs more to load than a small fit takes
+# no module of the package imports scipy, the evaluation included: its
+# array-API layer costs more to load than a small fit takes, and about
+# 30 MiB of memory
 HEAVY = ("scipy",)
 
 
@@ -21,9 +22,11 @@ def test_package_import_leaves_out_heavy_scipy():
 
 FITS = """
 import json, sys
-import mmfit, mmfit.cli
-from mmfit import engine
-from mmfit.ingest import SyntheticSpec, synthesize, synthesize_two_view
+sys.modules["scipy"] = None    # every import of scipy now raises ImportError
+from pathlib import Path
+from mmfit import cli, engine
+from mmfit.ingest import (SyntheticSpec, save_scene, synthesize,
+                          synthesize_two_view)
 from mmfit.models import ModelType
 
 def fit(model_type, points, **overrides):
@@ -35,24 +38,29 @@ for model_type in (ModelType.LINE2D, ModelType.SEGMENT2D, ModelType.PLANE3D,
     points, labels, _ = synthesize(SyntheticSpec(model_type, 2, 40, 20, 1.0,
                                                  seed=1))
     report = fit(model_type, points)
+    engine.misclassification_error(report, labels)
 fit(ModelType.HOMOGRAPHY, synthesize_two_view(2, 40, 20, 1.0, seed=1).points)
 spec = SyntheticSpec(ModelType.SEGMENT2D, 2, 40, 20, 1.0, seed=1, clustered=True)
 fit(ModelType.SEGMENT2D, synthesize(spec)[0], sampler="cc")
-loaded = [sorted(sys.modules)]
-engine.misclassification_error(report, labels)
-loaded.append(sorted(sys.modules))
-print(json.dumps(loaded))
+# the CLI on the loop's last scene, a labelled F scene
+scene, out = Path(TMP, "scene.csv"), Path(TMP, "out")
+save_scene(scene, ModelType.FUNDAMENTAL, points, labels)
+assert cli.main(["fit", str(scene), "--max-proposals", "200",
+                 "--out", str(out)]) == 0
+assert cli.main(["eval", str(scene), str(out / "instances.json"),
+                 "--json"]) == 0
+print(json.dumps(sorted(m for m, mod in sys.modules.items() if mod)))
 """
 
 
-def test_fits_load_no_scipy():
-    # a fit of every family with the default sampler, and a cc fit, run on
-    # numpy alone; the evaluation loads csgraph's matching
-    after_fits, after_eval = json.loads(run_fresh(FITS))
-    assert "mmfit.sampling" in after_fits
-    assert _heavy(after_fits) == []
-    assert "scipy.sparse.csgraph" in after_eval
-    assert "scipy.spatial" not in after_eval
+def test_fits_load_no_scipy(tmp_path):
+    # with scipy blocked, a fit of every family with the default sampler, a
+    # cc fit, the evaluation, and mmfit fit and eval --json on a labelled
+    # scene run: the package needs numpy alone
+    *_, evaluated, loaded = run_fresh(f"TMP = {str(tmp_path)!r}\n" + FITS
+                                      ).splitlines()
+    assert {"mmfit.cli", "mmfit.sampling"} <= set(json.loads(loaded))
+    assert json.loads(evaluated)["me_percent"] >= 0.0
 
 
 def test_cli_cc_fit_loads_no_scipy(tmp_path):
