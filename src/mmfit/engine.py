@@ -14,7 +14,8 @@ ModelInstance objects are built once, for the report's instances.
 Proposals come from a FIFO of drawn and solved samples. When it runs dry,
 the loop takes the next SAMPLE_BLOCK = 128 samples (never past
 max_proposals, nor across the end of the CC schedule) from the CC schedule
-or one sampling.draw_block call, and _candidates solves and scores them
+or one sampling.draw_block call, P-NAPSAC or else uniform (the CC sampler
+past its schedule included), and _candidates solves and scores them
 with one call of each stacked kernel: models.minimal_candidates screens,
 solves and orients the minimal samples, models._fit_weighted fits the
 larger connected components and models._residuals scores their rows in a
@@ -69,7 +70,7 @@ from .sampling import cc_schedule, draw_block
 
 OUTLIER = -1
 
-SAMPLERS = ("uniform", "prosac", "pnapsac", "cc")
+SAMPLERS = ("uniform", "pnapsac", "cc")
 
 # sampler draws allowed per batch slot before an outer iteration gives up
 PROPOSAL_BUDGET_FACTOR = 50
@@ -357,7 +358,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
         while (len(batch) < config.batch_size and attempts < budget
                and draws < config.max_proposals):
             if cc and draws >= len(schedule) and (len(kept) or batch):
-                # the component schedule is spent; its PROSAC fallback is
+                # the component schedule is spent; its uniform fallback is
                 # only a safeguard for when nothing at all has been found
                 cc_spent = True
                 break
@@ -372,7 +373,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))
                 block = (schedule[draws:stop] if draws < len(schedule) else
-                         draw_block(config.sampler, points, m,
+                         draw_block(config.sampler, points.coords, m,
                                     draws + 1 - len(schedule), stop - draws,
                                     rng))
                 solved.extend(zip(block, _candidates(points, model_type,

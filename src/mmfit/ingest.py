@@ -2,8 +2,10 @@
 
 Scene files come as CSV (header `model_type,dim[,labeled][,scored]
 [,intrinsics=PATH]`, one point per row) or JSON (mirror schema with
-optional inline intrinsics). Blur kernels arrive as PGM images (binary P5
-or ASCII P2, 8 or 16 bit) and are thresholded into weighted 2D points.
+optional inline intrinsics). Scores, a last CSV column or a JSON list, must
+be one number per point and are dropped. Blur kernels arrive as PGM images
+(binary P5 or ASCII P2, 8 or 16 bit) and are thresholded into weighted 2D
+points.
 Synthetic scenes carry exact ground truth; noise is injected so that the
 generating instance's residuals have RMS equal to the requested sigma.
 """
@@ -73,25 +75,26 @@ def _parse_header(line: str, base_dir: Path):
         dim = int(tokens[1])
     except ValueError:
         raise ParseError(f"bad dimension {tokens[1]!r}", line=1)
-    labeled = "labeled" in tokens[2:]
-    scored = "scored" in tokens[2:]
     intrinsics = None
     for tok in tokens[2:]:
         if tok.startswith("intrinsics="):
             intrinsics = load_intrinsics(base_dir / tok.split("=", 1)[1])
+        elif tok not in ("labeled", "scored"):
+            raise ParseError(f"unknown header token {tok!r}: expected "
+                             "labeled, scored or intrinsics=PATH", line=1)
     if dim != model_type.dim:
         raise ParseError(
             f"{model_type.value} uses dimension {model_type.dim}, "
             f"header says {dim}", line=1)
-    return model_type, dim, labeled, scored, intrinsics
+    return (model_type, dim, "labeled" in tokens[2:], "scored" in tokens[2:],
+            intrinsics)
 
 
 def load_scene(path):
     """Load a scene file (CSV or JSON by extension).
 
     Returns (model_type, PointSet, labels-or-None, Intrinsics-or-None).
-    Values are preserved exactly as stored; an optional score column
-    becomes the quality ranking (best score first).
+    Values are preserved exactly as stored; scores are not kept.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -105,7 +108,7 @@ def _load_scene_csv(path: Path):
     if not lines:
         raise ParseError("empty scene file", line=1)
     model_type, dim, labeled, scored, intrinsics = _parse_header(lines[0], path.parent)
-    rows, labels, scores = [], [], []
+    rows, labels = [], []
     expected = dim + int(labeled) + int(scored)
     for lineno, line in enumerate(lines[1:], start=2):
         stripped = line.strip()
@@ -126,22 +129,21 @@ def _load_scene_csv(path: Path):
         rows.append(values[:dim])
         if labeled:
             labels.append(int(values[dim]))
-        if scored:
-            scores.append(values[-1])
     coords = np.array(rows, dtype=float) if rows else np.zeros((0, dim))
-    points, labels = _checked_scene(coords, labels if labeled else None,
-                                    scores if scored else None)
+    points, labels = _checked_scene(coords, labels if labeled else None)
     return model_type, points, labels, intrinsics
 
 
-def _checked_scene(coords, labels, scores):
+def _checked_scene(coords, labels, scores=None):
     """The PointSet and label array of a loaded scene. Non-finite
-    coordinates, scores that are not numbers, labels that are not integral
+    coordinates, labels that are not integral numbers, scores that are not
     numbers, and label or score lists whose length is not the point count
     raise ParseError, before anything is fitted or written."""
     try:
-        ranks = None if scores is None else _ranks(scores)
-        points = PointSet(coords, quality_rank=ranks)
+        points = PointSet(coords)
+        if scores is not None and np.shape(
+                np.asarray(scores, dtype=float)) != (len(points),):
+            raise ValueError("scores must be one number per point")
         if labels is not None and not all(
                 type(v) is int or (type(v) is float and v.is_integer())
                 for v in labels):
@@ -153,12 +155,6 @@ def _checked_scene(coords, labels, scores):
         raise ParseError(f"bad scene: labels must be one integer per point, "
                          f"got shape {labels.shape} for {len(points)} points")
     return points, labels
-
-
-def _ranks(scores) -> np.ndarray:
-    """Quality ranks of scored points: 0 for the highest score, ties in
-    point order (the inverse of the stable best-first permutation)."""
-    return np.argsort(np.argsort(-np.asarray(scores, dtype=float), kind="stable"))
 
 
 def _load_scene_json(path: Path):
@@ -177,7 +173,7 @@ def _load_scene_json(path: Path):
     if coords.ndim != 2 or coords.shape[1] != model_type.dim:
         raise DimensionMismatch(
             f"{model_type.value} uses dimension {model_type.dim}")
-    # an empty score list means an unranked scene
+    # an empty score list means no scores
     points, labels = _checked_scene(coords, payload.get("labels"),
                                     payload.get("scores") or None)
     intrinsics = payload.get("intrinsics")
@@ -208,7 +204,8 @@ def save_scene(path, model_type: ModelType, points: PointSet,
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary (P5) or ASCII (P2) PGM into a float array normalized
-    to [0, 1] by the declared maximum value."""
+    to [0, 1] by the declared maximum value. A pixel that is not a whole
+    number in [0, maxval] raises ParseError."""
     data = Path(path).read_bytes()
     magic, width, height, maxval, offset = _parse_pgm_header(data)
     if magic == b"P2":
@@ -218,16 +215,17 @@ def read_pgm(path) -> np.ndarray:
             raise ParseError("non-numeric pixel data")
         if values.size != width * height:
             raise ParseError("pixel count does not match header")
-        img = values.reshape(height, width)
     else:
         dtype = np.dtype(">u2") if maxval > 255 else np.uint8
-        count = width * height
         try:
-            raw = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
+            values = np.frombuffer(data, dtype=dtype, count=width * height,
+                                   offset=offset).astype(float)
         except ValueError:
             raise ParseError("truncated pixel data")
-        img = raw.reshape(height, width).astype(float)
-    return img / float(maxval)
+    if not np.all((values >= 0) & (values <= maxval)
+                  & (values == np.round(values))):
+        raise ParseError(f"pixels must be whole numbers in [0, {maxval}]")
+    return values.reshape(height, width) / float(maxval)
 
 
 def _parse_pgm_header(data: bytes):
@@ -253,14 +251,19 @@ def _parse_pgm_header(data: bytes):
 def blur_kernel_to_points(image, threshold: float = DEFAULT_KERNEL_THRESHOLD) -> PointSet:
     """Threshold a blur-kernel image into weighted 2D points.
 
-    `image` is a PGM path or a [0, 1] float array. Pixels with normalized
-    intensity >= threshold become points at their pixel centers
-    (x + 0.5, y + 0.5) with weight equal to the intensity; the quality
-    ranking orders by descending intensity.
+    `image` is a PGM path or a 2D [0, 1] float array. Pixels with intensity
+    >= threshold, normalized by the peak, become points at their pixel
+    centers (x + 0.5, y + 0.5), in raster order, weighted by that intensity.
+    An array that is not 2D raises DimensionMismatch, one with a non-finite
+    pixel InvalidConfig.
     """
     if not 0.0 < threshold < 1.0:
         raise InvalidConfig("threshold must lie in (0, 1)")
     img = read_pgm(image) if isinstance(image, (str, Path)) else np.asarray(image, dtype=float)
+    if img.ndim != 2:
+        raise DimensionMismatch(f"a blur kernel is a 2D image, got {img.ndim}D")
+    if not np.all(np.isfinite(img)):
+        raise InvalidConfig("blur kernel pixels must be finite")
     peak = img.max() if img.size else 0.0
     if peak <= 0.0:
         return PointSet(np.zeros((0, 2)))
@@ -268,7 +271,7 @@ def blur_kernel_to_points(image, threshold: float = DEFAULT_KERNEL_THRESHOLD) ->
     ys, xs = np.nonzero(norm >= threshold)
     weights = norm[ys, xs]
     coords = np.column_stack([xs + 0.5, ys + 0.5]).astype(float)
-    return PointSet(coords, weights=weights, quality_rank=_ranks(weights))
+    return PointSet(coords, weights=weights)
 
 
 # ---------------------------------------------------------------------------

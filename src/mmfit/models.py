@@ -77,20 +77,15 @@ class ModelType(Enum):
 
 
 class PointSet:
-    """Immutable collection of points with optional ranking.
+    """Immutable collection of points: coords is (n, d), weights is (n,)
+    nonnegative, ones by default."""
 
-    coords is (n, d); weights is (n,); quality_rank is an (n,) integer
-    array or None, lower meaning better. ranked_order, the points' stable
-    best-first order argsort(quality_rank), is computed once here (None
-    when unranked) for the PROSAC draws.
-    """
-
-    def __init__(self, coords, weights=None, quality_rank=None):
+    def __init__(self, coords, weights=None):
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
+        if coords.ndim > 2 or not np.all(np.isfinite(coords)):
+            raise ValueError("coordinates must be a finite (n, d) array")
         if coords.size == 0:
-            coords = coords.reshape(0, coords.shape[1] if coords.ndim == 2 and coords.shape[1] else 2)
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("coordinates must be finite")
+            coords = coords.reshape(0, coords.shape[1] or 2)
         n = coords.shape[0]
         if weights is None:
             weights = np.ones(n)
@@ -98,19 +93,10 @@ class PointSet:
         if weights.shape != (n,) or not np.all(
                 (weights >= 0) & np.isfinite(weights)):
             raise ValueError("weights must be (n,) nonnegative and finite")
-        ranked_order = None
-        if quality_rank is not None:
-            quality_rank = np.asarray(quality_rank, dtype=int)
-            if quality_rank.shape != (n,):
-                raise ValueError("quality_rank must be (n,)")
-            ranked_order = np.argsort(quality_rank, kind="stable")
-        for arr in (coords, weights, quality_rank, ranked_order):
-            if arr is not None:
-                arr.setflags(write=False)
+        coords.setflags(write=False)
+        weights.setflags(write=False)
         self.coords = coords
         self.weights = weights
-        self.quality_rank = quality_rank
-        self.ranked_order = ranked_order
 
     def __len__(self) -> int:
         return self.coords.shape[0]

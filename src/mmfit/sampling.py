@@ -1,33 +1,27 @@
-"""Minimal-sample proposal: uniform, PROSAC, P-NAPSAC, and the
-connected-component (CC) sampler.
+"""Minimal-sample proposal: uniform, P-NAPSAC, and the connected-component
+(CC) sampler.
 
-draw_block draws the first three a block at a time by one kernel with three
-arms: a centre, then distinct ranks below a bound of an order, namely every
-other point (uniform), PointSet.ranked_order, fixed once per point set, in a
-pool growing with the draw index (PROSAC), or the centre's neighbor order in
-a neighborhood growing the same way (P-NAPSAC). No neighbor order is
-stored: each P-NAPSAC draw reads the points at its ranks from its centre's
-distance row, so no state but the rng's carries from one draw to the next.
-The CC sampler's samples are the connected components at each radius of its
-schedule, ascending multiples of the inlier threshold epsilon that the
-engine gives, largest first, over the joint coordinate space (4D for
-correspondences). They depend on the coordinates alone, so
-cc_schedule lists them all once per fit, growing the components from one
-radius to the next with one grid pair search per radius until one
-component holds every point. After the last of them the engine draws PROSAC
-blocks over all points.
+draw_block draws the first two a block at a time by one kernel: a centre,
+then distinct ranks below a bound of an order, namely every other point
+(uniform), or the centre's neighbor order in a neighborhood growing with
+the draw index (P-NAPSAC). No neighbor order is stored: each P-NAPSAC draw
+reads the points at its ranks from its centre's distance row, so no state
+but the rng's carries from one draw to the next. The CC sampler's samples
+are the connected components at each radius of its schedule, ascending
+multiples of the inlier threshold epsilon that the engine gives, largest
+first, over the joint coordinate space (4D for correspondences). They
+depend on the coordinates alone, so cc_schedule lists them all once per
+fit, growing the components from one radius to the next with one grid pair
+search per radius until one component holds every point. After the last
+of them the engine draws uniform blocks over all points.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .consensus import least_members
 from .errors import ExhaustedData
-from .models import PointSet
 
-PROSAC_GROWTH_BUDGET = 200_000
 # draws per pair of generator calls: a block of any size takes its centres
 # and ranks in chunks of this many draws, so it draws what chunk-sized
 # blocks would, and P-NAPSAC reads the distance rows of this many centres
@@ -173,38 +167,21 @@ def cc_schedule(coords: np.ndarray, m: int,
 
 
 # ---------------------------------------------------------------------------
-# Uniform, PROSAC and P-NAPSAC draws
+# Uniform and P-NAPSAC draws
 
-@lru_cache(maxsize=None)
-def _prosac_schedule(n_points: int, m: int) -> tuple:
-    """T'_n thresholds of the PROSAC growth function for n = m..n_points."""
-    t_n = PROSAC_GROWTH_BUDGET
-    for i in range(m):
-        t_n *= (m - i) / (n_points - i)
-    thresholds = [1.0]  # T'_m = 1
-    t_prev = t_n
-    for n in range(m + 1, n_points + 1):
-        t_next = t_prev * n / (n - m)
-        thresholds.append(thresholds[-1] + np.ceil(t_next - t_prev))
-        t_prev = t_next
-    return tuple(thresholds)
-
-
-def draw_block(sampler: str, points: PointSet, m: int, first: int,
+def draw_block(sampler: str, coords: np.ndarray, m: int, first: int,
                count: int, rng: np.random.Generator) -> np.ndarray:
-    """The (count, m) samples of the 1-based draws first onwards, from
-    centres = rng.integers(n, size=c) and u = rng.random((c, m - 1)) per
-    chunk of c = RNG_BLOCK draws (the last one shorter) whatever the
-    sampler, so a block equals its chunks drawn one call each when it
-    starts on a chunk. Draw t is its centre, then the points at ranks
-    j < m - 1 of an order: the floor(u[:, j] (s - j))-th free rank < s.
-    P-NAPSAC: s = min(n - 1, m - 1 + t // PNAPSAC_GROWTH_RATE) in the
-    centre's neighbor order, read from the centre's distance row for this
-    draw alone (_neighbors). PROSAC (prosac and cc, ranked set,
-    t <= T'_N): the last of the first k_t points of ranked_order replaces
-    the centre, s = k_t - 1. Else uniform: s = n - 1 over every point but
-    the centre."""
-    n = len(points)
+    """The (count, m) samples of the 1-based draws first onwards from the
+    (n, dim) coordinates, from centres = rng.integers(n, size=c) and
+    u = rng.random((c, m - 1)) per chunk of c = RNG_BLOCK draws (the last
+    one shorter) whatever the sampler, so a block equals its chunks drawn
+    one call each when it starts on a chunk. Draw t is its centre, then
+    the points at ranks j < m - 1 of an order: the floor(u[:, j] (s - j))-th
+    free rank < s. P-NAPSAC: s = min(n - 1, m - 1 + t // PNAPSAC_GROWTH_RATE)
+    in the centre's neighbor order, read from the centre's distance row for
+    this draw alone (_neighbors). Any other sampler draws uniformly:
+    s = n - 1 over every point but the centre."""
+    n = len(coords)
     if n < m:
         raise ExhaustedData(f"need at least {m} points")
     centres, u = np.empty(count, dtype=np.int64), np.empty((count, m - 1))
@@ -212,24 +189,16 @@ def draw_block(sampler: str, points: PointSet, m: int, first: int,
         chunk = slice(a, min(a + RNG_BLOCK, count))
         centres[chunk] = rng.integers(n, size=chunk.stop - a)
         u[chunk] = rng.random((chunk.stop - a, m - 1))
-    t = np.arange(first, first + count)
     s = np.full(count, n - 1)
-    pool = np.zeros(count, dtype=bool)   # the rows drawn from a PROSAC pool
     if sampler == "pnapsac":
+        t = np.arange(first, first + count)
         s = np.minimum(s, m - 1 + t // PNAPSAC_GROWTH_RATE)
-    elif sampler != "uniform" and points.ranked_order is not None:
-        thresholds = _prosac_schedule(n, m)
-        pool = t <= thresholds[-1]
-        s[pool] = np.minimum(np.searchsorted(thresholds, t[pool]) + m, n) - 1
-        centres[pool] = points.ranked_order[s[pool]]
     ranks = np.floor(u * (s[:, None] - np.arange(m - 1))).astype(int)
     for j in range(1, m - 1):   # skip the ranks taken before, ascending
         for taken in np.sort(ranks[:, :j], axis=1).T:
             ranks[:, j] += ranks[:, j] >= taken
     if sampler == "pnapsac" and m > 1:
-        rest = _neighbors(points.coords, centres, ranks)
+        rest = _neighbors(coords, centres, ranks)
     else:
         rest = ranks + (ranks >= centres[:, None])   # every point but the centre
-        if pool.any():
-            rest[pool] = points.ranked_order[ranks[pool]]
     return np.column_stack([centres, rest])

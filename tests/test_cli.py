@@ -139,6 +139,13 @@ def test_removed_flags_rejected(tmp_path, capsys, flag, value):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_prosac_sampler_is_no_choice(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(tmp_path / "scene.csv"), "--sampler", "prosac"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'prosac'" in capsys.readouterr().err
+
+
 def test_eval_of_truth_file_uses_epsilon_flag(tmp_path, capsys):
     # synth writes "epsilon": null into the truth file
     scene = _synth(capsys, tmp_path / "scene.csv", "--instances", "3",
@@ -478,8 +485,8 @@ def test_fit_of_kernel_draws_one_line_per_instance(tmp_path, capsys):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("model", ["segment2d", "line2d"])
 def test_fit_of_kernel_finds_both_segments(tmp_path, capsys, model, seed):
-    # the kernel's points are ranked (all in raster order at intensity 1);
-    # the default P-NAPSAC draws its centres uniformly all the same
+    # the kernel's points come in raster order, all at intensity 1; the
+    # default P-NAPSAC draws its centres uniformly all the same
     kernel = tmp_path / "kernel.pgm"
     write_pgm(kernel, render_segments([((5.0, 5.0), (55.0, 10.0)),
                                        ((10.0, 50.0), (50.0, 25.0))], (60, 60)))
@@ -492,6 +499,17 @@ def test_fit_of_kernel_finds_both_segments(tmp_path, capsys, model, seed):
     rows = (out_dir / "assignment.csv").read_text().splitlines()[1:]
     assert len(rows) == 198
     assert all(row.endswith(",0") for row in rows)    # no point is an outlier
+
+
+@pytest.mark.parametrize("pixel", ["nan", "-3", "999"])
+def test_fit_of_kernel_with_bad_pixel_exits_1(tmp_path, capsys, pixel):
+    kernel = tmp_path / "kernel.pgm"
+    kernel.write_text(f"P2\n3 2\n255\n0 255 {pixel}\n255 0 255\n")
+    code, out, err = _run(capsys, "fit", kernel, "--kernel", "--out",
+                          tmp_path / "fit")
+    _assert_error_exit(code, out, err)
+    assert "pixels must be whole numbers in [0, 255]" in err
+    assert not (tmp_path / "fit").exists()
 
 
 def test_eval_of_unlabeled_scene_exits_1(tmp_path, capsys):

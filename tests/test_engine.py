@@ -764,7 +764,7 @@ def _fit_per_draw(points, model_type, config, block):
                     draws - 1 + block, len(schedule), config.max_proposals)])
             elif t > 0 and (t - 1) % block == 0:
                 blocks.append(draw_block(
-                    config.sampler, points, m, t,
+                    config.sampler, points.coords, m, t,
                     min(block, config.max_proposals - draws + 1), rng).tolist())
             sample = schedule[draws - 1] if t <= 0 else blocks[-1][(t - 1) % block]
             for h in _one_sample_candidates(points, model_type, sample):
@@ -805,23 +805,17 @@ def _fit_per_draw(points, model_type, config, block):
                     "blocks": [[len(s) for s in b] for b in blocks]}
 
 
-def _ranked(points):
-    """The point set with a quality ranking, so that PROSAC grows its pool."""
-    rank = np.random.default_rng(0).permutation(len(points))
-    return PointSet(points.coords, quality_rank=rank)
-
-
 @pytest.mark.parametrize("spec, sampler, max_proposals, stop", [
     (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac",
      10_000, "criterion"),
     (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=6), "uniform",
      39, "cap"),
-    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=3), "prosac",
+    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=6), "uniform",
      100, "criterion"),
     (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
                    clustered=True), "cc", 10_000, "cc"),
     # radii so small (0.1 to 0.3 at epsilon = 3) that the schedule holds 2
-    # samples and the fit goes on with PROSAC draws until it finds the
+    # samples and the fit goes on with uniform draws until it finds the
     # first line
     (SyntheticSpec(ModelType.LINE2D, 2, 30, 600, 1.0, seed=8),
      ("cc", np.linspace(0.1, 0.3, 6) / 3), 1000, "fallback"),
@@ -830,20 +824,18 @@ def _ranked(points):
      300, "mixed"),
     (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=8), "pnapsac",
      150, "cap"),
-    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=13), "prosac",
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=13), "uniform",
      250, "criterion"),
     (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=10), "uniform",
      200, "cap"),
     (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=11), "pnapsac",
      300, "cap"),
-], ids=["lines-pnapsac", "lines-uniform", "planes-prosac", "segments-cc",
+], ids=["lines-pnapsac", "lines-uniform", "planes-uniform", "segments-cc",
         "lines-cc-fallback", "homography-cc-mixed", "homography-pnapsac",
-        "homography-prosac", "fundamental-uniform", "fundamental-pnapsac"])
+        "homography-uniform", "fundamental-uniform", "fundamental-pnapsac"])
 def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
                                      max_proposals, stop):
     points, _, _ = synthesize(spec)
-    if sampler == "prosac":
-        points = _ranked(points)
     if isinstance(sampler, tuple):
         sampler, radii = sampler
         monkeypatch.setattr(engine, "CC_RADII", radii)
@@ -1104,8 +1096,11 @@ def test_engine_config_validation():
         EngineConfig(loss=fn, q_min=0.0)
     with pytest.raises(InvalidConfig):
         EngineConfig(loss=fn, tau=1.5)
-    with pytest.raises(InvalidConfig):
-        EngineConfig(loss=fn, sampler="magic")
+    # PROSAC went with the points' quality ranks
+    for bad in ("magic", "prosac"):
+        with pytest.raises(InvalidConfig):
+            EngineConfig(loss=fn, sampler=bad)
+    assert engine.SAMPLERS == ("uniform", "pnapsac", "cc")
     for bad in ({"q_min": np.nan}, {"q_min": np.inf}, {"seed": -1}):
         with pytest.raises(InvalidConfig):
             EngineConfig(loss=fn, **bad)

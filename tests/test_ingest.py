@@ -146,26 +146,60 @@ def test_field_count_mismatch_rejected(tmp_path):
     assert err.value.line == 2
 
 
-def test_scored_column_becomes_quality_rank(tmp_path):
-    path = tmp_path / "scored.csv"
-    path.write_text("line2d,2,scored\n0.0,0.0,0.2\n1.0,0.0,0.9\n2.0,0.0,0.5\n")
-    _, points, _, _ = load_scene(path)
-    assert points.quality_rank.tolist() == [2, 0, 1]  # best score first
+_SCENE = {"model_type": "line2d", "labels": [1, 0, 2, 1],
+          "points": [[0.0, 0.0], [1.0, 0.5], [2.0, 1.0], [3.0, 1.5]]}
+_SCORES = [0.2, 0.9, 0.5, 0.9]
 
 
-def test_json_and_csv_scores_rank_alike(tmp_path):
-    scores = [0.2, 0.9, 0.5, 0.9]
-    csv = tmp_path / "scored.csv"
-    csv.write_text("line2d,2,scored\n" + "".join(
-        f"{i}.0,0.0,{s}\n" for i, s in enumerate(scores)))
-    js = tmp_path / "scored.json"
-    js.write_text(json.dumps({"model_type": "line2d", "scores": scores,
-                              "points": [[float(i), 0.0] for i in range(4)]}))
-    for path in (csv, js):
-        _, points, _, _ = load_scene(path)
-        # best score first, ties in point order
-        assert points.quality_rank.tolist() == [3, 0, 2, 1]
-        assert points.ranked_order.tolist() == [1, 3, 2, 0]
+def _csv_scene(scores=None):
+    header = "line2d,2,labeled" + (",scored" if scores else "")
+    rows = [f"{x},{y},{label}" + (f",{scores[i]}" if scores else "")
+            for i, ((x, y), label) in enumerate(zip(_SCENE["points"],
+                                                    _SCENE["labels"]))]
+    return header + "\n" + "".join(f"{r}\n" for r in rows)
+
+
+def _assert_is_the_bare_scene(path):
+    _, points, labels, _ = load_scene(path)
+    assert points.coords.tolist() == _SCENE["points"]
+    assert labels.tolist() == _SCENE["labels"]
+    assert vars(points).keys() == {"coords", "weights"}
+
+
+def test_scored_column_is_parsed_then_dropped(tmp_path):
+    # a CSV scored column is counted and parsed, then dropped
+    for name, text in {"bare.csv": _csv_scene(),
+                       "scored.csv": _csv_scene(_SCORES)}.items():
+        (tmp_path / name).write_text(text)
+        _assert_is_the_bare_scene(tmp_path / name)
+
+
+def test_json_and_csv_scores_load_alike(tmp_path):
+    # scored JSON and CSV files load as the same scene without scores
+    files = {"scored.csv": _csv_scene(_SCORES),
+             "bare.json": json.dumps(_SCENE),
+             "scored.json": json.dumps({**_SCENE, "scores": _SCORES})}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+        _assert_is_the_bare_scene(tmp_path / name)
+
+
+def test_csv_score_must_be_a_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("line2d,2,scored\n1.0,2.0,0.5\n3.0,4.0,best\n")
+    with pytest.raises(ParseError) as err:
+        load_scene(path)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("token", ["label", "Labeled", "intrinsic=K.json",
+                                   "weights", ""])
+def test_unknown_header_token_is_rejected(tmp_path, token):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"line2d,2,{token}\n1.0,2.0,1\n")
+    with pytest.raises(ParseError, match=repr(token)) as err:
+        load_scene(path)
+    assert err.value.line == 1
 
 
 def test_json_scene_with_intrinsics(tmp_path):
@@ -272,11 +306,46 @@ def _point_segment_distance(p, a, b):
 
 
 def test_kernel_weights_rank_by_intensity():
+    # the points come in raster order, each weighted by its intensity
     img = np.zeros((4, 4))
     img[0, 0], img[1, 1], img[2, 2] = 0.4, 1.0, 0.7
     points = blur_kernel_to_points(img, threshold=0.3)
-    order = np.argsort(points.quality_rank)
+    assert points.coords.tolist() == [[0.5, 0.5], [1.5, 1.5], [2.5, 2.5]]
+    assert points.weights.tolist() == [0.4, 1.0, 0.7]
+    order = np.argsort(-points.weights, kind="stable")
     assert points.weights[order].tolist() == [1.0, 0.7, 0.4]
+
+
+@pytest.mark.parametrize("pixel", ["nan", "-1", "256", "999", "2.5", "inf"])
+def test_ascii_pgm_pixel_outside_its_range_is_rejected(tmp_path, pixel):
+    # a P2 pixel is a whole number in [0, maxval]
+    path = tmp_path / "bad.pgm"
+    path.write_text(f"P2\n2 2\n255\n0 10 {pixel} 255\n")
+    with pytest.raises(ParseError):
+        read_pgm(path)
+    with pytest.raises(ParseError):
+        blur_kernel_to_points(path)
+
+
+def test_binary_pgm_pixel_above_maxval_is_rejected(tmp_path):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(b"P5\n2 2\n100\n" + bytes([0, 10, 101, 100]))
+    with pytest.raises(ParseError):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize("shape", [(16,), (4, 4, 2), ()])
+def test_kernel_array_that_is_not_2d_is_rejected(shape):
+    with pytest.raises(DimensionMismatch):
+        blur_kernel_to_points(np.ones(shape))
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+def test_kernel_array_with_non_finite_pixel_is_rejected(pixel):
+    img = np.ones((4, 4))
+    img[1, 2] = pixel
+    with pytest.raises(InvalidConfig):
+        blur_kernel_to_points(img)
 
 
 def test_kernel_threshold_validation():

@@ -553,6 +553,19 @@ def test_point_set_rejects_bad_weights(weight):
         PointSet(np.zeros((3, 2)), weights=[1.0, weight, 1.0])
 
 
+@pytest.mark.parametrize("shape", [(5, 2, 2), (0, 2, 2), (1, 1, 1, 4)])
+def test_point_set_rejects_coordinates_of_more_than_two_axes(shape):
+    with pytest.raises(ValueError, match="finite"):
+        PointSet(np.zeros(shape))
+
+
+def test_point_set_takes_coordinates_and_weights_alone():
+    with pytest.raises(TypeError):
+        PointSet(np.zeros((3, 2)), quality_rank=np.arange(3))
+    with pytest.raises(TypeError):
+        PointSet(np.zeros((3, 2)), None, np.arange(3))
+
+
 def test_nonminimal_needs_positive_weights():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(DegenerateSample):

@@ -1,7 +1,6 @@
 import itertools
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +11,8 @@ from scipy.spatial import cKDTree
 from scipy.stats import chisquare
 
 from mmfit import sampling
-from mmfit.engine import default_config, fit
 from mmfit.errors import ExhaustedData
-from mmfit.models import ModelType, PointSet
+from mmfit.models import PointSet
 from mmfit.sampling import cc_schedule, draw_block
 
 
@@ -84,34 +82,20 @@ def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
             assert np.array_equal(got, want[:k])
 
 
-def _ranked(coords):
-    return PointSet(np.asarray(coords, dtype=float),
-                    quality_rank=np.arange(len(coords)))
-
-
-def _free_list_oracle(sampler, points, orders, m, first, count, rng):
+def _free_list_oracle(sampler, coords, orders, m, first, count, rng):
     """draw_block of at most RNG_BLOCK draws, from the same two generator
     calls, one draw at a time: rank j is entry floor(u_j (s - j)) of a
     Python list of the ranks not taken yet, looked up in a brute-force
-    order: the centre's row of the neighbor orders (P-NAPSAC), the quality
-    ranks sorted anew (PROSAC, the prosac and cc samplers on a ranked set
-    while t <= T'_N; the pool's last point replaces the centre) or every
-    point but the centre (uniform)."""
-    n = len(points)
+    order: the centre's row of the neighbor orders (P-NAPSAC) or every
+    point but the centre (uniform, and any other sampler)."""
+    n = len(coords)
     centres = rng.integers(n, size=count).tolist()
     u = rng.random((count, m - 1))
-    ranked = sampler in ("prosac", "cc") and points.quality_rank is not None
-    if ranked:
-        order = np.argsort(points.quality_rank, kind="stable")
-        thresholds = sampling._prosac_schedule(n, m)
     samples = []
     for t, centre, row in zip(range(first, first + count), centres, u):
         if sampler == "pnapsac":
             s = min(n - 1, m - 1 + t // sampling.PNAPSAC_GROWTH_RATE)
             lookup = orders[centre]
-        elif ranked and t <= thresholds[-1]:
-            k = min(n, m + sum(x < t for x in thresholds))
-            s, centre, lookup = k - 1, order[k - 1], order
         else:
             s, lookup = n - 1, [i for i in range(n) if i != centre]
         free = list(range(s))
@@ -363,28 +347,26 @@ def test_cc_single_cluster_of_exactly_m(rng):
     assert cc_schedule(points.coords, 2, [10.0, 50.0])[0] == [0, 1]
 
 
-def test_cc_falls_back_to_prosac_when_no_components():
+def test_cc_falls_back_to_uniform_when_no_components():
     coords = np.array([[0.0, 0.0], [500.0, 0.0], [0.0, 500.0], [500.0, 500.0]])
-    points = PointSet(coords, quality_rank=np.arange(4))
-    assert cc_schedule(points.coords, 2, [10.0, 30.0, 50.0]) == []
-    # after the schedule the engine draws PROSAC blocks, numbering the
+    assert cc_schedule(coords, 2, [10.0, 30.0, 50.0]) == []
+    # after the schedule the engine draws uniform blocks, numbering the
     # fallback draws from 1
     for first, count in [(1, 32), (33, 7)]:
-        got = draw_block("cc", points, 2, first, count,
+        got = draw_block("cc", coords, 2, first, count,
                          np.random.default_rng(first))
         assert np.array_equal(got, draw_block(
-            "prosac", points, 2, first, count,
+            "uniform", coords, 2, first, count,
             np.random.default_rng(first)))
         assert np.array_equal(got, _free_list_oracle(
-            "prosac", points, None, 2, first, count,
+            "uniform", coords, None, 2, first, count,
             np.random.default_rng(first)))
 
 
 def test_cc_unions_small_components(rng):
     # three pairs, no single component reaches m = 5
     coords = np.array([[0, 0], [1, 0], [50, 50], [51, 50], [100, 0], [101, 0.0]])
-    points = PointSet(coords, quality_rank=np.arange(6))
-    assert cc_schedule(points.coords, 5, [5.0, 7.5, 10.0])[0] == list(range(6))
+    assert cc_schedule(coords, 5, [5.0, 7.5, 10.0])[0] == list(range(6))
 
 
 def test_cc_grows_radius_until_pending_holds_m_points(monkeypatch):
@@ -448,10 +430,10 @@ def test_cc_schedule_builds_each_radius_once(monkeypatch, r_min, r_max,
 
 
 def test_cc_exhausted_data():
-    points = PointSet(np.array([[0.0, 0.0]]))
-    assert cc_schedule(points.coords, 2, [5.0, 7.5, 10.0]) == []
+    coords = np.array([[0.0, 0.0]])
+    assert cc_schedule(coords, 2, [5.0, 7.5, 10.0]) == []
     with pytest.raises(ExhaustedData):
-        draw_block("cc", points, 2, 1, 32, np.random.default_rng(0))
+        draw_block("cc", coords, 2, 1, 32, np.random.default_rng(0))
 
 
 def _cc_schedule_oracle(coords, m, radii):
@@ -579,102 +561,39 @@ def test_cc_schedule_matches_bruteforce_oracle_on_grids(case):
 
 
 # ---------------------------------------------------------------------------
-# Uniform and PROSAC draws
-
-def test_prosac_first_iteration_returns_top_m(rng):
-    points = _ranked(rng.uniform(0, 100, size=(30, 2)))
-    sample = draw_block("prosac", points, 3, 1, 1,
-                        np.random.default_rng(0))[0]
-    assert sorted(sample.tolist()) == [0, 1, 2]
-
-
-def test_prosac_converges_to_uniform():
-    rng = np.random.default_rng(5)
-    points = _ranked(rng.uniform(0, 100, size=(10, 2)))
-    counts = np.zeros((10, 10))
-    draws = 100_000
-    block = draw_block("prosac", points, 2, 10 ** 7, draws,
-                       np.random.default_rng(42))
-    np.add.at(counts, (block.min(1), block.max(1)), 1)
-    observed = counts[np.triu_indices(10, k=1)]
-    assert chisquare(observed).pvalue > 1e-4
-
-
-def test_prosac_unranked_uniform(rng):
-    points = PointSet(rng.uniform(0, 100, size=(20, 2)))
-    got, want = np.random.default_rng(0), np.random.default_rng(0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        block = draw_block("prosac", points, 2, 1, 32, got)
-    assert all(len(set(row)) == 2 for row in block.tolist())
-    # the draws are the uniform sampler's from the same generator
-    assert np.array_equal(
-        block, _free_list_oracle("uniform", points, None, 2, 1, 32, want))
-    assert got.bit_generator.state == want.bit_generator.state
-
-
-def test_ranked_order_is_fixed_once(rng):
-    # ranks with ties, so that only a stable order matches
-    rank = rng.integers(0, 8, size=40)
-    points = PointSet(rng.uniform(0, 100, size=(40, 2)), quality_rank=rank)
-    assert np.array_equal(points.ranked_order, np.argsort(rank, kind="stable"))
-    with pytest.raises(ValueError):
-        points.ranked_order[0] = 1
-    unranked = PointSet(points.coords)
-    assert unranked.ranked_order is None
-    for m in (1, 2, 4):
-        for it in [1, 2, 3, 7, 50, 400, 5000, 10 ** 7]:
-            got = draw_block("prosac", points, m, it, 4,
-                             np.random.default_rng(it))
-            want = _free_list_oracle("prosac", points, None, m, it, 4,
-                                     np.random.default_rng(it))
-            assert np.array_equal(got, want)
-    # the ranking does not move a P-NAPSAC fit
-    cfg = default_config(ModelType.LINE2D, 3.0, max_proposals=100)
-    assert fit(points, ModelType.LINE2D, cfg).to_dict() == \
-        fit(unranked, ModelType.LINE2D, cfg).to_dict()
-
+# Uniform draws
 
 @pytest.mark.parametrize("m", [1, 2, 4, 7])
 def test_draws_match_choice_oracle(m):
-    # uniform and PROSAC blocks, ranked and not, from draw 1, across the
-    # end of the growth budget T'_N and late, against the free-list oracle:
-    # the same values and two generator calls a block
+    # uniform blocks, and the cc sampler's past its schedule, from draw 1
+    # and late, against the free-list oracle: the same values and two
+    # generator calls a block
     coords = np.random.default_rng(7).uniform(0, 100, size=(40, 2))
-    ranked, unranked = _ranked(coords), PointSet(coords)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
-    budget = int(sampling._prosac_schedule(40, m)[-1])
-    blocks = [(f, 32) for f in range(1, 400, 32)] + [
-        (budget - 16, 32), (budget + 1, 5), (10 ** 7, 32)]
-    for sampler, points in [("uniform", unranked), ("uniform", ranked),
-                            ("prosac", ranked), ("prosac", unranked),
-                            ("cc", ranked)]:
+    blocks = [(f, 32) for f in range(1, 400, 32)] + [(401, 5), (10 ** 7, 32)]
+    for sampler in ("uniform", "cc"):
         for first, count in blocks:
-            block = draw_block(sampler, points, m, first, count, got)
+            block = draw_block(sampler, coords, m, first, count, got)
             assert block.shape == (count, m)
             assert all(len(set(row)) == m for row in block.tolist())
             assert np.array_equal(block, _free_list_oracle(
-                sampler, points, None, m, first, count, want))
+                sampler, coords, None, m, first, count, want))
     assert got.bit_generator.state == want.bit_generator.state
 
 
-@pytest.mark.parametrize("sampler, ranked, m", [
-    ("uniform", False, 3), ("prosac", True, 3), ("pnapsac", False, 4)],
-    ids=["uniform", "prosac-across-budget", "pnapsac"])
-def test_block_equals_its_rng_chunks(sampler, ranked, m):
+@pytest.mark.parametrize("sampler, m", [("uniform", 3), ("pnapsac", 4)],
+                         ids=["uniform", "pnapsac"])
+def test_block_equals_its_rng_chunks(sampler, m):
     # a 100-draw block equals its 32 + 32 + 32 + 4 chunks drawn one call
-    # each from an equally seeded generator; the PROSAC block runs across
-    # the end of the growth budget T'_N, the P-NAPSAC one reads the
+    # each from an equally seeded generator; the P-NAPSAC block reads the
     # neighbors of more than RNG_BLOCK centres
     coords = np.random.default_rng(9).uniform(0, 100, (150, 2))
-    points = _ranked(coords) if ranked else PointSet(coords)
-    first = int(sampling._prosac_schedule(150, m)[-1]) - 50 if ranked else 1
     got, want = np.random.default_rng(m), np.random.default_rng(m)
-    block = draw_block(sampler, points, m, first, 100, got)
+    block = draw_block(sampler, coords, m, 1, 100, got)
     starts = range(0, 100, sampling.RNG_BLOCK)
     sizes = [min(sampling.RNG_BLOCK, 100 - a) for a in starts]
     assert sizes == [32, 32, 32, 4]
-    chunks = [draw_block(sampler, points, m, first + a, c, want)
+    chunks = [draw_block(sampler, coords, m, 1 + a, c, want)
               for a, c in zip(starts, sizes)]
     assert np.array_equal(block, np.vstack(chunks))
     assert got.bit_generator.state == want.bit_generator.state
@@ -682,29 +601,9 @@ def test_block_equals_its_rng_chunks(sampler, ranked, m):
         assert len(np.unique(block[:, 0])) > sampling.RNG_BLOCK
 
 
-def test_prosac_draws_from_its_growing_pool():
-    # every draw t <= T'_N: the centre is the pool's last point, the
-    # others lie in the pool before it
-    n, m = 12, 3
-    points = PointSet(np.random.default_rng(1).uniform(0, 100, (n, 2)),
-                      quality_rank=np.random.default_rng(2).permutation(n))
-    thresholds = np.array(sampling._prosac_schedule(n, m))
-    t = np.arange(1, int(thresholds[-1]) + 1)
-    block = draw_block("prosac", points, m, 1, len(t),
-                       np.random.default_rng(0))
-    k = np.minimum(n, m + (thresholds < t[:, None]).sum(axis=1))
-    order = points.ranked_order
-    assert np.array_equal(block[:, 0], order[k - 1])
-    position = np.argsort(order)   # of each point in the ranked order
-    assert np.all(position[block[:, 1:]] < (k - 1)[:, None])
-    assert all(len(set(row)) == m for row in block[::97].tolist())
-    # the pool grows through every size
-    assert set(k.tolist()) == set(range(m, n + 1))
-
-
 def test_uniform_pairs_are_equally_likely():
-    points = PointSet(np.random.default_rng(3).uniform(0, 100, (12, 2)))
-    block = draw_block("uniform", points, 2, 1, 20_000,
+    coords = np.random.default_rng(3).uniform(0, 100, (12, 2))
+    block = draw_block("uniform", coords, 2, 1, 20_000,
                        np.random.default_rng(0))
     assert np.all(block[:, 0] != block[:, 1])
     counts = np.zeros((12, 12))
@@ -714,18 +613,12 @@ def test_uniform_pairs_are_equally_likely():
     assert chisquare(observed).pvalue > 1e-4
 
 
-def test_prosac_exhausted(rng):
-    points = _ranked(rng.uniform(0, 100, size=(3, 2)))
-    with pytest.raises(ExhaustedData):
-        draw_block("prosac", points, 4, 1, 32, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("sampler", ["uniform", "prosac", "pnapsac", "cc"])
+@pytest.mark.parametrize("sampler", ["uniform", "pnapsac", "cc"])
 def test_draw_block_needs_m_points(sampler):
-    points = _ranked(np.zeros((2, 2)))
+    coords = np.zeros((2, 2))
     with pytest.raises(ExhaustedData):
-        draw_block(sampler, points, 3, 1, 32, np.random.default_rng(0))
-    assert draw_block(sampler, points, 2, 1, 4,
+        draw_block(sampler, coords, 3, 1, 32, np.random.default_rng(0))
+    assert draw_block(sampler, coords, 2, 1, 4,
                       np.random.default_rng(0)).shape == (4, 2)
 
 
@@ -735,12 +628,11 @@ def test_draw_block_needs_m_points(sampler):
 def _two_far_clusters(rng):
     a = rng.normal([50, 50], 2.0, size=(25, 2))
     b = rng.normal([900, 900], 2.0, size=(25, 2))
-    coords = np.vstack([a, b])
-    return PointSet(coords, quality_rank=np.arange(50))
+    return np.vstack([a, b])
 
 
-def _pnapsac(points, m, first, count, rng):
-    return draw_block("pnapsac", points, m, first, count, rng)
+def _pnapsac(coords, m, first, count, rng):
+    return draw_block("pnapsac", coords, m, first, count, rng)
 
 
 _BLOCK_SCENES = {
@@ -760,14 +652,13 @@ def test_pnapsac_block_matches_lexsort_oracle(coords, m):
     # other point, a chunk cut short, and a late one
     n = len(coords)
     orders = _lexsort_orders(coords)
-    points = PointSet(coords)
     got, want = np.random.default_rng(m), np.random.default_rng(m)
     firsts = list(range(1, sampling.PNAPSAC_GROWTH_RATE * n + 64, 32))
     for first, count in [(f, 32) for f in firsts] + [(10 ** 6, 7)]:
-        block = draw_block("pnapsac", points, m, first, count, got)
+        block = draw_block("pnapsac", coords, m, first, count, got)
         assert block.shape == (count, m)
         assert np.array_equal(block, _free_list_oracle(
-            "pnapsac", points, orders, m, first, count, want))
+            "pnapsac", coords, orders, m, first, count, want))
         assert all(len(set(row)) == m for row in block.tolist())
     # two generator calls a block, as the oracle makes them
     assert got.bit_generator.state == want.bit_generator.state
@@ -778,7 +669,7 @@ def test_pnapsac_ranks_are_uniform(n, m):
     # every ordered choice of m - 1 distinct ranks of the s = n - 1 pool
     # is equally likely
     coords = np.random.default_rng(n).uniform(0, 100, (n, 2))
-    block = _pnapsac(PointSet(coords), m, 10 ** 6, 30_000,
+    block = _pnapsac(coords, m, 10 ** 6, 30_000,
                      np.random.default_rng(0))
     position = np.zeros((n, n), dtype=int)   # of each point in each order
     np.put_along_axis(position, _lexsort_orders(coords), np.arange(n - 1),
@@ -797,13 +688,13 @@ def test_pnapsac_block_reads_rng_block_distance_rows_at_a_time():
     # the distance rows of RNG_BLOCK centres per pass, none kept: a
     # 128-draw block peaks at what a 32-draw block does (a tenth more for
     # its samples; one pass over 128 rows would be 4x)
-    points = PointSet(np.random.default_rng(5).uniform(0, 100, (3000, 4)))
-    _pnapsac(points, 3, 200, 32, np.random.default_rng(0))
+    coords = np.random.default_rng(5).uniform(0, 100, (3000, 4))
+    _pnapsac(coords, 3, 200, 32, np.random.default_rng(0))
     peak = {}
     for count in (32, 128):
         tracemalloc.start()
         try:
-            _pnapsac(points, 3, 200, count, np.random.default_rng(0))
+            _pnapsac(coords, 3, 200, count, np.random.default_rng(0))
             peak[count] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -813,15 +704,15 @@ def test_pnapsac_block_reads_rng_block_distance_rows_at_a_time():
 
 def test_pnapsac_block_exhausted():
     with pytest.raises(ExhaustedData):
-        _pnapsac(PointSet(np.zeros((2, 2))), 3, 1, 32,
+        _pnapsac(np.zeros((2, 2)), 3, 1, 32,
                  np.random.default_rng(0))
 
 
 def test_pnapsac_early_iterations_stay_local(rng):
-    points = _two_far_clusters(rng)
+    coords = _two_far_clusters(rng)
     gen = np.random.default_rng(0)
     # draws 1 .. 8 pick from the two nearest neighbors
-    block = np.vstack([draw_block("pnapsac", points, 3, 1, 8, gen)
+    block = np.vstack([draw_block("pnapsac", coords, 3, 1, 8, gen)
                        for _ in range(1250)])
     same = np.all((block >= 25) == (block[:, :1] >= 25), axis=1)
     assert same.mean() > 0.9
@@ -838,17 +729,17 @@ def test_pnapsac_single_point_equals_uniform(rng, monkeypatch):
     # zero-width rng.random call leaves the generator as it was, and no
     # neighbor is read
     monkeypatch.setattr(sampling, "_neighbors", None)
-    points = _two_far_clusters(rng)
+    coords = _two_far_clusters(rng)
     for first, count in [(1, 32), (5, 7), (200, 1), (1, 3)]:
         got, want = np.random.default_rng(first), np.random.default_rng(first)
-        block = draw_block("pnapsac", points, 1, first, count, got)
+        block = draw_block("pnapsac", coords, 1, first, count, got)
         assert np.array_equal(block, want.integers(50, size=count)[:, None])
         assert got.bit_generator.state == want.bit_generator.state
 
 
 def test_uniform_sampler_distinct(rng):
-    points = PointSet(rng.uniform(0, 10, size=(6, 2)))
-    block = draw_block("uniform", points, 4, 1, 200,
+    coords = rng.uniform(0, 10, size=(6, 2))
+    block = draw_block("uniform", coords, 4, 1, 200,
                        np.random.default_rng(0))
     assert all(len(set(row)) == 4 for row in block.tolist())
     assert set(block.ravel().tolist()) == set(range(6))

@@ -53,7 +53,7 @@ def _at_scales(case, residue=()):
 
 def _scaled_fit(points, model_type, k, epsilon, **overrides):
     s = 2.0 ** k
-    scaled = PointSet(points.coords * s, points.weights, points.quality_rank)
+    scaled = PointSet(points.coords * s, points.weights)
     cfg = engine.default_config(model_type, epsilon * s, **overrides)
     return _outcome(engine.fit(scaled, model_type, cfg))
 

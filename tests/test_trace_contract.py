@@ -18,8 +18,9 @@ import spans  # noqa: E402
 # samples in blocks through models.minimal_candidates, fits connected
 # components in blocks through models._fit_weighted, scores each solved
 # block with one models._residuals call, serves the CC samples from
-# sampling.cc_schedule, draws uniform, PROSAC and P-NAPSAC samples a block
-# at a time through sampling.draw_block, which reads P-NAPSAC neighbors
+# sampling.cc_schedule, draws uniform and P-NAPSAC samples (no PROSAC
+# ones) a block at a time through sampling.draw_block, which reads P-NAPSAC
+# neighbors
 # from the coordinates with no neighborhood object built, and picks
 # representatives and prunes inside _consolidate, the proposal loop testing
 # q >= q_min inline
