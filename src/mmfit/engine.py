@@ -15,29 +15,32 @@ Proposals come from a FIFO of drawn and solved samples. When it runs dry,
 the loop takes the next SAMPLE_BLOCK = 128 samples (never past
 max_proposals, nor across the end of the CC schedule) from the CC schedule
 or one sampling.draw_block call, P-NAPSAC or else uniform (the CC sampler
-past its schedule included), and _candidates solves and scores them
-with one call of each stacked kernel: models.minimal_candidates screens,
-solves and orients the minimal samples, models._fit_weighted fits the
-larger connected components and models._residuals scores their rows in a
-few (K, n) buffers. The loop takes one entry per draw, with the stopping
-checks made before every draw. A draw depends only on the rng, the draw
-index and its chunk: draw_block makes its two generator calls per
-sampling.RNG_BLOCK = 32 draws, and blocks start at fixed draws, multiples
-of SAMPLE_BLOCK from the schedule's start and from the first draw after it
-(the CC schedule is listed once per fit from per-radius pair queries). So
-entries left when an outer iteration ends are the draws the next one would
-make, and a fit gives the same result as drawing RNG_BLOCK samples at a
-time and solving one sample at a time. Scoring and IRLS work on each row's
-support, as the loss is 1 and the weight 0 from LossFunction.cutoff.
+past its schedule included), and _candidates solves them with one call
+of each stacked kernel (models.minimal_candidates screens, solves and
+orients the minimal samples, models._fit_weighted fits the larger
+connected components) and scores their rows in tiles of sampling.RNG_BLOCK
+= 32, so an entry holds its parameter row and its support's residuals and
+losses alone. The loop takes one entry per draw, with the stopping checks
+made before every draw. A draw depends only on the rng, the draw index and
+its chunk: draw_block makes its two generator calls per RNG_BLOCK draws,
+and blocks start at fixed draws, multiples of SAMPLE_BLOCK from the
+schedule's start and from the first draw after it (the CC schedule is
+listed once per fit from per-radius pair queries). So entries left when an
+outer iteration ends are the draws the next one would make, and a fit
+gives the same result as drawing RNG_BLOCK samples at a time and solving
+one sample at a time. Scoring and IRLS work on each row's support, as the
+loss is 1 and the weight 0 from LossFunction.cutoff; a residual row is
+only read below the cutoff, so an accepted candidate's is inf off it.
 
 Each consolidation pass keeps each cluster's best row by one quality
 vector and refines these in one refine_irls call, but those it flagged as
-fixed points before; the last pass prunes by the same vector. An IRLS
-iteration computes the weighted non-minimal fits, the residuals, and the
-losses with the next weights of every row still active with one call of
-each stacked kernel; a row leaves the stack when it converges or its
-weighted system is degenerate. Each row's arithmetic is that of refining
-it alone. The evaluation's matching, like the fit, runs on numpy alone.
+fixed points before, on views of the stacks it compacts in place; the last
+pass prunes by the same vector. An IRLS iteration computes the weighted
+non-minimal fits, the residuals, and the losses with the next weights of
+every row still active with one call of each stacked kernel; a row leaves
+the stack when it converges or its weighted system is degenerate. Each
+row's arithmetic is that of refining it alone. The evaluation's matching,
+like the fit, runs on numpy alone.
 """
 from __future__ import annotations
 
@@ -66,7 +69,7 @@ from .models import (
     minimal_candidates,
 )
 from .quality import min_loss_outside_groups, quality_f_from_losses
-from .sampling import cc_schedule, draw_block
+from .sampling import RNG_BLOCK, cc_schedule, draw_block
 
 OUTLIER = -1
 
@@ -277,12 +280,11 @@ def _candidates(points: PointSet, model_type: ModelType,
     minimal_candidates call on the samples of m points (screen, minimal
     solver and, for F, the oriented epipolar test), one
     models._fit_weighted call on the larger ones, connected components,
-    then one _residuals call on all their parameter rows in sample order
-    (its kernels finish the (K, n) matrix in place, so a block's memory is
-    that matrix and a few buffers like it) and one fn.losses call on the
-    supports r < fn.cutoff. Per sample, its (parameter row, residual row (a
-    view of the block's matrix), support indices, support losses)
-    entries."""
+    then per tile of RNG_BLOCK parameter rows in sample order one
+    _residuals call, one nonzero for the supports r < fn.cutoff and one
+    fn.losses call on them; each tile's (RNG_BLOCK, n) matrix is freed
+    before the next is scored. Per sample, its (parameter row, support
+    indices, support residuals, support losses) entries."""
     m = model_type.m
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
     larger = [i for i, s in enumerate(samples) if len(s) > m]
@@ -300,14 +302,18 @@ def _candidates(points: PointSet, model_type: ModelType,
         order = np.argsort(owner, kind="stable")
         params = np.concatenate([params, fitted[ok]])[order]
         owner = owner[order]
-    R = _residuals(model_type, params, points.coords)
-    rows, support = np.nonzero(R < fn.cutoff)
-    ends = np.searchsorted(rows, np.arange(1, len(R)))
     out: list[list[tuple]] = [[] for _ in samples]
-    for i, *entry in zip(owner.tolist(), params, R,
-                         np.split(support, ends),
-                         np.split(fn.losses(R[rows, support]), ends)):
-        out[i].append(tuple(entry))
+    for a in range(0, len(params), RNG_BLOCK):
+        tile = params[a:a + RNG_BLOCK]
+        R = _residuals(model_type, tile, points.coords)
+        rows, support = np.nonzero(R < fn.cutoff)
+        r = R[rows, support]
+        del R
+        ends = np.searchsorted(rows, np.arange(1, len(tile)))
+        for i, *entry in zip(owner[a:a + RNG_BLOCK].tolist(), tile,
+                             np.split(support, ends), np.split(r, ends),
+                             np.split(fn.losses(r), ends)):
+            out[i].append(tuple(entry))
     return out
 
 
@@ -368,7 +374,6 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             if not solved:
                 # samples drawn ahead are the ones this loop, or the next
                 # outer iteration, would draw (see the module docstring)
-                scored = r = None   # the last block's matrix is freed first
                 stop = min(draws + SAMPLE_BLOCK, config.max_proposals)
                 if draws < len(schedule):   # no block straddles its end
                     stop = min(stop, len(schedule))
@@ -381,7 +386,7 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
             draws += 1
             attempts += 1
             sample, scored = solved.popleft()
-            for p, r, support, loss in scored:
+            for p, support, r, loss in scored:
                 proposals_tried += 1
                 # the loss is 1 off the support, so both the quality and
                 # its sound upper bound sum over the support alone
@@ -392,16 +397,18 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 if q >= config.q_min and not (
                         model_type is ModelType.FUNDAMENTAL
                         and fundamental_planar_degenerate(points.coords[sample], eps)):
-                    loss_row = np.ones(n)
-                    loss_row[support] = loss
-                    # a copy, so that the block's stack is not kept alive
-                    batch.append((p, r.copy(), loss_row))
+                    residual_row, loss_row = np.full((2, n), [[np.inf], [1.0]])
+                    residual_row[support], loss_row[support] = r, loss
+                    batch.append((p, residual_row, loss_row))
 
         if batch:
-            new, new_r, new_loss = zip(*batch)
+            # the kept stacks, then the batch's rows, are held by these lists
+            # alone, which _consolidate empties once it has stacked them
+            blocks = [*map(list, zip((kept, residual_rows, loss_rows), *batch)),
+                      [fixed, np.zeros(len(batch), dtype=bool)]]
+            del kept, residual_rows, loss_rows, fixed, batch
             kept, residual_rows, loss_rows, fixed = _consolidate(
-                model_type, [kept, *new], [residual_rows, *new_r], [loss_rows, *new_loss],
-                [fixed, np.zeros(len(new), dtype=bool)], points, config)
+                model_type, *blocks, points, config)
             min_loss = loss_rows.min(axis=0, initial=1.0)
 
         united = int(np.sum(np.any(residual_rows < eps, axis=0)))
@@ -429,36 +436,44 @@ def _consolidate(model_type: ModelType, params, residual_rows, loss_rows,
                  fixed, points: PointSet, cfg: EngineConfig):
     """Alternate consensus clustering and IRLS until the clustering returns
     only singletons, then return the stacks of the rows of quality >= q_min.
-    The inputs (fixed: refine_irls's flag) are row blocks in instance order,
-    stacked here so that the copies do not outlive the first pass. A pass
-    keeps per cluster its member of best quality against the rows outside
-    it, the lowest index on ties, and refines those not fixed; each later
-    pass drops a row or finds only singletons, each scored against all."""
-    params = np.vstack(params)
-    residual_rows, loss_rows = np.vstack(residual_rows), np.vstack(loss_rows)
+    The inputs (fixed: refine_irls's flag) are lists of row blocks in
+    instance order, stacked here and emptied, so that the stacks, compacted
+    in place by every pass, are the rows' only copies. A pass keeps per
+    cluster its member of best quality against the rows outside it, the
+    lowest index on ties, and refines those not fixed; each later pass
+    drops a row or finds only singletons, each scored against all."""
+    blocks = params, residual_rows, loss_rows, fixed
+    params, residual_rows, loss_rows = map(np.vstack, blocks[:3])
     fixed = np.concatenate(fixed)
+    for b in blocks:
+        b.clear()
     for n_pass in itertools.count():
         clusters = cluster_instances(loss_rows, cfg.tau)
         groups = np.empty(len(params), dtype=int)
         for g, members in enumerate(clusters):
             groups[list(members)] = g
-        # one expression: the (k, n) temporaries are gone before IRLS
-        q = len(points) - np.maximum(loss_rows, 1.0 - min_loss_outside_groups(
-            loss_rows, groups)).sum(axis=1)
+        # one (k, n) buffer, gone before IRLS
+        q = min_loss_outside_groups(loss_rows, groups)
+        np.subtract(1.0, q, out=q)
+        q = len(points) - np.maximum(loss_rows, q, out=q).sum(axis=1)
         if n_pass > 0 and len(clusters) == len(params):
             keep = q >= cfg.q_min
             return params[keep], residual_rows[keep], loss_rows[keep], fixed[keep]
         order = np.lexsort((-q, groups))
         reps = order[np.searchsorted(groups[order], np.arange(len(clusters)))]
-        # this pass's matrices are released before IRLS allocates its own
-        params, residual_rows, loss_rows, fixed = (
-            params[reps], residual_rows[reps], loss_rows[reps], fixed[reps])
-        todo = np.flatnonzero(~fixed)
-        if len(todo):
-            *refined, info = refine_irls(model_type, params[todo], residual_rows[todo],
-                                         loss_rows[todo], points, cfg)
-            params[todo], residual_rows[todo], loss_rows[todo] = refined
-            fixed[todo] = [d["fixed"] for d in info]
+        # in place, the representatives to refine first, so that refine_irls
+        # refines views of the stacks; then back in cluster order
+        perm = np.argsort(fixed[reps], kind="stable")
+        params, residual_rows, loss_rows, fixed = stacks = [
+            np.take(a, reps[perm], axis=0, out=a[:len(reps)])
+            for a in (params, residual_rows, loss_rows, fixed)]
+        todo = len(reps) - np.count_nonzero(fixed)
+        if todo:
+            info = refine_irls(model_type, params[:todo], residual_rows[:todo],
+                               loss_rows[:todo], points, cfg)[-1]
+            fixed[:todo] = [d["fixed"] for d in info]
+        for a in stacks:
+            np.take(a, np.argsort(perm), axis=0, out=a)
 
 
 def min_residual_assignment(residual_rows: np.ndarray,

@@ -918,6 +918,34 @@ def test_sample_block_is_whole_rng_chunks():
     assert engine.SAMPLE_BLOCK % sampling.RNG_BLOCK == 0
 
 
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+def test_candidates_do_not_depend_on_the_tile_size(monkeypatch, model_type):
+    # each tile of parameter rows is scored alone, so every entry is
+    # bit-equal at any tile row count; the name the engine binds is patched,
+    # so that sampling's draws stay the same
+    points, _, _ = synthesize(SyntheticSpec(model_type, 3, 60, 40, 1.0,
+                                            seed=3, clustered=True))
+    m, fn = model_type.m, default_config(model_type, 3.0).loss
+    samples = draw_block("uniform", points.coords, m, 1, engine.SAMPLE_BLOCK,
+                         np.random.default_rng(3)).tolist()
+    larger = [s for s in cc_schedule(points.coords, m,
+                                     (engine.CC_RADII * 3.0).tolist())
+              if len(s) > m]
+    assert len(larger) >= len(samples[::8])
+    samples[::8] = larger[:len(samples[::8])]
+
+    def entries():
+        return [[[a.tobytes() for a in entry] for entry in per_sample]
+                for per_sample in engine._candidates(points, model_type,
+                                                     samples, fn)]
+
+    want = entries()
+    assert sum(map(len, want)) > sampling.RNG_BLOCK
+    for rows in (1, 5, 128):
+        monkeypatch.setattr(engine, "RNG_BLOCK", rows)
+        assert entries() == want
+
+
 @pytest.mark.parametrize("spec, sampler", [
     (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac"),
     (SyntheticSpec(ModelType.SEGMENT2D, 2, 60, 40, 1.0, seed=5), "pnapsac"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmfit import engine, sampling
 from mmfit.errors import DegenerateSample
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.losses import LossFunction, LossKind
@@ -500,6 +501,45 @@ def test_residuals_of_a_block_peak_within_their_buffers(model_type):
     finally:
         tracemalloc.stop()
     assert K * n * 8 <= peak <= RESIDUAL_PEAK[model_type] * K * n * 8
+
+
+def test_candidates_of_a_block_peak_within_a_few_tiles():
+    # a block's parameter rows are scored RNG_BLOCK at a time, so a
+    # 128-sample lines block over 2600 points peaks at a few (RNG_BLOCK, n)
+    # tiles, not at its (128, n) matrix
+    points, _, _ = synthesize(SyntheticSpec(ModelType.LINE2D, 16, 100, 1000,
+                                            1.0, seed=1))
+    n, fn = len(points), engine.default_config(ModelType.LINE2D, 3.0).loss
+    samples = sampling.draw_block("uniform", points.coords, 2, 1,
+                                  engine.SAMPLE_BLOCK,
+                                  np.random.default_rng(2)).tolist()
+    engine._candidates(points, ModelType.LINE2D, samples, fn)   # untraced
+    tracemalloc.start()
+    try:
+        out = engine._candidates(points, ModelType.LINE2D, samples, fn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, out)) == engine.SAMPLE_BLOCK
+    assert peak <= 2.5 * sampling.RNG_BLOCK * n * 8
+
+
+def test_pinned_lines_fit_peaks_within_5_mib():
+    # the lines-l16 benchmark scene: the proposal queue holds supports
+    # alone and consolidation compacts its stacks in place
+    points, _, _ = synthesize(SyntheticSpec(ModelType.LINE2D, 16, 100, 1000,
+                                            1.0, seed=1))
+    engine.fit(points, ModelType.LINE2D, engine.default_config(
+        ModelType.LINE2D, 3.0, max_proposals=50))   # untraced
+    cfg = engine.default_config(ModelType.LINE2D, 3.0, max_proposals=2000)
+    tracemalloc.start()
+    try:
+        report = engine.fit(points, ModelType.LINE2D, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.instances) == 17
+    assert peak <= 5 * 2**20
 
 
 def test_nonminimal_reproduces_minimal_on_exact_sample(rng):
