@@ -21,7 +21,6 @@ from .models import (
     fit_minimal,
     fit_nonminimal,
     make_instance,
-    residual,
     residuals,
 )
 from .losses import LossFunction, LossKind
@@ -51,6 +50,5 @@ __all__ = [
     "fit_nonminimal",
     "make_instance",
     "misclassification_error",
-    "residual",
     "residuals",
 ]

@@ -66,14 +66,14 @@ def _common_flags(p: argparse.ArgumentParser):
     default = {f.name: f.default for f in fields(EngineConfig)}
     p.add_argument("--epsilon", type=float, default=3.0,
                    help="inlier threshold in the coordinates' unit; it also "
-                   "sets the sample-screen tolerance and the CC radii")
+                   "sets the sample-screen tolerance, the CC radii and the "
+                   "pose's reprojection tolerance")
     p.add_argument("--loss", default="magsacpp",
                    choices=[k.value for k in LossKind])
     p.add_argument("--q-min", type=float, default=default["q_min"])
     p.add_argument("--epsilon-t", type=float, default=default["tau"],
                    help="model-to-model threshold for consensus clustering")
     p.add_argument("--confidence", type=float, default=default["confidence"])
-    p.add_argument("--batch-size", type=int, default=default["batch_size"])
     p.add_argument("--sampler", default=default["sampler"], choices=SAMPLERS)
     p.add_argument("--seed", type=int, default=default["seed"])
     p.add_argument("--max-proposals", type=int,
@@ -394,8 +394,7 @@ def cmd_pose(args) -> int:
         return 1
     gt = _read_gt_pose(args.gt) if args.gt else None
     cfg = _config_from_args(args, ModelType.HOMOGRAPHY)
-    pose = pose_from_multi_h(points.coords, intr.K1, intr.K2, cfg,
-                             reproj_eps=args.reproj_eps)
+    pose = pose_from_multi_h(points.coords, intr.K1, intr.K2, cfg)
     result = {
         "schema": POSE_SCHEMA,
         "rotation": pose.rotation.tolist(),
@@ -482,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with K1 (and optional K2)")
     p_pose.add_argument("--gt", default=None,
                         help="JSON file with ground-truth R and t")
-    p_pose.add_argument("--reproj-eps", type=float, default=4.0)
     p_pose.add_argument("--json", action="store_true")
     _common_flags(p_pose)
     p_pose.set_defaults(func=cmd_pose)

@@ -75,8 +75,10 @@ OUTLIER = -1
 
 SAMPLERS = ("uniform", "pnapsac", "cc")
 
-# sampler draws allowed per batch slot before an outer iteration gives up
-PROPOSAL_BUDGET_FACTOR = 50
+# an outer iteration ends once it has accepted BATCH_SIZE candidates or
+# made ITERATION_DRAWS draws
+BATCH_SIZE = 10
+ITERATION_DRAWS = 500
 # IRLS stops after this many weighted refits, or earlier once the relative
 # parameter change drops below IRLS_TOL
 IRLS_MAX_ITERS = 25
@@ -96,7 +98,6 @@ class EngineConfig:
     q_min: float = 20.0
     tau: float = 0.2
     confidence: float = 0.99
-    batch_size: int = 10
     sampler: str = "pnapsac"
     seed: int = 0
     max_proposals: int = 10_000
@@ -104,7 +105,7 @@ class EngineConfig:
     def __post_init__(self):
         if not isinstance(self.loss, LossFunction):
             raise InvalidConfig("loss must be a LossFunction")
-        for name in ("batch_size", "seed", "max_proposals"):
+        for name in ("seed", "max_proposals"):
             if not _is_integer(getattr(self, name)):
                 raise InvalidConfig(f"{name} must be an integer")
         for name in ("q_min", "tau", "confidence"):
@@ -116,8 +117,6 @@ class EngineConfig:
             raise InvalidConfig("tau must lie in (0, 1)")
         if not 0.0 < self.confidence < 1.0:
             raise InvalidConfig("confidence must lie in (0, 1)")
-        if self.batch_size < 1:
-            raise InvalidConfig("batch_size must be >= 1")
         if self.sampler not in SAMPLERS:
             raise InvalidConfig(f"sampler must be one of {SAMPLERS}")
         if self.max_proposals < 1:
@@ -324,6 +323,10 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     config.seed. An empty instance list is a valid outcome, not an error.
     """
     start = time.perf_counter()
+    if not (isinstance(points, PointSet) and isinstance(model_type, ModelType)
+            and isinstance(config, EngineConfig)):
+        raise InvalidConfig(
+            "fit takes a PointSet, a ModelType and an EngineConfig")
     m = model_type.m
     n = len(points)
     if n < m:
@@ -358,10 +361,9 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
     while stop_reason is None:
         outer += 1
         batch = []   # (parameter, residual, loss row) per accepted candidate
-        budget = PROPOSAL_BUDGET_FACTOR * config.batch_size
-        attempts = 0
+        first = draws
         cc_spent = False
-        while (len(batch) < config.batch_size and attempts < budget
+        while (len(batch) < BATCH_SIZE and draws - first < ITERATION_DRAWS
                and draws < config.max_proposals):
             if cc and draws >= len(schedule) and (len(kept) or batch):
                 # the component schedule is spent; its uniform fallback is
@@ -384,7 +386,6 @@ def fit(points: PointSet, model_type: ModelType, config: EngineConfig) -> FitRep
                 solved.extend(zip(block, _candidates(points, model_type,
                                                      block, fn)))
             draws += 1
-            attempts += 1
             sample, scored = solved.popleft()
             for p, support, r, loss in scored:
                 proposals_tried += 1

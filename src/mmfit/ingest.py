@@ -21,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidConfig, ParseError
+from .losses import _is_integer, _is_real
 from .models import (
     ModelInstance,
     ModelType,
@@ -289,11 +290,15 @@ class SyntheticSpec:
     clustered: bool = False   # lines/segments placed in disjoint cells
 
     def __post_init__(self):
-        if self.instance_count < 0 or self.points_per_instance < 0 \
-                or self.outlier_count < 0:
-            raise InvalidConfig("counts must be nonnegative")
-        if not (0 <= self.sigma < np.inf and 0 < self.extent < np.inf) or self.seed < 0:
-            raise InvalidConfig("need 0 <= sigma < inf, 0 < extent < inf and seed >= 0")
+        if not isinstance(self.model_type, ModelType):
+            raise InvalidConfig("model_type must be a ModelType")
+        counts = (self.instance_count, self.points_per_instance,
+                  self.outlier_count, self.seed)
+        if not all(map(_is_integer, counts)) or min(counts) < 0:
+            raise InvalidConfig("counts and seed must be nonnegative integers")
+        if not (_is_real(self.sigma) and _is_real(self.extent)
+                and 0 <= self.sigma < np.inf and 0 < self.extent < np.inf):
+            raise InvalidConfig("need real 0 <= sigma < inf and 0 < extent < inf")
 
 
 def synthesize(spec: SyntheticSpec):

@@ -604,12 +604,6 @@ def _inverse(M: np.ndarray) -> np.ndarray:
         return np.concatenate([_inverse(M[i:i + 1]) for i in range(len(M))])
 
 
-def residual(instance: ModelInstance, point) -> float:
-    """Residual of a single point; see `residuals`."""
-    coords = np.asarray(point, dtype=float).reshape(1, -1)
-    return float(residuals(instance, coords)[0])
-
-
 # ---------------------------------------------------------------------------
 # Sample and model degeneracy tests
 

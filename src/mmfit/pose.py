@@ -25,6 +25,9 @@ from .models import ModelType, PointSet, fit_nonminimal
 # singular-value spread of the calibrated homography below which it is
 # taken for a pure rotation
 EQUAL_SV_TOL = 1e-6
+# a triangulated point supports a pose when it reprojects within this many
+# epsilon in both images: 4 px at epsilon = 3
+REPROJECTION_TOL = 4 / 3
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,10 @@ def triangulate_midpoint(pose: RelativePose, x1: np.ndarray, x2: np.ndarray,
 
 
 def pose_support(pose: RelativePose, correspondences: np.ndarray,
-                 K1: np.ndarray, K2: np.ndarray,
-                 reproj_eps: float = 4.0) -> np.ndarray:
+                 K1: np.ndarray, K2: np.ndarray, epsilon: float) -> np.ndarray:
     """Boolean inlier mask: positive depth in both views and reprojection
-    error below reproj_eps in both images."""
+    error below REPROJECTION_TOL * epsilon in both images, epsilon being
+    the fit's inlier threshold in pixels."""
     corr = np.asarray(correspondences, dtype=float)
     x1, x2 = corr[:, :2], corr[:, 2:]
     X = triangulate_midpoint(pose, x1, x2, K1, K2)
@@ -188,20 +191,20 @@ def pose_support(pose: RelativePose, correspondences: np.ndarray,
         e1 = np.linalg.norm(p1[:, :2] / p1[:, 2:3] - x1[ok], axis=1)
         e2 = np.linalg.norm(p2[:, :2] / p2[:, 2:3] - x2[ok], axis=1)
         err[ok] = np.maximum(e1, e2)
-    return ok & (err < reproj_eps)
+    return ok & (err < REPROJECTION_TOL * epsilon)
 
 
 def select_pose(candidates: list[RelativePose], correspondences,
-                K1: np.ndarray, K2: np.ndarray,
-                reproj_eps: float = 4.0) -> RelativePose:
-    """Pick the candidate with the most triangulation inliers, then
-    re-estimate its translation from those inliers with the rotation held
-    fixed. Ties prefer essential-matrix candidates, then lower index.
+                K1: np.ndarray, K2: np.ndarray, epsilon: float) -> RelativePose:
+    """Pick the candidate with the most triangulation inliers (pose_support
+    at REPROJECTION_TOL * epsilon), then re-estimate its translation from
+    those inliers with the rotation held fixed. Ties prefer
+    essential-matrix candidates, then lower index.
     Raises NoValidPose when every candidate has zero support."""
     if not candidates:
         raise NoValidPose("no pose candidates")
     corr = np.asarray(correspondences, dtype=float)
-    masks = [pose_support(c, corr, K1, K2, reproj_eps) for c in candidates]
+    masks = [pose_support(c, corr, K1, K2, epsilon) for c in candidates]
     supports = [int(mask.sum()) for mask in masks]
     best = max(range(len(candidates)),
                key=lambda i: (supports[i], candidates[i].source == "essential", -i))
@@ -216,7 +219,7 @@ def select_pose(candidates: list[RelativePose], correspondences,
             winner = replace(winner, translation=t_new)
         except RankDeficient:
             pass
-    support = int(pose_support(winner, corr, K1, K2, reproj_eps).sum())
+    support = int(pose_support(winner, corr, K1, K2, epsilon).sum())
     return replace(winner, support=support)
 
 
@@ -286,11 +289,10 @@ def essential_from_inliers(correspondences: np.ndarray, K1: np.ndarray,
 
 
 def pose_from_multi_h(correspondences, K1: np.ndarray, K2: np.ndarray,
-                      engine_cfg: EngineConfig,
-                      reproj_eps: float = 4.0) -> RelativePose:
+                      engine_cfg: EngineConfig) -> RelativePose:
     """Fit multiple homographies, decompose all of them (plus one
     essential matrix assembled from the union of their inliers), and
-    select the best-supported pose."""
+    select the best-supported pose at the fit's epsilon."""
     corr = np.asarray(correspondences, dtype=float)
     points = PointSet(corr)
     report = fit(points, ModelType.HOMOGRAPHY, engine_cfg)
@@ -307,7 +309,7 @@ def pose_from_multi_h(correspondences, K1: np.ndarray, K2: np.ndarray,
         E = essential_from_inliers(corr[union], K1, K2)
         if E is not None:
             candidates = decompose_essential(E) + candidates
-    return select_pose(candidates, corr, K1, K2, reproj_eps)
+    return select_pose(candidates, corr, K1, K2, engine_cfg.loss.epsilon)
 
 
 # ---------------------------------------------------------------------------

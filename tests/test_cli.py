@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from mmfit.cli import build_parser, main
+from mmfit.cli import _config_dict, build_parser, main
 from mmfit.engine import (
     OUTLIER,
     EngineConfig,
@@ -51,6 +51,9 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
                    "--points", "80", "--outliers", "60")
     truth = json.loads(scene.with_suffix(".truth.json").read_text())
     jsonschema.validate(truth, _schema("instances"))
+    synth_manifest = json.loads((tmp_path / "manifest.json").read_text())
+    jsonschema.validate(synth_manifest, _schema("manifest"))
+    assert synth_manifest["command"] == "synth"
 
     out_dir = tmp_path / "fit"
     code, out, _ = _run(capsys, "fit", scene, "--out", out_dir, "--json",
@@ -64,9 +67,17 @@ def test_synth_fit_eval_roundtrip_matches_schemas(tmp_path, capsys):
     assert written["stop_reason"] == "criterion"
 
     manifest = json.loads((out_dir / "manifest.json").read_text())
+    jsonschema.validate(manifest, _schema("manifest"))
     assert manifest["config"]["seed"] == 1
-    assert "tau_semantics" not in manifest["config"]
-    assert "k_counts" not in manifest["config"]
+    for removed in ("tau_semantics", "k_counts", "batch_size"):
+        assert removed not in manifest["config"]
+    # the schema admits exactly the keys _config_dict writes
+    manifest["config"]["batch_size"] = 10
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(manifest, _schema("manifest"))
+    fit_keys = _schema("manifest")["$defs"]["fit_config"]["properties"]
+    assert set(fit_keys) == set(_config_dict(default_config(
+        ModelType.LINE2D, 3.0)))
 
     code, out, _ = _run(capsys, "eval", scene, out_dir / "instances.json",
                         "--json")
@@ -131,12 +142,16 @@ def test_fit_bad_sampler_radii_exit_1(tmp_path, capsys, flags):
 @pytest.mark.parametrize("flag, value", [("--tau-semantics", "distance"),
                                          ("--k-counts", "iterations"),
                                          ("--r-min", "20"), ("--r-max", "200"),
-                                         ("--n-steps", "5")])
+                                         ("--n-steps", "5"),
+                                         ("--batch-size", "5"),
+                                         ("--reproj-eps", "4")])
 def test_removed_flags_rejected(tmp_path, capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["fit", str(tmp_path / "scene.csv"), flag, value])
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    # the pose's reprojection tolerance is a multiple of --epsilon
+    for command in ("fit", "pose"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "scene.csv"), flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_prosac_sampler_is_no_choice(tmp_path, capsys):

@@ -593,6 +593,21 @@ def test_fit_checks_dimension():
         fit(points, ModelType.LINE2D, cfg)
 
 
+_LINES = PointSet(np.arange(20.0).reshape(10, 2))
+
+
+@pytest.mark.parametrize("points, model_type, config", [
+    (_LINES.coords, ModelType.LINE2D, default_config(ModelType.LINE2D, 3.0)),
+    (_LINES, "line2d", default_config(ModelType.LINE2D, 3.0)),
+    (_LINES, ModelType.LINE2D, {"max_proposals": 10}),
+], ids=["coordinate-array", "model-name", "config-dict"])
+def test_fit_of_wrongly_typed_arguments_raises_invalid_config(points,
+                                                              model_type,
+                                                              config):
+    with pytest.raises(InvalidConfig, match="fit takes"):
+        fit(points, model_type, config)
+
+
 def test_consolidate_merges_duplicates_monotonically(rng):
     spec = SyntheticSpec(ModelType.LINE2D, 2, 80, 40, 1.0, 1000.0, seed=31)
     points, labels, gt = synthesize(spec)
@@ -743,10 +758,10 @@ def _fit_per_draw(points, model_type, config, block):
     while True:
         outer += 1
         batch = []
-        budget = engine.PROPOSAL_BUDGET_FACTOR * config.batch_size
-        attempts = 0
+        first = draws
         cc_spent = False
-        while (len(batch) < config.batch_size and attempts < budget
+        while (len(batch) < engine.BATCH_SIZE
+               and draws - first < engine.ITERATION_DRAWS
                and draws < config.max_proposals):
             if cc and draws >= len(schedule) and (len(kept) or batch):
                 cc_spent = True
@@ -755,7 +770,6 @@ def _fit_per_draw(points, model_type, config, block):
                     n, united, draws, m, config.confidence, config.q_min):
                 break
             draws += 1
-            attempts += 1
             t = draws - len(schedule)   # the draw's number after the schedule
             # blocks in steps of block from the schedule's start and from
             # the first draw after it, cut at either's end
@@ -839,8 +853,12 @@ def test_fit_matches_per_draw_oracle(monkeypatch, spec, sampler,
     if isinstance(sampler, tuple):
         sampler, radii = sampler
         monkeypatch.setattr(engine, "CC_RADII", radii)
+    # outer iterations of 2 accepted candidates or 100 draws, so that many
+    # end inside a block
+    monkeypatch.setattr(engine, "BATCH_SIZE", 2)
+    monkeypatch.setattr(engine, "ITERATION_DRAWS", 100)
     cfg = default_config(spec.model_type, 3.0, sampler=sampler, seed=4,
-                         batch_size=2, max_proposals=max_proposals)
+                         max_proposals=max_proposals)
     # drawn RNG_BLOCK at a time, as the engine's blocks take their stream
     want, _ = _fit_per_draw(points, spec.model_type, cfg, sampling.RNG_BLOCK)
     # the same fit in the engine's grouping, whose trace the guards read
@@ -906,10 +924,10 @@ def test_cc_radii_are_the_pixel_radii_at_epsilon_3(monkeypatch):
     assert seen == [[20.0, 56.0, 92.0, 128.0, 164.0, 200.0]]
 
 
-def test_engine_config_has_eight_fields():
+def test_engine_config_has_seven_fields():
     assert [f.name for f in fields(EngineConfig)] == [
-        "loss", "q_min", "tau", "confidence", "batch_size", "sampler",
-        "seed", "max_proposals"]
+        "loss", "q_min", "tau", "confidence", "sampler", "seed",
+        "max_proposals"]
 
 
 def test_sample_block_is_whole_rng_chunks():
@@ -1132,17 +1150,19 @@ def test_engine_config_validation():
     for bad in ({"q_min": np.nan}, {"q_min": np.inf}, {"seed": -1}):
         with pytest.raises(InvalidConfig):
             EngineConfig(loss=fn, **bad)
-    # the CC radii are multiples of epsilon, not fields
+    # the CC radii are multiples of epsilon, and an outer iteration's stop
+    # is BATCH_SIZE and ITERATION_DRAWS, not fields
     for removed in ("proposal_budget_factor", "max_irls_iters", "irls_tol",
-                    "r_min", "r_max", "n_steps"):
+                    "r_min", "r_max", "n_steps", "batch_size"):
         with pytest.raises(TypeError):
             default_config(ModelType.LINE2D, 3.0, **{removed: 5})
+    with pytest.raises(TypeError):
+        EngineConfig(loss=fn, batch_size=10)
 
 
 @pytest.mark.parametrize("field, value", [
     ("dof", 2.5), ("dof", True), ("seed", 1.5), ("seed", True),
-    ("batch_size", 2.5), ("max_proposals", 300.0),
-    ("max_proposals", np.float64(300.0)), ("batch_size", "3")])
+    ("max_proposals", 300.0), ("max_proposals", np.float64(300.0))])
 def test_non_integer_config_values_are_rejected(field, value):
     # int or numpy integer, but not bool
     def make(v):

@@ -430,6 +430,25 @@ def test_segment_scene_instances_are_segments():
     assert len(points) == 90
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((ModelType.LINE2D, 2.5, 10), {}),
+    ((ModelType.LINE2D, 2, 10.0), {}),
+    ((ModelType.LINE2D, 2, 10, 5.0), {}),
+    ((ModelType.LINE2D, 2, 10), {"seed": 1.5}),
+    ((ModelType.LINE2D, 2, 10), {"seed": True}),
+    ((ModelType.LINE2D, 2, 10), {"sigma": "1.0"}),
+    ((ModelType.LINE2D, 2, 10), {"extent": None}),
+    (("line2d", 2, 10), {}),
+], ids=["float-instances", "float-points", "float-outliers", "float-seed",
+        "bool-seed", "text-sigma", "null-extent", "text-model-type"])
+def test_wrongly_typed_spec_raises_invalid_config(args, kwargs):
+    with pytest.raises(InvalidConfig):
+        synthesize(SyntheticSpec(*args, **kwargs))
+    if not isinstance(args[0], str):
+        with pytest.raises(InvalidConfig):
+            synthesize_two_view(*args[1:], **kwargs)
+
+
 def test_invalid_spec_rejected():
     with pytest.raises(InvalidConfig):
         SyntheticSpec(ModelType.LINE2D, -1, 10)

@@ -26,7 +26,6 @@ from mmfit.models import (
     fundamental_planar_degenerate,
     make_instance,
     minimal_candidates,
-    residual,
     residuals,
     segment_endpoints,
 )
@@ -60,7 +59,7 @@ def test_from_string_is_a_value_lookup(enum):
 def test_line_through_axis_points():
     inst = fit_minimal(ModelType.LINE2D, np.array([[0.0, 0.0], [1.0, 0.0]]))[0]
     assert np.allclose(np.abs(inst.params), [0.0, 1.0, 0.0], atol=1e-12)
-    assert residual(inst, np.array([5.0, 3.0])) == pytest.approx(3.0)
+    assert residuals(inst, np.array([5.0, 3.0])[None])[0] == pytest.approx(3.0)
 
 
 def test_homography_identity_case():
@@ -819,9 +818,9 @@ def test_singular_homography_in_stack_has_inf_residuals():
 def test_segment_residual_clamps_to_endpoints():
     seg = fit_minimal(ModelType.SEGMENT2D,
                       np.array([[0.0, 0.0], [10.0, 0.0]]))[0]
-    assert residual(seg, np.array([5.0, 2.0])) == pytest.approx(2.0)
-    assert residual(seg, np.array([13.0, 4.0])) == pytest.approx(5.0)
-    assert residual(seg, np.array([-3.0, 4.0])) == pytest.approx(5.0)
+    assert residuals(seg, np.array([5.0, 2.0])[None])[0] == pytest.approx(2.0)
+    assert residuals(seg, np.array([13.0, 4.0])[None])[0] == pytest.approx(5.0)
+    assert residuals(seg, np.array([-3.0, 4.0])[None])[0] == pytest.approx(5.0)
     assert np.allclose(sorted(segment_endpoints(seg)[:, 0]), [0.0, 10.0])
 
 

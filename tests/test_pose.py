@@ -121,7 +121,7 @@ def _pose_scene(seed, n=60, noise=0.0):
 def test_single_candidate_recomputed_support():
     corr, K, R, t = _pose_scene(2)
     pose = RelativePose(R, t, "essential")
-    out = select_pose([pose], corr, K, K)
+    out = select_pose([pose], corr, K, K, 3.0)
     assert out.support == len(corr)
 
 
@@ -136,7 +136,7 @@ def test_true_pose_beats_decoys_100_trials():
                          rng.normal(size=3), "homography")
             for _ in range(3)
         ]
-        out = select_pose([truth] + decoys, corr, K, K, reproj_eps=4.0)
+        out = select_pose([truth] + decoys, corr, K, K, 3.0)
         wins += rotation_error_deg(out.rotation, R) < 0.5
     assert wins == 100
 
@@ -145,8 +145,9 @@ def test_all_points_behind_decoy_zero_support():
     corr, K, R, t = _pose_scene(5)
     flipped = RelativePose(R, -t, "homography")
     # mirror pose pushes triangulations behind a camera for most points
-    support = pose_support(flipped, corr, K, K)
-    truth_support = pose_support(RelativePose(R, t, "essential"), corr, K, K)
+    support = pose_support(flipped, corr, K, K, 3.0)
+    truth_support = pose_support(RelativePose(R, t, "essential"), corr, K, K,
+                                 3.0)
     assert truth_support.sum() == len(corr)
     assert support.sum() < truth_support.sum()
 
@@ -154,7 +155,8 @@ def test_all_points_behind_decoy_zero_support():
 def test_support_matches_bruteforce_oracle():
     corr, K, R, t = _pose_scene(8, n=50, noise=1.0)
     pose = RelativePose(R, t, "essential")
-    mask = pose_support(pose, corr, K, K, reproj_eps=4.0)
+    # epsilon = 3 counts reprojection errors below 4 px
+    mask = pose_support(pose, corr, K, K, 3.0)
     X = triangulate_midpoint(pose, corr[:, :2], corr[:, 2:], K, K)
     for i in range(len(corr)):
         Xi = X[i]
@@ -178,9 +180,9 @@ def test_no_valid_pose_raised():
     flip = Rotation.from_euler("x", 180, degrees=True).as_matrix()
     with pytest.raises(NoValidPose):
         select_pose([RelativePose(flip, np.array([0.0, 0.0, 1.0]), "homography")],
-                    corr, K, K)
+                    corr, K, K, 3.0)
     with pytest.raises(NoValidPose):
-        select_pose([], corr, K, K)
+        select_pose([], corr, K, K, 3.0)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmfit.losses import LossFunction, LossKind
-from mmfit.models import ModelType, PointSet, fit_minimal, residual, residuals
+from mmfit.models import ModelType, PointSet, fit_minimal, residuals
 from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
 
 from conftest import line_instance
@@ -78,8 +78,8 @@ def test_quality_rsc_matches_double_loop_oracle(rng):
         count = 0
         for i in range(len(points)):
             p = points.coords[i]
-            r_h = residual(h, p)
-            r_kept = min(residual(k, p) for k in kept)
+            r_h = residuals(h, p[None])[0]
+            r_kept = min(residuals(k, p[None])[0] for k in kept)
             if r_h < 4.0 and r_kept >= 4.0:
                 count += 1
         assert _quality_rsc(h, points, kept, 4.0) == count
@@ -104,7 +104,8 @@ def test_quality_f_direct_summation_oracle(rng):
     total = 0.0
     for i in range(len(points)):
         p = points.coords[i]
-        f_h, f_kept = fn.losses([residual(h, p), residual(kept, p)])
+        f_h, f_kept = fn.losses([residuals(h, p[None])[0],
+                                   residuals(kept, p[None])[0]])
         total += max(f_h, 1.0 - f_kept)
     assert _quality_f(h, points, [kept], fn) == pytest.approx(
         len(points) - total, abs=1e-12)

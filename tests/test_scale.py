@@ -4,14 +4,17 @@ coordinates and epsilon by 2^k, which is exact in floating point, keeps the
 instance count, the minimum-residual assignment, the stop reason and the
 proposals tried: the sample screens' area tolerance and the CC radii are
 multiples of epsilon, the loss is relative to it and the P-NAPSAC ranks are
-scale-free."""
+scale-free. The relative pose, whose reprojection tolerance is a multiple
+of epsilon too, keeps its source and support when the first two rows of
+the intrinsics scale with the coordinates."""
 import sys
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mmfit import engine
+from mmfit import engine, pose
 from mmfit.ingest import SyntheticSpec, synthesize
 from mmfit.models import ModelType, PointSet
 
@@ -113,5 +116,26 @@ _PINNED_RESIDUE = {("fundamental-m4", 1): (4, 10)}
     for p in _at_scales([name, seed], _PINNED_RESIDUE.get((name, seed), ()))])
 def test_pinned_scene_fits_alike_at_every_scale(name, seed, k):
     # the benchmark's pinned scenes through fit (pose-h4's homographies
-    # without the pose, whose intrinsics are in pixels)
+    # without the pose, which the test below checks)
     _assert_alike(_pinned_fit(name, seed, k), _pinned_fit(name, seed, 0))
+
+
+@lru_cache(maxsize=None)
+def _pinned_pose(k):
+    workload = workloads.WORKLOADS["pose-h4"]
+    [scene] = workload.scenes(0)
+    s = 2.0 ** k
+    # pixels x = K X / z scale with K's first two rows
+    K1, K2 = (np.diag([s, s, 1.0]) @ K for K in (scene.K1, scene.K2))
+    cfg = engine.default_config(workload.model_type, workloads.EPSILON * s,
+                                **workload.overrides)
+    return pose.pose_from_multi_h(scene.points.coords * s, K1, K2, cfg)
+
+
+@pytest.mark.parametrize("k", SCALES)
+def test_pinned_pose_is_alike_at_every_scale(k):
+    got, want = _pinned_pose(k), _pinned_pose(0)
+    assert (got.source, got.support) == (want.source, want.support)
+    assert pose.rotation_error_deg(got.rotation, want.rotation) < 1e-9
+    assert pose.translation_error_deg(got.translation,
+                                      want.translation) < 1e-9
