@@ -28,9 +28,9 @@ schedule's start and from the first draw after it (the CC schedule is
 listed once per fit from per-radius pair queries). So entries left when an
 outer iteration ends are the draws the next one would make, and a fit
 gives the same result as drawing RNG_BLOCK samples at a time and solving
-one sample at a time. Scoring and IRLS work on each row's support, as the
-loss is 1 and the weight 0 from LossFunction.cutoff; a residual row is
-only read below the cutoff, so an accepted candidate's is inf off it.
+one sample at a time. Scoring and IRLS read a row's residuals on its support,
+r < LossFunction.cutoff (loss 1 and weight 0 beyond), by flat index into the
+(rows, n) matrix, so an accepted candidate's residual row is inf off it.
 
 Each consolidation pass keeps each cluster's best row by one quality
 vector and refines these in one refine_irls call, but those it flagged as
@@ -128,6 +128,8 @@ class EngineConfig:
 def default_config(model_type: ModelType, epsilon: float,
                    kind: LossKind = LossKind.MAGSACPP, **overrides) -> EngineConfig:
     """EngineConfig with the loss dof matched to the model family."""
+    if not isinstance(model_type, ModelType):
+        raise InvalidConfig("default_config takes a ModelType")
     fn = LossFunction(kind, epsilon, model_type.dof)
     return EngineConfig(loss=fn, **overrides)
 
@@ -221,8 +223,8 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
     best_it = np.zeros(len(params), dtype=int)   # 0: the input
     active = np.arange(len(params))
     current, r = params, residual_rows
-    ri, pi = np.nonzero(r < fn.cutoff)
-    w = fn.weights(r[ri, pi])
+    flat = np.flatnonzero(r < fn.cutoff)
+    (ri, pi), w = np.divmod(flat, n), fn.weights(r.take(flat))
     for it in range(IRLS_MAX_ITERS):
         refined, ok = _fit_weighted(model_type, points.coords, ri, pi,
                                     w * points.weights[pi], len(r))
@@ -234,9 +236,9 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
         delta = _relative_change(current, refined)
         current = refined
         r = _residuals(model_type, current, points.coords)
-        ri, pi = np.nonzero(r < fn.cutoff)
-        loss = np.ones_like(r)
-        loss[ri, pi], w = fn._losses_and_weights(r[ri, pi])
+        flat = np.flatnonzero(r < fn.cutoff)
+        (ri, pi), loss = np.divmod(flat, n), np.ones(r.shape)
+        loss.ravel()[flat], w = fn._losses_and_weights(r.take(flat))
         totals = loss.sum(axis=1)
         for i, total in zip(active.tolist(), totals.tolist()):
             info[i]["iterations"] = it + 1
@@ -280,10 +282,10 @@ def _candidates(points: PointSet, model_type: ModelType,
     solver and, for F, the oriented epipolar test), one
     models._fit_weighted call on the larger ones, connected components,
     then per tile of RNG_BLOCK parameter rows in sample order one
-    _residuals call, one nonzero for the supports r < fn.cutoff and one
-    fn.losses call on them; each tile's (RNG_BLOCK, n) matrix is freed
-    before the next is scored. Per sample, its (parameter row, support
-    indices, support residuals, support losses) entries."""
+    _residuals call, one flatnonzero for the supports r < fn.cutoff, cut
+    at multiples of n, and one fn.losses call on them; each tile's (RNG_BLOCK,
+    n) matrix is freed before the next is scored. Per sample, its (parameter
+    row, support indices, support residuals, support losses) entries."""
     m = model_type.m
     minimal = [i for i, s in enumerate(samples) if len(s) == m]
     larger = [i for i, s in enumerate(samples) if len(s) > m]
@@ -301,18 +303,18 @@ def _candidates(points: PointSet, model_type: ModelType,
         order = np.argsort(owner, kind="stable")
         params = np.concatenate([params, fitted[ok]])[order]
         owner = owner[order]
+    n, owner = len(points), owner.tolist()
     out: list[list[tuple]] = [[] for _ in samples]
     for a in range(0, len(params), RNG_BLOCK):
         tile = params[a:a + RNG_BLOCK]
         R = _residuals(model_type, tile, points.coords)
-        rows, support = np.nonzero(R < fn.cutoff)
-        r = R[rows, support]
+        flat = np.flatnonzero(R < fn.cutoff)
+        r, support = R.take(flat), flat % n
         del R
-        ends = np.searchsorted(rows, np.arange(1, len(tile)))
-        for i, *entry in zip(owner[a:a + RNG_BLOCK].tolist(), tile,
-                             np.split(support, ends), np.split(r, ends),
-                             np.split(fn.losses(r), ends)):
-            out[i].append(tuple(entry))
+        loss = fn.losses(r)
+        ends = np.searchsorted(flat, np.arange(len(tile) + 1) * n).tolist()
+        for i, p, lo, hi in zip(owner[a:a + RNG_BLOCK], tile, ends, ends[1:]):
+            out[i].append((p, support[lo:hi], r[lo:hi], loss[lo:hi]))
     return out
 
 

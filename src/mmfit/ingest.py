@@ -299,6 +299,8 @@ class SyntheticSpec:
         if not (_is_real(self.sigma) and _is_real(self.extent)
                 and 0 <= self.sigma < np.inf and 0 < self.extent < np.inf):
             raise InvalidConfig("need real 0 <= sigma < inf and 0 < extent < inf")
+        if not isinstance(self.clustered, bool):
+            raise InvalidConfig("clustered must be a bool")
 
 
 def synthesize(spec: SyntheticSpec):

@@ -30,12 +30,12 @@ def min_loss_outside_groups(loss_rows: np.ndarray,
     With one group per row this is the leave-one-out minimum.
     """
     groups = np.asarray(groups)
-    cols = np.arange(loss_rows.shape[1])
     per_group = np.vstack([loss_rows[groups == g].min(axis=0)
                            for g in range(groups.max() + 1)])
     first = np.argmin(per_group, axis=0)
-    lowest = per_group[first, cols]
-    per_group[first, cols] = np.inf
+    flat = first * per_group.shape[1] + np.arange(per_group.shape[1])
+    lowest = per_group.take(flat)
+    per_group.ravel()[flat] = np.inf
     # losses never exceed 1, so the clamp only acts where one group is alone
     second = np.minimum(per_group.min(axis=0), 1.0)
     return np.where(first[None, :] == groups[:, None], second, lowest)

@@ -35,12 +35,13 @@ def _neighbors(coords: np.ndarray, centres: np.ndarray,
                ranks: np.ndarray) -> np.ndarray:
     """Per centre, the points at its row of ranks in its neighbor order:
     every other point by squared distance summed column by column, then by
-    index. RNG_BLOCK centres per pass, no order kept: their distance rows
-    are partitioned at the pass's largest rank and the top ordered by
-    (distance, index); a row is sorted whole, stably, only when the top's
-    last distance ties with a point outside it."""
+    index. RNG_BLOCK centres per pass, no order kept, read and written by
+    flat index: their distance rows are partitioned at the pass's largest
+    rank and the top ordered by (distance, index); a row is sorted whole,
+    stably, only when the top's last distance ties with a point outside it."""
+    n = len(coords)
     columns = np.ascontiguousarray(coords.T)
-    d = np.empty((min(RNG_BLOCK, len(centres)), len(coords)))
+    d = np.empty((min(RNG_BLOCK, len(centres)), n))
     step = np.empty_like(d)
     out = np.empty_like(ranks)
     for a in range(0, len(centres), RNG_BLOCK):
@@ -55,20 +56,20 @@ def _neighbors(coords: np.ndarray, centres: np.ndarray,
             diff -= column[part, None]
             diff *= diff
             dist += diff
-        dist[np.arange(len(part)), part] = np.inf
+        base = np.arange(len(part))[:, None]
+        dist.ravel()[base[:, 0] * n + part] = np.inf
         k = int(ranks[chunk].max()) + 1
         top = np.argpartition(dist, k - 1)[:, :k]
-        top = np.take_along_axis(top, np.argsort(
-            np.take_along_axis(dist, top, 1)), 1)
-        near = np.take_along_axis(dist, top, 1)
+        top = top.take(np.argsort(dist.take(top + base * n)) + base * k)
+        near = dist.take(top + base * n)
         # tied distances within a top go by index
         tied = np.flatnonzero((near[:, 1:] == near[:, :-1]).any(1))
         by_index = np.sort(top[tied])
-        top[tied] = np.take_along_axis(by_index, np.argsort(
-            dist[tied[:, None], by_index], kind="stable"), 1)
+        top[tied] = by_index.take(base[:len(tied)] * k + np.argsort(
+            dist.take(by_index + tied[:, None] * n), kind="stable"))
         beside = np.count_nonzero(dist <= near[:, -1:], 1) > k
         top[beside] = np.argsort(dist[beside], kind="stable")[:, :k]
-        out[chunk] = np.take_along_axis(top, ranks[chunk], 1)
+        out[chunk] = top.take(ranks[chunk] + base * k)
     return out
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 from dataclasses import fields
@@ -608,6 +609,12 @@ def test_fit_of_wrongly_typed_arguments_raises_invalid_config(points,
         fit(points, model_type, config)
 
 
+@pytest.mark.parametrize("model_type", ["line2d", None, 3])
+def test_default_config_of_a_non_model_type_raises_invalid_config(model_type):
+    with pytest.raises(InvalidConfig, match="default_config takes"):
+        default_config(model_type, 3.0)
+
+
 def test_consolidate_merges_duplicates_monotonically(rng):
     spec = SyntheticSpec(ModelType.LINE2D, 2, 80, 40, 1.0, 1000.0, seed=31)
     points, labels, gt = synthesize(spec)
@@ -939,8 +946,10 @@ def test_sample_block_is_whole_rng_chunks():
 @pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
 def test_candidates_do_not_depend_on_the_tile_size(monkeypatch, model_type):
     # each tile of parameter rows is scored alone, so every entry is
-    # bit-equal at any tile row count; the name the engine binds is patched,
-    # so that sampling's draws stay the same
+    # bit-equal at any tile row count, and bit-equal to its own row scored
+    # alone; the name the engine binds is patched, so that sampling's draws
+    # stay the same. Far-away rows with an empty support come first, in
+    # the middle and last in the first tile
     points, _, _ = synthesize(SyntheticSpec(model_type, 3, 60, 40, 1.0,
                                             seed=3, clustered=True))
     m, fn = model_type.m, default_config(model_type, 3.0).loss
@@ -951,14 +960,35 @@ def test_candidates_do_not_depend_on_the_tile_size(monkeypatch, model_type):
               if len(s) > m]
     assert len(larger) >= len(samples[::8])
     samples[::8] = larger[:len(samples[::8])]
+    solve = engine.minimal_candidates
+    tile = sampling.RNG_BLOCK
+    at = np.array([0, tile // 2, tile - 1]) - np.arange(3)
+
+    def with_far_rows(*args):
+        params, owner = solve(*args)
+        assert len(params) >= tile
+        return (np.insert(params, at, _FAR_AWAY[model_type], axis=0),
+                np.insert(owner, at, owner[at]))
+
+    monkeypatch.setattr(engine, "minimal_candidates", with_far_rows)
 
     def entries():
         return [[[a.tobytes() for a in entry] for entry in per_sample]
                 for per_sample in engine._candidates(points, model_type,
                                                      samples, fn)]
 
+    for p, support, r, loss in itertools.chain(*engine._candidates(
+            points, model_type, samples, fn)):
+        row = models._residuals(model_type, p[None], points.coords)[0]
+        want = np.flatnonzero(row < fn.cutoff)
+        assert support.tobytes() == want.tobytes()
+        assert r.tobytes() == row[want].tobytes()
+        assert loss.tobytes() == fn.losses(row[want]).tobytes()
     want = entries()
     assert sum(map(len, want)) > sampling.RNG_BLOCK
+    far = [entry for entry in itertools.chain(*want)
+           if entry[0] == np.array(_FAR_AWAY[model_type]).tobytes()]
+    assert len(far) == 3 and all(e[1] == b"" for e in far)
     for rows in (1, 5, 128):
         monkeypatch.setattr(engine, "RNG_BLOCK", rows)
         assert entries() == want

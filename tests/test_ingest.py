@@ -439,12 +439,15 @@ def test_segment_scene_instances_are_segments():
     ((ModelType.LINE2D, 2, 10), {"sigma": "1.0"}),
     ((ModelType.LINE2D, 2, 10), {"extent": None}),
     (("line2d", 2, 10), {}),
+    ((ModelType.LINE2D, 2, 10), {"seed": 1, "clustered": "no"}),
 ], ids=["float-instances", "float-points", "float-outliers", "float-seed",
-        "bool-seed", "text-sigma", "null-extent", "text-model-type"])
+        "bool-seed", "text-sigma", "null-extent", "text-model-type",
+        "text-clustered"])
 def test_wrongly_typed_spec_raises_invalid_config(args, kwargs):
     with pytest.raises(InvalidConfig):
         synthesize(SyntheticSpec(*args, **kwargs))
-    if not isinstance(args[0], str):
+    # synthesize_two_view takes neither a model type nor clustered
+    if not isinstance(args[0], str) and "clustered" not in kwargs:
         with pytest.raises(InvalidConfig):
             synthesize_two_view(*args[1:], **kwargs)
 

@@ -51,16 +51,24 @@ def _neighbor_sets():
 def test_neighbor_order_matches_einsum_oracle(coords):
     # every centre, 32 and 128 per call (RNG_BLOCK per distance pass), read
     # at every rank below the bounds 1, 5, 16, 100 and n - 1: the last
-    # rank's distance ties with points left out on the grids
+    # rank's distance ties with points left out on the grids; then at
+    # distinct random ranks that differ from row to row, as draw_block
+    # makes them
     n = len(coords)
     want = _lexsort_orders(coords)
-    centres = np.random.default_rng(n).permutation(n)
+    rng = np.random.default_rng(n)
+    centres = rng.permutation(n)
     for k, size in itertools.product((1, 5, 16, 100, n - 1), (32, 128)):
         for start in range(0, n, size):
             chunk = centres[start:start + size]
             ranks = np.broadcast_to(np.arange(k), (len(chunk), k))
             got = sampling._neighbors(coords, chunk, ranks)
             assert np.array_equal(got, want[chunk, :k])
+            j = min(k, 4)
+            ranks = np.argsort(rng.random((len(chunk), k)), axis=1)[:, :j]
+            got = sampling._neighbors(coords, chunk, ranks)
+            rows = np.arange(len(chunk))[:, None]
+            assert np.array_equal(got, want[chunk][rows, ranks])
 
 
 def test_neighbor_order_breaks_ties_beside_its_prefix_by_index():
