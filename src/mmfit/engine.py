@@ -30,7 +30,8 @@ outer iteration ends are the draws the next one would make, and a fit
 gives the same result as drawing RNG_BLOCK samples at a time and solving
 one sample at a time. Scoring and IRLS read a row's residuals on its support,
 r < LossFunction.cutoff (loss 1 and weight 0 beyond), by flat index into the
-(rows, n) matrix, so an accepted candidate's residual row is inf off it.
+(rows, n) matrix, so an accepted candidate's residual row is inf off it; the
+residual kernel gets the cutoff and finishes only the entries below it.
 
 Each consolidation pass keeps each cluster's best row by one quality
 vector and refines these in one refine_irls call, but those it flagged as
@@ -235,7 +236,7 @@ def refine_irls(model_type: ModelType, params: np.ndarray,
             break
         delta = _relative_change(current, refined)
         current = refined
-        r = _residuals(model_type, current, points.coords)
+        r = _residuals(model_type, current, points.coords, fn.cutoff)
         flat = np.flatnonzero(r < fn.cutoff)
         (ri, pi), loss = np.divmod(flat, n), np.ones(r.shape)
         loss.ravel()[flat], w = fn._losses_and_weights(r.take(flat))
@@ -307,7 +308,7 @@ def _candidates(points: PointSet, model_type: ModelType,
     out: list[list[tuple]] = [[] for _ in samples]
     for a in range(0, len(params), RNG_BLOCK):
         tile = params[a:a + RNG_BLOCK]
-        R = _residuals(model_type, tile, points.coords)
+        R = _residuals(model_type, tile, points.coords, fn.cutoff)
         flat = np.flatnonzero(R < fn.cutoff)
         r, support = R.take(flat), flat % n
         del R

@@ -169,7 +169,8 @@ class LossFunction:
         """Residual at and beyond which the loss is exactly 1 and the IRLS
         weight exactly 0, for every kind, epsilon and dof. The engine
         relies on it: it scores candidates and refits instances over the
-        points with r < cutoff alone."""
+        points with r < cutoff alone, and a residual kernel may return any
+        value >= cutoff past it."""
         if self.kind is LossKind.MAGSACPP:
             _, k, *_ = _magsac_constants(self.epsilon, self.dof)
             return k * self.epsilon

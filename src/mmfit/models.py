@@ -31,7 +31,8 @@ point weights given as (row, point, weight) triplets, so that a fit costs
 its support and not n (batched total least squares for lines, segments and
 planes; for homographies and fundamental matrices one pass over all rows'
 segments, with one SVD of each row's own DLT or eight-point equations),
-and _residuals scores a (K, n_params) stack into a (K, n) matrix.
+and _residuals scores a (K, n_params) stack into a (K, n) matrix, exact
+below a loss cutoff (segments finish their endpoint clamp there alone).
 fit_nonminimal, residuals and segment_endpoints are their K = 1 calls, and
 a row's result does not depend on the stack it comes in.
 """
@@ -493,15 +494,20 @@ def residuals(instance: ModelInstance, coords) -> np.ndarray:
     return _residuals(instance.model_type, instance.params[None], coords)[0]
 
 
-def _residuals(model_type: ModelType, P: np.ndarray,
-               coords: np.ndarray) -> np.ndarray:
+def _residuals(model_type: ModelType, P: np.ndarray, coords: np.ndarray,
+               cutoff: float = np.inf) -> np.ndarray:
     """residuals of the rows of a (K, n_params) parameter stack over the
-    same (n, dim) coords; a (K, n) matrix. A projection onto the line or
-    plane normal is one matrix-vector product per row (vector @ coords.T),
-    the same product as for one instance. The line, segment, transfer and
-    Sampson distances are finished in place, in the order of the plain
-    expressions: a fresh (K, n) temporary per step costs more than its
-    arithmetic for a block of candidates."""
+    same (n, dim) coords; a (K, n) matrix whose entries below cutoff are
+    exact and whose other entries are some value >= cutoff. A projection
+    onto the line or plane normal is one matrix-vector product per row
+    (vector @ coords.T), the same product as for one instance. The line,
+    segment, transfer and Sampson distances are finished in place, in the
+    order of the plain expressions: a fresh (K, n) temporary per step costs
+    more than its arithmetic for a block of candidates. A segment's
+    endpoint clamp runs by flat index only on the entries whose line
+    distance is not above 2 * cutoff; the others keep the line distance. A
+    segment distance is never below its line distance, and a factor of 2
+    is a margin that rounding cannot cross."""
     if model_type in (ModelType.LINE2D, ModelType.SEGMENT2D):
         a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
         dot = (P[:, None, :2] @ coords.T)[:, 0]
@@ -513,24 +519,27 @@ def _residuals(model_type: ModelType, P: np.ndarray,
         dot += c
         np.abs(dot, out=dot)
         dot /= np.sqrt(a * a + b * b)           # the line distance
-        lo = np.minimum(P[:, 3], P[:, 4])[:, None]
-        hi = np.maximum(P[:, 3], P[:, 4])[:, None]
-        x, y = coords[:, 0], coords[:, 1]
-        tp = -b * x
-        tp += a * y
-        # past an end, the distance from the endpoint on that side
-        above = tp > hi
-        outside = above | (tp < lo)
-        del tp
-        ends = _segment_endpoints(P)[..., None]
-        dx = np.where(above, ends[:, 1, 0], ends[:, 0, 0])
-        dx -= x
-        dx *= dx
-        dy = np.where(above, ends[:, 1, 1], ends[:, 0, 1])
-        dy -= y
-        dy *= dy
-        dx += dy
-        np.copyto(dot, np.sqrt(dx, out=dx), where=outside)
+        lo, hi = np.minimum(P[:, 3], P[:, 4]), np.maximum(P[:, 3], P[:, 4])
+        ends, flat = _segment_endpoints(P), dot.reshape(-1)
+        near = np.flatnonzero(~(dot > 2.0 * cutoff))
+        # at most 16 slices of at least a row each, so that a full call's
+        # slice buffers stay within one (K, n) matrix
+        step = max(len(flat) // 16, len(coords)) + 1
+        x, y = coords.T
+        for s in range(0, len(near), step):
+            i, j = np.divmod(near[s:s + step], len(coords))
+            xj, yj = x.take(j), y.take(j)
+            tp = -b.take(i) * xj
+            tp += a.take(i) * yj
+            # past an end, the distance from the endpoint on that side
+            above = tp > hi.take(i)
+            outside = np.flatnonzero(above | (tp < lo.take(i)))
+            end = 2 * i.take(outside) + above.take(outside)
+            dx = ends[:, :, 0].take(end) - xj.take(outside)
+            dx *= dx
+            dy = ends[:, :, 1].take(end) - yj.take(outside)
+            dy *= dy
+            flat[near.take(s + outside)] = np.sqrt(dx + dy)
         return dot
 
     if model_type is ModelType.PLANE3D:
@@ -680,8 +689,8 @@ def fundamental_planar_degenerate(sample, epsilon: float) -> bool:
     quads = coords[[(0, 1, 2, 3), (3, 4, 5, 6), (0, 2, 4, 6)]]
     quads = quads[~_degenerate(ModelType.HOMOGRAPHY, quads, epsilon)]
     homographies, _, _ = _solve_minimal(ModelType.HOMOGRAPHY, quads)
-    explained = np.sum(_residuals(ModelType.HOMOGRAPHY, homographies, coords)
-                       < epsilon, axis=1)
+    explained = np.sum(_residuals(ModelType.HOMOGRAPHY, homographies, coords,
+                                  epsilon) < epsilon, axis=1)
     return bool(np.any(explained >= 5))
 
 

@@ -46,7 +46,8 @@ from mmfit.models import (
     minimal_candidates,
     residuals,
 )
-from mmfit.ingest import SyntheticSpec, synthesize
+from mmfit.ingest import SyntheticSpec, synthesize, synthesize_two_view
+from mmfit.pose import pose_from_multi_h
 from mmfit.quality import min_loss_outside_groups, quality_f_from_losses
 from mmfit.sampling import cc_schedule, draw_block
 
@@ -231,7 +232,12 @@ def test_stacked_refine_matches_per_instance_oracle(model_type):
         # a row no refit improves comes back bit-equal
         assert (best[i].tobytes() == p.tobytes()) == (want is h)
         assert np.array_equal(best[i], want.params)
-        assert np.array_equal(best_r[i], want_info.pop("residuals"))
+        # the kernel is exact below the cutoff alone: the supports and the
+        # residuals on them are the oracle's
+        want_r = want_info.pop("residuals")
+        below = want_r < cfg.loss.cutoff
+        assert np.array_equal(best_r[i] < cfg.loss.cutoff, below)
+        assert best_r[i][below].tobytes() == want_r[below].tobytes()
         assert np.array_equal(best_loss[i], want_info.pop("losses"))
         assert info[i] == want_info
     # the stack mixes rows that leave it at different iterations with a
@@ -696,9 +702,9 @@ def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
     stacked = models._residuals
     candidates = engine._candidates
 
-    def counted_residuals(model_type, P, coords):
+    def counted_residuals(model_type, P, coords, cutoff=np.inf):
         rows.append(len(P))
-        return stacked(model_type, P, coords)
+        return stacked(model_type, P, coords, cutoff)
 
     def counted_candidates(*args):
         out = candidates(*args)
@@ -723,6 +729,54 @@ def test_fit_scores_each_instance_once(monkeypatch, spec, sampler):
     assert sum(rows) == sum(solved) + sum(irls_iterations)
     # the candidates never taken are at most those of the last block solved
     assert 0 <= sum(solved) - report.proposals_tried <= solved[-1]
+
+
+def _inf_past_cutoff(monkeypatch, cutoff):
+    """Make every residual the engine reads at or past cutoff +inf."""
+    stacked = models._residuals
+
+    def wrapped(*args):
+        R = stacked(*args)
+        R[R >= cutoff] = np.inf
+        return R
+
+    monkeypatch.setattr(engine, "_residuals", wrapped)
+
+
+@pytest.mark.parametrize("spec, sampler", [
+    (SyntheticSpec(ModelType.LINE2D, 3, 60, 60, 1.0, seed=5), "pnapsac"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 2, 60, 40, 1.0, seed=5), "pnapsac"),
+    (SyntheticSpec(ModelType.SEGMENT2D, 4, 40, 40, 1.0, seed=2,
+                   clustered=True), "cc"),
+    (SyntheticSpec(ModelType.PLANE3D, 2, 60, 40, 1.0, seed=7), "pnapsac"),
+    (SyntheticSpec(ModelType.HOMOGRAPHY, 2, 60, 30, 1.0, seed=8), "pnapsac"),
+    (SyntheticSpec(ModelType.FUNDAMENTAL, 2, 60, 30, 1.0, seed=11),
+     "pnapsac"),
+], ids=["lines", "segments", "segments-cc", "planes", "homographies",
+        "fundamentals"])
+def test_fit_ignores_residuals_at_or_past_the_cutoff(monkeypatch, spec,
+                                                     sampler):
+    # the loss is 1 and the weight 0 from the cutoff on, so no value there
+    # reaches the report: a kernel may return any value >= cutoff
+    points, _, _ = synthesize(spec)
+    cfg = default_config(spec.model_type, 3.0, sampler=sampler)
+    want = fit(points, spec.model_type, cfg).to_dict()
+    _inf_past_cutoff(monkeypatch, cfg.loss.cutoff)
+    assert fit(points, spec.model_type, cfg).to_dict() == want
+
+
+def test_pose_ignores_residuals_at_or_past_the_cutoff(monkeypatch):
+    scene = synthesize_two_view(2, 60, 30, 1.0, 1000.0, seed=8)
+    cfg = default_config(ModelType.HOMOGRAPHY, 3.0, seed=8)
+
+    def pose():
+        p = pose_from_multi_h(scene.points.coords, scene.K1, scene.K2, cfg)
+        return (p.rotation.tobytes(), p.translation.tobytes(), p.source,
+                p.support, p.zero_translation)
+
+    want = pose()
+    _inf_past_cutoff(monkeypatch, cfg.loss.cutoff)
+    assert pose() == want
 
 
 def _one_sample_candidates(points, model_type, sample):

@@ -413,6 +413,54 @@ def test_segment_residuals_equal_the_three_way_oracle():
     assert (tp < lo).any() and (tp > hi).any() and ((tp > lo) & (tp < hi)).any()
 
 
+def _cutoff_contract_case(model_type, rng, K=12, n=200):
+    """Parameter rows and points at unit scale: random rows, so that line
+    and plane normals are not unit; homographies near the identity. A
+    segment's ends are the projections of two points, row 0 has lo == hi,
+    and each row gets 16 more points within 20 px of its line, on its
+    extension within 30 px of either end, and between them; a quarter
+    lie on the line (offset 0)."""
+    coords = rng.uniform(-100, 100, (n, model_type.dim))
+    if model_type is ModelType.HOMOGRAPHY:
+        return np.eye(3).ravel() + rng.normal(0, 0.05, (K, 9)), coords
+    P = rng.normal(size=(K, model_type.n_params))
+    if model_type is not ModelType.SEGMENT2D:
+        return P, coords
+    P[:, 2] *= 50.0
+    tp = -P[:, 1, None] * coords[:, 0] + P[:, 0, None] * coords[:, 1]
+    P[:, 3:5] = np.take_along_axis(tp, rng.integers(n, size=(K, 2)), 1)
+    P[0, 4] = P[0, 3]
+    a, b, c = P[:, 0, None], P[:, 1, None], P[:, 2, None]
+    norm = np.hypot(a, b)
+    lo, hi = P[:, 3:5].min(1, keepdims=True), P[:, 3:5].max(1, keepdims=True)
+    # at line parameter t and line value u: a x + b y + c = u, -b x + a y = t
+    t = rng.uniform(lo - 30.0 * norm, hi + 30.0 * norm, (K, 16))
+    u = rng.uniform(-20.0, 20.0, (K, 16)) * norm * (rng.random((K, 16)) > 0.25)
+    x = (-c * a - t * b + u * a) / norm ** 2
+    y = (-c * b + t * a + u * b) / norm ** 2
+    return P, np.vstack([coords, np.column_stack([x.ravel(), y.ravel()])])
+
+
+@pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([-10, 0, 10]),
+       cutoff=st.floats(0.0, 25.0))
+def test_residuals_are_exact_below_the_cutoff(model_type, seed, k, cutoff):
+    # an entry whose full value is below the cutoff is that value bit for
+    # bit, any other entry is some value >= cutoff; the points, the
+    # coordinate-scaled parameters and the cutoff are scaled by 2^k
+    P, coords = _cutoff_contract_case(model_type, np.random.default_rng(seed))
+    scale = 2.0 ** k
+    coords, cutoff = coords * scale, cutoff * scale
+    if model_type.n_params < 9:     # the offset and a segment's ends
+        P[:, model_type.dim:] *= scale
+    full = _residuals(model_type, P, coords, np.inf)
+    got = _residuals(model_type, P, coords, cutoff)
+    below = full < cutoff
+    assert got[below].tobytes() == full[below].tobytes()
+    assert np.all(got[~below] >= cutoff)
+
+
 def _project(M, x):
     return (M.reshape(-1, 3) @ x).reshape(len(M), 3, x.shape[1])
 
@@ -488,39 +536,45 @@ RESIDUAL_PEAK = {ModelType.LINE2D: 1.5, ModelType.SEGMENT2D: 4.0,
 
 @pytest.mark.parametrize("model_type", list(ModelType), ids=lambda t: t.value)
 def test_residuals_of_a_block_peak_within_their_buffers(model_type):
+    # the full residuals and the call the engine makes, exact below the
+    # loss cutoff alone
     K, n = 128, 1000
     rng = np.random.default_rng(4)
     coords = rng.uniform(0, 100, (n, model_type.dim))
     P = rng.normal(size=(K, model_type.n_params))
-    _residuals(model_type, P, coords)   # numpy's lazy set-up, untraced
-    tracemalloc.start()
-    try:
-        _residuals(model_type, P, coords)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert K * n * 8 <= peak <= RESIDUAL_PEAK[model_type] * K * n * 8
+    for cutoff in (np.inf, engine.default_config(model_type, 3.0).loss.cutoff):
+        _residuals(model_type, P, coords, cutoff)   # numpy's lazy set-up
+        tracemalloc.start()
+        try:
+            _residuals(model_type, P, coords, cutoff)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K * n * 8 <= peak <= RESIDUAL_PEAK[model_type] * K * n * 8
 
 
 def test_candidates_of_a_block_peak_within_a_few_tiles():
     # a block's parameter rows are scored RNG_BLOCK at a time, so a
-    # 128-sample lines block over 2600 points peaks at a few (RNG_BLOCK, n)
-    # tiles, not at its (128, n) matrix
-    points, _, _ = synthesize(SyntheticSpec(ModelType.LINE2D, 16, 100, 1000,
-                                            1.0, seed=1))
-    n, fn = len(points), engine.default_config(ModelType.LINE2D, 3.0).loss
-    samples = sampling.draw_block("uniform", points.coords, 2, 1,
-                                  engine.SAMPLE_BLOCK,
-                                  np.random.default_rng(2)).tolist()
-    engine._candidates(points, ModelType.LINE2D, samples, fn)   # untraced
-    tracemalloc.start()
-    try:
-        out = engine._candidates(points, ModelType.LINE2D, samples, fn)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert sum(map(len, out)) == engine.SAMPLE_BLOCK
-    assert peak <= 2.5 * sampling.RNG_BLOCK * n * 8
+    # 128-sample block of the lines-l16 or segments-cc scene peaks at a few
+    # (RNG_BLOCK, n) tiles, not at its (128, n) matrix
+    for spec in (SyntheticSpec(ModelType.LINE2D, 16, 100, 1000, 1.0, seed=1),
+                 SyntheticSpec(ModelType.SEGMENT2D, 16, 100, 400, 1.0, seed=1,
+                               clustered=True)):
+        points, _, _ = synthesize(spec)
+        model_type = spec.model_type
+        n, fn = len(points), engine.default_config(model_type, 3.0).loss
+        samples = sampling.draw_block("uniform", points.coords, 2, 1,
+                                      engine.SAMPLE_BLOCK,
+                                      np.random.default_rng(2)).tolist()
+        engine._candidates(points, model_type, samples, fn)   # untraced
+        tracemalloc.start()
+        try:
+            out = engine._candidates(points, model_type, samples, fn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, out)) == engine.SAMPLE_BLOCK
+        assert peak <= 2.5 * sampling.RNG_BLOCK * n * 8
 
 
 def test_pinned_lines_fit_peaks_within_5_mib():
